@@ -16,12 +16,19 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .exactlin import GaussianRational, Mat, Subspace, form_value
-from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
+from .exactlin import GaussianRational, Mat, Subspace
+from .filtrations import (
+    DecreasingFiltration,
+    IncreasingFiltration,
+    isotropy_check,
+    weight_filtration,
+)
 from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
 from .lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
-from .mhs import deligne_split, first_relation_holds, NilpotentCone
+# deligne_split stays bound here for callers that reach it through this module
+from .mhs import deligne_split, first_relation_holds, NilpotentCone  # noqa: F401
 from .orbit import (
     adapted_basis,
     eval_frame,
@@ -30,14 +37,9 @@ from .orbit import (
     orbit_spec,
     triangularity_check,
 )
-from .probe import (
-    f_infinity_probe,
-    levi_probe,
-    norm_value,
-    ProbeConfig,
-    radial_limit,
-    term_vanishing,
-)
+
+# The float probe layer (and numpy with it) is imported inside the commands
+# that use it, so exact-only commands start without it.
 
 FIXTURE_TAG = "hodge-fixture/1"
 REPORT_TAG = "hodge-report/1"
@@ -166,14 +168,26 @@ def _show_zeta(table):
 
 @dataclass(frozen=True)
 class Fixture:
-    """A parsed fixture: exact structure data plus optional twist table."""
+    """A parsed fixture: exact structure data plus optional twist table.
+
+    The markers and the orbit spec are built at most once per fixture.  A
+    build that raises is not cached, so every caller gets the same error.
+    """
 
     data: PureHodgeData
     zeta: dict
     n_coords: int
     expectations: dict
 
+    @cached_property
+    def markers(self):
+        return locate_markers(self.data)
+
     def orbit(self):
+        return self._orbit
+
+    @cached_property
+    def _orbit(self):
         return orbit_spec(self.data, self.zeta, self.n_coords)
 
 
@@ -216,16 +230,17 @@ def parse_fixture(doc) -> Fixture:
     zeta = _parse_zeta(doc.get("zeta", {}), "zeta", k, n_coords, dim)
 
     expectations = doc.get("markers", {})
+    fixture = Fixture(data=data, zeta=zeta, n_coords=n_coords, expectations=expectations)
     if expectations:
         if not isinstance(expectations, dict):
             _fail("markers", "expected an object")
-        _verify_expectations(data, expectations)
-    return Fixture(data=data, zeta=zeta, n_coords=n_coords, expectations=expectations)
+        _verify_expectations(fixture, expectations)
+    return fixture
 
 
-def _verify_expectations(data, expectations):
+def _verify_expectations(fixture, expectations):
     try:
-        markers = locate_markers(data)
+        markers = fixture.markers
     except (ValueError, ArithmeticError) as exc:
         raise FixtureError(f"markers: {exc}") from exc
     for key in sorted(set(expectations) - {"n", "m", "lam"}):
@@ -316,13 +331,13 @@ def _proportional_column(basis, vector):
 
 def cmd_diamond(fixture, args):
     data = fixture.data
-    split = deligne_split(data.structure())
+    split = data.split()
     lines = [f"diamond of a {data.dim}-dimensional weight-{data.weight} structure"]
     lines += _diamond_lines(split)
     report = {"diamond": {f"{p},{q}": sub.dim
                           for (p, q), sub in sorted(split.pieces.items())}}
     try:
-        markers = locate_markers(data)
+        markers = fixture.markers
         lines.append(f"m = {markers.m}")
         report["m"] = markers.m
     except (ValueError, ArithmeticError):
@@ -332,7 +347,7 @@ def cmd_diamond(fixture, args):
 
 
 def cmd_split(fixture, args):
-    split = deligne_split(fixture.data.structure())
+    split = fixture.data.split()
     lines = ["bigraded pieces and their echelon bases"]
     report = {}
     for (p, q), sub in sorted(split.pieces.items()):
@@ -361,7 +376,7 @@ def cmd_induce(fixture, args):
 
 def cmd_markers(fixture, args):
     data = fixture.data
-    markers = locate_markers(data)
+    markers = fixture.markers
     basis = adapted_basis(data.f, data.w, data.q)
     indices = tuple(_proportional_column(basis, v)
                     for v in (markers.e0, markers.einf, markers.ed))
@@ -387,7 +402,7 @@ def cmd_markers(fixture, args):
 def cmd_lie(fixture, args):
     data = fixture.data
     algebra = lie_algebra(data.q)
-    split = lie_deligne_split(algebra, data.structure())
+    split = lie_deligne_split(algebra, data.structure(), data.split())
     herm, herm_why = hermitian_test(split)
     smooth, smooth_why = smoothness_test(split)
     lines = [f"symmetry algebra dimension {algebra.dim}",
@@ -405,6 +420,7 @@ def cmd_lie(fixture, args):
 
 
 def cmd_eval(fixture, args):
+    from .probe import norm_value
     spec = fixture.orbit()
     if args.t is None:
         raise FixtureError("eval needs --t with one value per coordinate")
@@ -451,7 +467,7 @@ def _skip(name, why):
 def suite_symmetries(fixture, args):
     data = fixture.data
     st = data.structure()
-    split = deligne_split(st)
+    split = data.split()
     sign = 1 if st.n % 2 == 0 else -1
     out = [Check("symmetries.pairing-symmetry",
                  st.q.transpose() == st.q * sign,
@@ -474,19 +490,6 @@ def suite_symmetries(fixture, args):
     return out
 
 
-def _isotropy_of(w, q, n):
-    jumps = w.jump_levels
-    for a in jumps:
-        for b in jumps:
-            if a + b >= 2 * n:
-                continue
-            for u in w.at(a).basis:
-                for v in w.at(b).basis:
-                    if form_value(q, u, v):
-                        return False, (a, b)
-    return True, None
-
-
 def suite_isotropy(fixture, args):
     data = fixture.data
     if not len(data.cone):
@@ -499,14 +502,14 @@ def suite_isotropy(fixture, args):
                      "W equals the interior element's weight filtration"))
     for j, g in enumerate(data.cone.generators):
         wg = weight_filtration(g, center=n)
-        ok, where = _isotropy_of(wg, q, n)
+        ok, witness = isotropy_check(wg, q, n)
         out.append(Check(f"isotropy.generator-{j}", ok,
                          "Q(W_a, W_b) = 0 for a+b < 2n" if ok
-                         else f"pairing survives at levels {where}"))
-    ok, where = _isotropy_of(data.w, q, n)
+                         else f"pairing survives at levels {witness[:2]}"))
+    ok, witness = isotropy_check(data.w, q, n)
     out.append(Check("isotropy.common-filtration", ok,
                      "Q(W_a, W_b) = 0 for a+b < 2n" if ok
-                     else f"pairing survives at levels {where}"))
+                     else f"pairing survives at levels {witness[:2]}"))
     for j, g in enumerate(data.cone.generators):
         shifted = all(data.w.at(l - 2).contains(data.w.at(l).apply(g))
                       for l in data.w.jump_levels)
@@ -518,7 +521,7 @@ def suite_bracket(fixture, args):
     data = fixture.data
     st = data.structure()
     algebra = lie_algebra(data.q)
-    split = deligne_split(st)
+    split = data.split()
     lsplit = lie_deligne_split(algebra, st, split)
     # x^T Q + Q x = 0 per basis element makes [x, y]^T Q = -Q [x, y] an
     # identity, so closure of the bracket needs no pairwise commutators.
@@ -562,13 +565,22 @@ def suite_bracket(fixture, args):
     return out
 
 
-def _unmarked(fixture):
-    """Why the norm machinery does not apply, or None when it does."""
+def _suite_orbit(fixture, skip_name, failure_name):
+    """The fixture's orbit spec, or the one Check a suite reports without it.
+
+    The Check skips `skip_name` when the fixture has no cone or no markers,
+    and fails `failure_name` when the orbit data are rejected.
+    """
+    if not len(fixture.data.cone):
+        return _skip(skip_name, "fixture has no cone")
     try:
-        locate_markers(fixture.data)
-        return None
+        fixture.markers  # raises when the markers are undefined
     except (ValueError, ArithmeticError) as exc:
-        return str(exc)
+        return _skip(skip_name, f"norm machinery undefined: {exc}")
+    try:
+        return fixture.orbit()
+    except (ValueError, ArithmeticError) as exc:
+        return Check(failure_name, False, str(exc))
 
 
 def _deterministic_points(spec, count=2):
@@ -583,15 +595,9 @@ def _deterministic_points(spec, count=2):
 
 
 def suite_monodromy(fixture, args):
-    if not len(fixture.data.cone):
-        return [_skip("monodromy.branch-shifts", "fixture has no cone")]
-    why = _unmarked(fixture)
-    if why:
-        return [_skip("monodromy.branch-shifts", f"norm machinery undefined: {why}")]
-    try:
-        spec = fixture.orbit()
-    except (ValueError, ArithmeticError) as exc:
-        return [Check("monodromy.orbit-data", False, str(exc))]
+    spec = _suite_orbit(fixture, "monodromy.branch-shifts", "monodromy.orbit-data")
+    if isinstance(spec, Check):
+        return [spec]
     shifts = [tuple(args.branch)] if args.branch else []
     shifts += [(1,) * spec.k, tuple(2 if j == 0 else -1 for j in range(spec.k))]
     out = []
@@ -609,15 +615,10 @@ def suite_monodromy(fixture, args):
 
 
 def suite_limits(fixture, args):
-    if not len(fixture.data.cone):
-        return [_skip("limits.radial", "fixture has no cone")]
-    why = _unmarked(fixture)
-    if why:
-        return [_skip("limits.radial", f"norm machinery undefined: {why}")]
-    try:
-        spec = fixture.orbit()
-    except (ValueError, ArithmeticError) as exc:
-        return [Check("limits.orbit-data", False, str(exc))]
+    from .probe import ProbeConfig, radial_limit, term_vanishing
+    spec = _suite_orbit(fixture, "limits.radial", "limits.orbit-data")
+    if isinstance(spec, Check):
+        return [spec]
     cfg = ProbeConfig(tol=args.tol)
     deep = tuple(range(spec.k))
     report = radial_limit(spec, deep, cfg)
@@ -632,13 +633,10 @@ def suite_limits(fixture, args):
 
 
 def suite_levels(fixture, args):
-    if not len(fixture.data.cone):
-        return [_skip("levels.generators", "fixture has no cone")]
-    why = _unmarked(fixture)
-    if why:
-        return [_skip("levels.generators", f"norm machinery undefined: {why}")]
+    spec = _suite_orbit(fixture, "levels.generators", "levels.orbit-data")
+    if isinstance(spec, Check):
+        return [spec]
     try:
-        spec = fixture.orbit()
         report = generator_level_check(spec)
     except (ValueError, ArithmeticError) as exc:
         return [Check("levels.orbit-data", False, str(exc))]
@@ -652,15 +650,10 @@ def suite_levels(fixture, args):
 
 
 def suite_psh(fixture, args):
-    if not len(fixture.data.cone):
-        return [_skip("psh.levi", "fixture has no cone")]
-    why = _unmarked(fixture)
-    if why:
-        return [_skip("psh.levi", f"norm machinery undefined: {why}")]
-    try:
-        spec = fixture.orbit()
-    except (ValueError, ArithmeticError) as exc:
-        return [Check("psh.levi", False, str(exc))]
+    from .probe import levi_probe, ProbeConfig
+    spec = _suite_orbit(fixture, "psh.levi", "psh.levi")
+    if isinstance(spec, Check):
+        return [spec]
     if spec.n_coords == spec.k:
         return [_skip("psh.levi", "the deepest stratum is a point")]
     try:
@@ -714,6 +707,7 @@ def cmd_check(fixture, args):
 
 
 def cmd_probe(fixture, args):
+    from .probe import f_infinity_probe, levi_probe, ProbeConfig, radial_limit, term_vanishing
     if not len(fixture.data.cone):
         raise FixtureError("probe needs a fixture with a nonempty cone")
     spec = fixture.orbit()

@@ -4,6 +4,14 @@ Scalars are pairs of `fractions.Fraction`.  Matrices are immutable tuples of
 row tuples.  Subspaces are stored via a reduced-row-echelon basis, which is
 unique for a given row space, so subspace equality is plain tuple equality
 and no tolerance ever enters.
+
+The kernels (`Mat.__mul__`, `Mat.apply`, `rref`, `Subspace.contains_vector`)
+stay dense in storage but sparse in work: zero tests happen once per row or
+vector entry, never once per product term.  Each kernel gathers the nonzero
+(index, entry) pairs of a row once and then multiplies only nonzero pairs,
+row by row in the manner of Gustavson's sparse product, so a matrix with few
+nonzeros costs in proportion to its nonzeros.  Entrywise sums and scalings
+likewise leave zero entries untouched.
 """
 
 from __future__ import annotations
@@ -192,16 +200,16 @@ def vec(entries) -> tuple:
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
+    return tuple(a + b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v, strict=True))
+    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
 
 
 def vec_scale(c, v):
     c = GaussianRational(c) if not isinstance(c, GaussianRational) else c
-    return tuple(c * x for x in v)
+    return tuple(c * x if x else x for x in v)
 
 
 def vec_conj(v):
@@ -210,6 +218,11 @@ def vec_conj(v):
 
 def vec_is_zero(v):
     return not any(v)
+
+
+def _nonzero(row):
+    """The (index, entry) pairs of the nonzero entries of a row."""
+    return [(j, x) for j, x in enumerate(row) if x]
 
 
 def unit_vector(i, n):
@@ -240,6 +253,13 @@ class Mat:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
                 raise ValueError("ragged rows")
+
+    @classmethod
+    def _of_rows(cls, rows):
+        # kernel results: rows are already equal-length tuples of scalars
+        self = object.__new__(cls)
+        self.rows = tuple(rows)
+        return self
 
     @classmethod
     def identity(cls, n):
@@ -293,24 +313,34 @@ class Mat:
         return hash(self.rows)
 
     def __add__(self, other):
-        return Mat([vec_add(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
+        return Mat._of_rows([vec_add(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
 
     def __sub__(self, other):
-        return Mat([vec_sub(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
+        return Mat._of_rows([vec_sub(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
 
     def __neg__(self):
-        return Mat([vec_scale(-ONE, r) for r in self.rows])
+        return Mat._of_rows([vec_scale(-ONE, r) for r in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-            cols = other.cols()
-            return Mat([[sum((a * b for a, b in zip(r, c) if a and b), start=ZERO)
-                         for c in cols] for r in self.rows])
+            width = other.ncols
+            right = [_nonzero(r) for r in other.rows]
+            out = []
+            for r in self.rows:
+                acc = {}
+                for k, a in _nonzero(r):
+                    for j, b in right[k]:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+                row = [ZERO] * width
+                for j, x in acc.items():
+                    row[j] = x
+                out.append(tuple(row))
+            return Mat._of_rows(out)
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational(other)
-            return Mat([vec_scale(c, r) for r in self.rows])
+            return Mat._of_rows([vec_scale(c, r) for r in self.rows])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -334,11 +364,20 @@ class Mat:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * b for a, b in zip(r, v) if a and b), start=ZERO)
-                     for r in self.rows)
+        # matrix entries lead each product, so plain ints in v are coerced
+        pairs = _nonzero(v)
+        out = []
+        for r in self.rows:
+            acc = ZERO
+            for j, x in pairs:
+                a = r[j]
+                if a:
+                    acc = acc + a * x
+            out.append(acc)
+        return tuple(out)
 
     def transpose(self):
-        return Mat(self.cols())
+        return Mat._of_rows(zip(*self.rows))
 
     def conj(self):
         return Mat([vec_conj(r) for r in self.rows])
@@ -461,15 +500,20 @@ def rref(rows):
         if piv is None:
             continue
         work[row], work[piv] = work[piv], work[row]
-        lead = work[row][col]
+        prow = work[row]
+        # rows from `row` on are zero left of col, so the pair scan starts there
+        pairs = [(j, prow[j]) for j in range(col, ncols) if prow[j]]
+        lead = prow[col]
         if lead != ONE:
             inv = ONE / lead
-            work[row] = [x if not x else inv * x for x in work[row]]
-        for r in range(len(work)):
-            if r != row and work[r][col]:
-                f = work[r][col]
-                work[r] = [a if not b else a - f * b
-                           for a, b in zip(work[r], work[row])]
+            pairs = [(j, inv * x) for j, x in pairs]
+            for j, x in pairs:
+                prow[j] = x
+        for r, w in enumerate(work):
+            f = w[col]
+            if r != row and f:
+                for j, b in pairs:
+                    w[j] = w[j] - f * b
         pivots.append(col)
         row += 1
         if row == len(work):
@@ -556,11 +600,16 @@ class Subspace:
         v = list(vec(v))
         if len(v) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
+        p = -1
         for r in self.rows:
-            p = next(j for j, x in enumerate(r) if x)
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, r)]
+            # echelon pivots increase and rref normalized each one to 1
+            p = next(j for j in range(p + 1, self.ambient) if r[j])
+            f = v[p]
+            if f:
+                for j in range(p, self.ambient):
+                    b = r[j]
+                    if b:
+                        v[j] = v[j] - f * b
         return not any(v)
 
     def contains(self, other: "Subspace"):

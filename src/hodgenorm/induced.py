@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactlin import (
     GaussianRational,
@@ -112,7 +113,11 @@ def induced_endomorphism(x: Mat, exponents) -> Mat:
 
 @dataclass(frozen=True)
 class PureHodgeData:
-    """Weight-w input data on V: pairing, limit filtration, nilpotent cone."""
+    """Weight-w input data on V: pairing, limit filtration, nilpotent cone.
+
+    The mixed structure and its verified splitting are built once per
+    instance and shared by every caller.
+    """
 
     weight: int
     q: Mat
@@ -138,9 +143,18 @@ class PureHodgeData:
         return self.f.ambient
 
     def structure(self) -> MixedHodge:
-        return MixedHodge(self.weight, self.w, self.f, self.q)
+        return self._structure
 
     def split(self) -> DeligneSplitting:
+        return self._split
+
+    @cached_property
+    def _structure(self) -> MixedHodge:
+        return MixedHodge(self.weight, self.w, self.f, self.q)
+
+    @cached_property
+    def _split(self) -> DeligneSplitting:
+        # verify=True: the first computation checks every splitting identity
         return deligne_split(self.structure())
 
 

@@ -1,5 +1,6 @@
 """Command-line layer: fixture codec, commands, suites, exit codes."""
 
+import hashlib
 import json
 import pathlib
 
@@ -17,6 +18,7 @@ from hodgenorm.cli import (
 )
 
 DATA = pathlib.Path(cli.__file__).parent / "data"
+ROOT = DATA.parents[2]
 SHIPPED = sorted(p.name for p in DATA.glob("*.json"))
 
 
@@ -403,3 +405,75 @@ def test_markers_exit_2_when_undefined(capsys):
     code, _, err = run(capsys, "markers", DATA / "a1_input.json")
     assert code == 2
     assert "not a line" in err
+
+
+# -- facts computed once --------------------------------------------------------------
+
+
+def count_orbit_builds(monkeypatch):
+    calls = []
+    build = cli.orbit_spec
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "orbit_spec", counting)
+    return calls
+
+
+def test_check_builds_the_orbit_spec_once(monkeypatch, capsys):
+    calls = count_orbit_builds(monkeypatch)
+    code, _, _ = run(capsys, "check", DATA / "elliptic.json")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_failed_orbit_build_is_reported_by_every_suite(tmp_path, monkeypatch, capsys):
+    doc = elliptic_doc()
+    doc["zeta"]["0"][0]["matrix"] = [["1", "0"], ["0", "0"]]  # not an isometry of Q
+    path = tmp_path / "bad-twist.json"
+    path.write_text(dump_document(doc))
+    calls = count_orbit_builds(monkeypatch)
+    code, out, _ = run(capsys, "check", path)
+    assert code == 1
+    failed = [line.split("  ", 2) for line in out.splitlines() if line.startswith("FAIL")]
+    assert [name for _, name, _ in failed] == [
+        "monodromy.orbit-data", "limits.orbit-data", "levels.orbit-data", "psh.levi"]
+    assert {detail for _, _, detail in failed} == {
+        "f_[0] at exponent (0, 1) is not an infinitesimal isometry of the pairing"}
+    assert len(calls) == 4  # a failed build is not cached
+
+
+def test_isotropy_witness_names_the_largest_partner_level(tmp_path, capsys):
+    # Q(e1, e1) = 1, so W_0 = <e1> pairs with both W_0 and W_1 although
+    # 0 + 0 and 0 + 1 are below 2n = 4; the witness names the larger level.
+    doc = json.loads((DATA / "pair.json").read_text())
+    doc.pop("markers")
+    unit = [["1" if j == i else "0" for j in range(6)] for i in range(6)]
+    doc["w"] = {"0": unit[:1], "1": unit[1:2], "4": unit}
+    path = tmp_path / "isotropic-failure.json"
+    path.write_text(dump_document(doc))
+    code, out, _ = run(capsys, "check", path, "--suite", "isotropy")
+    assert code == 1
+    assert ("FAIL  isotropy.common-filtration  pairing survives at levels (0, 1)"
+            in out.splitlines())
+
+
+# -- byte identity with the benchmark reference ----------------------------------------
+
+
+@pytest.mark.parametrize("command", ["diamond", "split", "markers", "lie", "check"])
+@pytest.mark.parametrize("name", ["elliptic", "pair", "a1_input"])
+def test_outputs_match_the_benchmark_reference(name, command, tmp_path, monkeypatch, capsys):
+    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as handle:
+        expected = json.load(handle)["cli"][f"{command}.{name}"]
+    monkeypatch.chdir(ROOT)  # the report embeds the fixture path as given
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, command, f"src/hodgenorm/data/{name}.json", "--report", report)
+    got = {
+        "exit": code,
+        "stdout": hashlib.sha256(out.encode("utf-8")).hexdigest(),
+        "report": hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None,
+    }
+    assert got == expected
