@@ -59,8 +59,13 @@ def _fail(path, message):
 # -- scalar / vector / matrix codec -------------------------------------------
 
 
+def _is_int(node):
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(node, int) and not isinstance(node, bool)
+
+
 def _parse_fraction(node, path):
-    if isinstance(node, int):
+    if _is_int(node):
         return Fraction(node)
     if isinstance(node, str):
         try:
@@ -147,7 +152,7 @@ def _parse_zeta(node, path, k, n_coords, dim):
                 _fail(at, "each term needs exactly the keys 'powers' and 'matrix'")
             powers = term["powers"]
             if (not isinstance(powers, list) or len(powers) != n_coords
-                    or not all(isinstance(e, int) and e >= 0 for e in powers)):
+                    or not all(_is_int(e) and e >= 0 for e in powers)):
                 _fail(f"{at}.powers", f"expected {n_coords} nonnegative integers")
             poly[tuple(powers)] = _parse_matrix(term["matrix"], f"{at}.matrix", dim)
         table[idx] = poly
@@ -204,10 +209,10 @@ def parse_fixture(doc) -> Fixture:
         if key not in doc:
             _fail(key, "required field is missing")
     dim = doc["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         _fail("dim", "expected a positive integer")
     weight = doc["weight"]
-    if not isinstance(weight, int):
+    if not _is_int(weight):
         _fail("weight", "expected an integer")
 
     q = _parse_matrix(doc["q"], "q", dim)
@@ -225,7 +230,7 @@ def parse_fixture(doc) -> Fixture:
 
     k = len(generators)
     n_coords = doc.get("n_coords", k)
-    if not isinstance(n_coords, int) or n_coords < k:
+    if not _is_int(n_coords) or n_coords < k:
         _fail("n_coords", f"expected an integer >= {k}")
     zeta = _parse_zeta(doc.get("zeta", {}), "zeta", k, n_coords, dim)
 
@@ -246,6 +251,8 @@ def _verify_expectations(fixture, expectations):
     for key in sorted(set(expectations) - {"n", "m", "lam"}):
         _fail(f"markers.{key}", "unknown marker expectation")
     for key in ("n", "m"):
+        if key in expectations and not _is_int(expectations[key]):
+            _fail(f"markers.{key}", "expected an integer")
         if key in expectations and expectations[key] != getattr(markers, key):
             _fail(f"markers.{key}",
                   f"fixture says {expectations[key]}, computed {getattr(markers, key)}")

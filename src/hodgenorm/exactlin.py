@@ -5,19 +5,29 @@ row tuples.  Subspaces are stored via a reduced-row-echelon basis, which is
 unique for a given row space, so subspace equality is plain tuple equality
 and no tolerance ever enters.
 
-The kernels (`Mat.__mul__`, `Mat.apply`, `rref`, `Subspace.contains_vector`)
-stay dense in storage but sparse in work: zero tests happen once per row or
+The kernels (`Mat.__mul__`, `Mat.apply`, `Subspace.contains_vector`) stay
+dense in storage but sparse in work: zero tests happen once per row or
 vector entry, never once per product term.  Each kernel gathers the nonzero
 (index, entry) pairs of a row once and then multiplies only nonzero pairs,
 row by row in the manner of Gustavson's sparse product, so a matrix with few
 nonzeros costs in proportion to its nonzeros.  Entrywise sums and scalings
 likewise leave zero entries untouched.
+
+`rref` runs on Gaussian integers instead.  Inside it, rows are only ever
+rescaled by nonzero rationals and eliminated as dense pairs of Python int
+lists (real and imaginary parts) whose pivot leads are positive integers;
+only the final reduced rows, divided once by their pivots, become
+`Fraction`s.  Rescaling rows leaves the row space unchanged, and the reduced
+echelon form is unique for a row space, so the result is exactly that of
+Gauss-Jordan elimination over Q(i).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from itertools import compress
+from math import gcd, isqrt, lcm
+from operator import or_
 
 
 class GaussianRational:
@@ -482,43 +492,145 @@ def _factorial(k):
 # -- elimination -----------------------------------------------------------
 
 
+def _gaussian_integer_row(row):
+    """A row as integer lists (re, im): the row times the lcm of its denominators."""
+    if not isinstance(row, (tuple, list)):
+        row = tuple(row)  # it is read twice
+    try:
+        re = [x.re for x in row]
+        im = [x.im for x in row]
+    except AttributeError:  # plain ints or Fractions among the entries
+        row = vec(row)
+        re = [x.re for x in row]
+        im = [x.im for x in row]
+    # Fraction's slots, read directly: the numerator/denominator properties
+    # are Python-level calls and cost more than the conversion itself
+    scale = lcm(*[q._denominator for q in re], *[q._denominator for q in im])
+    if scale == 1:
+        return [q._numerator for q in re], [q._numerator for q in im]
+    return ([q._numerator * (scale // q._denominator) for q in re],
+            [q._numerator * (scale // q._denominator) for q in im])
+
+
+_FRACTION_ZERO = Fraction(0)
+
+
+def _reduced_row(re, im, col):
+    """A row of Gaussian integers with real pivot re[col], divided by it."""
+    lead = re[col]
+    out = [ZERO] * len(re)
+    for j in compress(range(len(re)), map(or_, re, im)):
+        a, b = re[j], im[j]
+        out[j] = GaussianRational._raw(Fraction(a, lead) if a else _FRACTION_ZERO,
+                                       Fraction(b, lead) if b else _FRACTION_ZERO)
+    out[col] = ONE
+    return tuple(out)
+
+
 def rref(rows):
     """Reduced row echelon form.
 
     Returns (reduced_rows, pivot_columns) with zero rows dropped, pivots
     normalized to 1 and cleared above and below.  The result depends only on
     the row space.
+
+    The elimination is fraction-free over Z[i], with integer content
+    removal where Bareiss (1968) divides exactly.  Each column's pivot is
+    the row with the smallest lead; the pivot row p is multiplied by the
+    conjugate of its lead, so the lead becomes a positive integer a, and
+    divided by its integer content.  Every
+    other row w with w[col] = f becomes a*w - f*p, once the common integer
+    factor of a and f is cancelled, and sheds its integer content whenever
+    it was scaled.  Rotating the lead onto the reals matters: an integer
+    gcd cannot remove a Gaussian factor such as 2+i, so eliminating with a
+    complex lead lets entries grow.
     """
-    work = [list(vec(r)) for r in rows]
-    if not work:
+    res, ims = [], []
+    for r in rows:
+        re, im = _gaussian_integer_row(r)
+        res.append(re)
+        ims.append(im)
+    if not res:
         return (), ()
-    ncols = len(work[0])
+    nrows = len(res)
+    ncols = len(res[0])
     pivots = []
     row = 0
     for col in range(ncols):
-        piv = next((r for r in range(row, len(work)) if work[r][col]), None)
+        # the smallest lead keeps the scalings small; a unit lead ends the search
+        piv = None
+        best = None
+        for r in range(row, nrows):
+            x, y = res[r][col], ims[r][col]
+            if x or y:
+                size = abs(x) + abs(y)
+                if best is None or size < best:
+                    piv, best = r, size
+                    if size == 1:
+                        break
         if piv is None:
             continue
-        work[row], work[piv] = work[piv], work[row]
-        prow = work[row]
-        # rows from `row` on are zero left of col, so the pair scan starts there
-        pairs = [(j, prow[j]) for j in range(col, ncols) if prow[j]]
-        lead = prow[col]
-        if lead != ONE:
-            inv = ONE / lead
-            pairs = [(j, inv * x) for j, x in pairs]
-            for j, x in pairs:
-                prow[j] = x
-        for r, w in enumerate(work):
-            f = w[col]
-            if r != row and f:
-                for j, b in pairs:
-                    w[j] = w[j] - f * b
+        res[row], res[piv] = res[piv], res[row]
+        ims[row], ims[piv] = ims[piv], ims[row]
+        pr, pi = res[row], ims[row]
+        # rows from `row` on are zero left of col, so the pivot row is too
+        lr, li = pr[col], pi[col]
+        if li:
+            # times conj(lead): the lead becomes |lead|^2, a positive integer
+            for j in range(col, ncols):
+                x, y = pr[j], pi[j]
+                if x or y:
+                    pr[j], pi[j] = x * lr + y * li, y * lr - x * li
+        elif lr < 0:
+            for j in range(col, ncols):
+                pr[j] = -pr[j]
+                pi[j] = -pi[j]
+        g = gcd(*pr, *pi)
+        if g != 1:
+            for j in range(col, ncols):
+                pr[j] //= g
+                pi[j] //= g
+        lead = pr[col]
+        nz = [j for j in range(col + 1, ncols) if pr[j] or pi[j]]
+        real = not any(pi)
+        for r in range(nrows):
+            wr, wi = res[r], ims[r]
+            fr, fi = wr[col], wi[col]
+            if r == row or not (fr or fi):
+                continue
+            g = gcd(lead, fr, fi)
+            a = lead // g
+            if g != 1:
+                fr //= g
+                fi //= g
+            if a != 1:
+                wr = res[r] = [a * x for x in wr]
+                wi = ims[r] = [a * x for x in wi]
+            wr[col] = wi[col] = 0
+            if real:
+                if fi:
+                    for j in nz:
+                        b = pr[j]
+                        wr[j] -= fr * b
+                        wi[j] -= fi * b
+                else:
+                    for j in nz:
+                        wr[j] -= fr * pr[j]
+            else:
+                for j in nz:
+                    b, c = pr[j], pi[j]
+                    wr[j] -= fr * b - fi * c
+                    wi[j] -= fr * c + fi * b
+            if a != 1:
+                g = gcd(*wr, *wi)
+                if g > 1:
+                    res[r] = [x // g for x in wr]
+                    ims[r] = [x // g for x in wi]
         pivots.append(col)
         row += 1
-        if row == len(work):
+        if row == nrows:
             break
-    return tuple(tuple(r) for r in work[:row]), tuple(pivots)
+    return tuple(map(_reduced_row, res, ims, pivots)), tuple(pivots)
 
 
 def solve(mat: Mat, rhs):

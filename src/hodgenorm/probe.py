@@ -11,8 +11,8 @@ points in the same order and returns an identical report.
 """
 
 import cmath
-import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +74,16 @@ class _Tables:
         self.lam = _scalar(spec.markers.lam)
 
 
-@functools.lru_cache(maxsize=None)
+# Keyed weakly, so a spec's tables go when the spec does; OrbitSpec compares
+# and hashes by identity.  A _Tables holds no reference back to its spec.
+_TABLES = weakref.WeakKeyDictionary()
+
+
 def _tables(spec: OrbitSpec) -> _Tables:
-    return _Tables(spec)
+    tab = _TABLES.get(spec)
+    if tab is None:
+        tab = _TABLES[spec] = _Tables(spec)
+    return tab
 
 
 # -- float evaluation kernels --------------------------------------------------

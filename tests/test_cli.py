@@ -1,12 +1,14 @@
 """Command-line layer: fixture codec, commands, suites, exit codes."""
 
 import hashlib
+import importlib.util
 import json
 import pathlib
+import random
 
 import pytest
 
-from hodgenorm import cli
+from hodgenorm import cli, fixtures
 from hodgenorm.cli import (
     dump_document,
     Fixture,
@@ -134,6 +136,29 @@ def test_pairing_validation_happens_at_load():
     doc.pop("markers")
     with pytest.raises(FixtureError, match="symmetric"):
         parse_fixture(doc)
+
+
+BOOLEANS_AS_INTEGERS = [
+    ("dim", lambda doc: doc.update(dim=True)),
+    ("weight", lambda doc: doc.update(weight=True)),
+    ("n_coords", lambda doc: doc.update(n_coords=True)),
+    ("zeta['0,1'][0].powers", lambda doc: doc["zeta"]["0,1"][0]["powers"].__setitem__(2, True)),
+    ("q[0][0]", lambda doc: doc["q"][0].__setitem__(0, True)),
+    ("cone[0][0][1]", lambda doc: doc["cone"][0][0].__setitem__(1, False)),
+    ("markers.n", lambda doc: doc["markers"].update(n=True)),
+]
+
+
+@pytest.mark.parametrize("field, mutate", BOOLEANS_AS_INTEGERS,
+                         ids=[field for field, _ in BOOLEANS_AS_INTEGERS])
+def test_json_booleans_are_not_integers(field, mutate, tmp_path, capsys):
+    doc = json.loads((DATA / "pair.json").read_text())
+    mutate(doc)
+    path = tmp_path / "booleans.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "diamond", path)
+    assert code == 2
+    assert err.startswith(f"error: {field}: ")
 
 
 def test_w_is_optional_and_recomputed():
@@ -460,20 +485,43 @@ def test_isotropy_witness_names_the_largest_partner_level(tmp_path, capsys):
             in out.splitlines())
 
 
-# -- byte identity with the benchmark reference ----------------------------------------
+# -- agreement with the benchmark reference ---------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["diamond", "split", "markers", "lie", "check"])
+def _bench_loads():
+    """perfbench/loads.py, which builds the benchmark's argv and fresh inputs."""
+    spec = importlib.util.spec_from_file_location("perfbench_loads", ROOT / "perfbench" / "loads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+LOADS = _bench_loads()
+BENCH_ARGV = dict(LOADS.cli_ops(ROOT))
+with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as _handle:
+    REFERENCE = json.load(_handle)
+
+
+@pytest.mark.parametrize("command", ["diamond", "split", "markers", "lie", "check",
+                                     "eval-exact", "induce"])
 @pytest.mark.parametrize("name", ["elliptic", "pair", "a1_input"])
 def test_outputs_match_the_benchmark_reference(name, command, tmp_path, monkeypatch, capsys):
-    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as handle:
-        expected = json.load(handle)["cli"][f"{command}.{name}"]
+    op_id = f"{command}.{name}"
     monkeypatch.chdir(ROOT)  # the report embeds the fixture path as given
     report = tmp_path / "report.json"
-    code, out, _ = run(capsys, command, f"src/hodgenorm/data/{name}.json", "--report", report)
+    code, out, _ = run(capsys, *BENCH_ARGV[op_id], "--report", report)
     got = {
         "exit": code,
         "stdout": hashlib.sha256(out.encode("utf-8")).hexdigest(),
         "report": hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None,
     }
-    assert got == expected
+    assert got == REFERENCE["cli"][op_id]
+
+
+def test_a_moved_dense_family_matches_the_benchmark_reference():
+    # the benchmark's fixed dense basis change for this family, without the
+    # random signed permutation it adds per pass
+    v = fixtures.weight_one(1)
+    g = fixtures.random_unimodular(random.Random("perfbench:weight_one(1)"), v.dim)
+    facts = LOADS.structure_facts(LOADS.moved(v, g))
+    assert facts == REFERENCE["fresh"]["weight_one(1)"]

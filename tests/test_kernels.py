@@ -1,10 +1,14 @@
 """Sparse exact kernels against plain dense references.
 
-The kernels in `exactlin` skip zero entries row by row.  The references
-below are the textbook dense algorithms, which touch every entry, so any
-disagreement is a bug in the sparse bookkeeping.  Inputs mix zero rows and
-columns, complex entries and plain ints.
+The kernels in `exactlin` skip zero entries row by row, and `rref`
+eliminates on Gaussian integers.  The references below are the textbook
+dense algorithms over Q(i), which touch every entry, so any disagreement is
+a bug in the sparse or fraction-free bookkeeping.  Inputs mix zero rows and
+columns, complex entries and plain ints; the elimination tests also use
+large parts, non-unit Gaussian leads and rank-deficient shapes.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +18,10 @@ from hodgenorm.exactlin import (
     ONE,
     Subspace,
     ZERO,
+    kernel,
+    qi,
     rref,
+    solve,
     vec,
 )
 
@@ -61,6 +68,30 @@ def dense_inverse(a):
     return [r[n:] for r in red]
 
 
+def dense_kernel(a):
+    """The canonical kernel basis: free columns set to 1 in turn, then reduced."""
+    red, pivots = dense_rref(a.rows)
+    basis = []
+    for free in range(a.ncols):
+        if free not in pivots:
+            v = [ONE if j == free else ZERO for j in range(a.ncols)]
+            for r, p in zip(red, pivots):
+                v[p] = -r[free]
+            basis.append(v)
+    return dense_rref(basis)[0] if basis else ()
+
+
+def dense_solve(a, rhs):
+    """The solution with every free variable 0, or None if there is none."""
+    red, pivots = dense_rref([list(r) + [b] for r, b in zip(a.rows, rhs)])
+    if a.ncols in pivots:
+        return None
+    x = [ZERO] * a.ncols
+    for r, p in zip(red, pivots):
+        x[p] = r[-1]
+    return tuple(x)
+
+
 def dense_contains(rows, v):
     """v lies in the row span exactly when appending it keeps the rank."""
     return len(dense_rref(list(rows) + [v])[1]) == len(dense_rref(rows)[1])
@@ -89,6 +120,45 @@ def matrices(draw, nrows=None, ncols=None):
         for row in rows:
             row[j] = ZERO
     return Mat(rows)
+
+
+# Parts far beyond machine words, and leads such as 2+i that no integer
+# gcd can divide out of a row.
+big_fractions = st.builds(Fraction, st.integers(-2**80, 2**80), st.integers(1, 10**12))
+gaussian_leads = st.sampled_from([qi(2, 1), qi(2, -1), qi(1, 1), qi(0, 3), qi(-5, 0), qi(3, -4)])
+big_scalars = st.one_of(
+    st.just(ZERO),
+    gaussian_leads,
+    st.builds(GaussianRational, big_fractions),
+    st.builds(GaussianRational, big_fractions, big_fractions),
+)
+rescalings = st.one_of(gaussian_leads, st.builds(GaussianRational, big_fractions)
+                       .filter(bool))
+
+
+@st.composite
+def rank_deficient(draw, nrows, ncols):
+    """A dense matrix whose later rows may be rescaled copies of earlier ones."""
+    rows = [[draw(big_scalars) for _ in range(ncols)] for _ in range(nrows)]
+    for i in range(1, nrows):
+        if draw(st.booleans()):
+            c = draw(rescalings)
+            rows[i] = [c * x for x in rows[draw(st.integers(0, i - 1))]]
+    return Mat(rows)
+
+
+wide = st.tuples(st.integers(1, 8), st.integers(1, 16)).flatmap(
+    lambda shape: rank_deficient(*shape))
+square = st.integers(1, 8).flatmap(lambda n: rank_deficient(n, n))
+
+
+def assert_canonical(red, pivots):
+    """The entry types `perfbench/tracer.py` reads, and pivots that are 1."""
+    for r, p in zip(red, pivots):
+        assert r[p] == ONE
+        for x in r:
+            assert type(x) is GaussianRational
+            assert type(x.re) is Fraction and type(x.im) is Fraction
 
 
 @st.composite
@@ -146,3 +216,48 @@ def test_contains_vector_matches_dense_rank(data):
         v = tuple(x + y for x, y in zip(v, data.draw(st.tuples(*[scalars] * a.ncols))))
     assert Subspace(a.ncols, a.rows).contains_vector(v) == dense_contains(a.rows, v)
 
+
+# -- fraction-free elimination on large, rank-deficient inputs -------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide)
+def test_rref_matches_dense_elimination_on_large_entries(a):
+    got = rref(a.rows)
+    assert got == dense_rref(a.rows)
+    assert_canonical(*got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(square)
+def test_inverse_matches_dense_gauss_jordan_on_large_entries(a):
+    expected = dense_inverse(a)
+    try:
+        got = a.inverse()
+    except ValueError:
+        assert expected is None
+    else:
+        assert got.rows == tuple(tuple(r) for r in expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide)
+def test_kernel_matches_dense_reference_on_large_entries(a):
+    got = kernel(a)
+    assert got.rows == dense_kernel(a)
+    assert_canonical(got.rows, rref(got.rows)[1])
+    assert all(not any(dense_apply(a, v)) for v in got.rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_solve_matches_dense_reference_on_large_entries(data):
+    a = data.draw(wide)
+    if data.draw(st.booleans()):  # a right-hand side in the image
+        rhs = dense_apply(a, data.draw(st.tuples(*[big_scalars] * a.ncols)))
+    else:
+        rhs = data.draw(st.tuples(*[big_scalars] * a.nrows))
+    got = solve(a, rhs)
+    assert got == dense_solve(a, rhs)
+    if got is not None:
+        assert dense_apply(a, got) == tuple(rhs)

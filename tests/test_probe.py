@@ -8,8 +8,10 @@ fibre direction are all known exactly, and the degenerate-curve filtration
 rotates toward its limit with gap exactly 1/sqrt(1 + y^2).
 """
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -129,6 +131,17 @@ def test_norm_value_rejects_divisor_zeros_and_bad_shapes():
         norm_value(spec, (0.5,))
     with pytest.raises(ValueError, match="ell-values"):
         norm_value(spec, (0.5, 0.5), ell=(1.0, 2.0))
+
+
+def test_float_tables_die_with_their_spec():
+    spec = orbit_elliptic.__wrapped__()  # a spec of its own, outside the builder's cache
+    before = norm_value(spec, (0.5, 0.25))
+    alive = weakref.ref(spec)
+    del spec
+    gc.collect()
+    assert alive() is None
+    # a fresh spec rebuilds its tables and gets the same value
+    assert norm_value(orbit_elliptic.__wrapped__(), (0.5, 0.25)) == before
 
 
 def test_stratum_norm_mirrors_the_exact_validation():
