@@ -45,6 +45,7 @@ FIXTURE_TAG = "hodge-fixture/1"
 REPORT_TAG = "hodge-report/1"
 
 SUITES = ("symmetries", "isotropy", "bracket", "monodromy", "limits", "levels", "psh")
+FLOAT_SUITES = {"limits", "psh"}  # the suites that run float probes
 PROBES = ("radial", "terms", "levi", "finf")
 
 
@@ -312,6 +313,39 @@ def _parse_cli_scalar(token):
     raise FixtureError(f"bad coordinate {token!r}: use 're' or 're,im' rationals")
 
 
+# -- float range -------------------------------------------------------------------
+
+
+def _require_float(x: GaussianRational, path):
+    try:
+        x.to_complex()
+    except OverflowError:
+        _fail(path, "entry is too large for a double-precision float")
+
+
+def _require_floats(fixture):
+    """Refuse, naming the field, an entry the float layer reads but cannot convert.
+
+    The float layer reads the pairing, the echelon bases of F, the cone and
+    the twist table; this runs before any float work, so every command that
+    does float work refuses such input the same way.
+    """
+    data = fixture.data
+    matrices = [("q", data.q)]
+    matrices += [(f"cone[{j}]", g) for j, g in enumerate(data.cone.generators)]
+    for idx, poly in fixture.zeta.items():
+        key = ",".join(str(i) for i in sorted(idx))
+        matrices += [(f"zeta[{key!r}][{j}].matrix", m) for j, m in enumerate(poly.values())]
+    for path, m in matrices:
+        for i, row in enumerate(m.rows):
+            for j, x in enumerate(row):
+                _require_float(x, f"{path}[{i}][{j}]")
+    for p in data.f.jump_levels:
+        for v in data.f.at(p).basis:
+            for x in v:
+                _require_float(x, f"f.{p}")
+
+
 # -- command helpers ----------------------------------------------------------------
 
 
@@ -450,6 +484,9 @@ def cmd_eval(fixture, args):
     else:
         if branch:
             raise FixtureError("--branch needs --ell (exact mode)")
+        _require_floats(fixture)
+        for j, x in enumerate(t):
+            _require_float(x, f"--t[{j}]")
         value = norm_value(spec, tuple(x.to_complex() for x in t))
         lines.append(f"h ~ {value!r}  (principal-branch ell)")
         report.update({"mode": "float", "h": value})
@@ -684,6 +721,8 @@ SUITE_RUNNERS = {
 
 def cmd_check(fixture, args):
     names = SUITES if args.suite in (None, "all") else (args.suite,)
+    if FLOAT_SUITES.intersection(names):
+        _require_floats(fixture)
     checks = []
     for name in names:
         try:
@@ -717,6 +756,7 @@ def cmd_probe(fixture, args):
     from .probe import f_infinity_probe, levi_probe, ProbeConfig, radial_limit, term_vanishing
     if not len(fixture.data.cone):
         raise FixtureError("probe needs a fixture with a nonempty cone")
+    _require_floats(fixture)
     spec = fixture.orbit()
     cfg = ProbeConfig(tol=args.tol)
     which = PROBES if args.suite in (None, "all") else (args.suite,)

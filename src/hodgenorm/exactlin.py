@@ -5,21 +5,32 @@ row tuples.  Subspaces are stored via a reduced-row-echelon basis, which is
 unique for a given row space, so subspace equality is plain tuple equality
 and no tolerance ever enters.
 
-The kernels (`Mat.__mul__`, `Mat.apply`, `Subspace.contains_vector`) stay
-dense in storage but sparse in work: zero tests happen once per row or
-vector entry, never once per product term.  Each kernel gathers the nonzero
-(index, entry) pairs of a row once and then multiplies only nonzero pairs,
-row by row in the manner of Gustavson's sparse product, so a matrix with few
-nonzeros costs in proportion to its nonzeros.  Entrywise sums and scalings
-likewise leave zero entries untouched.
+Every kernel that multiplies runs on Gaussian integers.  A row or vector
+is read once into Python ints: its nonzero entries as (index, re, im)
+triples for the products, or dense lists of real and imaginary parts for
+the eliminations, scaled by the lcm of the denominators involved.  The
+kernel multiplies and adds those ints, visiting only nonzero entries, and
+turns each nonzero result part into one `Fraction` at the end, with `ZERO`
+for zero entries.  Results are therefore the same `GaussianRational`s with
+`Fraction` parts that arithmetic over Q(i) gives, entry for entry:
 
-`rref` runs on Gaussian integers instead.  Inside it, rows are only ever
-rescaled by nonzero rationals and eliminated as dense pairs of Python int
-lists (real and imaginary parts) whose pivot leads are positive integers;
-only the final reduced rows, divided once by their pivots, become
-`Fraction`s.  Rescaling rows leaves the row space unchanged, and the reduced
-echelon form is unique for a row space, so the result is exactly that of
-Gauss-Jordan elimination over Q(i).
+- `Mat.__mul__` scales each left row by its own lcm and the right matrix by
+  one lcm, then accumulates each output row in ints, row by row in the
+  manner of Gustavson's sparse product;
+- `Mat.apply` scales the vector once and, per matrix row, reads only the
+  columns where the vector is nonzero, keeping a running lcm of just those
+  entries' denominators, so a sparse vector costs its support per row;
+- `dot` multiplies the nonzero pairs of two scaled vectors;
+- `Mat.det` is Bareiss's fraction-free elimination over Z[i] on the scaled
+  rows, divided by the product of the row scales at the end; it skips zero
+  entries, and rows that a step would only scale by 1;
+- `rref` is fraction-free Gauss-Jordan elimination over Z[i] (see there).
+
+Rescaling rows leaves the row space unchanged, and the reduced echelon form
+is unique for a row space, so `rref` gives exactly the result of
+Gauss-Jordan elimination over Q(i).  `Subspace.contains_vector` and the
+entrywise sums and scalings stay on `GaussianRational` entries and skip
+zero entries.
 """
 
 from __future__ import annotations
@@ -230,18 +241,24 @@ def vec_is_zero(v):
     return not any(v)
 
 
-def _nonzero(row):
-    """The (index, entry) pairs of the nonzero entries of a row."""
-    return [(j, x) for j, x in enumerate(row) if x]
-
-
 def unit_vector(i, n):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def dot(u, v):
     """Plain bilinear dot product — no conjugation."""
-    return sum((a * b for a, b in zip(u, v, strict=True)), start=ZERO)
+    if len(u) != len(v):
+        raise ValueError("vector length mismatch")
+    left, du = _nonzero_ints(u)
+    right, dv = _nonzero_ints(v)
+    right = {j: (x, y) for j, x, y in right}
+    sr = si = 0
+    for j, a, b in left:
+        if j in right:
+            x, y = right[j]
+            sr += a * x - b * y
+            si += a * y + b * x
+    return _from_ints(sr, si, du * dv)
 
 
 def form_value(q: "Mat", u, v):
@@ -255,6 +272,8 @@ def form_value(q: "Mat", u, v):
 class Mat:
     """Immutable matrix over Q(i)."""
 
+    # Only the rows, and no cached int form: `perfbench/tracer.py` tells
+    # matrices apart by this exact tuple.
     __slots__ = ("rows",)
 
     def __init__(self, rows):
@@ -336,17 +355,36 @@ class Mat:
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
             width = other.ncols
-            right = [_nonzero(r) for r in other.rows]
+            # the right matrix over one common denominator, as sparse int
+            # rows of its real and of its imaginary parts
+            scaled = [_nonzero_ints(r) for r in other.rows]
+            den = lcm(*[d for _, d in scaled])
+            right_re, right_im = [], []
+            for row, d in scaled:
+                f = den // d
+                right_re.append([(j, f * x) for j, x, _ in row if x])
+                right_im.append([(j, f * y) for j, _, y in row if y])
+            zero_row = (ZERO,) * width
             out = []
             for r in self.rows:
-                acc = {}
-                for k, a in _nonzero(r):
-                    for j, b in right[k]:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-                row = [ZERO] * width
-                for j, x in acc.items():
-                    row[j] = x
-                out.append(tuple(row))
+                row, d = _nonzero_ints(r)
+                if not row:
+                    out.append(zero_row)
+                    continue
+                acc_re = [0] * width
+                acc_im = [0] * width
+                for k, a, b in row:
+                    if a:
+                        for j, x in right_re[k]:
+                            acc_re[j] += a * x
+                        for j, y in right_im[k]:
+                            acc_im[j] += a * y
+                    if b:
+                        for j, x in right_re[k]:
+                            acc_im[j] += b * x
+                        for j, y in right_im[k]:
+                            acc_re[j] -= b * y
+                out.append(tuple(_row_from_ints(acc_re, acc_im, d * den)))
             return Mat._of_rows(out)
         if isinstance(other, (int, Fraction, GaussianRational)):
             c = GaussianRational(other)
@@ -374,16 +412,31 @@ class Mat:
         """Matrix times column vector."""
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        # matrix entries lead each product, so plain ints in v are coerced
-        pairs = _nonzero(v)
+        support, dv = _nonzero_ints(v)
         out = []
         for r in self.rows:
-            acc = ZERO
-            for j, x in pairs:
+            # sr + i si over d, where d is the lcm of the denominators met so far
+            sr = si = 0
+            d = 1
+            for j, x, y in support:
                 a = r[j]
-                if a:
-                    acc = acc + a * x
-            out.append(acc)
+                ar, ai = a.re, a.im
+                pn, qn = ar._numerator, ai._numerator
+                if not (pn or qn):
+                    continue
+                pd, qd = ar._denominator, ai._denominator
+                if pd != d or qd != d:
+                    m = lcm(d, pd, qd)
+                    if m != d:
+                        f = m // d
+                        sr *= f
+                        si *= f
+                        d = m
+                    pn *= m // pd
+                    qn *= m // qd
+                sr += pn * x - qn * y
+                si += pn * y + qn * x
+            out.append(_from_ints(sr, si, d * dv))
         return tuple(out)
 
     def transpose(self):
@@ -404,23 +457,55 @@ class Mat:
     def det(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        work = [list(r) for r in self.rows]
-        n = len(work)
-        out = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if work[r][col]), None)
+        # Bareiss (1968) over Z[i]: after step k every entry of the trailing
+        # block is a (k+1)-minor of the scaled matrix, so dividing by the
+        # previous pivot is exact, and the last pivot is the determinant.
+        res, ims, scale = [], [], 1
+        for r in self.rows:
+            re, im, d = _gaussian_integer_row(r)
+            res.append(re)
+            ims.append(im)
+            scale *= d
+        n = len(res)
+        if not n:
+            return ONE
+        sign = 1
+        pr, pi = 1, 0  # the previous pivot
+        for k in range(n - 1):
+            piv = next((r for r in range(k, n) if res[r][k] or ims[r][k]), None)
             if piv is None:
                 return ZERO
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                out = -out
-            out = out * work[col][col]
-            inv = ONE / work[col][col]
-            for r in range(col + 1, n):
-                if work[r][col]:
-                    f = work[r][col] * inv
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
-        return out
+            if piv != k:
+                res[k], res[piv] = res[piv], res[k]
+                ims[k], ims[piv] = ims[piv], ims[k]
+                sign = -sign
+            kr, ki = res[k], ims[k]
+            lr, li = kr[k], ki[k]
+            norm = pr * pr + pi * pi
+            for i in range(k + 1, n):
+                wr, wi = res[i], ims[i]
+                fr, fi = wr[k], wi[k]
+                if not (fr or fi) and lr == pr and li == pi:
+                    continue  # the row would be scaled by lead / previous = 1
+                for j in range(k + 1, n):
+                    a, b, c, e = wr[j], wi[j], kr[j], ki[j]
+                    if not (a or b or c or e):
+                        continue
+                    # (w*lead - f*p) / previous pivot, exactly
+                    x = a * lr - b * li - fr * c + fi * e
+                    y = a * li + b * lr - fr * e - fi * c
+                    if pi:  # times the conjugate, over the norm
+                        wr[j] = (x * pr + y * pi) // norm
+                        wi[j] = (y * pr - x * pi) // norm
+                    elif pr != 1:
+                        wr[j] = x // pr
+                        wi[j] = y // pr
+                    else:
+                        wr[j] = x
+                        wi[j] = y
+            pr, pi = lr, li
+        re, im = res[n - 1][n - 1], ims[n - 1][n - 1]
+        return _from_ints(sign * re, sign * im, scale)
 
     def inverse(self):
         if self.nrows != self.ncols:
@@ -493,7 +578,7 @@ def _factorial(k):
 
 
 def _gaussian_integer_row(row):
-    """A row as integer lists (re, im): the row times the lcm of its denominators."""
+    """A row as integer lists (re, im) and their scale, the lcm of its denominators."""
     if not isinstance(row, (tuple, list)):
         row = tuple(row)  # it is read twice
     try:
@@ -507,22 +592,56 @@ def _gaussian_integer_row(row):
     # are Python-level calls and cost more than the conversion itself
     scale = lcm(*[q._denominator for q in re], *[q._denominator for q in im])
     if scale == 1:
-        return [q._numerator for q in re], [q._numerator for q in im]
+        return [q._numerator for q in re], [q._numerator for q in im], 1
     return ([q._numerator * (scale // q._denominator) for q in re],
-            [q._numerator * (scale // q._denominator) for q in im])
+            [q._numerator * (scale // q._denominator) for q in im], scale)
+
+
+def _nonzero_ints(row):
+    """The nonzero entries of a row as (index, re, im) int triples, and their scale.
+
+    The scale is the lcm of just those entries' denominators, and the
+    triples hold the entries times it.
+    """
+    try:
+        nz = [(j, x.re, x.im) for j, x in enumerate(row)
+              if x.re._numerator or x.im._numerator]
+    except AttributeError:  # plain ints or Fractions among the entries
+        nz = [(j, x.re, x.im) for j, x in enumerate(vec(row))
+              if x.re._numerator or x.im._numerator]
+    if not nz:
+        return nz, 1
+    scale = lcm(*[a._denominator for _, a, _ in nz], *[b._denominator for _, _, b in nz])
+    if scale == 1:
+        return [(j, a._numerator, b._numerator) for j, a, b in nz], 1
+    return [(j, a._numerator * (scale // a._denominator),
+             b._numerator * (scale // b._denominator)) for j, a, b in nz], scale
 
 
 _FRACTION_ZERO = Fraction(0)
 
 
-def _reduced_row(re, im, col):
-    """A row of Gaussian integers with real pivot re[col], divided by it."""
-    lead = re[col]
+def _from_ints(re, im, den):
+    """The scalar (re + i*im) / den for ints re, im and den > 0; ZERO for zero."""
+    if not (re or im):
+        return ZERO
+    return GaussianRational._raw(Fraction(re, den) if re else _FRACTION_ZERO,
+                                 Fraction(im, den) if im else _FRACTION_ZERO)
+
+
+def _row_from_ints(re, im, den):
+    """The row (re + i*im) / den for int lists re, im, as a list of scalars."""
     out = [ZERO] * len(re)
     for j in compress(range(len(re)), map(or_, re, im)):
         a, b = re[j], im[j]
-        out[j] = GaussianRational._raw(Fraction(a, lead) if a else _FRACTION_ZERO,
-                                       Fraction(b, lead) if b else _FRACTION_ZERO)
+        out[j] = GaussianRational._raw(Fraction(a, den) if a else _FRACTION_ZERO,
+                                       Fraction(b, den) if b else _FRACTION_ZERO)
+    return out
+
+
+def _reduced_row(re, im, col):
+    """A row of Gaussian integers with real pivot re[col], divided by it."""
+    out = _row_from_ints(re, im, re[col])
     out[col] = ONE
     return tuple(out)
 
@@ -547,7 +666,7 @@ def rref(rows):
     """
     res, ims = [], []
     for r in rows:
-        re, im = _gaussian_integer_row(r)
+        re, im, _ = _gaussian_integer_row(r)
         res.append(re)
         ims.append(im)
     if not res:

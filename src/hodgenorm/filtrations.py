@@ -6,7 +6,7 @@ every integer compare equal regardless of which levels the caller recorded.
 
 from __future__ import annotations
 
-from .exactlin import Mat, Subspace, kernel, extend_basis, form_value
+from .exactlin import Mat, Subspace, dot, kernel, extend_basis
 
 
 class _Filtration:
@@ -248,8 +248,10 @@ def isotropy_check(wf: IncreasingFiltration, q: Mat, n: int):
                 best = m
         if best is None:
             continue
+        right = wf.at(best).basis
+        q_right = [q.apply(v) for v in right]
         for u in wf.at(l).basis:
-            for v in wf.at(best).basis:
-                if form_value(q, u, v):
+            for v, qv in zip(right, q_right):
+                if dot(u, qv):
                     return False, (l, best, u, v)
     return True, None

@@ -19,7 +19,7 @@ from .exactlin import (
     Mat,
     ONE,
     Subspace,
-    form_value,
+    dot,
     hermitian_positive_definite,
     kernel,
     vec_conj,
@@ -46,20 +46,21 @@ class MixedHodge:
     q: Mat | None = None
 
     def __post_init__(self):
+        # each message starts with the field at fault, as fixture paths do
         if self.w.ambient != self.f.ambient:
-            raise ValueError("W and F live on spaces of different dimension")
+            raise ValueError("f: W and F live on spaces of different dimension")
         if not self.w.is_exhaustive():
-            raise ValueError("W must reach the full space")
+            raise ValueError("w: W must reach the full space")
         if not self.f.is_exhaustive():
-            raise ValueError("F must start at the full space")
+            raise ValueError("f: F must start at the full space")
         if self.q is not None:
             if self.q.shape != (self.ambient, self.ambient):
-                raise ValueError("pairing has the wrong shape")
+                raise ValueError("q: pairing has the wrong shape")
             sign = 1 if self.n % 2 == 0 else -1
             if self.q.transpose() != self.q * sign:
-                raise ValueError("pairing must be (-1)^n-symmetric")
+                raise ValueError("q: pairing must be (-1)^n-symmetric")
             if not self.q.det():
-                raise ValueError("pairing is degenerate")
+                raise ValueError("q: pairing is degenerate")
 
     @property
     def ambient(self):
@@ -187,9 +188,11 @@ def first_relation_holds(f: DecreasingFiltration, q: Mat, n: int):
         if not partners:
             continue
         b = min(partners)  # deeper levels are contained in this one
+        right = f.at(b).basis
+        q_right = [q.apply(v) for v in right]
         for u in f.at(a).basis:
-            for v in f.at(b).basis:
-                if form_value(q, u, v):
+            for v, qv in zip(right, q_right):
+                if dot(u, qv):
                     return False, (a, b, u, v)
     return True, None
 
@@ -294,9 +297,8 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
             continue
         sign = i_power(p - q)
         basis = prim.basis
-        moved = [powers[l].apply(vec_conj(v)) for v in basis]
-        gram = Mat([[sign * form_value(structure.q, u, mv) for mv in moved]
-                    for u in basis])
+        q_moved = [structure.q.apply(powers[l].apply(vec_conj(v))) for v in basis]
+        gram = Mat([[sign * dot(u, qm) for qm in q_moved] for u in basis])
         try:
             if not hermitian_positive_definite(gram):
                 return False, f"primitive form on ({p},{q}) is not positive"

@@ -3,8 +3,11 @@
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -159,6 +162,40 @@ def test_json_booleans_are_not_integers(field, mutate, tmp_path, capsys):
     code, _, err = run(capsys, "diamond", path)
     assert code == 2
     assert err.startswith(f"error: {field}: ")
+
+
+def _drop_level(field, level):
+    return lambda doc: doc[field].pop(level)
+
+
+def _pairing(rows):
+    def mutate(doc):
+        doc["q"] = rows
+        doc["cone"], doc["zeta"] = [], {}
+        doc.pop("markers")
+    return mutate
+
+
+# One case per message MixedHodge raises on fixture data; each names its field.
+STRUCTURE_ERRORS = [
+    ("pair.json", _drop_level("w", "4"), "w: W must reach the full space"),
+    ("pair.json", _drop_level("f", "0"), "f: F must start at the full space"),
+    ("elliptic.json", _pairing([["0", "1"], ["1", "0"]]),
+     "q: pairing must be (-1)^n-symmetric"),
+    ("elliptic.json", _pairing([["0", "0"], ["0", "0"]]), "q: pairing is degenerate"),
+]
+
+
+@pytest.mark.parametrize("name, mutate, message", STRUCTURE_ERRORS,
+                         ids=[m.split(":")[0] + "-" + m.split()[-1] for _, _, m in STRUCTURE_ERRORS])
+def test_structure_errors_start_with_their_field(name, mutate, message, tmp_path, capsys):
+    doc = json.loads((DATA / name).read_text())
+    mutate(doc)
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "diamond", path)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_w_is_optional_and_recomputed():
@@ -483,6 +520,84 @@ def test_isotropy_witness_names_the_largest_partner_level(tmp_path, capsys):
     assert code == 1
     assert ("FAIL  isotropy.common-filtration  pairing survives at levels (0, 1)"
             in out.splitlines())
+
+
+# -- resource and float-range preconditions -----------------------------------------
+
+
+def _huge_pairing_doc():
+    """The elliptic fixture with its pairing scaled by 10^400: exact-valid, no float."""
+    doc = elliptic_doc()
+    doc.pop("markers")  # lam scales with the pairing
+    doc["q"] = [[{"1": "1e400", "-1": "-1e400"}.get(x, x) for x in row] for row in doc["q"]]
+    return doc
+
+
+FLOAT_COMMANDS = [("check",), ("check", "--suite", "limits"), ("probe",),
+                  ("eval", "--t", "1/20", "1/30")]
+EXACT_COMMANDS = [("diamond",), ("split",), ("markers",), ("lie",), ("induce",),
+                  ("check", "--suite", "bracket"),
+                  ("eval", "--t", "1/3", "1/4", "--ell", "1/7,1/5")]
+
+
+@pytest.mark.parametrize("argv", FLOAT_COMMANDS, ids=" ".join)
+def test_float_range_is_checked_before_float_work(argv, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_pairing_doc()))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: q[0][1]: entry is too large for a double-precision float\n"
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+def test_exact_commands_accept_entries_beyond_the_float_range(argv, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_huge_pairing_doc()))
+    code, _, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 0, err
+
+
+def test_float_eval_names_a_coordinate_beyond_the_float_range(capsys):
+    code, _, err = run(capsys, "eval", DATA / "elliptic.json", "--t", "1/20", "1e400")
+    assert code == 2
+    assert err == "error: --t[1]: entry is too large for a double-precision float\n"
+
+
+def _weight_three_doc():
+    """Dim 12, weight 3, Hodge numbers (1, 5, 5, 1), no cone.
+
+    With x_j = e_2j, y_j = e_2j+1 and Q(x_j, y_j) = 1, F^3 is spanned by
+    x_0 - i y_0 and I^{2,1} by x_j + i y_j, j = 1..5.  The induced H is
+    Λ^1 V ⊗ Λ^6 V, of dimension 12 * C(12, 6) = 11,088.
+    """
+    dim = 12
+    q = [["0"] * dim for _ in range(dim)]
+    for j in range(0, dim, 2):
+        q[j][j + 1], q[j + 1][j] = "1", "-1"
+
+    def vector(j, sign):
+        v = [["0", "0"] for _ in range(dim)]
+        v[2 * j], v[2 * j + 1] = ["1", "0"], ["0", sign]
+        return v
+
+    f = {"3": [vector(0, "-1")], "2": [vector(j, "1") for j in range(1, 6)],
+         "1": [vector(j, "-1") for j in range(1, 6)], "0": [vector(0, "1")]}
+    return {"version": cli.FIXTURE_TAG, "dim": dim, "weight": 3, "q": q, "f": f, "cone": []}
+
+
+def test_induce_refuses_an_oversized_structure_before_building_it(tmp_path):
+    path = tmp_path / "weight-three.json"
+    path.write_text(json.dumps(_weight_three_doc()))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # building the structure would take hours; the refusal takes a parse
+    done = subprocess.run([sys.executable, "-m", "hodgenorm.cli", "induce", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("error: f: the induced structure would have dimension 11088, "
+                           "above the bound 256\n")
 
 
 # -- agreement with the benchmark reference ---------------------------------------------

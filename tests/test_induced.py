@@ -29,8 +29,10 @@ from hodgenorm.fixtures import (
 )
 from hodgenorm.induced import (
     InducedStructure,
+    MAX_INDUCED_DIM,
     PureHodgeData,
     induce,
+    induced_dimension,
     kron,
     kron_vec,
     locate_markers,
@@ -216,6 +218,19 @@ def test_curve_pair_induced():
     markers = locate_markers(h)
     assert markers.m == 4
     assert len(h.cone) == 2
+
+
+def test_induced_dimension_is_known_before_the_build():
+    for v in [curve_pair(), weight_one(1), weight_three_line()] + [weight_two(k) for k in range(6)]:
+        assert induced_dimension(v) == induce(v).dim
+
+
+def test_induce_refuses_above_the_bound():
+    # weight_two(3) with 21 middle classes has dim 25 and Λ² of dim 300
+    v = weight_two(3, classes=21)
+    assert induced_dimension(v) == 300 > MAX_INDUCED_DIM
+    with pytest.raises(ValueError, match=r"^f: the induced structure would have dimension 300"):
+        induce(v)
 
 
 # -- the weight-2 families on Λ² -----------------------------------------------

@@ -1,14 +1,21 @@
 """Sparse exact kernels against plain dense references.
 
-The kernels in `exactlin` skip zero entries row by row, and `rref`
-eliminates on Gaussian integers.  The references below are the textbook
-dense algorithms over Q(i), which touch every entry, so any disagreement is
-a bug in the sparse or fraction-free bookkeeping.  Inputs mix zero rows and
-columns, complex entries and plain ints; the elimination tests also use
-large parts, non-unit Gaussian leads and rank-deficient shapes.
+The kernels in `exactlin` multiply on Gaussian integers and skip zero
+entries: products, `apply` and `dot` accumulate in ints, `det` is a
+fraction-free Bareiss elimination and `rref` a fraction-free Gauss-Jordan
+one.  The references below are the textbook dense algorithms over Q(i),
+which touch every entry, so any disagreement is a bug in the sparse or
+fraction-free bookkeeping.  Inputs mix zero rows and columns, complex
+entries and plain ints; the large-entry tests also use large parts,
+non-unit Gaussian leads and rank-deficient shapes.  The tracer contract
+test at the end keeps kernel results readable by the benchmark's tracer.
 """
 
+import importlib.util
+import pathlib
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +25,7 @@ from hodgenorm.exactlin import (
     ONE,
     Subspace,
     ZERO,
+    dot,
     kernel,
     qi,
     rref,
@@ -35,6 +43,29 @@ def dense_mul(a, b):
 
 def dense_apply(a, v):
     return tuple(sum((x * y for x, y in zip(r, v)), ZERO) for r in a.rows)
+
+
+def dense_dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), ZERO)
+
+
+def dense_det(a):
+    """Gaussian elimination over Q(i): the signed product of the pivots."""
+    work = [list(r) for r in a.rows]
+    n = len(work)
+    out = ONE
+    for col in range(n):
+        piv = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if piv is None:
+            return ZERO
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            out = -out
+        out = out * work[col][col]
+        for r in range(col + 1, n):
+            f = work[r][col] / work[col][col]
+            work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return out
 
 
 def dense_rref(rows):
@@ -161,6 +192,15 @@ def assert_canonical(red, pivots):
             assert type(x.re) is Fraction and type(x.im) is Fraction
 
 
+def assert_entries(entries):
+    """Kernel results: `GaussianRational`s with `Fraction` parts, `ZERO` for zero."""
+    for x in entries:
+        assert type(x) is GaussianRational
+        assert type(x.re) is Fraction and type(x.im) is Fraction
+        if not x:
+            assert x is ZERO
+
+
 @st.composite
 def products(draw):
     a = draw(matrices())
@@ -261,3 +301,130 @@ def test_solve_matches_dense_reference_on_large_entries(data):
     assert got == dense_solve(a, rhs)
     if got is not None:
         assert dense_apply(a, got) == tuple(rhs)
+
+
+# -- Gaussian-integer products and Bareiss determinants on large entries ---------------
+
+
+@st.composite
+def large_products(draw):
+    a = draw(wide)
+    return a, draw(rank_deficient(a.ncols, draw(st.integers(1, 8))))
+
+
+big_ints = st.integers(-2**70, 2**70)
+
+
+@st.composite
+def large_vectors(draw, n):
+    """Dense Gaussian rationals, plain ints, or one nonzero entry."""
+    kind = draw(st.sampled_from(["scalars", "ints", "single"]))
+    if kind == "scalars":
+        return draw(st.tuples(*[big_scalars] * n))
+    if kind == "ints":
+        return draw(st.tuples(*[st.one_of(st.just(0), big_ints)] * n))
+    v = [ZERO] * n
+    v[draw(st.integers(0, n - 1))] = draw(st.one_of(rescalings, big_ints.filter(bool)))
+    return tuple(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(large_products())
+def test_mul_matches_dense_product_on_large_entries(pair):
+    a, b = pair
+    got = a * b
+    assert got.rows == tuple(tuple(r) for r in dense_mul(a, b))
+    for row in got.rows:
+        assert_entries(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_matches_dense_product_on_large_entries(data):
+    a = data.draw(wide)
+    v = data.draw(large_vectors(a.ncols))
+    got = a.apply(v)
+    assert got == dense_apply(a, v)
+    assert_entries(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda n: st.tuples(large_vectors(n), large_vectors(n))))
+def test_dot_matches_dense_sum_on_large_entries(pair):
+    u, v = pair
+    got = dot(u, v)
+    assert got == dense_dot(u, v)
+    assert_entries([got])
+
+
+@st.composite
+def det_inputs(draw):
+    """Square matrices that may be singular, need a row swap, or have a unit lead.
+
+    A lead of -1 or ±i in an integer first row is Bareiss's first pivot, so
+    the second elimination step divides by it exactly.
+    """
+    a = draw(square)
+    rows = [list(r) for r in a.rows]
+    shape = draw(st.sampled_from(["plain", "swap", "unit"]))
+    if shape == "swap" and len(rows) > 1:
+        rows[0][0] = ZERO
+    if shape == "unit":
+        rows[0] = [draw(st.sampled_from([qi(-1), qi(0, 1), qi(0, -1), qi(1)]))] + [
+            qi(draw(st.integers(-3, 3)), draw(st.integers(-3, 3))) for _ in rows[0][1:]]
+    return Mat(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(det_inputs())
+def test_det_matches_dense_elimination_on_large_entries(a):
+    got = a.det()
+    assert got == dense_det(a)
+    assert_entries([got])
+
+
+DET_CASES = {
+    "lead -1": [[-1, 2, 3], [4, 5, 6], [7, 8, 10]],
+    "lead i": [[qi(0, 1), 2, 3], [4, 5, 6], [7, 8, 10]],
+    "lead -i": [[qi(0, -1), 1, 0], [1, qi(1, 1), 1], [2, 0, qi(0, 3)]],
+    "second pivot -1": [[1, 0, 0, 0], [0, -1, 2, 1], [0, 3, 1, 0], [1, 1, 1, qi(2, 1)]],
+    "second pivot i": [[1, 0, 0, 0], [2, qi(0, 1), 1, 0], [0, 3, 1, 0], [0, 1, 1, 5]],
+    "row swap": [[0, 1, 2], [1, 0, 3], [4, 5, 6]],
+    "singular": [[1, 2, 3], [2, 4, 6], [1, 1, 1]],
+    "zero column": [[0, 1, 2], [0, 3, 4], [0, 5, 7]],
+    "fractions": [[Fraction(1, 2), Fraction(-1, 3), 0], [Fraction(2, 5), 0, qi(0, Fraction(1, 7))],
+                  [1, Fraction(3, 4), Fraction(-5, 6)]],
+    "1x1": [[qi(Fraction(-3, 4), 2)]],
+}
+
+
+@pytest.mark.parametrize("rows", DET_CASES.values(), ids=DET_CASES.keys())
+def test_det_matches_dense_elimination_on_hand_cases(rows):
+    a = Mat(rows)
+    got = a.det()
+    assert got == dense_det(a)
+    assert_entries([got])
+
+
+# -- the benchmark tracer reads kernel results ---------------------------------------
+
+
+def _bench_tracer():
+    """perfbench/tracer.py, loaded by path; it is read, never changed."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", root / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_reads_kernel_results():
+    # The tracer recognizes matrices and subspaces by their exact __slots__
+    # tuples, so a slot added to Mat breaks traced runs; this catches it.
+    entry_bits = _bench_tracer().entry_bits
+    product = Mat([[Fraction(1, 2**20), 3]]) * Mat([[1], [qi(0, 2**30)]])
+    assert product.rows == ((qi(Fraction(1, 2**20), 3 * 2**30),),)
+    assert entry_bits(product) == 32  # the imaginary part 3 * 2**30
+    sub = Subspace(2, [(qi(0, 2**40), 1)])  # reduced to (1, -i / 2**40)
+    assert entry_bits(sub) == 41
+    assert entry_bits(qi(Fraction(5, 7))) == 3

@@ -179,6 +179,20 @@ def test_structure_validation():
                    DecreasingFiltration(2, {0: Subspace.full(2)}))
 
 
+def test_dimension_mismatch_names_f():
+    w = IncreasingFiltration(2, {1: Subspace.full(2)})
+    f = DecreasingFiltration(3, {0: Subspace.full(3)})
+    with pytest.raises(ValueError, match=r"^f: W and F live on spaces of different dimension$"):
+        MixedHodge(1, w, f)
+
+
+def test_wrong_pairing_shape_names_q():
+    w = IncreasingFiltration(2, {1: Subspace.full(2)})
+    f = DecreasingFiltration(2, {0: Subspace.full(2)})
+    with pytest.raises(ValueError, match=r"^q: pairing has the wrong shape$"):
+        MixedHodge(1, w, f, Mat.identity(3))
+
+
 def test_defective_inputs_are_rejected():
     for name, thunk in defective_inputs().items():
         with pytest.raises(ValueError):
