@@ -318,17 +318,21 @@ def _parse_cli_scalar(token):
 
 def _require_float(x: GaussianRational, path):
     try:
-        x.to_complex()
+        z = x.to_complex()
     except OverflowError:
         _fail(path, "entry is too large for a double-precision float")
+    if (x.re and not z.real) or (x.im and not z.imag):
+        _fail(path, "entry is too small for a double-precision float")
 
 
 def _require_floats(fixture):
     """Refuse, naming the field, an entry the float layer reads but cannot convert.
 
-    The float layer reads the pairing, the echelon bases of F, the cone and
-    the twist table; this runs before any float work, so every command that
-    does float work refuses such input the same way.
+    The float layer reads the pairing, the echelon bases of F, the cone, the
+    twist table and, when they can be built, the markers e0, einf and lam.
+    A nonzero entry that would become 0.0 is refused like one that would
+    overflow.  This runs before any float work, so every command that does
+    float work refuses such input the same way.
     """
     data = fixture.data
     matrices = [("q", data.q)]
@@ -344,6 +348,13 @@ def _require_floats(fixture):
         for v in data.f.at(p).basis:
             for x in v:
                 _require_float(x, f"f.{p}")
+    try:
+        markers = fixture.markers
+    except (ValueError, ArithmeticError):
+        return  # the commands that need markers report why they are undefined
+    for name, values in (("e0", markers.e0), ("einf", markers.einf), ("lam", (markers.lam,))):
+        for x in values:
+            _require_float(x, f"markers.{name}")
 
 
 # -- command helpers ----------------------------------------------------------------

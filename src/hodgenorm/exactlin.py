@@ -118,6 +118,14 @@ class GaussianRational:
             return NotImplemented
         return other / self
 
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative powers: divide instead")
+        out = ONE
+        for _ in range(k):
+            out = out * self
+        return out
+
     def __neg__(self):
         return GaussianRational._raw(-self.re, -self.im)
 
@@ -395,6 +403,10 @@ class Mat:
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self * other
         return NotImplemented
+
+    def __matmul__(self, other):
+        # through `*` and `apply`, so a wrapper patched onto either sees the call
+        return self.apply(other) if isinstance(other, tuple) else self * other
 
     def __pow__(self, k):
         if k < 0:

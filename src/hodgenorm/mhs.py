@@ -210,15 +210,15 @@ class NilpotentCone:
         self.q = q
         for idx, g in enumerate(self.generators):
             if g.is_zero():
-                raise ValueError(f"generator {idx} is zero")
+                raise ValueError(f"cone[{idx}]: generator {idx} is zero")
             if not (g ** g.nrows).is_zero():
-                raise ValueError(f"generator {idx} is not nilpotent")
+                raise ValueError(f"cone[{idx}]: generator {idx} is not nilpotent")
             if q is not None and not (g.transpose() * q + q * g).is_zero():
-                raise ValueError(f"generator {idx} is not infinitesimally skew")
+                raise ValueError(f"cone[{idx}]: generator {idx} is not infinitesimally skew")
         for i, a in enumerate(self.generators):
             for b in self.generators[i + 1:]:
                 if not (a * b - b * a).is_zero():
-                    raise ValueError("generators do not commute")
+                    raise ValueError("cone: generators do not commute")
 
     def __len__(self):
         return len(self.generators)

@@ -15,11 +15,11 @@ divisor; at an interior point it reads
 
     h(t) = Re Q(eta.e0, conj(lam * eta.einf)).
 
-Everything in this module is exact: coordinates, ell-values, and twist data
-are Gaussian rationals, and exponentials of nilpotents are finite sums.  The
-caller supplies ell-values explicitly, so no multivalued log is ever taken
-silently.  Floating-point evaluation for numeric sweeps lives in the probe
-module.
+Each evaluation formula is written once here, over a number kit: the exact
+kit of this module (Gaussian rationals; exponentials of nilpotents are
+finite sums) or the probe module's float kit, which runs the same formulas
+in double precision for numeric sweeps.  The exact entry points take
+ell-values explicitly, so no multivalued log is ever taken silently.
 """
 
 from dataclasses import dataclass
@@ -392,6 +392,171 @@ def rescale_cone(spec: OrbitSpec, factors) -> OrbitSpec:
                       cone=NilpotentCone(gens, spec.cone.q))
 
 
+# -- evaluation formulas, for either number kit ------------------------------
+#
+# A kit (`_Exact` below, or the probe module's numpy kit) holds a spec's data
+# as its own numbers: dim, k, n_coords, q, gens, coeffs, e0, einf, lam_bar =
+# conj(lam), zeros, identity and one.  Its primitives are exp() of a nilpotent
+# matrix, pair(u, v) = Q(u, conj v), real(), is_zero() and scalar(x, what).
+# Matrices multiply with @ and scale as scalar * matrix.  pair() and exp()
+# keep each kit's own order of operations: float results depend on it.
+
+
+def check_point(kit, t):
+    t = tuple(t)
+    if len(t) != kit.n_coords:
+        raise ValueError(f"expected {kit.n_coords} coordinates, got {len(t)}")
+    return tuple(kit.scalar(x, "polydisc coordinates") for x in t)
+
+
+def check_interior(kit, t, remedy=""):
+    for j in range(kit.k):
+        if not t[j]:
+            raise ValueError(f"coordinate {j} is zero where a log is required{remedy}")
+
+
+def check_ell(kit, ell):
+    ell = tuple(ell)
+    if len(ell) != kit.k:
+        raise ValueError(f"expected {kit.k} ell-values, got {len(ell)}")
+    return tuple(kit.scalar(x, "ell-values") for x in ell)
+
+
+def check_stratum(kit, stratum):
+    stratum = frozenset(int(i) for i in stratum)
+    if not stratum <= set(range(kit.k)):
+        raise ValueError("stratum indices must name divisor coordinates")
+    return stratum
+
+
+def check_vanishing(kit, stratum, t):
+    for i in sorted(stratum):
+        if t[i]:
+            raise ValueError(f"coordinate {i} must vanish on this stratum")
+    for j in range(kit.k):
+        if j not in stratum and not t[j]:
+            raise ValueError(f"coordinate {j} is zero but not named in the stratum")
+
+
+def check_powers(kit, powers):
+    powers = tuple(int(a) for a in powers)
+    if len(powers) != kit.k:
+        raise ValueError("one exponent per generator")
+    if any(a < 0 for a in powers):
+        raise ValueError("exponents must be nonnegative")
+    return powers
+
+
+def cone_exp(kit, pairs):
+    """theta = exp(sum_j ell_j N_j) over the given (ell_j, N_j) pairs."""
+    log = kit.zeros
+    for l, g in pairs:
+        log = log + l * g
+    return kit.exp(log)
+
+
+def monomial(kit, expo, x):
+    """prod_j x_j ** expo_j."""
+    c = kit.one
+    for e, v in zip(expo, x):
+        if e:
+            c = c * v ** e
+    return c
+
+
+def twist_at(kit, poly, t):
+    """The twist polynomial f_I, stored as {exponents: coefficient}, at t."""
+    out = kit.zeros
+    for expo, coeff in poly.items():
+        c = monomial(kit, expo, t)
+        if c:
+            out = out + c * coeff
+    return out
+
+
+def divisor_product(kit, idx, t):
+    """that_I: the product of the divisor coordinates outside I."""
+    that = kit.one
+    for j in range(kit.k):
+        if j not in idx:
+            that = that * t[j]
+    return that
+
+
+def zeta_log(kit, t):
+    """log zeta(t) = sum_I that_I * f_I(t)."""
+    out = kit.zeros
+    for idx, poly in kit.coeffs.items():
+        that = divisor_product(kit, idx, t)
+        if not that:
+            continue
+        val = twist_at(kit, poly, t)
+        if not kit.is_zero(val):
+            out = out + that * val
+    return out
+
+
+def interior_frame(kit, t, ell):
+    """(theta, zeta, eta = theta @ zeta) at an interior point."""
+    theta, zeta = cone_exp(kit, zip(ell, kit.gens)), kit.exp(zeta_log(kit, t))
+    return theta, zeta, theta @ zeta
+
+
+def conjugated_twist(kit, eta, ell):
+    """zeta_hat = eta @ theta^-1 = theta zeta theta^-1."""
+    return eta @ cone_exp(kit, zip((-l for l in ell), kit.gens))
+
+
+def stratum_frame(kit, stratum, t, ell):
+    """The frame whose marker pairing is h on the stratum: exp of the
+    surviving that_I f_I, each conjugated by theta outside I, times theta of
+    the live divisor coordinates.  `ell` is indexed by divisor coordinate."""
+    log_hat = kit.zeros
+    for idx, poly in kit.coeffs.items():
+        if not stratum <= idx:
+            continue
+        that = divisor_product(kit, idx, t)
+        if not that:
+            continue
+        val = twist_at(kit, poly, t)
+        if kit.is_zero(val):
+            continue
+        outside = [j for j in range(kit.k) if j not in idx]
+        th = cone_exp(kit, ((ell[j], kit.gens[j]) for j in outside))
+        th_inv = cone_exp(kit, ((-ell[j], kit.gens[j]) for j in outside))
+        log_hat = log_hat + that * (th @ val @ th_inv)
+    g = kit.exp(log_hat)
+    live = [j for j in range(kit.k) if j not in stratum]
+    if live:
+        g = g @ cone_exp(kit, ((ell[j], kit.gens[j]) for j in live))
+    return g
+
+
+def deep_twist(kit, t):
+    """exp(f_J(t)), J every divisor index: the twist left on the deepest stratum."""
+    poly = kit.coeffs.get(frozenset(range(kit.k)))
+    return kit.exp(twist_at(kit, poly, t)) if poly else kit.identity
+
+
+def marker_pairing(kit, g):
+    """q01 = Q(g.e0, conj(g.einf))."""
+    return kit.pair(g @ kit.e0, g @ kit.einf)
+
+
+def extended_norm(kit, q01):
+    """h = Re(conj(lam) * q01)."""
+    return kit.real(kit.lam_bar * q01)
+
+
+def cross_term(kit, zeta_hat, powers):
+    """Q(zeta_hat N_0^a0 ... N_{k-1}^a{k-1} e0, conj(zeta_hat einf))."""
+    v = kit.e0
+    for g, a in zip(kit.gens, powers):
+        for _ in range(a):
+            v = g @ v
+    return kit.pair(zeta_hat @ v, zeta_hat @ kit.einf)
+
+
 # -- exact evaluation --------------------------------------------------------
 
 
@@ -404,70 +569,34 @@ def _exact_scalar(x, what):
                     "floating-point sweeps live in the probe module")
 
 
-def _exact_point(spec, t):
-    t = tuple(t)
-    if len(t) != spec.n_coords:
-        raise ValueError(f"expected {spec.n_coords} coordinates, got {len(t)}")
-    return tuple(_exact_scalar(x, "polydisc coordinates") for x in t)
+class _Exact:
+    """The exact number kit of a spec: Gaussian rationals and Mat."""
+
+    one = ONE
+    scalar = staticmethod(_exact_scalar)
+    real = staticmethod(lambda z: z.re)
+    is_zero = staticmethod(Mat.is_zero)
+    # a lambda looks the binding up per call, so a wrapper patched onto it sees the call
+    exp = staticmethod(lambda a: nilpotent_exp(a))
+
+    def __init__(self, spec):
+        self.dim, self.k, self.n_coords = spec.dim, spec.k, spec.n_coords
+        self.q, self.gens, self.coeffs = spec.structure.q, spec.cone.generators, spec.zeta_coeffs
+        mk = spec.markers
+        self.e0, self.einf, self.lam_bar = mk.e0, mk.einf, mk.lam.conjugate()
+        self.zeros, self.identity = Mat.zeros(self.dim), Mat.identity(self.dim)
+
+    def pair(self, u, v):
+        return form_value(self.q, u, vec_conj(v))
 
 
-def _effective_ell(spec, ell, branch):
-    ell = tuple(ell)
-    if len(ell) != spec.k:
-        raise ValueError(f"expected {spec.k} ell-values, got {len(ell)}")
-    ell = tuple(_exact_scalar(x, "ell-values") for x in ell)
-    if branch is None:
-        return ell
+def _branch_shifts(branch, count, what):
     branch = tuple(branch)
-    if len(branch) != spec.k:
-        raise ValueError("one integer branch shift per divisor coordinate")
+    if len(branch) != count:
+        raise ValueError(f"one integer branch shift per {what}")
     if any(not isinstance(b, int) for b in branch):
         raise TypeError("branch shifts must be integers")
-    return tuple(e + GaussianRational(b) for e, b in zip(ell, branch))
-
-
-def _theta(spec, pairs):
-    """exp of the nilpotent combination sum of ell_j N_j over the given pairs."""
-    log = Mat.zeros(spec.dim)
-    for l, g in pairs:
-        log = log + g * l
-    return nilpotent_exp(log)
-
-
-def _monomial_value(expo, t):
-    c = ONE
-    for e, x in zip(expo, t):
-        for _ in range(e):
-            c = c * x
-            if not c:
-                return c
-    return c
-
-
-def _poly_at(poly, t, dim):
-    out = Mat.zeros(dim)
-    for expo, coeff in poly.items():
-        c = _monomial_value(expo, t)
-        if c:
-            out = out + coeff * c
-    return out
-
-
-def _zeta_log(spec, t):
-    out = Mat.zeros(spec.dim)
-    for idx, poly in spec.zeta_coeffs.items():
-        that = ONE
-        for j in range(spec.k):
-            if j not in idx:
-                that = that * t[j]
-                if not that:
-                    break
-        if not that:
-            continue
-        val = _poly_at(poly, t, spec.dim)
-        if not val.is_zero():
-            out = out + val * that
-    return out
+    return branch
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,30 +634,18 @@ def eval_frame(spec: OrbitSpec, t, ell, branch=None) -> OrbitFrame:
     integer `branch` shifts are added on top.  All divisor coordinates must
     be nonzero — values on the divisor go through stratum_value.
     """
-    t = _exact_point(spec, t)
-    for j in range(spec.k):
-        if not t[j]:
-            raise ValueError(
-                f"coordinate {j} is zero where a log is required; use stratum_value instead")
-    ell = _effective_ell(spec, ell, branch)
-    theta = _theta(spec, zip(ell, spec.cone.generators))
-    theta_inv = _theta(spec, zip((-l for l in ell), spec.cone.generators))
-    zeta = nilpotent_exp(_zeta_log(spec, t))
-    eta = theta * zeta
-    zeta_hat = eta * theta_inv
-    mk = spec.markers
-    q01 = form_value(spec.structure.q, eta.apply(mk.e0), vec_conj(eta.apply(mk.einf)))
-    h = (mk.lam.conjugate() * q01).re
+    kit = _Exact(spec)
+    t = check_point(kit, t)
+    check_interior(kit, t, "; use stratum_value instead")
+    ell = check_ell(kit, ell)
+    if branch is not None:
+        branch = _branch_shifts(branch, spec.k, "divisor coordinate")
+        ell = tuple(e + GaussianRational(b) for e, b in zip(ell, branch))
+    theta, zeta, eta = interior_frame(kit, t, ell)
+    q01 = marker_pairing(kit, eta)
     return OrbitFrame(spec=spec, t=t, ell=ell, theta=theta, zeta=zeta,
-                      zeta_hat=zeta_hat, eta=eta, q01=q01, h_tilde=h)
-
-
-def h_tilde(frame: OrbitFrame, markers: Markers | None = None) -> Fraction:
-    """Re Q(eta.e0, conj(lam * eta.einf)) — the extended norm at the frame's point."""
-    mk = frame.spec.markers if markers is None else markers
-    q = frame.spec.structure.q
-    q01 = form_value(q, frame.eta.apply(mk.e0), vec_conj(frame.eta.apply(mk.einf)))
-    return (mk.lam.conjugate() * q01).re
+                      zeta_hat=conjugated_twist(kit, eta, ell), eta=eta, q01=q01,
+                      h_tilde=extended_norm(kit, q01))
 
 
 def deck_transform(spec: OrbitSpec, shifts) -> Mat:
@@ -536,8 +653,8 @@ def deck_transform(spec: OrbitSpec, shifts) -> Mat:
     shifts = tuple(shifts)
     if len(shifts) != spec.k:
         raise ValueError("one integer shift per divisor coordinate")
-    return _theta(spec, ((GaussianRational(b), g)
-                         for b, g in zip(shifts, spec.cone.generators)))
+    return cone_exp(_Exact(spec), ((GaussianRational(b), g)
+                                   for b, g in zip(shifts, spec.cone.generators)))
 
 
 # -- values on the divisor ---------------------------------------------------
@@ -554,18 +671,12 @@ def stratum_value(spec: OrbitSpec, stratum, t=None, ell=None, branch=None) -> Fr
     exactly; with every divisor coordinate pinned it is the deepest-stratum
     formula driven by f on the divisor alone.
     """
-    stratum = frozenset(int(i) for i in stratum)
-    if not stratum <= set(range(spec.k)):
-        raise ValueError("stratum indices must name divisor coordinates")
-    t = _exact_point(spec, t if t is not None else (0,) * spec.n_coords)
-    for i in sorted(stratum):
-        if t[i]:
-            raise ValueError(f"coordinate {i} must vanish on this stratum")
+    kit = _Exact(spec)
+    stratum = check_stratum(kit, stratum)
+    t = check_point(kit, t if t is not None else (0,) * spec.n_coords)
+    check_vanishing(kit, stratum, t)
     live = [j for j in range(spec.k) if j not in stratum]
-    for j in live:
-        if not t[j]:
-            raise ValueError(
-                f"coordinate {j} is zero but not named in the stratum")
+    full = {}
     if live:
         if ell is None:
             raise ValueError("surviving divisor coordinates need ell-values")
@@ -574,41 +685,11 @@ def stratum_value(spec: OrbitSpec, stratum, t=None, ell=None, branch=None) -> Fr
             raise ValueError(
                 f"expected {len(live)} ell-values for the surviving coordinates, "
                 f"got {len(supplied)}")
-        if branch is None:
-            branch = (0,) * len(live)
-        branch = tuple(branch)
-        if len(branch) != len(live):
-            raise ValueError("one integer branch shift per surviving coordinate")
-        if any(not isinstance(b, int) for b in branch):
-            raise TypeError("branch shifts must be integers")
-        full = [Fraction(0)] * spec.k
+        branch = _branch_shifts((0,) * len(live) if branch is None else branch,
+                                len(live), "surviving coordinate")
         for pos, j in enumerate(live):
             full[j] = _exact_scalar(supplied[pos], f"ell[{pos}]") + branch[pos]
-        ell = tuple(full)
-
-    log_hat = Mat.zeros(spec.dim)
-    for idx, poly in spec.zeta_coeffs.items():
-        if not stratum <= idx:
-            continue
-        that = ONE
-        for j in range(spec.k):
-            if j not in idx:
-                that = that * t[j]
-        if not that:
-            continue
-        val = _poly_at(poly, t, spec.dim)
-        if val.is_zero():
-            continue
-        outside = [j for j in range(spec.k) if j not in idx]
-        th = _theta(spec, ((ell[j], spec.cone.generators[j]) for j in outside))
-        th_inv = _theta(spec, ((-ell[j], spec.cone.generators[j]) for j in outside))
-        log_hat = log_hat + (th * val * th_inv) * that
-    g = nilpotent_exp(log_hat)
-    if live:
-        g = g * _theta(spec, ((ell[j], spec.cone.generators[j]) for j in live))
-    mk = spec.markers
-    val = form_value(spec.structure.q, g.apply(mk.e0), vec_conj(g.apply(mk.einf)))
-    return (mk.lam.conjugate() * val).re
+    return extended_norm(kit, marker_pairing(kit, stratum_frame(kit, stratum, t, full)))
 
 
 def limit_norm(spec: OrbitSpec, t=None) -> Fraction:
@@ -624,14 +705,13 @@ def limit_norm(spec: OrbitSpec, t=None) -> Fraction:
     """
     if spec.k == 0:
         raise ValueError("an empty cone has no divisor stratum")
-    t = _exact_point(spec, t if t is not None else (0,) * spec.n_coords)
+    kit = _Exact(spec)
+    t = check_point(kit, t if t is not None else (0,) * spec.n_coords)
     for j in range(spec.k):
         if t[j]:
             raise ValueError("the deepest stratum pins every divisor coordinate to zero")
-    poly = spec.zeta_coeffs.get(frozenset(range(spec.k)))
-    e = nilpotent_exp(_poly_at(poly, t, spec.dim)) if poly else Mat.identity(spec.dim)
     mk = spec.markers
-    u = e.apply(mk.e0)
+    u = deep_twist(kit, t) @ mk.e0
     power = spec.cone.element((1,) * spec.k) ** (mk.m - mk.n)
     val = i_power(2 * mk.n - mk.m) * form_value(spec.structure.q, u, power.apply(vec_conj(u)))
     if val.im:
@@ -646,16 +726,9 @@ def term_pairing(spec: OrbitSpec, powers, t, ell, branch=None) -> GaussianRation
     any exponent vector with a_j > 0 — the mechanism behind the vanishing of
     the cross terms of h near the stratum.
     """
-    powers = tuple(int(a) for a in powers)
-    if len(powers) != spec.k:
-        raise ValueError("one exponent per generator")
-    frame = eval_frame(spec, t, ell, branch)
-    v = spec.markers.e0
-    for g, a in zip(spec.cone.generators, powers):
-        for _ in range(a):
-            v = g.apply(v)
-    return form_value(spec.structure.q, frame.zeta_hat.apply(v),
-                      vec_conj(frame.zeta_hat.apply(spec.markers.einf)))
+    kit = _Exact(spec)
+    powers = check_powers(kit, powers)
+    return cross_term(kit, eval_frame(spec, t, ell, branch).zeta_hat, powers)
 
 
 # -- checks and reports ------------------------------------------------------
@@ -725,9 +798,7 @@ def fiber_test(spec: OrbitSpec, stratum=None) -> FiberReport:
     W_l into W_{l-1}; the report also carries the weaker W-preservation.
     Defaults to the deepest stratum.
     """
-    stratum = frozenset(range(spec.k)) if stratum is None else frozenset(int(i) for i in stratum)
-    if not stratum <= set(range(spec.k)):
-        raise ValueError("stratum indices must name divisor coordinates")
+    stratum = check_stratum(spec, range(spec.k) if stratum is None else stratum)
     survivors = []
     for idx, poly in spec.zeta_coeffs.items():
         if not stratum <= idx:

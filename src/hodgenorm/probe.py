@@ -7,7 +7,8 @@ weighted cross terms die, minus-log of the stratum value has a positive
 semidefinite Levi form on the good fixtures, and exp(iyN).F approaches the
 opposite limit filtration.  Everything here runs in double precision and is
 deterministic: a probe given the same configuration evaluates the same
-points in the same order and returns an identical report.
+points in the same order and returns an identical report.  The frame and
+norm formulas are the orbit module's; this module holds their float kit.
 """
 
 import cmath
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mhs import deligne_split, f_infinity
-from .orbit import OrbitSpec
+from . import orbit
 
 TWO_PI_I = 2j * math.pi
 
@@ -58,181 +59,92 @@ def _expm(a):
     return out
 
 
-class _Tables:
-    """Float copies of everything a sweep reads from an orbit description."""
+class _Floats:
+    """The float number kit of a spec for the orbit module's formulas."""
+
+    one = 1.0 + 0.0j
+    exp = staticmethod(_expm)
+    scalar = staticmethod(lambda x, what: _scalar(x))
+    real = staticmethod(lambda z: float(z.real))
+    is_zero = staticmethod(lambda a: not a.any())
 
     def __init__(self, spec):
-        self.dim = spec.dim
-        self.k = spec.k
-        self.n_coords = spec.n_coords
+        self.dim, self.k, self.n_coords = spec.dim, spec.k, spec.n_coords
         self.q = _matrix(spec.structure.q)
         self.gens = tuple(_matrix(g) for g in spec.cone.generators)
         self.coeffs = {idx: {expo: _matrix(c) for expo, c in poly.items()}
                        for idx, poly in spec.zeta_coeffs.items()}
-        self.e0 = _vector(spec.markers.e0)
-        self.einf = _vector(spec.markers.einf)
-        self.lam = _scalar(spec.markers.lam)
+        self.e0, self.einf = _vector(spec.markers.e0), _vector(spec.markers.einf)
+        self.lam_bar = np.conj(_scalar(spec.markers.lam))
+        self.zeros = np.zeros((self.dim, self.dim), dtype=complex)
+        self.identity = np.eye(self.dim, dtype=complex)
+        for shared in (self.zeros, self.identity):  # shared by every call, so read-only
+            shared.setflags(write=False)
+
+    def pair(self, u, v):
+        return u @ self.q @ np.conj(v)
 
 
-# Keyed weakly, so a spec's tables go when the spec does; OrbitSpec compares
-# and hashes by identity.  A _Tables holds no reference back to its spec.
-_TABLES = weakref.WeakKeyDictionary()
+# Keyed weakly, so a spec's kit goes when the spec does; OrbitSpec compares
+# and hashes by identity.  A _Floats holds no reference back to its spec.
+_KITS = weakref.WeakKeyDictionary()
 
 
-def _tables(spec: OrbitSpec) -> _Tables:
-    tab = _TABLES.get(spec)
-    if tab is None:
-        tab = _TABLES[spec] = _Tables(spec)
-    return tab
+def _kit(spec: orbit.OrbitSpec) -> _Floats:
+    return _KITS.get(spec) or _KITS.setdefault(spec, _Floats(spec))
 
 
-# -- float evaluation kernels --------------------------------------------------
-
-
-def _poly_at(tab, poly, t):
-    out = np.zeros((tab.dim, tab.dim), dtype=complex)
-    for expo, coeff in poly.items():
-        c = 1.0 + 0.0j
-        for e, x in zip(expo, t):
-            if e:
-                c *= x ** e
-        if c:
-            out += c * coeff
-    return out
-
-
-def _theta(tab, pairs):
-    log = np.zeros((tab.dim, tab.dim), dtype=complex)
-    for l, g in pairs:
-        log += l * g
-    return _expm(log)
-
-
-def _zeta_log(tab, t):
-    out = np.zeros((tab.dim, tab.dim), dtype=complex)
-    for idx, poly in tab.coeffs.items():
-        that = 1.0 + 0.0j
-        for j in range(tab.k):
-            if j not in idx:
-                that *= t[j]
-        if that:
-            out += that * _poly_at(tab, poly, t)
-    return out
-
-
-def _norm_of(tab, g):
-    q01 = (g @ tab.e0) @ tab.q @ np.conj(g @ tab.einf)
-    return float((np.conj(tab.lam) * q01).real)
-
-
-def _point(tab, t):
-    t = tuple(_scalar(x) for x in t)
-    if len(t) != tab.n_coords:
-        raise ValueError(f"expected {tab.n_coords} coordinates, got {len(t)}")
-    return t
+# -- float evaluation ----------------------------------------------------------
 
 
 def _principal_ell(x):
     return cmath.log(x) / TWO_PI_I
 
 
-def norm_value(spec: OrbitSpec, t, ell=None) -> float:
+def norm_value(spec: orbit.OrbitSpec, t, ell=None) -> float:
     """Double-precision norm value at an interior point.
 
     `ell` defaults to log(t_j)/(2 pi i) on the principal branch; explicit
     values reproduce the exact engine's formal-ell evaluation in float.
     """
-    tab = _tables(spec)
-    t = _point(tab, t)
-    for j in range(tab.k):
-        if not t[j]:
-            raise ValueError(
-                f"coordinate {j} is zero where a log is required; use stratum_norm instead")
-    if ell is None:
-        ell = tuple(_principal_ell(t[j]) for j in range(tab.k))
-    else:
-        ell = tuple(_scalar(x) for x in ell)
-        if len(ell) != tab.k:
-            raise ValueError(f"expected {tab.k} ell-values, got {len(ell)}")
-    eta = _theta(tab, zip(ell, tab.gens)) @ _expm(_zeta_log(tab, t))
-    return _norm_of(tab, eta)
+    kit = _kit(spec)
+    t = orbit.check_point(kit, t)
+    orbit.check_interior(kit, t, "; use stratum_norm instead")
+    ell = (tuple(_principal_ell(t[j]) for j in range(kit.k)) if ell is None
+           else orbit.check_ell(kit, ell))
+    eta = orbit.interior_frame(kit, t, ell)[2]
+    return orbit.extended_norm(kit, orbit.marker_pairing(kit, eta))
 
 
-def _checked_stratum(tab, stratum):
-    stratum = frozenset(int(i) for i in stratum)
-    if not stratum <= set(range(tab.k)):
-        raise ValueError("stratum indices must name divisor coordinates")
-    return stratum
-
-
-def stratum_norm(spec: OrbitSpec, stratum, t) -> float:
+def stratum_norm(spec: orbit.OrbitSpec, stratum, t) -> float:
     """Double-precision stratum value of the norm.
 
     The coordinates named by `stratum` must be zero in `t`; the surviving
     divisor coordinates must be nonzero and use principal-branch ell-values
     (the value does not depend on the branch).
     """
-    tab = _tables(spec)
-    stratum = _checked_stratum(tab, stratum)
-    t = _point(tab, t)
-    for i in sorted(stratum):
-        if t[i]:
-            raise ValueError(f"coordinate {i} must vanish on this stratum")
-    live = [j for j in range(tab.k) if j not in stratum]
-    for j in live:
-        if not t[j]:
-            raise ValueError(f"coordinate {j} is zero but not named in the stratum")
-    ell = {j: _principal_ell(t[j]) for j in live}
-    log_hat = np.zeros((tab.dim, tab.dim), dtype=complex)
-    for idx, poly in tab.coeffs.items():
-        if not stratum <= idx:
-            continue
-        that = 1.0 + 0.0j
-        for j in range(tab.k):
-            if j not in idx:
-                that *= t[j]
-        if not that:
-            continue
-        val = _poly_at(tab, poly, t)
-        outside = [j for j in range(tab.k) if j not in idx]
-        th = _theta(tab, ((ell[j], tab.gens[j]) for j in outside))
-        th_inv = _theta(tab, ((-ell[j], tab.gens[j]) for j in outside))
-        log_hat += that * (th @ val @ th_inv)
-    g = _expm(log_hat)
-    if live:
-        g = g @ _theta(tab, ((ell[j], tab.gens[j]) for j in live))
-    return _norm_of(tab, g)
+    kit = _kit(spec)
+    stratum = orbit.check_stratum(kit, stratum)
+    t = orbit.check_point(kit, t)
+    orbit.check_vanishing(kit, stratum, t)
+    ell = {j: _principal_ell(t[j]) for j in range(kit.k) if j not in stratum}
+    g = orbit.stratum_frame(kit, stratum, t, ell)
+    return orbit.extended_norm(kit, orbit.marker_pairing(kit, g))
 
 
-def term_value(spec: OrbitSpec, powers, t) -> complex:
+def term_value(spec: orbit.OrbitSpec, powers, t) -> complex:
     """One ell-weighted cross term of the norm at an interior point.
 
     Multiplies Q(zeta_hat N^powers e0, conj(zeta_hat einf)) by the monomial
     prod_j ell_j^powers_j, with principal-branch ell-values.
     """
-    tab = _tables(spec)
-    powers = tuple(int(a) for a in powers)
-    if len(powers) != tab.k:
-        raise ValueError("one exponent per generator")
-    if any(a < 0 for a in powers):
-        raise ValueError("exponents must be nonnegative")
-    t = _point(tab, t)
-    for j in range(tab.k):
-        if not t[j]:
-            raise ValueError(f"coordinate {j} is zero where a log is required")
-    ell = [_principal_ell(t[j]) for j in range(tab.k)]
-    theta = _theta(tab, zip(ell, tab.gens))
-    theta_inv = _theta(tab, zip((-l for l in ell), tab.gens))
-    zeta_hat = theta @ _expm(_zeta_log(tab, t)) @ theta_inv
-    v = tab.e0
-    for g, a in zip(tab.gens, powers):
-        for _ in range(a):
-            v = g @ v
-    weight = 1.0 + 0.0j
-    for l, a in zip(ell, powers):
-        if a:
-            weight *= l ** a
-    return complex(weight * ((zeta_hat @ v) @ tab.q @ np.conj(zeta_hat @ tab.einf)))
+    kit = _kit(spec)
+    powers = orbit.check_powers(kit, powers)
+    t = orbit.check_point(kit, t)
+    orbit.check_interior(kit, t)
+    ell = [_principal_ell(t[j]) for j in range(kit.k)]
+    zeta_hat = orbit.conjugated_twist(kit, orbit.interior_frame(kit, t, ell)[2], ell)
+    return complex(orbit.monomial(kit, powers, ell) * orbit.cross_term(kit, zeta_hat, powers))
 
 
 # -- sweep configuration and reports -------------------------------------------
@@ -319,18 +231,15 @@ def _limit_verdict(deviations, tol):
     return ok
 
 
-def _base_point(tab, pinned, base):
+def _base_point(kit, pinned, base):
     if base is None:
-        base = [0.0 if j in pinned else (0.5 if j < tab.k else 1.0 / 3.0)
-                for j in range(tab.n_coords)]
-    else:
-        base = [_scalar(x) for x in base]
-        if len(base) != tab.n_coords:
-            raise ValueError(f"expected {tab.n_coords} coordinates, got {len(base)}")
-        for j in sorted(pinned):
-            if base[j]:
-                raise ValueError(f"coordinate {j} belongs to the stratum; give it base value 0")
-    return tuple(base)
+        return tuple(0.0 if j in pinned else (0.5 if j < kit.k else 1.0 / 3.0)
+                     for j in range(kit.n_coords))
+    base = orbit.check_point(kit, base)
+    for j in sorted(pinned):
+        if base[j]:
+            raise ValueError(f"coordinate {j} belongs to the stratum; give it base value 0")
+    return base
 
 
 def _sweep(values_at, radii, angles, target, tol):
@@ -354,7 +263,7 @@ def _sweep(values_at, radii, angles, target, tol):
 # -- the probes ----------------------------------------------------------------
 
 
-def radial_limit(spec: OrbitSpec, stratum, cfg: ProbeConfig | None = None,
+def radial_limit(spec: orbit.OrbitSpec, stratum, cfg: ProbeConfig | None = None,
                  base=None) -> LimitReport:
     """Drive the named divisor coordinates to zero along radial rays.
 
@@ -366,9 +275,9 @@ def radial_limit(spec: OrbitSpec, stratum, cfg: ProbeConfig | None = None,
     `clipped`.
     """
     cfg = cfg if cfg is not None else ProbeConfig()
-    tab = _tables(spec)
-    stratum = tuple(sorted(_checked_stratum(tab, stratum)))
-    base = _base_point(tab, set(stratum), base)
+    kit = _kit(spec)
+    stratum = tuple(sorted(orbit.check_stratum(kit, stratum)))
+    base = _base_point(kit, set(stratum), base)
     target = stratum_norm(spec, stratum, base)
     angles = cfg.angle_vectors(len(stratum))
 
@@ -381,7 +290,7 @@ def radial_limit(spec: OrbitSpec, stratum, cfg: ProbeConfig | None = None,
     return _sweep(value, cfg.radii, angles, target, cfg.tol)
 
 
-def term_vanishing(spec: OrbitSpec, powers, cfg: ProbeConfig | None = None,
+def term_vanishing(spec: orbit.OrbitSpec, powers, cfg: ProbeConfig | None = None,
                    base=None) -> LimitReport:
     """Radial decay of one ell-weighted cross term of the norm.
 
@@ -392,26 +301,18 @@ def term_vanishing(spec: OrbitSpec, powers, cfg: ProbeConfig | None = None,
     which stays away from zero.
     """
     cfg = cfg if cfg is not None else ProbeConfig()
-    tab = _tables(spec)
-    if tab.k == 0:
+    kit = _kit(spec)
+    if kit.k == 0:
         raise ValueError("an empty cone has no divisor stratum")
-    powers = tuple(int(a) for a in powers)
-    if len(powers) != tab.k:
-        raise ValueError("one exponent per generator")
-    if any(a < 0 for a in powers):
-        raise ValueError("exponents must be nonnegative")
-    base = _base_point(tab, set(range(tab.k)), base)
-    if any(powers):
-        target = 0.0
-    else:
-        deep = tab.coeffs.get(frozenset(range(tab.k)))
-        e = _expm(_poly_at(tab, deep, base)) if deep else np.eye(tab.dim, dtype=complex)
-        target = float(abs((e @ tab.e0) @ tab.q @ np.conj(e @ tab.einf)))
-    angles = cfg.angle_vectors(tab.k)
+    powers = orbit.check_powers(kit, powers)
+    base = _base_point(kit, set(range(kit.k)), base)
+    target = (0.0 if any(powers)
+              else float(abs(orbit.marker_pairing(kit, orbit.deep_twist(kit, base)))))
+    angles = cfg.angle_vectors(kit.k)
 
     def value(r, vec):
         t = list(base)
-        for j in range(tab.k):
+        for j in range(kit.k):
             t[j] = r * cmath.exp(1j * vec[j])
         return abs(term_value(spec, powers, t))
 
@@ -434,7 +335,7 @@ class LeviReport:
         return self.psh
 
 
-def levi_probe(spec: OrbitSpec, stratum, base=None, dirs=None,
+def levi_probe(spec: orbit.OrbitSpec, stratum, base=None, dirs=None,
                cfg: ProbeConfig | None = None) -> LeviReport:
     """Central-difference complex Hessian of -log(stratum value).
 
@@ -446,20 +347,20 @@ def levi_probe(spec: OrbitSpec, stratum, base=None, dirs=None,
     eigenvalue of the hermitized Levi matrix to clear -cfg.tol.
     """
     cfg = cfg if cfg is not None else ProbeConfig()
-    tab = _tables(spec)
-    pinned = _checked_stratum(tab, stratum)
-    base = _base_point(tab, pinned, base)
+    kit = _kit(spec)
+    pinned = orbit.check_stratum(kit, stratum)
+    base = _base_point(kit, pinned, base)
 
     if dirs is None:
-        free = [j for j in range(tab.n_coords) if j not in pinned]
-        dirs = [tuple(1.0 + 0.0j if j == f else 0.0j for j in range(tab.n_coords))
+        free = [j for j in range(kit.n_coords) if j not in pinned]
+        dirs = [tuple(1.0 + 0.0j if j == f else 0.0j for j in range(kit.n_coords))
                 for f in free]
     clipped = []
     directions = []
     for idx, vec in enumerate(dirs):
         vec = [_scalar(x) for x in vec]
-        if len(vec) != tab.n_coords:
-            raise ValueError(f"direction vectors must have {tab.n_coords} entries")
+        if len(vec) != kit.n_coords:
+            raise ValueError(f"direction vectors must have {kit.n_coords} entries")
         if any(vec[j] for j in pinned):
             clipped.append(idx)
             for j in pinned:

@@ -183,6 +183,17 @@ STRUCTURE_ERRORS = [
     ("elliptic.json", _pairing([["0", "1"], ["1", "0"]]),
      "q: pairing must be (-1)^n-symmetric"),
     ("elliptic.json", _pairing([["0", "0"], ["0", "0"]]), "q: pairing is degenerate"),
+    ("elliptic.json", lambda doc: doc["cone"].__setitem__(0, [["0", "0"], ["0", "0"]]),
+     "cone[0]: generator 0 is zero"),
+    ("elliptic.json", lambda doc: doc["cone"].__setitem__(0, [["1", "0"], ["0", "1"]]),
+     "cone[0]: generator 0 is not nilpotent"),
+    ("elliptic.json", lambda doc: doc.update(q=[["0", "1"], ["1", "0"]]),
+     "cone[0]: generator 0 is not infinitesimally skew"),
+    # a nilpotent infinitesimal isometry of pair's q that moves generator 0
+    ("pair.json", lambda doc: doc["cone"].__setitem__(1, [
+        ["0", "0", "0", "1", "0", "0"], ["0"] * 6, ["1", "0", "0", "0", "0", "0"],
+        ["0"] * 6, ["0"] * 6, ["0"] * 6]),
+     "cone: generators do not commute"),
 ]
 
 
@@ -525,11 +536,12 @@ def test_isotropy_witness_names_the_largest_partner_level(tmp_path, capsys):
 # -- resource and float-range preconditions -----------------------------------------
 
 
-def _huge_pairing_doc():
-    """The elliptic fixture with its pairing scaled by 10^400: exact-valid, no float."""
+def _scaled_pairing_doc(exponent):
+    """The elliptic fixture with its pairing scaled by 10^exponent."""
     doc = elliptic_doc()
     doc.pop("markers")  # lam scales with the pairing
-    doc["q"] = [[{"1": "1e400", "-1": "-1e400"}.get(x, x) for x in row] for row in doc["q"]]
+    scale = {"1": f"1e{exponent}", "-1": f"-1e{exponent}"}
+    doc["q"] = [[scale.get(x, x) for x in row] for row in doc["q"]]
     return doc
 
 
@@ -543,7 +555,7 @@ EXACT_COMMANDS = [("diamond",), ("split",), ("markers",), ("lie",), ("induce",),
 @pytest.mark.parametrize("argv", FLOAT_COMMANDS, ids=" ".join)
 def test_float_range_is_checked_before_float_work(argv, tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(_huge_pairing_doc()))
+    path.write_text(json.dumps(_scaled_pairing_doc(400)))
     code, out, err = run(capsys, argv[0], path, *argv[1:])
     assert code == 2
     assert out == ""
@@ -553,7 +565,7 @@ def test_float_range_is_checked_before_float_work(argv, tmp_path, capsys):
 @pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
 def test_exact_commands_accept_entries_beyond_the_float_range(argv, tmp_path, capsys):
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(_huge_pairing_doc()))
+    path.write_text(json.dumps(_scaled_pairing_doc(400)))
     code, _, err = run(capsys, argv[0], path, *argv[1:])
     assert code == 0, err
 
@@ -562,6 +574,38 @@ def test_float_eval_names_a_coordinate_beyond_the_float_range(capsys):
     code, _, err = run(capsys, "eval", DATA / "elliptic.json", "--t", "1/20", "1e400")
     assert code == 2
     assert err == "error: --t[1]: entry is too large for a double-precision float\n"
+
+
+# q scaled by 10^-400 becomes 0.0 as a double; scaled by 10^-310 it fits (as
+# subnormals), but lam, the inverse of the marker pairing, does not.
+SMALL_PAIRINGS = [(-400, "q[0][1]: entry is too small for a double-precision float"),
+                  (-310, "markers.lam: entry is too large for a double-precision float")]
+
+
+@pytest.mark.parametrize("exponent, message", SMALL_PAIRINGS, ids=["q", "markers.lam"])
+@pytest.mark.parametrize("argv", FLOAT_COMMANDS, ids=" ".join)
+def test_float_range_covers_underflow_and_the_markers(argv, exponent, message, tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(_scaled_pairing_doc(exponent)))
+    code, out, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("exponent", [e for e, _ in SMALL_PAIRINGS])
+@pytest.mark.parametrize("argv", EXACT_COMMANDS, ids=" ".join)
+def test_exact_commands_accept_entries_below_the_float_range(argv, exponent, tmp_path, capsys):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(_scaled_pairing_doc(exponent)))
+    code, _, err = run(capsys, argv[0], path, *argv[1:])
+    assert code == 0, err
+
+
+def test_float_eval_names_a_coordinate_below_the_float_range(capsys):
+    code, _, err = run(capsys, "eval", DATA / "elliptic.json", "--t", "1e-400", "1/30")
+    assert code == 2
+    assert err == "error: --t[0]: entry is too small for a double-precision float\n"
 
 
 def _weight_three_doc():
@@ -621,7 +665,24 @@ with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as _handle:
                                      "eval-exact", "induce"])
 @pytest.mark.parametrize("name", ["elliptic", "pair", "a1_input"])
 def test_outputs_match_the_benchmark_reference(name, command, tmp_path, monkeypatch, capsys):
-    op_id = f"{command}.{name}"
+    _assert_matches_the_reference(f"{command}.{name}", tmp_path, monkeypatch, capsys)
+
+
+# probe and float eval print floats, so these pin float results bit for bit;
+# varying and hermitian add the larger twist tables
+PROBE_AND_EVAL_OPS = ([f"{command}.{name}" for name in ("elliptic", "pair", "a1_input")
+                       for command in ("probe", "eval-float")]
+                      + [f"{command}.{name}" for name in ("varying", "hermitian")
+                         for command in ("probe", "eval-exact", "eval-float")])
+
+
+@pytest.mark.parametrize("op_id", PROBE_AND_EVAL_OPS)
+def test_probe_and_eval_outputs_match_the_benchmark_reference(op_id, tmp_path, monkeypatch,
+                                                             capsys):
+    _assert_matches_the_reference(op_id, tmp_path, monkeypatch, capsys)
+
+
+def _assert_matches_the_reference(op_id, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)  # the report embeds the fixture path as given
     report = tmp_path / "report.json"
     code, out, _ = run(capsys, *BENCH_ARGV[op_id], "--report", report)

@@ -38,6 +38,9 @@ def test_scalar_arithmetic():
     assert -a + a == 0
     assert a.conjugate().conjugate() == a
     assert qi(0, 1) * qi(0, 1) == -1
+    assert a ** 3 == a * a * a and a ** 0 == 1
+    with pytest.raises(ValueError, match="negative"):
+        a ** -1
 
 
 def test_scalar_division_by_zero():

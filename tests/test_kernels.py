@@ -8,7 +8,8 @@ which touch every entry, so any disagreement is a bug in the sparse or
 fraction-free bookkeeping.  Inputs mix zero rows and columns, complex
 entries and plain ints; the large-entry tests also use large parts,
 non-unit Gaussian leads and rank-deficient shapes.  The tracer contract
-test at the end keeps kernel results readable by the benchmark's tracer.
+tests at the end keep kernel results readable by the benchmark's tracer,
+and keep the float evaluation path out of its exact spans.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from hodgenorm import orbit, probe
 from hodgenorm.exactlin import (
     GaussianRational,
     Mat,
@@ -32,6 +34,7 @@ from hodgenorm.exactlin import (
     solve,
     vec,
 )
+from hodgenorm.fixtures import orbit_elliptic
 
 # -- dense references ----------------------------------------------------------
 
@@ -428,3 +431,21 @@ def test_tracer_reads_kernel_results():
     sub = Subspace(2, [(qi(0, 2**40), 1)])  # reduced to (1, -i / 2**40)
     assert entry_bits(sub) == 41
     assert entry_bits(qi(Fraction(5, 7))) == 3
+
+
+def test_float_evaluation_opens_no_exact_span():
+    # The benchmark's per-layer metrics count exact kernels and orbit calls;
+    # the float path shares the orbit formulas but must not call into them.
+    spec = orbit_elliptic()
+    tracer = _bench_tracer().Tracer()
+    tracer.install()
+    try:
+        probe.norm_value(spec, (0.5, 0.25))
+        float_spans = [span[0] for span in tracer.spans]
+        orbit.eval_frame(spec, (Fraction(1, 2), Fraction(1, 4)), (qi(1, 2),))
+        exact_spans = [span[0] for span in tracer.spans[len(float_spans):]]
+    finally:
+        tracer.uninstall()
+    assert float_spans == ["probe.norm_value"]
+    assert exact_spans[0] == "orbit.eval_frame"
+    assert "exactlin.nilpotent_exp" in exact_spans

@@ -28,7 +28,7 @@ from hodgenorm.fixtures import (
     weight_three_line,
 )
 from hodgenorm.induced import induce, tate_normalize
-from hodgenorm.orbit import eval_frame, stratum_value
+from hodgenorm.orbit import eval_frame, stratum_value, term_pairing
 from hodgenorm.probe import (
     DistanceReport,
     LeviReport,
@@ -142,6 +142,18 @@ def test_float_tables_die_with_their_spec():
     assert alive() is None
     # a fresh spec rebuilds its tables and gets the same value
     assert norm_value(orbit_elliptic.__wrapped__(), (0.5, 0.25)) == before
+
+
+def test_exact_and_float_terms_refuse_negative_exponents_alike():
+    spec = orbit_pair()
+    t, ell = (F(1, 2), F(1, 3), F(1, 5)), (G(0, F(1, 3)), G(F(1, 7), F(2, 5)))
+    messages = []
+    for call in (lambda: term_pairing(spec, (-1, 0), t, ell),
+                 lambda: term_value(spec, (-1, 0), (0.5, 1 / 3, 0.2))):
+        with pytest.raises(ValueError) as refused:
+            call()
+        messages.append(str(refused.value))
+    assert messages == ["exponents must be nonnegative"] * 2
 
 
 def test_stratum_norm_mirrors_the_exact_validation():
