@@ -429,7 +429,7 @@ def cmd_induce(fixture, args):
 def cmd_markers(fixture, args):
     data = fixture.data
     markers = fixture.markers
-    basis = adapted_basis(data.f, data.w, data.q)
+    basis = adapted_basis(data.structure())
     indices = tuple(_proportional_column(basis, v)
                     for v in (markers.e0, markers.einf, markers.ed))
     lines = [
@@ -454,7 +454,7 @@ def cmd_markers(fixture, args):
 def cmd_lie(fixture, args):
     data = fixture.data
     algebra = lie_algebra(data.q)
-    split = lie_deligne_split(algebra, data.structure(), data.split())
+    split = lie_deligne_split(algebra, data.structure())
     herm, herm_why = hermitian_test(split)
     smooth, smooth_why = smoothness_test(split)
     lines = [f"symmetry algebra dimension {algebra.dim}",
@@ -577,7 +577,7 @@ def suite_bracket(fixture, args):
     st = data.structure()
     algebra = lie_algebra(data.q)
     split = data.split()
-    lsplit = lie_deligne_split(algebra, st, split)
+    lsplit = lie_deligne_split(algebra, st)
     # x^T Q + Q x = 0 per basis element makes [x, y]^T Q = -Q [x, y] an
     # identity, so closure of the bracket needs no pairwise commutators.
     isometry_ok = all((x.transpose() * data.q + data.q * x).is_zero()

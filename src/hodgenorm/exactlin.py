@@ -334,9 +334,6 @@ class Mat:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
@@ -560,22 +557,6 @@ def nilpotent_exp(n: Mat) -> Mat:
         out = out + term * Fraction(1, _factorial(k))
         k += 1
         if k > n.nrows:
-            raise ValueError("matrix is not nilpotent")
-
-
-def apply_nilpotent_exp(n: Mat, v, scale=1):
-    """exp(scale * n) applied to a vector, without forming the matrix."""
-    scale = GaussianRational(scale) if not isinstance(scale, GaussianRational) else scale
-    out = list(v)
-    term = tuple(v)
-    k = 1
-    while True:
-        term = vec_scale(scale * Fraction(1, k), n.apply(term))
-        if vec_is_zero(term):
-            return tuple(out)
-        out = [a + b for a, b in zip(out, term)]
-        k += 1
-        if k > n.nrows + 1:
             raise ValueError("matrix is not nilpotent")
 
 

@@ -25,9 +25,6 @@ class _Filtration:
     def jump_levels(self):
         return tuple(l for l, _ in self.steps)
 
-    def dims(self):
-        return {l: s.dim for l, s in self.steps}
-
     def __eq__(self, other):
         return (type(other) is type(self)
                 and self.ambient == other.ambient

@@ -101,26 +101,23 @@ def defective_inputs():
     """Named constructors that must each be rejected with a ValueError."""
 
     def rational_f_line():
-        from .mhs import deligne_split
         w = IncreasingFiltration(2, {1: Subspace.full(2)})
         f = DecreasingFiltration.from_generators(
             2, {1: [vec((1, 0))], 0: [vec((0, 1))]})
-        return deligne_split(MixedHodge(1, w, f))
+        return MixedHodge(1, w, f).split()
 
     def overfull_f():
-        from .mhs import deligne_split
         w = IncreasingFiltration(2, {0: Subspace.full(2)})
         f = DecreasingFiltration.from_generators(
             2, {1: [vec((1, 0))], 0: [vec((0, 1))]})
-        return deligne_split(MixedHodge(0, w, f))
+        return MixedHodge(0, w, f).split()
 
     def mismatched_f_and_w():
-        from .mhs import deligne_split
         w = IncreasingFiltration.from_generators(
             2, {0: [vec((1, 0))], 2: [vec((0, 1))]})
         f = DecreasingFiltration.from_generators(
             2, {2: [vec((1, 1))], 0: [vec((1, 0))]})
-        return deligne_split(MixedHodge(2, w, f))
+        return MixedHodge(2, w, f).split()
 
     def non_commuting_cone():
         a = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
@@ -400,11 +397,9 @@ def curve():
 def _induced_slots(v, exponents, wanted, scale=1):
     """dΛ-images of chosen Lie layer elements of the input structure."""
     from .lie import lie_algebra, lie_deligne_split
-    from .mhs import deligne_split
     from .induced import induced_endomorphism
 
-    st = v.structure()
-    split = lie_deligne_split(lie_algebra(v.q), st, deligne_split(st))
+    split = lie_deligne_split(lie_algebra(v.q), v.structure())
     return [scale * induced_endomorphism(split.slot_matrices(p, q)[idx], exponents)
             for (p, q, idx) in wanted]
 

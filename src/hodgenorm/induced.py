@@ -34,7 +34,7 @@ from .filtrations import (
     level,
     weight_filtration,
 )
-from .mhs import DeligneSplitting, MixedHodge, NilpotentCone, deligne_split
+from .mhs import DeligneSplitting, MixedHodge, NilpotentCone
 
 
 # -- multilinear building blocks ---------------------------------------------
@@ -116,8 +116,8 @@ def induced_endomorphism(x: Mat, exponents) -> Mat:
 class PureHodgeData:
     """Weight-w input data on V: pairing, limit filtration, nilpotent cone.
 
-    The mixed structure and its verified splitting are built once per
-    instance and shared by every caller.
+    The mixed structure is built once per instance and shared by every
+    caller; split() is that structure's own cached, verified splitting.
     """
 
     weight: int
@@ -147,16 +147,11 @@ class PureHodgeData:
         return self._structure
 
     def split(self) -> DeligneSplitting:
-        return self._split
+        return self.structure().split()
 
     @cached_property
     def _structure(self) -> MixedHodge:
         return MixedHodge(self.weight, self.w, self.f, self.q)
-
-    @cached_property
-    def _split(self) -> DeligneSplitting:
-        # verify=True: the first computation checks every splitting identity
-        return deligne_split(self.structure())
 
 
 @dataclass(frozen=True)
@@ -178,6 +173,11 @@ class InducedStructure:
         return self.f.ambient
 
     def structure(self) -> MixedHodge:
+        """The mixed structure (W, F, Q) of H, built once per instance."""
+        return self._structure
+
+    @cached_property
+    def _structure(self) -> MixedHodge:
         return MixedHodge(self.weight, self.w, self.f, self.q)
 
     def predicted_split(self) -> DeligneSplitting:

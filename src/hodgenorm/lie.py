@@ -26,7 +26,7 @@ from .exactlin import (
     vec_add,
     vec_scale,
 )
-from .mhs import DeligneSplitting, MixedHodge, deligne_split
+from .mhs import MixedHodge
 
 
 def flatten_matrix(x: Mat):
@@ -155,35 +155,27 @@ class LieSplit:
         return self.span_where(lambda p, q: p + q <= 0)
 
     @property
-    def s_inf(self) -> Subspace:
-        """Layers with q <= 0."""
-        return self.span_where(lambda p, q: q <= 0)
-
-    @property
     def m_x(self) -> Subspace:
         """Layers with both p <= 0 and q <= 0; nilpotent cones land in p,q <= -1."""
         return self.span_where(lambda p, q: p <= 0 and q <= 0)
 
 
-def lie_deligne_split(
-    algebra: LieAlgebraBasis,
-    structure: MixedHodge,
-    splitting: DeligneSplitting | None = None,
-) -> LieSplit:
+def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSplit:
     """Decompose the symmetry algebra along the splitting of a mixed structure.
 
     The layer g^{p,q} consists of the X in g carrying each splitting piece
     I^{r,s} of V into I^{r+p, s+q}.  Working in a basis adapted to the
-    splitting, a candidate layer is the kernel of the pairing condition
-    restricted to matrix entries realizing that exact bigrade shift, so each
-    layer is a small independent linear problem.
+    splitting (the structure's own cached one), a candidate layer is the
+    kernel of the pairing condition restricted to matrix entries realizing
+    that exact bigrade shift, so each layer is a small independent linear
+    problem.
     """
     n = algebra.ambient
     if structure.ambient != n:
         raise ValueError("mixed structure and pairing have different dimensions")
     if structure.q is not None and structure.q != algebra.q:
         raise ValueError("mixed structure carries a different pairing")
-    split = splitting if splitting is not None else deligne_split(structure)
+    split = structure.split()
 
     grades = []
     columns = []
@@ -205,12 +197,19 @@ def lie_deligne_split(
                     if gk == (gl[0] + dp, gl[1] + dq)]
         if not unknowns:
             continue
+        # entry (i, j) of X^T q_a + q_a X involves only the unknowns in
+        # column i (through q_a[k, j]) and in column j (through q_a[i, k])
+        by_col = {}
+        for idx, (k, l) in enumerate(unknowns):
+            by_col.setdefault(l, []).append((idx, k))
         rows = []
         for i in range(n):
             for j in range(i, n):
-                row = [(q_a[k, j] if l == i else ZERO)
-                       + (q_a[i, k] if l == j else ZERO)
-                       for k, l in unknowns]
+                row = [ZERO] * len(unknowns)
+                for idx, k in by_col.get(i, ()):
+                    row[idx] = q_a[k, j]
+                for idx, k in by_col.get(j, ()):
+                    row[idx] = row[idx] + q_a[i, k] if i == j else q_a[i, k]
                 if any(row):
                     rows.append(row)
         if not rows:

@@ -13,6 +13,7 @@ valid or rejected with the first failing identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactlin import (
     I,
@@ -66,6 +67,20 @@ class MixedHodge:
     def ambient(self):
         return self.w.ambient
 
+    def split(self) -> DeligneSplitting:
+        """The Deligne splitting of (W, F), computed and verified once.
+
+        Every reader of the splitting shares this one instance.  The first
+        call runs deligne_split, which checks every defining identity; a
+        structure that fails raises ValueError on every call, since a failed
+        build is not cached.
+        """
+        return self._split
+
+    @cached_property
+    def _split(self) -> DeligneSplitting:
+        return deligne_split(self)
+
 
 class DeligneSplitting:
     """The bigraded pieces of a mixed structure, indexed by (p, q)."""
@@ -97,11 +112,12 @@ class DeligneSplitting:
         return f"DeligneSplitting[{body}]"
 
 
-def deligne_split(structure: MixedHodge, verify: bool = True) -> DeligneSplitting:
+def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     """Compute the canonical splitting; reject inputs that are not mixed Hodge.
 
-    With verify=True (the default) every defining identity of the splitting is
-    checked exactly and a ValueError names the first failure.
+    Every defining identity of the splitting is checked exactly and a
+    ValueError names the first failure.  Nothing is cached here: each call
+    computes afresh, and MixedHodge.split() is the shared, cached copy.
     """
     w, f = structure.w, structure.f
     dim = structure.ambient
@@ -125,10 +141,9 @@ def deligne_split(structure: MixedHodge, verify: bool = True) -> DeligneSplittin
                 if piece.dim:
                     pieces[(p, q)] = piece
     split = DeligneSplitting(dim, pieces)
-    if verify:
-        defect = splitting_defect(structure, split)
-        if defect is not None:
-            raise ValueError(f"not a mixed Hodge structure: {defect}")
+    defect = splitting_defect(structure, split)
+    if defect is not None:
+        raise ValueError(f"not a mixed Hodge structure: {defect}")
     return split
 
 
@@ -155,7 +170,7 @@ def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
 
 
 def hodge_diamond(structure: MixedHodge):
-    return deligne_split(structure).diamond()
+    return structure.split().diamond()
 
 
 def check_symmetries(diamond: dict, n: int, limiting: bool = False):
@@ -261,7 +276,7 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
     if structure.q is None:
         return False, "no pairing to polarize"
     try:
-        split = deligne_split(structure)
+        split = structure.split()
     except ValueError as err:
         return False, str(err)
     n = structure.n

@@ -46,7 +46,6 @@ from .induced import Markers, locate_markers
 from .mhs import (
     MixedHodge,
     NilpotentCone,
-    deligne_split,
     first_relation_holds,
     i_power,
     polarization_check,
@@ -182,27 +181,23 @@ def _dual_pair_normalize(q, kept, replaced):
     return out
 
 
-def adapted_basis(f, w, q) -> AdaptedBasis:
+def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
     """Build a basis pairing anti-diagonally and adapted to both filtrations.
 
-    The central weight is read off from the symmetry of W's jump levels; the
-    splitting layers are sorted by descending grade so F comes out as initial
-    segments, dual layers are normalized against each other, and the middle
-    layer (when present) is reduced to hyperbolic pairs.  Raises ValueError
-    ("no compatible basis: ...") whenever (F, W, Q) are inconsistent.
+    Reads the central weight n and the cached splitting off the structure,
+    whose W must be symmetric about n; the splitting layers are sorted by
+    descending grade so F comes out as initial segments, dual layers are
+    normalized against each other, and the middle layer (when present) is
+    reduced to hyperbolic pairs.  Raises ValueError ("no compatible basis:
+    ...") whenever (F, W, Q) are inconsistent.
     """
-    if w.ambient != f.ambient or q.nrows != q.ncols or q.nrows != w.ambient:
-        raise ValueError("no compatible basis: dimensions disagree")
-    jumps = w.jump_levels
-    if not jumps:
-        raise ValueError("no compatible basis: the weight filtration is empty")
-    if (jumps[0] + jumps[-1]) % 2:
+    n, f, q = structure.n, structure.f, structure.q
+    jumps = structure.w.jump_levels
+    if not jumps or jumps[0] + jumps[-1] != 2 * n:
         raise ValueError(
-            "no compatible basis: weight levels are not symmetric about an integer")
-    n = (jumps[0] + jumps[-1]) // 2
+            f"no compatible basis: weight levels are not symmetric about {n}")
     try:
-        structure = MixedHodge(n, w, f, q)
-        split = deligne_split(structure)
+        split = structure.split()
     except ValueError as err:
         raise ValueError(f"no compatible basis: {err}") from err
     ok, _ = first_relation_holds(f, q, n)
@@ -313,7 +308,7 @@ def _canonical_coeffs(zeta_coeffs, k, n_coords, dim):
 
 def _grade_lowering_spans(structure):
     """For each filtration grade p, the span of all strictly lower layers."""
-    split = deligne_split(structure.structure())
+    split = structure.structure().split()
     by_p = {}
     for (p, _), sub in split.pieces.items():
         by_p.setdefault(p, []).append(sub)
@@ -327,13 +322,14 @@ def _grade_lowering_spans(structure):
     return pieces_by_p, below
 
 
-def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None, check=True) -> OrbitSpec:
+def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSpec:
     """Validate degeneration data and assemble an OrbitSpec.
 
     `structure` must carry (weight, q, f, w, cone) with the top filtration
     level a line — normalize first if needed.  `cone` overrides the
-    structure's own cone (used for rescaling); `check=False` skips the
-    polarization test but never the algebraic validation of the twist data.
+    structure's own cone (used for rescaling).  The cone must polarize the
+    limit data and the twist data must pass their algebraic validation;
+    there is no way around either, so every OrbitSpec is polarized.
     """
     cone = cone if cone is not None else structure.cone
     k = len(cone)
@@ -342,7 +338,7 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None, check=True
         raise ValueError("need at least one coordinate per divisor generator")
 
     markers = locate_markers(structure)
-    basis = adapted_basis(structure.f, structure.w, structure.q)
+    basis = adapted_basis(structure.structure())
     if basis.column(0) != markers.e0 or basis.column(basis.top) != markers.ed:
         raise ArithmeticError("adapted basis disagrees with the markers")
 
@@ -350,10 +346,9 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None, check=True
         if not vec_is_zero(g.apply(markers.einf)):
             raise ValueError(f"generator {j} does not annihilate the opposite marker")
 
-    if check:
-        ok, detail = polarization_check(structure.structure(), cone)
-        if not ok:
-            raise ValueError(f"cone does not polarize the limit data: {detail}")
+    ok, detail = polarization_check(structure.structure(), cone)
+    if not ok:
+        raise ValueError(f"cone does not polarize the limit data: {detail}")
 
     coeffs = _canonical_coeffs(zeta_coeffs, k, n_coords, structure.dim)
     if coeffs:
@@ -853,14 +848,11 @@ def generator_level_check(spec: OrbitSpec) -> GeneratorLevelReport:
     For each generator N_j, recenter its weight filtration at n and measure
     the level m_j of e0 there: it must satisfy n <= m_j <= m, and einf must
     sit at level 2n - m_j exactly — inside W_{2n-m_j} but outside
-    W_{2n-m_j-1}.  Raises ValueError when the cone is empty or fails the
-    polarization test.
+    W_{2n-m_j-1}.  The spec's cone is polarizing, as orbit_spec checked when
+    it built the spec.  Raises ValueError when the cone is empty.
     """
     if spec.k == 0:
         raise ValueError("no generators to check")
-    ok, detail = polarization_check(spec.structure.structure(), spec.cone)
-    if not ok:
-        raise ValueError(f"cone does not polarize the limit data: {detail}")
     mk = spec.markers
     records = []
     for j, g in enumerate(spec.cone.generators):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mhs import deligne_split, f_infinity
+from .mhs import f_infinity
 from . import orbit
 
 TWO_PI_I = 2j * math.pi
@@ -442,8 +442,7 @@ def f_infinity_probe(structure, n_op, y_values=(1e1, 1e2, 1e3, 1e4),
     if any(b <= a for a, b in zip(y_values, y_values[1:])):
         raise ValueError("y-values must be strictly increasing")
 
-    split = deligne_split(structure)
-    limit = f_infinity(split, structure.n)
+    limit = f_infinity(structure.split(), structure.n)
     nf = _matrix(n_op)
     dim = structure.ambient
     columns = {}

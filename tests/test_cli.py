@@ -379,11 +379,10 @@ def test_bracket_suite_agrees_with_direct_commutators(capsys):
     every commutator; on a small fixture the direct computation must agree."""
     from hodgenorm.exactlin import commutator
     from hodgenorm.lie import flatten_matrix, lie_algebra, lie_deligne_split
-    from hodgenorm.mhs import deligne_split
 
     fx = load_fixture(DATA / "elliptic.json")
     st = fx.data.structure()
-    lsplit = lie_deligne_split(lie_algebra(fx.data.q), st, deligne_split(st))
+    lsplit = lie_deligne_split(lie_algebra(fx.data.q), st)
     for (p, q) in lsplit.pieces:
         for (r, s) in lsplit.pieces:
             target = lsplit.piece(p + r, q + s)
@@ -500,6 +499,31 @@ def test_check_builds_the_orbit_spec_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "check", DATA / "elliptic.json")
     assert code == 0
     assert len(calls) == 1
+
+
+def count_mhs_calls(monkeypatch, *names):
+    """Count calls of the named mhs functions through every module binding them."""
+    from hodgenorm import induced, lie, mhs, orbit, probe
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        orig = getattr(mhs, name)
+
+        def counting(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for module in (cli, fixtures, induced, lie, mhs, orbit, probe):
+            if getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["varying", "hermitian"])
+def test_check_splits_and_polarizes_the_structure_once(name, monkeypatch, capsys):
+    counts = count_mhs_calls(monkeypatch, "deligne_split", "polarization_check")
+    code, _, _ = run(capsys, "check", DATA / f"{name}.json")
+    assert code == 0
+    assert counts == {"deligne_split": 1, "polarization_check": 1}
 
 
 def test_failed_orbit_build_is_reported_by_every_suite(tmp_path, monkeypatch, capsys):
@@ -661,9 +685,16 @@ with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as _handle:
     REFERENCE = json.load(_handle)
 
 
-@pytest.mark.parametrize("command", ["diamond", "split", "markers", "lie", "check",
-                                     "eval-exact", "induce"])
-@pytest.mark.parametrize("name", ["elliptic", "pair", "a1_input"])
+# every exact command on the small fixtures; varying and hermitian run all
+# but induce, whose output there is too large to build
+EXACT_OPS = ([(name, command) for name in ("elliptic", "pair", "a1_input")
+              for command in ("diamond", "split", "markers", "lie", "check", "eval-exact",
+                              "induce")]
+             + [(name, command) for name in ("varying", "hermitian")
+                for command in ("diamond", "split", "markers", "lie", "check")])
+
+
+@pytest.mark.parametrize("name,command", EXACT_OPS)
 def test_outputs_match_the_benchmark_reference(name, command, tmp_path, monkeypatch, capsys):
     _assert_matches_the_reference(f"{command}.{name}", tmp_path, monkeypatch, capsys)
 
@@ -682,16 +713,39 @@ def test_probe_and_eval_outputs_match_the_benchmark_reference(op_id, tmp_path, m
     _assert_matches_the_reference(op_id, tmp_path, monkeypatch, capsys)
 
 
+# a1.json has no benchmark reference entry: these are its exit code and the
+# sha256 of its stdout and --report, recorded with the conventions below
+A1_REFERENCE = {
+    "check": {"exit": 0,
+              "stdout": "f7412093e8d534508d2845d09724f60853e18d2bbdd81c15bbefa756e8d8334d",
+              "report": "9aebb0146d80edaf4066320d1b03da96ccbec628978ec78b17064d38d48e9f9e"},
+    "lie": {"exit": 0,
+            "stdout": "ae0d3eddc0409faa197d2f73b2b58cf401c2a97beb3e957b8cc9d2d817e9b027",
+            "report": "ae0a08d8d10385625a3fd221c912917b9b4e8cacb2335b202555f9b59581663f"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(A1_REFERENCE))
+def test_a1_outputs_match_their_pinned_digests(command, tmp_path, monkeypatch, capsys):
+    argv = [command, LOADS.fixture_path("a1")]
+    assert _digests(argv, tmp_path, monkeypatch, capsys) == A1_REFERENCE[command]
+
+
 def _assert_matches_the_reference(op_id, tmp_path, monkeypatch, capsys):
+    got = _digests(BENCH_ARGV[op_id], tmp_path, monkeypatch, capsys)
+    assert got == REFERENCE["cli"][op_id]
+
+
+def _digests(argv, tmp_path, monkeypatch, capsys):
+    """Exit code and sha256 of stdout and --report of one in-process run."""
     monkeypatch.chdir(ROOT)  # the report embeds the fixture path as given
     report = tmp_path / "report.json"
-    code, out, _ = run(capsys, *BENCH_ARGV[op_id], "--report", report)
-    got = {
+    code, out, _ = run(capsys, *argv, "--report", report)
+    return {
         "exit": code,
         "stdout": hashlib.sha256(out.encode("utf-8")).hexdigest(),
         "report": hashlib.sha256(report.read_bytes()).hexdigest() if report.exists() else None,
     }
-    assert got == REFERENCE["cli"][op_id]
 
 
 def test_a_moved_dense_family_matches_the_benchmark_reference():

@@ -10,7 +10,6 @@ from hodgenorm.exactlin import (
     GaussianRational,
     Mat,
     Subspace,
-    apply_nilpotent_exp,
     commutator,
     extend_basis,
     fraction_sqrt,
@@ -123,7 +122,7 @@ def test_nilpotent_exp_hand_worked():
     n = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     e = nilpotent_exp(n)
     assert e == Mat([[1, 1, Fraction(1, 2)], [0, 1, 1], [0, 0, 1]])
-    assert apply_nilpotent_exp(n, (0, 0, 1), scale=2) == vec([2, 2, 1])
+    assert nilpotent_exp(2 * n).apply((0, 0, 1)) == vec([2, 2, 1])
     with pytest.raises(ValueError):
         nilpotent_exp(Mat([[1, 0], [0, 1]]))
 

@@ -30,7 +30,7 @@ from hodgenorm.lie import (
 
 
 def g_split(v) -> LieSplit:
-    return lie_deligne_split(lie_algebra(v.q), v.structure(), v.split())
+    return lie_deligne_split(lie_algebra(v.q), v.structure())
 
 
 def weight_one_g_diamond(a):
@@ -109,7 +109,7 @@ def test_pure_inputs_concentrate_on_the_antidiagonal():
 def test_layers_sum_directly_to_the_whole_algebra(make):
     v = make()
     g = lie_algebra(v.q)
-    split = lie_deligne_split(g, v.structure(), v.split())
+    split = lie_deligne_split(g, v.structure())
     assert sum(sub.dim for sub in split.pieces.values()) == g.dim
     total = split.span_where(lambda p, q: True)
     assert total.dim == g.dim
@@ -119,7 +119,7 @@ def test_layers_sum_directly_to_the_whole_algebra(make):
 def test_layer_members_shift_splitting_pieces_as_labelled():
     v = fixtures.weight_two(2)
     g = lie_algebra(v.q)
-    split = lie_deligne_split(g, v.structure(), v.split())
+    split = lie_deligne_split(g, v.structure())
     pieces = v.split()
     for (p, q), sub in split.pieces.items():
         for x in split.slot_matrices(p, q):

@@ -86,7 +86,7 @@ def negated_curve():
 
 def test_curve_basis_is_the_standard_one():
     h = tate_normalize(induce(curve()))
-    b = adapted_basis(h.f, h.w, h.q)
+    b = adapted_basis(h.structure())
     assert b.mat == Mat([[1, 0], [0, 1]])
     assert b.bigrades == ((1, 1), (0, 0))
     assert b.n == 1 and b.dim == 2 and b.top == 1
@@ -139,7 +139,7 @@ def test_gram_is_the_anti_identity():
 
 def test_middle_layer_folds_without_square_roots():
     f, w, q = pure_line_structure([2, -2])
-    b = adapted_basis(f, w, q)
+    b = adapted_basis(MixedHodge(0, w, f, q))
     assert form_value(q, b.column(0), b.column(1)) == 1
     assert form_value(q, b.column(0), b.column(0)) == 0
     assert form_value(q, b.column(1), b.column(1)) == 0
@@ -147,17 +147,17 @@ def test_middle_layer_folds_without_square_roots():
 
 def test_lone_middle_pivot_needs_a_square_root():
     f, w, q = pure_line_structure([-1])
-    b = adapted_basis(f, w, q)   # -1 = i^2 is a square over the Gaussians
+    b = adapted_basis(MixedHodge(0, w, f, q))   # -1 = i^2 is a square over the Gaussians
     assert form_value(q, b.column(0), b.column(0)) == 1
     f, w, q = pure_line_structure([2])
     with pytest.raises(ValueError, match="square root"):
-        adapted_basis(f, w, q)
+        adapted_basis(MixedHodge(0, w, f, q))
 
 
 def test_unfoldable_pivots_are_rejected():
     f, w, q = pure_line_structure([1, 1, 2])
     with pytest.raises(ValueError, match="fold"):
-        adapted_basis(f, w, q)
+        adapted_basis(MixedHodge(0, w, f, q))
 
 
 def test_odd_weight_span_has_no_center():
@@ -165,7 +165,7 @@ def test_odd_weight_span_has_no_center():
     f = DecreasingFiltration(2, {0: Subspace.full(2)})
     q = Mat([[1, 0], [0, 1]])
     with pytest.raises(ValueError, match="no compatible basis"):
-        adapted_basis(f, w, q)
+        adapted_basis(MixedHodge(0, w, f, q))
 
 
 # -- building orbit specs ------------------------------------------------------
@@ -197,9 +197,6 @@ def test_nonpolarized_cone_is_rejected():
     h = tate_normalize(induce(negated_curve()))
     with pytest.raises(ValueError, match="polarize"):
         orbit_spec(h, {}, n_coords=1)
-    # the escape hatch builds the spec anyway
-    spec = orbit_spec(h, {}, n_coords=1, check=False)
-    assert spec.dim == 2
 
 
 def test_rescaling_validation():
@@ -472,10 +469,6 @@ def test_generator_levels():
 
 
 def test_levels_require_a_polarizing_cone():
-    h = tate_normalize(induce(negated_curve()))
-    spec = orbit_spec(h, {}, n_coords=1, check=False)
-    with pytest.raises(ValueError, match="polarize"):
-        generator_level_check(spec)
     pure = orbit_spec(tate_normalize(induce(weight_three_line())), {}, n_coords=0)
     with pytest.raises(ValueError, match="no generators"):
         generator_level_check(pure)
