@@ -1,5 +1,12 @@
 """Increasing and decreasing filtrations, and weight filtrations of nilpotents.
 
+One class body serves both directions.  A filtration carries a sign, +1
+for an increasing W and -1 for a decreasing F, and read in the order of
+sign·level its steps grow: zero before the first jump, constant after the
+last.  Every operation (lookup, graded dimensions, shifts, the level of a
+vector, the isotropy test for a pairing and the shift test for an
+operator) is written once against that order.
+
 A filtration is stored by its jump levels only, so two filtrations agreeing at
 every integer compare equal regardless of which levels the caller recorded.
 """
@@ -10,20 +17,39 @@ from .exactlin import Mat, Subspace, dot, kernel, extend_basis
 
 
 class _Filtration:
-    __slots__ = ("ambient", "steps")
+    """Steps X_l of Q(i)^ambient that grow in the order of _sign * l.
+
+    Each subclass sets _sign and its _nesting_error.  `steps` holds the
+    jumps as ascending (level, Subspace) pairs, whichever the direction.
+    X_l is the step of the last jump at or before l in growing order, and
+    zero before the first; that zero is built once per filtration.
+    """
+
+    __slots__ = ("ambient", "steps", "_zero")
 
     def __init__(self, ambient, steps):
         self.ambient = int(ambient)
-        items = sorted(steps.items())
-        for _, sub in items:
+        self._zero = Subspace.zero(self.ambient)
+        kept = []
+        prev = self._zero
+        for l, sub in sorted(steps.items(), key=lambda item: self._sign * item[0]):
             if not isinstance(sub, Subspace) or sub.ambient != self.ambient:
                 raise ValueError("each step must be a subspace of the ambient space")
-        self._validate_nesting(items)
-        self.steps = tuple(self._canonicalize(items))
+            if not sub.contains(prev):
+                raise ValueError(self._nesting_error)
+            if sub != prev:
+                kept.append((l, sub))
+                prev = sub
+        self.steps = tuple(kept[::self._sign])
 
     @property
     def jump_levels(self):
         return tuple(l for l, _ in self.steps)
+
+    @property
+    def _growing(self):
+        """The steps in the order in which they grow."""
+        return self.steps[::self._sign]
 
     def __eq__(self, other):
         return (type(other) is type(self)
@@ -43,119 +69,92 @@ class _Filtration:
         body = ", ".join(f"{l}:{s.dim}" for l, s in self.steps)
         return f"{type(self).__name__}({body})"
 
-
-class IncreasingFiltration(_Filtration):
-    """W_l with W_l ⊆ W_{l+1}; zero below the first jump, constant after the last."""
-
-    def _validate_nesting(self, items):
-        for (_, lo), (_, hi) in zip(items, items[1:]):
-            if not hi.contains(lo):
-                raise ValueError("increasing filtration steps must be nested upward")
-
-    def _canonicalize(self, items):
-        kept = []
-        prev = Subspace.zero(self.ambient)
-        for l, sub in items:
-            if sub != prev:
-                kept.append((l, sub))
-                prev = sub
-        return kept
-
     def at(self, l) -> Subspace:
-        out = Subspace.zero(self.ambient)
-        for jump, sub in self.steps:
-            if jump > l:
+        out = self._zero
+        for jump, sub in self._growing:
+            if self._sign * jump > self._sign * l:
                 break
             out = sub
         return out
 
     def gr_dim(self, l):
-        return self.at(l).dim - self.at(l - 1).dim
+        return self.at(l).dim - self.at(l - self._sign).dim
 
     def shift(self, s):
-        """The filtration l ↦ W_{l+s}."""
-        return IncreasingFiltration(self.ambient, {l - s: sub for l, sub in self.steps})
+        """The filtration l ↦ X_{l+s}."""
+        return type(self)(self.ambient, {l - s: sub for l, sub in self.steps})
 
     def is_exhaustive(self):
-        return bool(self.steps) and self.steps[-1][1] == Subspace.full(self.ambient)
+        return bool(self.steps) and self._growing[-1][1].dim == self.ambient
 
     @classmethod
     def from_generators(cls, ambient, gens):
-        """W_l spanned by every generator listed at level l or below."""
-        levels = sorted(gens)
+        """X_l spanned by every generator listed at l or before it in growing order."""
         acc = []
         steps = {}
-        for l in levels:
+        for l in sorted(gens, key=lambda l: cls._sign * l):
             acc.extend(gens[l])
             steps[l] = Subspace(ambient, acc)
         return cls(ambient, steps)
+
+    def isotropy(self, q: Mat, bound: int):
+        """Check Q(X_a, X_b) = 0 whenever sign·(a+b) < sign·bound.
+
+        W passes bound 2n, for Q(W_a, W_b) = 0 when a+b < 2n, and F passes n,
+        for Q(F^a, F^b) = 0 when a+b > n.  Returns (True, None) or (False,
+        (a, b, u, v)) with Q(u, v) != 0: a runs over the jump levels in
+        ascending order, and b is a's admissible partner with the largest
+        step, which contains the steps of all the others.
+        """
+        s = self._sign
+        jumps = self.jump_levels
+        for a in jumps:
+            partners = [b for b in jumps if s * (a + b) < s * bound]
+            if not partners:
+                continue
+            b = max(partners, key=lambda m: s * m)
+            right = self.at(b).basis
+            q_right = [q.apply(v) for v in right]
+            for u in self.at(a).basis:
+                for v, qv in zip(right, q_right):
+                    if dot(u, qv):
+                        return False, (a, b, u, v)
+        return True, None
+
+    def first_escape(self, x: Mat, shift: int):
+        """The first jump l, ascending, with x·X_l ⊄ X_{l+shift}, or None.
+
+        The jumps suffice: from one jump to the next X_l stays put while
+        X_{l+shift} can only grow.
+        """
+        for l, sub in self.steps:
+            if not self.at(l + shift).contains(sub.apply(x)):
+                return l
+        return None
+
+
+class IncreasingFiltration(_Filtration):
+    """W_l with W_l ⊆ W_{l+1}; zero below the first jump, constant after the last."""
+
+    _sign = 1
+    _nesting_error = "increasing filtration steps must be nested upward"
 
 
 class DecreasingFiltration(_Filtration):
     """F^k with F^k ⊇ F^{k+1}; constant before the first jump, zero after the last."""
 
-    def _validate_nesting(self, items):
-        for (_, hi), (_, lo) in zip(items, items[1:]):
-            if not hi.contains(lo):
-                raise ValueError("decreasing filtration steps must be nested downward")
-
-    def _canonicalize(self, items):
-        kept = []
-        prev = Subspace.zero(self.ambient)
-        for l, sub in reversed(items):
-            if sub != prev:
-                kept.append((l, sub))
-                prev = sub
-        kept.reverse()
-        return kept
-
-    def at(self, k) -> Subspace:
-        out = Subspace.zero(self.ambient)
-        for jump, sub in reversed(self.steps):
-            if jump < k:
-                break
-            out = sub
-        return out
-
-    def gr_dim(self, k):
-        return self.at(k).dim - self.at(k + 1).dim
-
-    def shift(self, s):
-        """The filtration k ↦ F^{k+s}."""
-        return DecreasingFiltration(self.ambient, {k - s: sub for k, sub in self.steps})
-
-    def is_exhaustive(self):
-        return bool(self.steps) and self.steps[0][1] == Subspace.full(self.ambient)
-
-    @classmethod
-    def from_generators(cls, ambient, gens):
-        """F^k spanned by every generator listed at level k or above."""
-        levels = sorted(gens, reverse=True)
-        acc = []
-        steps = {}
-        for k in levels:
-            acc.extend(gens[k])
-            steps[k] = Subspace(ambient, acc)
-        return cls(ambient, steps)
+    _sign = -1
+    _nesting_error = "decreasing filtration steps must be nested downward"
 
 
-def level(v, filt: IncreasingFiltration):
-    """Smallest l with v ∈ W_l.  The zero vector has no level."""
+def level(v, filt: _Filtration):
+    """The first jump, in growing order, whose step holds v: the smallest l
+    with v ∈ W_l, or the largest k with v ∈ F^k.  The zero vector has none."""
     if not any(v):
         raise ValueError("the zero vector lies in every step")
-    for l, sub in filt.steps:
+    for l, sub in filt._growing:
         if sub.contains_vector(v):
             return l
-    raise ValueError("vector lies outside the filtration")
-
-
-def colevel(v, filt: DecreasingFiltration):
-    """Largest k with v ∈ F^k.  The zero vector has no colevel."""
-    if not any(v):
-        raise ValueError("the zero vector lies in every step")
-    for k, sub in reversed(filt.steps):
-        if sub.contains_vector(v):
-            return k
     raise ValueError("vector lies outside the filtration")
 
 
@@ -230,25 +229,3 @@ def weight_axioms_hold(wf: IncreasingFiltration, n_op: Mat, center: int):
             return False, f"power {l} is not an isomorphism on the graded pieces"
     return True, None
 
-
-def isotropy_check(wf: IncreasingFiltration, q: Mat, n: int):
-    """Check Q(W_l, W_m) = 0 whenever l + m < 2n.
-
-    Returns (True, None) or (False, (l, m, u, v)) with a witness pair.
-    """
-    jumps = wf.jump_levels
-    for l in jumps:
-        # largest admissible partner suffices, since W_m grows with m
-        best = None
-        for m in jumps:
-            if l + m < 2 * n and (best is None or m > best):
-                best = m
-        if best is None:
-            continue
-        right = wf.at(best).basis
-        q_right = [q.apply(v) for v in right]
-        for u in wf.at(l).basis:
-            for v, qv in zip(right, q_right):
-                if dot(u, qv):
-                    return False, (l, best, u, v)
-    return True, None

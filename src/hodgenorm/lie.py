@@ -16,7 +16,6 @@ layer back to honest matrices when brackets or actions are needed.
 from dataclasses import dataclass
 
 from .exactlin import (
-    ONE,
     ZERO,
     Mat,
     Subspace,
@@ -40,12 +39,6 @@ def unflatten_matrix(v, nrows, ncols=None):
     if len(v) != nrows * ncols:
         raise ValueError("vector length does not match the requested shape")
     return Mat([v[i * ncols:(i + 1) * ncols] for i in range(nrows)])
-
-
-def _unit_matrix(i, j, n):
-    rows = [[ZERO] * n for _ in range(n)]
-    rows[i][j] = ONE
-    return Mat(rows)
 
 
 @dataclass(frozen=True)
@@ -99,14 +92,26 @@ def lie_algebra(q: Mat) -> LieAlgebraBasis:
         eps = -1
     else:
         raise ValueError("pairing must be symmetric or antisymmetric")
-    q_inv = q.inverse()
-    seeds = []
+    # q^{-1} (E_ij - eps E_ji) has two nonzero columns: column j is column i
+    # of q^{-1}, and column i is -eps times column j of q^{-1}
+    q_inv_cols = q.inverse().cols()
+    basis = []
     for i in range(n):
         if eps == -1:
-            seeds.append(_unit_matrix(i, i, n))
+            basis.append(_with_columns(n, {i: q_inv_cols[i]}))
         for j in range(i + 1, n):
-            seeds.append(_unit_matrix(i, j, n) - eps * _unit_matrix(j, i, n))
-    return LieAlgebraBasis(q, tuple(q_inv * s for s in seeds))
+            basis.append(_with_columns(
+                n, {j: q_inv_cols[i], i: vec_scale(-eps, q_inv_cols[j])}))
+    return LieAlgebraBasis(q, tuple(basis))
+
+
+def _with_columns(n, columns):
+    """The n x n matrix with the given {index: column} and zeros elsewhere."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for j, col in columns.items():
+        for i, x in enumerate(col):
+            rows[i][j] = x
+    return Mat(rows)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,12 @@ class MixedHodge:
     def _split(self) -> DeligneSplitting:
         return deligne_split(self)
 
+    @cached_property
+    def f_isotropy(self):
+        """F.isotropy(q, n): whether Q(F^a, F^b) = 0 for a + b > n, with its
+        witness; tested once and shared by every reader."""
+        return self.f.isotropy(self.q, self.n)
+
 
 class DeligneSplitting:
     """The bigraded pieces of a mixed structure, indexed by (p, q)."""
@@ -116,7 +122,8 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     """Compute the canonical splitting; reject inputs that are not mixed Hodge.
 
     Every defining identity of the splitting is checked exactly and a
-    ValueError names the first failure.  Nothing is cached here: each call
+    ValueError names the first failure, under the field f as MixedHodge's
+    own errors name theirs.  Nothing is cached here: each call
     computes afresh, and MixedHodge.split() is the shared, cached copy.
     """
     w, f = structure.w, structure.f
@@ -143,7 +150,7 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     split = DeligneSplitting(dim, pieces)
     defect = splitting_defect(structure, split)
     if defect is not None:
-        raise ValueError(f"not a mixed Hodge structure: {defect}")
+        raise ValueError(f"f: not a mixed Hodge structure: {defect}")
     return split
 
 
@@ -195,23 +202,6 @@ def f_infinity(split: DeligneSplitting, n: int) -> DecreasingFiltration:
     return DecreasingFiltration.from_generators(split.ambient, gens)
 
 
-def first_relation_holds(f: DecreasingFiltration, q: Mat, n: int):
-    """Check Q(F^a, F^b) = 0 whenever a + b > n; returns (ok, witness)."""
-    jumps = f.jump_levels
-    for a in jumps:
-        partners = [b for b in jumps if a + b > n]
-        if not partners:
-            continue
-        b = min(partners)  # deeper levels are contained in this one
-        right = f.at(b).basis
-        q_right = [q.apply(v) for v in right]
-        for u in f.at(a).basis:
-            for v, qv in zip(right, q_right):
-                if dot(u, qv):
-                    return False, (a, b, u, v)
-    return True, None
-
-
 # -- nilpotent cones ---------------------------------------------------------
 
 
@@ -255,12 +245,12 @@ class NilpotentCone:
 def cone_compatibility(structure: MixedHodge, cone: NilpotentCone):
     """Each generator must shift W by -2 and F by -1; returns (ok, detail)."""
     for idx, g in enumerate(cone):
-        for l in structure.w.jump_levels:
-            if not structure.w.at(l - 2).contains(structure.w.at(l).apply(g)):
-                return False, f"generator {idx} does not move W_{l} into W_{l - 2}"
-        for p in structure.f.jump_levels:
-            if not structure.f.at(p - 1).contains(structure.f.at(p).apply(g)):
-                return False, f"generator {idx} does not move F^{p} into F^{p - 1}"
+        l = structure.w.first_escape(g, -2)
+        if l is not None:
+            return False, f"generator {idx} does not move W_{l} into W_{l - 2}"
+        p = structure.f.first_escape(g, -1)
+        if p is not None:
+            return False, f"generator {idx} does not move F^{p} into F^{p - 1}"
     return True, None
 
 
@@ -268,10 +258,12 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
     """Decide whether (W, F, Q) is polarized by the cone.
 
     Checks, in order: the splitting identities; the vanishing Q(F^a, F^b) = 0
-    for a+b > n; agreement of W with the weight filtration of two interior
-    cone elements; W- and F-compatibility of each generator; and positivity
-    of the exact Hermitian form i^{p-q} Q(u, N^l conj v) on every primitive
-    piece I^{p,q} ∩ ker N^{l+1}, l = p+q-n ≥ 0.
+    for a+b > n, read from the structure's f_isotropy, which is shared with
+    every other reader; agreement of W with the weight filtration of two
+    interior cone elements; W- and F-compatibility of each generator
+    (cone_compatibility); and positivity of the exact Hermitian form
+    i^{p-q} Q(u, N^l conj v) on every primitive piece I^{p,q} ∩ ker N^{l+1},
+    l = p+q-n ≥ 0.
     """
     if structure.q is None:
         return False, "no pairing to polarize"
@@ -280,7 +272,7 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
     except ValueError as err:
         return False, str(err)
     n = structure.n
-    ok, witness = first_relation_holds(structure.f, structure.q, n)
+    ok, witness = structure.f_isotropy
     if not ok:
         a, b, _, _ = witness
         return False, f"pairing does not vanish on F^{a} x F^{b}"

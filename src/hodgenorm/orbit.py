@@ -41,12 +41,11 @@ from .exactlin import (
     vec_scale,
     vec_sub,
 )
-from .filtrations import level, weight_filtration
+from .filtrations import IncreasingFiltration, level, weight_filtration
 from .induced import Markers, locate_markers
 from .mhs import (
     MixedHodge,
     NilpotentCone,
-    first_relation_holds,
     i_power,
     polarization_check,
 )
@@ -191,7 +190,7 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
     reduced to hyperbolic pairs.  Raises ValueError ("no compatible basis:
     ...") whenever (F, W, Q) are inconsistent.
     """
-    n, f, q = structure.n, structure.f, structure.q
+    n, q = structure.n, structure.q
     jumps = structure.w.jump_levels
     if not jumps or jumps[0] + jumps[-1] != 2 * n:
         raise ValueError(
@@ -200,7 +199,7 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
         split = structure.split()
     except ValueError as err:
         raise ValueError(f"no compatible basis: {err}") from err
-    ok, _ = first_relation_holds(f, q, n)
+    ok, _ = structure.f_isotropy
     if not ok:
         raise ValueError(
             "no compatible basis: the pairing does not vanish on opposite filtration levels")
@@ -306,22 +305,6 @@ def _canonical_coeffs(zeta_coeffs, k, n_coords, dim):
     return canon
 
 
-def _grade_lowering_spans(structure):
-    """For each filtration grade p, the span of all strictly lower layers."""
-    split = structure.structure().split()
-    by_p = {}
-    for (p, _), sub in split.pieces.items():
-        by_p.setdefault(p, []).append(sub)
-    below = {}
-    acc = Subspace.zero(structure.dim)
-    for p in sorted(by_p):
-        below[p] = acc
-        for sub in by_p[p]:
-            acc = acc + sub
-    pieces_by_p = {p: subs for p, subs in by_p.items()}
-    return pieces_by_p, below
-
-
 def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSpec:
     """Validate degeneration data and assemble an OrbitSpec.
 
@@ -352,17 +335,20 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSp
 
     coeffs = _canonical_coeffs(zeta_coeffs, k, n_coords, structure.dim)
     if coeffs:
-        pieces_by_p, below = _grade_lowering_spans(structure)
+        # G_p spans the splitting pieces of grade p or less; a twist
+        # coefficient lowers the grade when it maps each G_p into G_{p-1}
+        by_grade = {}
+        for (p, _), sub in structure.structure().split().pieces.items():
+            by_grade.setdefault(p, []).extend(sub.basis)
+        grades = IncreasingFiltration.from_generators(structure.dim, by_grade)
         q = structure.q
         for idx, poly in coeffs.items():
             for expo, coeff in poly.items():
                 where = f"f_{sorted(idx)} at exponent {expo}"
                 if not (coeff.transpose() * q + q * coeff).is_zero():
                     raise ValueError(f"{where} is not an infinitesimal isometry of the pairing")
-                for p, subs in pieces_by_p.items():
-                    for sub in subs:
-                        if not below[p].contains(sub.apply(coeff)):
-                            raise ValueError(f"{where} does not strictly lower the filtration grade")
+                if grades.first_escape(coeff, -1) is not None:
+                    raise ValueError(f"{where} does not strictly lower the filtration grade")
                 for j in sorted(idx):
                     if not commutator(coeff, cone.generators[j]).is_zero():
                         raise ValueError(f"{where} does not commute with generator {j}")
@@ -780,10 +766,6 @@ class FiberReport:
         return self.lowers_weights
 
 
-def _moves_weights_by(x, w, shift):
-    return all(w.at(l + shift).contains(sub.apply(x)) for l, sub in w.steps)
-
-
 def fiber_test(spec: OrbitSpec, stratum=None) -> FiberReport:
     """Whether log zeta restricted to a stratum strictly lowers the weights.
 
@@ -804,12 +786,12 @@ def fiber_test(spec: OrbitSpec, stratum=None) -> FiberReport:
     w = spec.structure.w
     weak = True
     for idx, expo, coeff in survivors:
-        if not _moves_weights_by(coeff, w, 0):
+        if w.first_escape(coeff, 0) is not None:
             weak = False
             return FiberReport(False, False,
                                f"f_{sorted(idx)} at exponent {expo} moves weights upward")
     for idx, expo, coeff in survivors:
-        if not _moves_weights_by(coeff, w, -1):
+        if w.first_escape(coeff, -1) is not None:
             return FiberReport(False, weak,
                                f"f_{sorted(idx)} at exponent {expo} preserves but does not lower weights")
     return FiberReport(True, weak, "all surviving twist coefficients strictly lower the weights")

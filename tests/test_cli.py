@@ -1,17 +1,23 @@
 """Command-line layer: fixture codec, commands, suites, exit codes."""
 
+import contextlib
+import copy
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hodgenorm import cli, fixtures
+from hodgenorm.filtrations import _Filtration, DecreasingFiltration
 from hodgenorm.cli import (
     dump_document,
     Fixture,
@@ -226,6 +232,10 @@ def test_diamond_matches_the_printed_table(capsys):
     dims = [int(line.rsplit(":", 1)[1]) for line in out.splitlines()
             if line.startswith("  (")]
     assert sorted(dims) == [1, 1, 1, 1, 4, 4, 4, 4]
+    # only check and probe have numeric verdicts, so only they take --tol
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "diamond", DATA / "a1.json", "--tol", "1e-3")
+    assert exc.value.code == 2
 
 
 def test_markers_on_the_elliptic_fixture(capsys):
@@ -521,9 +531,17 @@ def count_mhs_calls(monkeypatch, *names):
 @pytest.mark.parametrize("name", ["varying", "hermitian"])
 def test_check_splits_and_polarizes_the_structure_once(name, monkeypatch, capsys):
     counts = count_mhs_calls(monkeypatch, "deligne_split", "polarization_check")
+    counts["f_isotropy"] = 0
+    isotropy = _Filtration.isotropy
+
+    def counting(filt, *args):
+        counts["f_isotropy"] += isinstance(filt, DecreasingFiltration)
+        return isotropy(filt, *args)
+
+    monkeypatch.setattr(_Filtration, "isotropy", counting)
     code, _, _ = run(capsys, "check", DATA / f"{name}.json")
     assert code == 0
-    assert counts == {"deligne_split": 1, "polarization_check": 1}
+    assert counts == {"deligne_split": 1, "polarization_check": 1, "f_isotropy": 1}
 
 
 def test_failed_orbit_build_is_reported_by_every_suite(tmp_path, monkeypatch, capsys):
@@ -555,6 +573,67 @@ def test_isotropy_witness_names_the_largest_partner_level(tmp_path, capsys):
     assert code == 1
     assert ("FAIL  isotropy.common-filtration  pairing survives at levels (0, 1)"
             in out.splitlines())
+
+
+# -- mutation fuzz at the input boundary -----------------------------------------------
+
+
+def _paths(node, path=()):
+    """Every path into a JSON document, the root () first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+FUZZ_DOCS = {name: json.loads((DATA / name).read_text()) for name in ("elliptic.json", "pair.json")}
+FUZZ_SITES = [(name, path) for name, doc in FUZZ_DOCS.items() for path in _paths(doc)]
+# a bool, null, string, nested list, and rationals beyond either end of the float range
+FUZZ_VALUES = [True, None, "x", [["1"]], "1e400", "1e-400"]
+FIELD_PATH = re.compile(r"error: [\w$]+(\[[^\]]*\]|\.\w+)*: ")
+
+
+def _mutated(doc, path, kind, value):
+    """A copy of doc with the node at path swapped for value, dropped, given
+    one more (unknown) entry, or with its sign flipped."""
+    box = [copy.deepcopy(doc)]
+    *above, key = (0,) + path
+    parent = box
+    for step in above:
+        parent = parent[step]
+    node = parent[key]
+    if kind == "swap":
+        parent[key] = value
+    elif kind == "drop":
+        del parent[key]
+    elif kind == "add" and isinstance(node, dict):
+        node["unknown"] = value
+    elif kind == "add" and isinstance(node, list):
+        node.append(value)
+    elif kind == "flip" and isinstance(node, str):
+        parent[key] = node[1:] if node.startswith("-") else "-" + node
+    elif kind == "flip" and cli._is_int(node):
+        parent[key] = -node
+    return box[0] if box else {}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(site=st.sampled_from(FUZZ_SITES),
+       kind=st.sampled_from(["swap", "drop", "add", "flip"]),
+       value=st.sampled_from(FUZZ_VALUES),
+       command=st.sampled_from(["diamond", "check"]))
+def test_mutated_fixtures_exit_cleanly_and_name_the_field(site, kind, value, command,
+                                                          tmp_path_factory):
+    name, path = site
+    target = tmp_path_factory.mktemp("fuzz") / name
+    target.write_text(json.dumps(_mutated(FUZZ_DOCS[name], path, kind, value)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(target)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert FIELD_PATH.match(err.getvalue()), err.getvalue()
 
 
 # -- resource and float-range preconditions -----------------------------------------

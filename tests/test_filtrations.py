@@ -12,8 +12,6 @@ from hodgenorm.exactlin import Mat, Subspace, vec
 from hodgenorm.filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
-    colevel,
-    isotropy_check,
     level,
     weight_axioms_hold,
     weight_filtration,
@@ -77,8 +75,8 @@ def test_level_and_colevel():
     with pytest.raises(ValueError):
         level(vec((0, 0)), w)
     f = DecreasingFiltration(2, {0: Subspace.full(2), 1: span(2, (1, 0))})
-    assert colevel(vec((1, 0)), f) == 1
-    assert colevel(vec((1, 1)), f) == 0
+    assert level(vec((1, 0)), f) == 1
+    assert level(vec((1, 1)), f) == 0
 
 
 # -- weight filtrations ------------------------------------------------------
@@ -175,13 +173,13 @@ def test_axiom_checker_rejects_a_wrong_filtration():
 def test_isotropy_check_passes_on_symplectic_pair():
     w = IncreasingFiltration(2, {0: span(2, (0, 1)), 2: Subspace.full(2)})
     q = Mat([[0, 1], [-1, 0]])
-    ok, witness = isotropy_check(w, q, n=1)
+    ok, witness = w.isotropy(q, 2)
     assert ok and witness is None
 
 
 def test_isotropy_check_reports_a_witness():
     w = IncreasingFiltration(2, {0: span(2, (0, 1)), 2: Subspace.full(2)})
-    ok, witness = isotropy_check(w, Mat.identity(2), n=1)
+    ok, witness = w.isotropy(Mat.identity(2), 2)
     assert not ok
     l, m, u, v = witness
     assert (l, m) == (0, 0)

@@ -18,7 +18,6 @@ from hodgenorm.mhs import (
     cone_compatibility,
     deligne_split,
     f_infinity,
-    first_relation_holds,
     hodge_diamond,
     polarization_check,
 )
@@ -129,7 +128,7 @@ def test_two_chain_pair_split_and_polarization():
     assert ok
     ok, detail = polarization_check(structure, cone)
     assert ok, detail
-    ok, _ = first_relation_holds(structure.f, structure.q, 2)
+    ok, _ = structure.f.isotropy(structure.q, 2)
     assert ok
 
 
