@@ -21,7 +21,7 @@ from functools import cached_property
 from .exactlin import GaussianRational, Mat, Subspace
 from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
 from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
-from .lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
+from .lie import flatten_matrix, hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
 # deligne_split stays bound here for callers that reach it through this module
 from .mhs import deligne_split, NilpotentCone  # noqa: F401
 from .orbit import (
@@ -604,7 +604,6 @@ def suite_bracket(fixture, args):
                      " checks above"))
     if len(data.cone):
         deg = lsplit.span_where(lambda p, q: (p, q) == (-1, -1))
-        from .lie import flatten_matrix
         contained = all(deg.contains_vector(flatten_matrix(g))
                         for g in data.cone.generators)
         out.append(Check("bracket.cone-containment", contained,
@@ -725,7 +724,7 @@ SUITE_RUNNERS = {
 
 
 def cmd_check(fixture, args):
-    names = SUITES if args.suite in (None, "all") else (args.suite,)
+    names = SUITES if args.suite == "all" else (args.suite,)
     if FLOAT_SUITES.intersection(names):
         _require_floats(fixture)
     checks = []
@@ -764,7 +763,7 @@ def cmd_probe(fixture, args):
     _require_floats(fixture)
     spec = fixture.orbit()
     cfg = ProbeConfig(tol=args.tol)
-    which = PROBES if args.suite in (None, "all") else (args.suite,)
+    which = PROBES if args.suite == "all" else (args.suite,)
     deep = tuple(range(spec.k))
     lines, report, code = [], {}, 0
     if "radial" in which:

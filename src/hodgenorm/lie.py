@@ -1,12 +1,18 @@
 """Infinitesimal symmetries of a pairing and their bigraded layers.
 
 For a nondegenerate (anti)symmetric pairing q on V, the matrices X with
-X^T q + q X = 0 form a Lie algebra g.  A mixed structure on V makes g
-bigraded: g^{p,q} collects the elements that shift every splitting piece of
-V by (p, q).  Two verdicts read off this decomposition drive everything
-downstream — whether the layers stay inside the unit box |p|, |q| <= 1, and
-whether the part of g transverse to the stabilizer of F is confined to
-nonpositive total degree.
+X^T q + q X = 0 form a Lie algebra g, with the closed-form basis of
+`lie_algebra`.  A mixed structure on V makes g bigraded: g^{p,q} collects
+the elements that shift every splitting piece of V by (p, q).  Two verdicts
+read off this decomposition drive everything downstream — whether the
+layers stay inside the unit box |p|, |q| <= 1, and whether the part of g
+transverse to the stabilizer of F is confined to nonpositive total degree.
+
+`lie_deligne_split` reads the layers off the closed-form basis taken in a
+basis adapted to the splitting.  Under a polarization, Q pairs I^{p,q} only
+with I^{n-p,n-q}, so every element shifts by one bidegree and bucketing by
+shift gives the layers; otherwise each layer is cut out of g by one kernel
+per shift.
 
 All computations are exact.  Subspaces of g live in flattened endomorphism
 coordinates (row-major, ambient dimension n^2); `slot_matrices` converts a
@@ -22,7 +28,6 @@ from .exactlin import (
     commutator,
     kernel,
     vec,
-    vec_add,
     vec_scale,
 )
 from .mhs import MixedHodge
@@ -169,67 +174,66 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
     """Decompose the symmetry algebra along the splitting of a mixed structure.
 
     The layer g^{p,q} consists of the X in g carrying each splitting piece
-    I^{r,s} of V into I^{r+p, s+q}.  Working in a basis adapted to the
-    splitting (the structure's own cached one), a candidate layer is the
-    kernel of the pairing condition restricted to matrix entries realizing
-    that exact bigrade shift, so each layer is a small independent linear
-    problem.
+    I^{r,s} of V into I^{r+p, s+q}.  In a basis adapted to the splitting
+    (the structure's own cached one), entry (k, l) shifts the bidegree by
+    g_k - g_l.  When each closed-form element has one shift, as under a
+    polarization, the elements bucketed by shift are independent, sum to g
+    and lie in their own layers, so each bucket spans its layer.  Otherwise
+    the layers are cut out of g by their definition (`_cut_out_layers`).
+    """
+    local, flats, cell_shifts = _adapted_algebra(algebra, structure)
+    supports = [{d for d, x in zip(cell_shifts, flatten_matrix(b)) if x}
+                for b in local]
+    if any(len(shifts) > 1 for shifts in supports):
+        return LieSplit(algebra, _cut_out_layers(local, flats, cell_shifts))
+    layers = {}
+    for (d,), flat in zip(supports, flats):
+        layers.setdefault(d, []).append(flat)
+    n = algebra.ambient
+    return LieSplit(algebra, {d: Subspace(n * n, layers[d]) for d in sorted(layers)})
+
+
+def _adapted_algebra(algebra: LieAlgebraBasis, structure: MixedHodge):
+    """The closed-form algebra in a basis A adapted to the splitting.
+
+    Returns the basis X_a of the symmetry algebra of A^T q A, the flattened
+    A X_a A^{-1} (the same elements in the original coordinates), and the
+    bidegree shift of each flattened cell (k, l) of an adapted matrix.
     """
     n = algebra.ambient
     if structure.ambient != n:
         raise ValueError("mixed structure and pairing have different dimensions")
     if structure.q is not None and structure.q != algebra.q:
         raise ValueError("mixed structure carries a different pairing")
-    split = structure.split()
-
-    grades = []
-    columns = []
-    for (p, q), sub in split.pieces.items():
-        for v in sub.basis:
-            grades.append((p, q))
-            columns.append(v)
-    a = Mat.from_cols(columns)
+    pieces = structure.split().pieces
+    grades = [pq for pq, sub in pieces.items() for _ in sub.basis]
+    a = Mat.from_cols([v for sub in pieces.values() for v in sub.basis])
     a_inv = a.inverse()
-    q_a = a.transpose() * algebra.q * a
+    local = lie_algebra(a.transpose() * algebra.q * a).basis
+    flats = [flatten_matrix(a * b * a_inv) for b in local]
+    cell_shifts = [(pk - pl, qk - ql) for pk, qk in grades for pl, ql in grades]
+    return local, flats, cell_shifts
 
-    present = sorted(set(grades))
-    shifts = sorted({(p2 - p1, q2 - q1)
-                     for (p1, q1) in present for (p2, q2) in present})
+
+def _cut_out_layers(local, flats, cell_shifts) -> dict:
+    """Each layer as g intersected with the shift-d endomorphisms.
+
+    Its members are the combinations of the adapted basis whose entries off
+    the shift-d cells vanish: one kernel per shift, its coefficients applied
+    to the elements in the original coordinates.
+    """
+    cells = Mat.from_cols([flatten_matrix(b) for b in local]).rows
     pieces = {}
-    for dp, dq in shifts:
-        unknowns = [(k, l) for l, gl in enumerate(grades)
-                    for k, gk in enumerate(grades)
-                    if gk == (gl[0] + dp, gl[1] + dq)]
-        if not unknowns:
-            continue
-        # entry (i, j) of X^T q_a + q_a X involves only the unknowns in
-        # column i (through q_a[k, j]) and in column j (through q_a[i, k])
-        by_col = {}
-        for idx, (k, l) in enumerate(unknowns):
-            by_col.setdefault(l, []).append((idx, k))
-        rows = []
-        for i in range(n):
-            for j in range(i, n):
-                row = [ZERO] * len(unknowns)
-                for idx, k in by_col.get(i, ()):
-                    row[idx] = q_a[k, j]
-                for idx, k in by_col.get(j, ()):
-                    row[idx] = row[idx] + q_a[i, k] if i == j else q_a[i, k]
-                if any(row):
-                    rows.append(row)
-        if not rows:
-            rows = [[ZERO] * len(unknowns)]
-        coeffs = kernel(Mat(rows))
-        vectors = []
-        for c in coeffs.basis:
-            body = [[ZERO] * n for _ in range(n)]
-            for value, (k, l) in zip(c, unknowns):
-                body[k][l] = value
-            vectors.append(flatten_matrix(a * Mat(body) * a_inv))
-        sub = Subspace(n * n, vectors)
-        if sub.dim:
-            pieces[(dp, dq)] = sub
-    return LieSplit(algebra, pieces)
+    for d in sorted(set(cell_shifts)):
+        coeffs = kernel(Mat([row for row, s in zip(cells, cell_shifts) if s != d]))
+        if coeffs.dim:
+            pieces[d] = Subspace(len(cells), _combine(coeffs, flats))
+    return pieces
+
+
+def _combine(coeffs: Subspace, flats):
+    """One combination of the flattened elements per coefficient vector."""
+    return (Mat(coeffs.basis) * Mat(flats)).rows if coeffs.dim else []
 
 
 def centralizer(algebra: LieAlgebraBasis, ns) -> Subspace:
@@ -248,15 +252,7 @@ def centralizer(algebra: LieAlgebraBasis, ns) -> Subspace:
         for nil in ns:
             stacked.extend(flatten_matrix(commutator(b, nil)))
         cols.append(stacked)
-    coeffs = kernel(Mat.from_cols(cols))
-    vectors = []
-    for c in coeffs.basis:
-        combo = (ZERO,) * (n * n)
-        for value, flat in zip(c, flats):
-            if value:
-                combo = vec_add(combo, vec_scale(value, flat))
-        vectors.append(combo)
-    return Subspace(n * n, vectors)
+    return Subspace(n * n, _combine(kernel(Mat.from_cols(cols)), flats))
 
 
 def hermitian_test(split: LieSplit):

@@ -95,7 +95,7 @@ def _symmetric_diagonal_basis(q, vectors):
             u = work[0]
             partner = next((x for x in work[1:] if gram(u, x)), None)
             if partner is None:
-                raise ValueError("no compatible basis: the middle layer pairing degenerates")
+                raise ValueError("f: no compatible basis: the middle layer pairing degenerates")
             v = vec_add(u, partner)
         d = gram(v, v)
         out.append(v)
@@ -131,7 +131,8 @@ def _middle_block_basis(q, vectors):
                 break
         if center is None:
             raise ValueError(
-                "no compatible basis: no middle-layer pivot has a Gaussian-rational square root")
+                "f: no compatible basis: no middle-layer pivot has a Gaussian-rational "
+                "square root")
     pairs = []
     while unmatched:
         a = unmatched.pop(0)
@@ -143,7 +144,7 @@ def _middle_block_basis(q, vectors):
                 break
         if fold is None:
             raise ValueError(
-                "no compatible basis: middle-layer pivots do not fold into hyperbolic pairs "
+                "f: no compatible basis: middle-layer pivots do not fold into hyperbolic pairs "
                 "over the Gaussian rationals")
         b, c = fold
         unmatched.remove(b)
@@ -167,7 +168,7 @@ def _dual_pair_normalize(q, kept, replaced):
         correction = gram.inverse()
     except ValueError:
         raise ValueError(
-            "no compatible basis: the pairing degenerates between dual layers") from None
+            "f: no compatible basis: the pairing degenerates between dual layers") from None
     anti = Mat([[ONE if i + j == k - 1 else ZERO for j in range(k)] for i in range(k)])
     c = correction * anti
     out = []
@@ -187,29 +188,27 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
     whose W must be symmetric about n; the splitting layers are sorted by
     descending grade so F comes out as initial segments, dual layers are
     normalized against each other, and the middle layer (when present) is
-    reduced to hyperbolic pairs.  Raises ValueError ("no compatible basis:
-    ...") whenever (F, W, Q) are inconsistent.
+    reduced to hyperbolic pairs.  Raises ValueError ("f: no compatible
+    basis: ...", or "w: ..." for asymmetric weights, or the splitting's own
+    error) whenever (F, W, Q) are inconsistent.
     """
     n, q = structure.n, structure.q
     jumps = structure.w.jump_levels
     if not jumps or jumps[0] + jumps[-1] != 2 * n:
         raise ValueError(
-            f"no compatible basis: weight levels are not symmetric about {n}")
-    try:
-        split = structure.split()
-    except ValueError as err:
-        raise ValueError(f"no compatible basis: {err}") from err
+            f"w: no compatible basis: weight levels are not symmetric about {n}")
+    split = structure.split()
     ok, _ = structure.f_isotropy
     if not ok:
         raise ValueError(
-            "no compatible basis: the pairing does not vanish on opposite filtration levels")
+            "f: no compatible basis: the pairing does not vanish on opposite filtration levels")
 
     pieces = dict(split.pieces)
     blocks = sorted(pieces, key=lambda pq: (-pq[0], -pq[1]))
     for p, qq in blocks:
         anti = (n - p, n - qq)
         if anti not in pieces or pieces[anti].dim != pieces[(p, qq)].dim:
-            raise ValueError("no compatible basis: splitting layers are not dually paired")
+            raise ValueError("f: no compatible basis: splitting layers are not dually paired")
 
     vectors = {pq: list(pieces[pq].basis) for pq in blocks}
     for i, bi in enumerate(blocks):
@@ -218,7 +217,7 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
                 continue
             if any(form_value(q, u, v) for u in vectors[bi] for v in vectors[bj]):
                 raise ValueError(
-                    "no compatible basis: the pairing links non-dual splitting layers")
+                    "f: no compatible basis: the pairing links non-dual splitting layers")
 
     for i, bi in enumerate(blocks):
         anti = (n - bi[0], n - bi[1])
@@ -327,11 +326,11 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSp
 
     for j, g in enumerate(cone.generators):
         if not vec_is_zero(g.apply(markers.einf)):
-            raise ValueError(f"generator {j} does not annihilate the opposite marker")
+            raise ValueError(f"cone[{j}]: generator {j} does not annihilate the opposite marker")
 
     ok, detail = polarization_check(structure.structure(), cone)
     if not ok:
-        raise ValueError(f"cone does not polarize the limit data: {detail}")
+        raise ValueError(f"cone: does not polarize the limit data: {detail}")
 
     coeffs = _canonical_coeffs(zeta_coeffs, k, n_coords, structure.dim)
     if coeffs:
@@ -343,8 +342,9 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSp
         grades = IncreasingFiltration.from_generators(structure.dim, by_grade)
         q = structure.q
         for idx, poly in coeffs.items():
+            key = ",".join(map(str, sorted(idx)))
             for expo, coeff in poly.items():
-                where = f"f_{sorted(idx)} at exponent {expo}"
+                where = f"zeta[{key!r}]: f_{sorted(idx)} at exponent {expo}"
                 if not (coeff.transpose() * q + q * coeff).is_zero():
                     raise ValueError(f"{where} is not an infinitesimal isometry of the pairing")
                 if grades.first_escape(coeff, -1) is not None:

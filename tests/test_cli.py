@@ -556,7 +556,7 @@ def test_failed_orbit_build_is_reported_by_every_suite(tmp_path, monkeypatch, ca
     assert [name for _, name, _ in failed] == [
         "monodromy.orbit-data", "limits.orbit-data", "levels.orbit-data", "psh.levi"]
     assert {detail for _, _, detail in failed} == {
-        "f_[0] at exponent (0, 1) is not an infinitesimal isometry of the pairing"}
+        "zeta['0']: f_[0] at exponent (0, 1) is not an infinitesimal isometry of the pairing"}
     assert len(calls) == 4  # a failed build is not cached
 
 
@@ -622,7 +622,7 @@ def _mutated(doc, path, kind, value):
 @given(site=st.sampled_from(FUZZ_SITES),
        kind=st.sampled_from(["swap", "drop", "add", "flip"]),
        value=st.sampled_from(FUZZ_VALUES),
-       command=st.sampled_from(["diamond", "check"]))
+       command=st.sampled_from(["diamond", "check", "markers", "lie"]))
 def test_mutated_fixtures_exit_cleanly_and_name_the_field(site, kind, value, command,
                                                           tmp_path_factory):
     name, path = site

@@ -12,13 +12,18 @@ and sum to 21 for every a.  The hermitian/smoothness verdicts for the
 weight-two kinds were likewise worked out on paper and are frozen here.
 """
 
+import json
+import pathlib
+
 import pytest
 
-from hodgenorm import fixtures
+from hodgenorm import cli, fixtures, lie
 from hodgenorm.exactlin import Mat, commutator, vec_is_zero
 from hodgenorm.induced import induce, induced_endomorphism
 from hodgenorm.lie import (
     LieSplit,
+    _adapted_algebra,
+    _cut_out_layers,
     centralizer,
     flatten_matrix,
     hermitian_test,
@@ -31,6 +36,15 @@ from hodgenorm.lie import (
 
 def g_split(v) -> LieSplit:
     return lie_deligne_split(lie_algebra(v.q), v.structure())
+
+
+def unpolarized_pair():
+    """The pair fixture with f.1[0][4] = "1": F^1 is no longer isotropic, so
+    Q links non-dual splitting pieces and some closed-form elements mix
+    shifts."""
+    doc = json.loads((pathlib.Path(cli.__file__).parent / "data" / "pair.json").read_text())
+    doc["f"]["1"][0][4] = "1"
+    return cli.parse_fixture(doc).data
 
 
 def weight_one_g_diamond(a):
@@ -116,19 +130,42 @@ def test_layers_sum_directly_to_the_whole_algebra(make):
     assert all(total.contains_vector(flatten_matrix(b)) for b in g.basis)
 
 
-def test_layer_members_shift_splitting_pieces_as_labelled():
-    v = fixtures.weight_two(2)
-    g = lie_algebra(v.q)
-    split = lie_deligne_split(g, v.structure())
-    pieces = v.split()
-    for (p, q), sub in split.pieces.items():
-        for x in split.slot_matrices(p, q):
-            assert g.contains(x)
-            for (r, s), piece in pieces.pieces.items():
-                target = pieces.piece(r + p, s + q)
-                for b in piece.basis:
-                    image = x.apply(b)
-                    assert target.contains_vector(image) or vec_is_zero(image)
+def test_layer_members_shift_splitting_pieces_as_labelled(monkeypatch):
+    cut_outs = []
+
+    def counting(*args):
+        cut_outs.append(args)
+        return _cut_out_layers(*args)
+
+    monkeypatch.setattr(lie, "_cut_out_layers", counting)
+    # the unpolarized pair takes the cut-out route
+    for v, cut_out in ((fixtures.weight_two(2), False), (unpolarized_pair(), True)):
+        g = lie_algebra(v.q)
+        split = lie_deligne_split(g, v.structure())
+        assert bool(cut_outs) is cut_out
+        pieces = v.split()
+        for (p, q), sub in split.pieces.items():
+            for x in split.slot_matrices(p, q):
+                assert g.contains(x)
+                for (r, s), piece in pieces.pieces.items():
+                    target = pieces.piece(r + p, s + q)
+                    for b in piece.basis:
+                        image = x.apply(b)
+                        assert target.contains_vector(image) or vec_is_zero(image)
+    # only 6 of the 15 dimensions of its g shift the pieces homogeneously
+    assert split.diamond() == {(-1, -1): 3, (0, 0): 3}
+
+
+def test_cut_out_route_agrees_with_the_bucketed_route():
+    cases = [fixtures.weight_one(a) for a in range(4)]
+    cases += [fixtures.weight_two(k) for k in range(6)]
+    cases.append(fixtures.orbit_varying().structure)
+    for v in cases:
+        g = lie_algebra(v.q)
+        bucketed = lie_deligne_split(g, v.structure()).pieces
+        cut = _cut_out_layers(*_adapted_algebra(g, v.structure()))
+        assert list(cut) == list(bucketed)
+        assert cut == bucketed
 
 
 def test_bracket_respects_the_bigrading():
