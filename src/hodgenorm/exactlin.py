@@ -24,17 +24,25 @@ for zero entries.  Results are therefore the same `GaussianRational`s with
 - `Mat.det` is Bareiss's fraction-free elimination over Z[i] on the scaled
   rows, divided by the product of the row scales at the end; it skips zero
   entries, and rows that a step would only scale by 1;
-- `rref` is fraction-free Gauss-Jordan elimination over Z[i] (see there).
+- `_eliminate` is fraction-free Gauss-Jordan elimination over Z[i] on int
+  rows (see there); `rref` runs it on scaled rows.
 
 Rescaling rows leaves the row space unchanged, and the reduced echelon form
 is unique for a row space, so `rref` gives exactly the result of
-Gauss-Jordan elimination over Q(i).  `Subspace.contains_vector` and the
-entrywise sums and scalings stay on `GaussianRational` entries and skip
-zero entries.
+Gauss-Jordan elimination over Q(i).
+
+A `Subspace` keeps the Gaussian-integer rows that `_eliminate` leaves
+beside its `GaussianRational` rows, and computes on them: sums and
+Zassenhaus intersections eliminate them directly, conjugation negates
+their imaginary parts, and `contains_vector` and `contains` eliminate the
+int form of each vector against them, so only vectors handed in from
+outside are converted.  The entrywise sums and scalings of vectors and
+matrices stay on `GaussianRational` entries and skip zero entries.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm
@@ -639,31 +647,27 @@ def _reduced_row(re, im, col):
     return tuple(out)
 
 
-def rref(rows):
-    """Reduced row echelon form.
+def _eliminate(res, ims):
+    """Fraction-free Gauss-Jordan elimination over Z[i], in place.
 
-    Returns (reduced_rows, pivot_columns) with zero rows dropped, pivots
-    normalized to 1 and cleared above and below.  The result depends only on
-    the row space.
+    `res` and `ims` hold the real and imaginary parts of equal-length rows
+    of Gaussian integers, as int lists that the elimination overwrites.
+    Returns the pivot columns; the first len(pivots) rows then hold the
+    reduced echelon basis of the row space, each row with a positive
+    integer lead at its pivot and zeros in every other pivot column.
 
-    The elimination is fraction-free over Z[i], with integer content
-    removal where Bareiss (1968) divides exactly.  Each column's pivot is
-    the row with the smallest lead; the pivot row p is multiplied by the
-    conjugate of its lead, so the lead becomes a positive integer a, and
-    divided by its integer content.  Every
-    other row w with w[col] = f becomes a*w - f*p, once the common integer
-    factor of a and f is cancelled, and sheds its integer content whenever
-    it was scaled.  Rotating the lead onto the reals matters: an integer
-    gcd cannot remove a Gaussian factor such as 2+i, so eliminating with a
-    complex lead lets entries grow.
+    Integer content is removed where Bareiss (1968) divides exactly.  Each
+    column's pivot is the row with the smallest lead; the pivot row p is
+    multiplied by the conjugate of its lead, so the lead becomes a positive
+    integer a, and divided by its integer content.  Every other row w with
+    w[col] = f becomes a*w - f*p, once the common integer factor of a and f
+    is cancelled, and sheds its integer content whenever it was scaled.
+    Rotating the lead onto the reals matters: an integer gcd cannot remove
+    a Gaussian factor such as 2+i, so eliminating with a complex lead lets
+    entries grow.
     """
-    res, ims = [], []
-    for r in rows:
-        re, im, _ = _gaussian_integer_row(r)
-        res.append(re)
-        ims.append(im)
     if not res:
-        return (), ()
+        return []
     nrows = len(res)
     ncols = len(res[0])
     pivots = []
@@ -742,6 +746,29 @@ def rref(rows):
         row += 1
         if row == nrows:
             break
+    return pivots
+
+
+def _int_rows(rows):
+    """Rows as the int lists of their real and of their imaginary parts."""
+    res, ims = [], []
+    for r in rows:
+        re, im, _ = _gaussian_integer_row(r)
+        res.append(re)
+        ims.append(im)
+    return res, ims
+
+
+def rref(rows):
+    """Reduced row echelon form.
+
+    Returns (reduced_rows, pivot_columns) with zero rows dropped, pivots
+    normalized to 1 and cleared above and below.  The result depends only on
+    the row space.  The elimination is `_eliminate`'s, on the rows scaled to
+    Gaussian integers.
+    """
+    res, ims = _int_rows(rows)
+    pivots = _eliminate(res, ims)
     return tuple(map(_reduced_row, res, ims, pivots)), tuple(pivots)
 
 
@@ -784,17 +811,34 @@ def image(mat: Mat) -> "Subspace":
 
 
 class Subspace:
-    """A linear subspace of Q(i)^n with a canonical echelon basis."""
+    """A linear subspace of Q(i)^n with a canonical echelon basis.
 
-    __slots__ = ("ambient", "rows")
+    `rows` is the reduced echelon basis with pivots 1; equality and hashing
+    read it.  `int_rows` holds the same rows as `_eliminate` leaves them,
+    triples (pivot, re, im) of Gaussian integers with a positive integer
+    lead re[pivot], whose scale depends on how they were reached.
+    """
+
+    __slots__ = ("ambient", "rows", "int_rows")
 
     def __init__(self, ambient, vectors=()):
         self.ambient = int(ambient)
-        rows, _ = rref(vectors)
-        for r in rows:
-            if len(r) != self.ambient:
-                raise ValueError("vector length differs from ambient dimension")
-        self.rows = rows
+        res, ims = _int_rows(vectors)
+        if any(len(re) != self.ambient for re in res):
+            raise ValueError("vector length differs from ambient dimension")
+        self._set(res, ims, _eliminate(res, ims))
+
+    def _set(self, res, ims, pivots):
+        """Store the reduced rows that _eliminate left first in res and ims."""
+        self.rows = tuple(map(_reduced_row, res, ims, pivots))
+        self.int_rows = tuple(zip(pivots, map(tuple, res), map(tuple, ims)))
+
+    @classmethod
+    def _echelon(cls, ambient, res, ims, pivots):
+        self = object.__new__(cls)
+        self.ambient = ambient
+        self._set(res, ims, pivots)
+        return self
 
     @classmethod
     def zero(cls, ambient):
@@ -820,24 +864,46 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.rows))
 
+    def _holds(self, re, im):
+        """Whether v = re + i*im, a row of Gaussian integers, lies in the span.
+
+        Each stored row r with lead a at its pivot clears v's entry f
+        there: v becomes a*v - f*r, over their common integer factor.  The
+        other rows' pivot columns stay as they were, so v lies in the span
+        exactly when nothing is left.
+        """
+        re, im = list(re), list(im)
+        n = self.ambient
+        for p, rr, ri in self.int_rows:
+            fr, fi = re[p], im[p]
+            if not (fr or fi):
+                continue
+            a = rr[p]
+            g = gcd(a, fr, fi)
+            if g != 1:
+                a //= g
+                fr //= g
+                fi //= g
+            if a != 1:
+                re = [a * x for x in re]
+                im = [a * x for x in im]
+            for j in range(p, n):  # the row is zero left of its pivot
+                b, c = rr[j], ri[j]
+                if b or c:
+                    re[j] -= fr * b - fi * c
+                    im[j] -= fr * c + fi * b
+        return not (any(re) or any(im))
+
     def contains_vector(self, v):
-        v = list(vec(v))
-        if len(v) != self.ambient:
+        re, im, _ = _gaussian_integer_row(v)
+        if len(re) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
-        p = -1
-        for r in self.rows:
-            # echelon pivots increase and rref normalized each one to 1
-            p = next(j for j in range(p + 1, self.ambient) if r[j])
-            f = v[p]
-            if f:
-                for j in range(p, self.ambient):
-                    b = r[j]
-                    if b:
-                        v[j] = v[j] - f * b
-        return not any(v)
+        return self._holds(re, im)
 
     def contains(self, other: "Subspace"):
-        return all(self.contains_vector(r) for r in other.rows)
+        if other.int_rows and other.ambient != self.ambient:
+            raise ValueError("vector length differs from ambient dimension")
+        return all(self._holds(re, im) for _, re, im in other.int_rows)
 
     def __le__(self, other):
         return other.contains(self)
@@ -845,37 +911,45 @@ class Subspace:
     def __add__(self, other):
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
-        return Subspace(self.ambient, self.rows + other.rows)
+        rows = self.int_rows + other.int_rows
+        res = [list(re) for _, re, _ in rows]
+        ims = [list(im) for _, _, im in rows]
+        return Subspace._echelon(self.ambient, res, ims, _eliminate(res, ims))
 
     def intersect(self, other: "Subspace"):
-        """Zassenhaus: row-reduce [A|A; B|0]; zero-left rows carry A∩B."""
+        """Zassenhaus: row-reduce [A|A; B|0]; zero-left rows carry A∩B.
+
+        Those rows are the ones with a pivot in the right half, and their
+        right halves are already the reduced echelon basis of A∩B.
+        """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
         n = self.ambient
-        z = (ZERO,) * n
-        block = [r + r for r in self.rows] + [r + z for r in other.rows]
-        red, _ = rref(block)
-        inter = [r[n:] for r in red if not any(r[:n])]
-        return Subspace(n, inter)
+        z = (0,) * n
+        res = [list(re + re) for _, re, _ in self.int_rows]
+        res += [list(re + z) for _, re, _ in other.int_rows]
+        ims = [list(im + im) for _, _, im in self.int_rows]
+        ims += [list(im + z) for _, _, im in other.int_rows]
+        pivots = _eliminate(res, ims)
+        left = bisect_left(pivots, n)
+        return Subspace._echelon(n, [re[n:] for re in res[left:len(pivots)]],
+                                 [im[n:] for im in ims[left:len(pivots)]],
+                                 [p - n for p in pivots[left:]])
 
     def __and__(self, other):
         return self.intersect(other)
 
     def conj(self):
-        return Subspace(self.ambient, [vec_conj(r) for r in self.rows])
+        """The conjugate space; conjugating a reduced echelon basis keeps it reduced."""
+        out = object.__new__(Subspace)
+        out.ambient = self.ambient
+        out.rows = tuple(map(vec_conj, self.rows))
+        out.int_rows = tuple((p, re, tuple(-y for y in im)) for p, re, im in self.int_rows)
+        return out
 
     def apply(self, mat: Mat):
         """Image of this subspace under mat."""
         return Subspace(mat.nrows, [mat.apply(r) for r in self.rows])
-
-    def coords(self, v):
-        """Coordinates of v in the echelon basis, or None if v lies outside."""
-        x = solve(Mat.from_cols(self.rows), v) if self.rows else None
-        if x is None and self.rows:
-            return None
-        if not self.rows:
-            return () if vec_is_zero(vec(v)) else None
-        return x
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

@@ -20,6 +20,7 @@ layer back to honest matrices when brackets or actions are needed.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .exactlin import (
     ZERO,
@@ -210,7 +211,16 @@ def _adapted_algebra(algebra: LieAlgebraBasis, structure: MixedHodge):
     a = Mat.from_cols([v for sub in pieces.values() for v in sub.basis])
     a_inv = a.inverse()
     local = lie_algebra(a.transpose() * algebra.q * a).basis
-    flats = [flatten_matrix(a * b * a_inv) for b in local]
+    # every A X_a A^{-1} from two products: the X_a stacked, times A^{-1},
+    # then A times those blocks set side by side (rows of kernel results
+    # need no normalizing)
+    flats = []
+    if local:
+        stacked = (Mat._of_rows(chain.from_iterable(b.rows for b in local)) * a_inv).rows
+        side = Mat._of_rows(tuple(chain.from_iterable(stacked[i::n])) for i in range(n))
+        wide = (a * side).rows
+        flats = [tuple(chain.from_iterable(r[k * n:(k + 1) * n] for r in wide))
+                 for k in range(len(local))]
     cell_shifts = [(pk - pl, qk - ql) for pk, qk in grades for pl, ql in grades]
     return local, flats, cell_shifts
 

@@ -123,12 +123,23 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
 
     Every defining identity of the splitting is checked exactly and a
     ValueError names the first failure, under the field f as MixedHodge's
-    own errors name theirs.  Nothing is cached here: each call
-    computes afresh, and MixedHodge.split() is the shared, cached copy.
+    own errors name theirs.  Within one call each F^a ∩ W_b and
+    conj(F)^a ∩ W_b is formed once, keyed by the identity of the two steps
+    that at() returns, which the filtrations keep alive.  Nothing outlives
+    the call: each call computes afresh, and MixedHodge.split() is the
+    shared, cached copy.
     """
     w, f = structure.w, structure.f
     dim = structure.ambient
     fbar = f.conj()
+    meets = {}
+
+    def meet(x, y):
+        key = (id(x), id(y))
+        if key not in meets:
+            meets[key] = x.intersect(y)
+        return meets[key]
+
     pieces = {}
     if w.steps and f.steps:
         p_lo, p_hi = f.jump_levels[0], f.jump_levels[-1]
@@ -136,13 +147,13 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
         for p in range(p_lo, p_hi + 1):
             for l in range(l_lo, l_hi + 1):
                 q = l - p
-                base = f.at(p).intersect(w.at(l))
+                base = meet(f.at(p), w.at(l))
                 if not base.dim:
                     continue
-                corr = fbar.at(q).intersect(w.at(l))
+                corr = meet(fbar.at(q), w.at(l))
                 j = 1
                 while w.at(l - j - 1).dim:
-                    corr = corr + fbar.at(q - j).intersect(w.at(l - j - 1))
+                    corr = corr + meet(fbar.at(q - j), w.at(l - j - 1))
                     j += 1
                 piece = base.intersect(corr)
                 if piece.dim:
@@ -170,9 +181,8 @@ def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
     for (p, q), sub in split.pieces.items():
         target = split.piece(q, p) + split.span_where(
             lambda r, s: r < q and s < p)
-        for v in sub.basis:
-            if not target.contains_vector(vec_conj(v)):
-                return f"conjugate of piece ({p},{q}) escapes ({q},{p}) + lower"
+        if not target.contains(sub.conj()):
+            return f"conjugate of piece ({p},{q}) escapes ({q},{p}) + lower"
     return None
 
 

@@ -212,13 +212,22 @@ def test_extend_basis():
 
 
 def test_coords():
+    # coordinates in the echelon basis solve basis-as-columns * c = v
     s = Subspace(3, [vec([1, 0, 1]), vec([0, 1, 0])])
-    c = s.coords(vec([2, 3, 2]))
+    c = solve(Mat.from_cols(s.rows), vec([2, 3, 2]))
     assert c is not None
     rebuilt = [sum((ci * bi for ci, bi in zip(c, col)), start=qi(0))
                for col in zip(*s.basis)]
     assert tuple(rebuilt) == vec([2, 3, 2])
-    assert s.coords(vec([0, 0, 1])) is None
+    assert solve(Mat.from_cols(s.rows), vec([0, 0, 1])) is None
+
+
+def test_subspace_checks_every_vector_length():
+    # zero vectors too: the elimination drops them, so lengths are checked first
+    for vectors in ([(0, 0)], [(1, 0, 0), (0, 0)], [(0, 0, 0, 0)]):
+        with pytest.raises(ValueError, match="vector length differs from ambient dimension"):
+            Subspace(3, vectors)
+    assert Subspace(3, [(0, 0, 0)]) == Subspace.zero(3)
 
 
 def test_dimension_formula():

@@ -306,6 +306,101 @@ def test_solve_matches_dense_reference_on_large_entries(data):
         assert dense_apply(a, got) == tuple(rhs)
 
 
+# -- subspace operations on stored Gaussian-integer rows --------------------------------
+
+
+def dense_intersect(a_rows, b_rows):
+    """A∩B from the kernel of the stacked bases: the A-part of each relation."""
+    if not a_rows or not b_rows:
+        return ()
+    stacked = Mat.from_cols(list(a_rows) + [[-x for x in r] for r in b_rows])
+    meets = [dense_apply(Mat.from_cols(a_rows), rel[:len(a_rows)])
+             for rel in dense_kernel(stacked)]
+    return dense_rref(meets)[0] if meets else ()
+
+
+def assert_int_rows(sub):
+    """Each stored int row has a positive integer lead at its pivot, is zero
+    left of it, and divided by its lead is the matching row of `rows`."""
+    assert len(sub.int_rows) == len(sub.rows)
+    for (p, re, im), row in zip(sub.int_rows, sub.rows):
+        assert len(re) == len(im) == sub.ambient
+        assert all(type(x) is int for x in re + im)
+        lead = re[p]
+        assert lead > 0 and im[p] == 0
+        assert not any(re[:p]) and not any(im[:p])
+        assert row == tuple(GaussianRational(Fraction(x, lead), Fraction(y, lead))
+                            for x, y in zip(re, im))
+    assert_canonical(sub.rows, [p for p, _, _ in sub.int_rows])
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Two spans in one space; B may reuse rescaled combinations of A's rows,
+    so the intersection is often larger than the dimension count forces."""
+    n = draw(st.integers(1, 7))
+    a = draw(rank_deficient(draw(st.integers(0, 5)), n))
+    b_rows = [list(r) for r in draw(rank_deficient(draw(st.integers(1, 5)), n)).rows]
+    for i in range(len(b_rows)):
+        if a.rows and draw(st.booleans()):
+            c, d = draw(rescalings), draw(big_scalars)
+            x, y = (a.rows[draw(st.integers(0, a.nrows - 1))] for _ in range(2))
+            b_rows[i] = [c * u + d * v for u, v in zip(x, y)]
+    if draw(st.booleans()):
+        b_rows = [b_rows[0]]
+    return Subspace(n, a.rows), Subspace(n, b_rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_intersect_matches_dense_kernel_of_stacked_bases(pair):
+    a, b = pair
+    got = a.intersect(b)
+    assert got.rows == dense_intersect(a.rows, b.rows)
+    assert got == b.intersect(a)
+    assert got.dim + len(dense_rref(a.rows + b.rows)[1]) == a.dim + b.dim
+    assert all(dense_contains(a.rows, v) and dense_contains(b.rows, v) for v in got.rows)
+    assert_int_rows(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_sum_matches_dense_elimination_of_both_bases(pair):
+    a, b = pair
+    got = a + b
+    assert got.rows == dense_rref(a.rows + b.rows)[0]
+    assert got.contains(a) and got.contains(b)
+    assert_int_rows(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_conj_matches_dense_elimination_of_conjugates(pair):
+    for sub in pair:
+        got = sub.conj()
+        assert got.rows == dense_rref([[x.conjugate() for x in r] for r in sub.rows])[0]
+        assert got.conj() == sub
+        assert_int_rows(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_contains_matches_dense_rank(pair):
+    a, b = pair
+    assert a.contains(b) == all(dense_contains(a.rows, v) for v in b.rows)
+    assert b.contains(a) == all(dense_contains(b.rows, v) for v in a.rows)
+    for v in b.rows:
+        assert a.contains_vector(v) == dense_contains(a.rows, v)
+    assert (a + b).contains(b) and a.contains(a.intersect(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide)
+def test_stored_int_rows_over_their_leads_are_the_rows(a):
+    assert_int_rows(Subspace(a.ncols, a.rows))
+    assert_int_rows(kernel(a))
+
+
 # -- Gaussian-integer products and Bareiss determinants on large entries ---------------
 
 

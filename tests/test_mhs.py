@@ -10,7 +10,7 @@ import pytest
 
 from hodgenorm.exactlin import Mat, Subspace, qi, vec
 from hodgenorm.filtrations import DecreasingFiltration, IncreasingFiltration
-from hodgenorm.fixtures import defective_inputs, elliptic, random_split_mixed_hodge
+from hodgenorm.fixtures import defective_inputs, elliptic, random_split_mixed_hodge, weight_two
 from hodgenorm.mhs import (
     MixedHodge,
     NilpotentCone,
@@ -206,3 +206,23 @@ def test_random_split_structures_pass_all_identities():
         ok, msg = check_symmetries(split.diamond(), structure.n)
         assert ok, msg
         assert split.total_dim() == structure.ambient
+
+
+def test_deligne_split_forms_each_step_intersection_once(monkeypatch):
+    # The spy keeps every argument alive, so no id is reused within a call.
+    calls = []
+    intersect = Subspace.intersect
+
+    def spy(self, other):
+        calls.append((self, other))
+        return intersect(self, other)
+
+    monkeypatch.setattr(Subspace, "intersect", spy)
+    structure = weight_two(3).structure()
+    first = deligne_split(structure)
+    pairs = [(id(a), id(b)) for a, b in calls]
+    assert len(set(pairs)) == len(pairs)
+    made = len(calls)
+    again = deligne_split(structure)  # nothing is kept between calls
+    assert len(calls) == 2 * made
+    assert again.pieces == first.pieces
