@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactlin import GaussianRational, Mat, Subspace
+from .exactlin import GaussianRational, Mat
 from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
 from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
 from .lie import flatten_matrix, hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
@@ -360,20 +360,10 @@ def _diamond_lines(split):
 
 
 def _proportional_column(basis, vector):
-    for j in range(basis.dim):
-        col = basis.column(j)
-        pivot = None
-        ok = True
-        for a, b in zip(vector, col):
-            if (a == 0) != (b == 0):
-                ok = False
-                break
-            if b != 0 and pivot is None:
-                pivot = a / b
-        if ok and pivot is not None:
-            if tuple(pivot * b for b in col) == tuple(vector):
-                return j
-    return None
+    """The column j that vector is a nonzero multiple of, or None: the
+    columns are a basis, so j must be vector's only nonzero coordinate."""
+    support = [j for j, c in enumerate(basis.coords(vector)) if c]
+    return support[0] if len(support) == 1 else None
 
 
 def cmd_diamond(fixture, args):
@@ -527,13 +517,11 @@ def suite_symmetries(fixture, args):
     ok, witness = st.f_isotropy
     out.append(Check("symmetries.filtration-orthogonality", ok,
                      "Q(F^a, F^b) = 0 for a+b > n" if ok else f"witness {witness}"))
-    dims = {pq: sub.dim for pq, sub in split.pieces.items()}
+    dims = split.diamond()
     out.append(Check("symmetries.conjugate-dimensions",
                      all(dims.get((q, p), 0) == d for (p, q), d in dims.items()),
                      "dim I^{p,q} = dim I^{q,p}"))
-    total = Subspace.zero(st.ambient)
-    for sub in split.pieces.values():
-        total = total + sub
+    total = split.span_where(lambda p, q: True)
     out.append(Check("symmetries.direct-sum",
                      total.dim == st.ambient == sum(dims.values()),
                      f"{sum(dims.values())} piece dims fill dimension {st.ambient}"))
@@ -574,11 +562,10 @@ def suite_bracket(fixture, args):
     lsplit = lie_deligne_split(algebra, st)
     # x^T Q + Q x = 0 per basis element makes [x, y]^T Q = -Q [x, y] an
     # identity, so closure of the bracket needs no pairwise commutators.
-    isometry_ok = all((x.transpose() * data.q + data.q * x).is_zero()
-                      for x in algebra.basis)
+    isometry_ok = all(algebra.contains(x) for x in algebra.basis)
     out = [Check("bracket.isometry-algebra", isometry_ok,
                  "x^T Q + Q x = 0 on the basis; bracket closure follows")]
-    layer_total = sum(sub.dim for sub in lsplit.pieces.values())
+    layer_total = lsplit.total_dim()
     out.append(Check("bracket.layer-sum", layer_total == algebra.dim,
                      f"layer dims {layer_total} fill the algebra dim {algebra.dim}"))
     action_ok = True
@@ -603,7 +590,7 @@ def suite_bracket(fixture, args):
                      "[g^{p,q}, g^{r,s}] <= g^{p+r,q+s}, entailed by the three"
                      " checks above"))
     if len(data.cone):
-        deg = lsplit.span_where(lambda p, q: (p, q) == (-1, -1))
+        deg = lsplit.piece(-1, -1)
         contained = all(deg.contains_vector(flatten_matrix(g))
                         for g in data.cone.generators)
         out.append(Check("bracket.cone-containment", contained,
@@ -631,9 +618,9 @@ def _suite_orbit(fixture, skip_name, failure_name):
         return Check(failure_name, False, str(exc))
 
 
-def _deterministic_points(spec, count=2):
+def _deterministic_points(spec):
     points = []
-    for s in range(count):
+    for s in range(2):
         t = tuple(Fraction(1 + ((s + j) % 3), 3 + ((s + 2 * j) % 4))
                   for j in range(spec.n_coords))
         ell = tuple(GaussianRational(Fraction(s - 1, 7 + j), Fraction(1 + j, 5))

@@ -32,12 +32,14 @@ is unique for a row space, so `rref` gives exactly the result of
 Gauss-Jordan elimination over Q(i).
 
 A `Subspace` keeps the Gaussian-integer rows that `_eliminate` leaves
-beside its `GaussianRational` rows, and computes on them: sums and
-Zassenhaus intersections eliminate them directly, conjugation negates
-their imaginary parts, and `contains_vector` and `contains` eliminate the
-int form of each vector against them, so only vectors handed in from
-outside are converted.  The entrywise sums and scalings of vectors and
-matrices stay on `GaussianRational` entries and skip zero entries.
+beside its `GaussianRational` rows, and computes on them: `Subspace.sum`
+spans any number of spaces with one elimination of all their stored rows
+(`+` is its two-space case), Zassenhaus intersections eliminate them
+directly, conjugation negates their imaginary parts, and `contains_vector`
+and `contains` eliminate the int form of each vector against them, so only
+vectors handed in from outside are converted.  The entrywise sums and
+scalings of vectors and matrices stay on `GaussianRational` entries and skip
+zero entries.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import or_
 
 
@@ -311,9 +313,8 @@ class Mat:
         return cls([unit_vector(i, n) for i in range(n)])
 
     @classmethod
-    def zeros(cls, m, n=None):
-        n = m if n is None else n
-        return cls([(ZERO,) * n] * m)
+    def zeros(cls, n):
+        return cls([(ZERO,) * n] * n)
 
     @classmethod
     def from_cols(cls, cols):
@@ -562,17 +563,10 @@ def nilpotent_exp(n: Mat) -> Mat:
         term = term * n
         if term.is_zero():
             return out
-        out = out + term * Fraction(1, _factorial(k))
+        out = out + term * Fraction(1, factorial(k))
         k += 1
         if k > n.nrows:
             raise ValueError("matrix is not nilpotent")
-
-
-def _factorial(k):
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 # -- elimination -----------------------------------------------------------
@@ -908,13 +902,21 @@ class Subspace:
     def __le__(self, other):
         return other.contains(self)
 
+    @classmethod
+    def sum(cls, ambient, spaces):
+        """The span of all the spaces: one elimination of their stored int rows."""
+        ambient = int(ambient)
+        res, ims = [], []
+        for space in spaces:
+            if space.ambient != ambient:
+                raise ValueError("ambient dimensions differ")
+            for _, re, im in space.int_rows:
+                res.append(list(re))
+                ims.append(list(im))
+        return cls._echelon(ambient, res, ims, _eliminate(res, ims))
+
     def __add__(self, other):
-        if self.ambient != other.ambient:
-            raise ValueError("ambient dimensions differ")
-        rows = self.int_rows + other.int_rows
-        res = [list(re) for _, re, _ in rows]
-        ims = [list(im) for _, _, im in rows]
-        return Subspace._echelon(self.ambient, res, ims, _eliminate(res, ims))
+        return Subspace.sum(self.ambient, (self, other))
 
     def intersect(self, other: "Subspace"):
         """Zassenhaus: row-reduce [A|A; B|0]; zero-left rows carry A∩B.

@@ -161,7 +161,7 @@ def level(v, filt: _Filtration):
 # -- weight filtration of a nilpotent operator -------------------------------
 
 
-def weight_filtration(n_op: Mat, center: int = 0, check: bool = False) -> IncreasingFiltration:
+def weight_filtration(n_op: Mat, center: int = 0) -> IncreasingFiltration:
     """The unique increasing filtration W centered at `center` with
     n_op · W_l ⊆ W_{l-2} and n_op^l inducing Gr_{center+l} ≅ Gr_{center-l}.
 
@@ -194,13 +194,8 @@ def weight_filtration(n_op: Mat, center: int = 0, check: bool = False) -> Increa
             for j in range(s):
                 by_weight.setdefault(center + s - 1 - 2 * j, []).append(x)
                 x = n_op.apply(x)
-    wf = IncreasingFiltration.from_generators(dim, by_weight) if by_weight \
+    return IncreasingFiltration.from_generators(dim, by_weight) if by_weight \
         else IncreasingFiltration(dim, {center: Subspace.zero(dim)})
-    if check:
-        ok, why = weight_axioms_hold(wf, n_op, center)
-        if not ok:
-            raise ArithmeticError(f"weight filtration axioms failed: {why}")
-    return wf
 
 
 def weight_axioms_hold(wf: IncreasingFiltration, n_op: Mat, center: int):

@@ -17,14 +17,13 @@ from .induced import PureHodgeData
 from .mhs import MixedHodge, NilpotentCone
 
 
-def elliptic(sign=1):
+def elliptic():
     """Dimension-2 limiting structure of a one-parameter elliptic degeneration.
 
-    N sends e0 to e1 and Q(e0, e1) = sign; the structure is polarized exactly
-    when sign = +1.
+    N sends e0 to e1 and Q(e0, e1) = 1, which polarizes the structure.
     """
     n_op = Mat([[0, 0], [1, 0]])
-    q = Mat([[0, sign], [-sign, 0]])
+    q = Mat([[0, 1], [-1, 0]])
     w = weight_filtration(n_op, center=1)
     f = DecreasingFiltration.from_generators(
         2, {1: [vec((1, 0))], 0: [vec((0, 1))]})
@@ -35,12 +34,12 @@ def elliptic(sign=1):
 # -- random structures -------------------------------------------------------
 
 
-def random_unimodular(rng: random.Random, n: int, moves=None) -> Mat:
-    """A random integer matrix of determinant ±1 (products of row moves)."""
+def random_unimodular(rng: random.Random, n: int) -> Mat:
+    """A random integer matrix of determinant ±1: the product of 3n row moves."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n < 2:
         return Mat(m)
-    for _ in range(moves if moves is not None else 3 * n):
+    for _ in range(3 * n):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-2, 2)
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]

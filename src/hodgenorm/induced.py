@@ -23,6 +23,7 @@ from .exactlin import (
     GaussianRational,
     Mat,
     ONE,
+    Subspace,
     ZERO,
     form_value,
     vec_conj,
@@ -132,7 +133,6 @@ class PureHodgeData:
                 interior = self.cone.element((1,) * len(self.cone))
                 computed = weight_filtration(interior, center=self.weight)
             else:
-                from .exactlin import Subspace
                 computed = IncreasingFiltration(
                     self.f.ambient, {self.weight: Subspace.full(self.f.ambient)})
             object.__setattr__(self, "w", computed)
@@ -186,7 +186,6 @@ class InducedStructure:
         Independent of the general intersection formula, so the two must
         agree piece by piece; the twist shifts a monomial (P, Q) by (-k, -k).
         """
-        from .exactlin import Subspace
         gathered = {}
         for (p, q), v in self.bigraded:
             gathered.setdefault((p - self.twist, q - self.twist), []).append(v)

@@ -3,7 +3,10 @@
 For a nondegenerate (anti)symmetric pairing q on V, the matrices X with
 X^T q + q X = 0 form a Lie algebra g, with the closed-form basis of
 `lie_algebra`.  A mixed structure on V makes g bigraded: g^{p,q} collects
-the elements that shift every splitting piece of V by (p, q).  Two verdicts
+the elements that shift every splitting piece of V by (p, q).  These layers
+are the Deligne splitting of the mixed structure g inherits from End(V)
+(Cattani-Kaplan-Schmid), so `LieSplit` is a `DeligneSplitting` whose pieces
+live in End(V).  Two verdicts
 read off this decomposition drive everything downstream — whether the
 layers stay inside the unit box |p|, |q| <= 1, and whether the part of g
 transverse to the stabilizer of F is confined to nonpositive total degree.
@@ -15,8 +18,9 @@ shift gives the layers; otherwise each layer is cut out of g by one kernel
 per shift.
 
 All computations are exact.  Subspaces of g live in flattened endomorphism
-coordinates (row-major, ambient dimension n^2); `slot_matrices` converts a
-layer back to honest matrices when brackets or actions are needed.
+coordinates (row-major, ambient dimension n^2), and spans of layers are
+DeligneSplitting's; `slot_matrices` converts a layer back to honest
+matrices when brackets or actions are needed.
 """
 
 from dataclasses import dataclass
@@ -31,7 +35,7 @@ from .exactlin import (
     vec,
     vec_scale,
 )
-from .mhs import MixedHodge
+from .mhs import DeligneSplitting, MixedHodge, is_infinitesimal_isometry
 
 
 def flatten_matrix(x: Mat):
@@ -39,12 +43,12 @@ def flatten_matrix(x: Mat):
     return tuple(entry for row in x.rows for entry in row)
 
 
-def unflatten_matrix(v, nrows, ncols=None):
-    ncols = nrows if ncols is None else ncols
+def unflatten_matrix(v, n):
+    """The n x n matrix with row-major coordinates v."""
     v = vec(v)
-    if len(v) != nrows * ncols:
+    if len(v) != n * n:
         raise ValueError("vector length does not match the requested shape")
-    return Mat([v[i * ncols:(i + 1) * ncols] for i in range(nrows)])
+    return Mat([v[i * n:(i + 1) * n] for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class LieAlgebraBasis:
 
     def contains(self, x: Mat) -> bool:
         """Membership test straight from the defining equation."""
-        return x.transpose() * self.q + self.q * x == Mat.zeros(self.ambient)
+        return is_infinitesimal_isometry(x, self.q)
 
     def bracket_closure_holds(self) -> bool:
         s = self.span()
@@ -120,35 +124,22 @@ def _with_columns(n, columns):
     return Mat(rows)
 
 
-@dataclass(frozen=True)
-class LieSplit:
-    """Bigraded layers of the symmetry algebra under a mixed structure."""
+class LieSplit(DeligneSplitting):
+    """The layers g^{p,q}: the Deligne splitting of g inside End(V).
 
-    algebra: LieAlgebraBasis
-    pieces: dict
+    The pieces live in flattened End(V), so `ambient` is n^2 for
+    n = algebra.ambient; pieces, diamond and spans are DeligneSplitting's.
+    """
 
-    @property
-    def ambient(self):
-        return self.algebra.ambient
+    __slots__ = ("algebra",)
 
-    def diamond(self):
-        return {pq: sub.dim for pq, sub in sorted(self.pieces.items())}
-
-    def piece(self, p, q) -> Subspace:
-        n = self.ambient
-        return self.pieces.get((p, q), Subspace.zero(n * n))
+    def __init__(self, algebra: LieAlgebraBasis, pieces):
+        super().__init__(algebra.ambient ** 2, pieces)
+        self.algebra = algebra
 
     def slot_matrices(self, p, q):
-        n = self.ambient
+        n = self.algebra.ambient
         return [unflatten_matrix(row, n) for row in self.piece(p, q).basis]
-
-    def span_where(self, pred) -> Subspace:
-        n = self.ambient
-        vectors = []
-        for (p, q), sub in self.pieces.items():
-            if pred(p, q):
-                vectors.extend(sub.basis)
-        return Subspace(n * n, vectors)
 
     @property
     def s_f(self) -> Subspace:
@@ -282,10 +273,9 @@ def hermitian_test(split: LieSplit):
             for m in split.slot_matrices(p, q)]
     deep = [m for (p, q) in split.pieces if p + q <= -2
             for m in split.slot_matrices(p, q)]
-    zero = Mat.zeros(split.ambient)
     for x in perp:
         for y in deep:
-            if commutator(x, y) != zero:
+            if not commutator(x, y).is_zero():
                 raise ArithmeticError(
                     "unit-box layers fail the deep commutation identity")
     return True, "all layers lie in the unit box"

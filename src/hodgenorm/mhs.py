@@ -89,7 +89,13 @@ class MixedHodge:
 
 
 class DeligneSplitting:
-    """The bigraded pieces of a mixed structure, indexed by (p, q)."""
+    """The bigraded pieces I^{p,q} of a mixed structure, indexed by (p, q).
+
+    Only nonzero pieces are kept, in ascending (p, q) order.  Every span of
+    pieces (`span_where`) is one `Subspace.sum` of their stored rows.  The
+    layers of a symmetry algebra are the same object inside End(V)
+    (`lie.LieSplit`).
+    """
 
     __slots__ = ("ambient", "pieces")
 
@@ -104,18 +110,16 @@ class DeligneSplitting:
         return {pq: sub.dim for pq, sub in self.pieces.items()}
 
     def span_where(self, pred) -> Subspace:
-        vectors = []
-        for (p, q), sub in self.pieces.items():
-            if pred(p, q):
-                vectors.extend(sub.basis)
-        return Subspace(self.ambient, vectors)
+        """The span of the pieces whose bidegree satisfies pred(p, q)."""
+        return Subspace.sum(self.ambient, (sub for (p, q), sub in self.pieces.items()
+                                           if pred(p, q)))
 
     def total_dim(self):
         return sum(sub.dim for sub in self.pieces.values())
 
     def __repr__(self):
         body = ", ".join(f"({p},{q}):{s.dim}" for (p, q), s in self.pieces.items())
-        return f"DeligneSplitting[{body}]"
+        return f"{type(self).__name__}[{body}]"
 
 
 def deligne_split(structure: MixedHodge) -> DeligneSplitting:
@@ -179,8 +183,7 @@ def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
         if structure.w.at(l) != split.span_where(lambda p, q: p + q <= l):
             return f"W_{l} is not the span of pieces with p+q <= {l}"
     for (p, q), sub in split.pieces.items():
-        target = split.piece(q, p) + split.span_where(
-            lambda r, s: r < q and s < p)
+        target = split.span_where(lambda r, s: (r, s) == (q, p) or (r < q and s < p))
         if not target.contains(sub.conj()):
             return f"conjugate of piece ({p},{q}) escapes ({q},{p}) + lower"
     return None
@@ -206,13 +209,16 @@ def check_symmetries(diamond: dict, n: int, limiting: bool = False):
 
 def f_infinity(split: DeligneSplitting, n: int) -> DecreasingFiltration:
     """The opposite limit filtration: level k is the span of pieces with q ≤ n-k."""
-    gens = {}
-    for (p, q), sub in split.pieces.items():
-        gens.setdefault(n - q, []).extend(sub.basis)
-    return DecreasingFiltration.from_generators(split.ambient, gens)
+    return DecreasingFiltration(split.ambient, {
+        n - q: split.span_where(lambda r, s: s <= q) for q in {q for _, q in split.pieces}})
 
 
 # -- nilpotent cones ---------------------------------------------------------
+
+
+def is_infinitesimal_isometry(x: Mat, q: Mat) -> bool:
+    """Whether x^T q + q x = 0, so that exp(t x) preserves the pairing q."""
+    return (x.transpose() * q + q * x).is_zero()
 
 
 class NilpotentCone:
@@ -228,7 +234,7 @@ class NilpotentCone:
                 raise ValueError(f"cone[{idx}]: generator {idx} is zero")
             if not (g ** g.nrows).is_zero():
                 raise ValueError(f"cone[{idx}]: generator {idx} is not nilpotent")
-            if q is not None and not (g.transpose() * q + q * g).is_zero():
+            if q is not None and not is_infinitesimal_isometry(g, q):
                 raise ValueError(f"cone[{idx}]: generator {idx} is not infinitesimally skew")
         for i, a in enumerate(self.generators):
             for b in self.generators[i + 1:]:

@@ -47,6 +47,7 @@ from .mhs import (
     MixedHodge,
     NilpotentCone,
     i_power,
+    is_infinitesimal_isometry,
     polarization_check,
 )
 
@@ -170,15 +171,7 @@ def _dual_pair_normalize(q, kept, replaced):
         raise ValueError(
             "f: no compatible basis: the pairing degenerates between dual layers") from None
     anti = Mat([[ONE if i + j == k - 1 else ZERO for j in range(k)] for i in range(k)])
-    c = correction * anti
-    out = []
-    for b in range(k):
-        acc = (ZERO,) * len(replaced[0])
-        for g in range(k):
-            if c[g, b]:
-                acc = vec_add(acc, vec_scale(c[g, b], replaced[g]))
-        out.append(acc)
-    return out
+    return ((correction * anti).transpose() * Mat(replaced)).rows
 
 
 def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
@@ -336,16 +329,15 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSp
     if coeffs:
         # G_p spans the splitting pieces of grade p or less; a twist
         # coefficient lowers the grade when it maps each G_p into G_{p-1}
-        by_grade = {}
-        for (p, _), sub in structure.structure().split().pieces.items():
-            by_grade.setdefault(p, []).extend(sub.basis)
-        grades = IncreasingFiltration.from_generators(structure.dim, by_grade)
+        split = structure.structure().split()
+        grades = IncreasingFiltration(structure.dim, {
+            p: split.span_where(lambda r, s: r <= p) for p in {p for p, _ in split.pieces}})
         q = structure.q
         for idx, poly in coeffs.items():
             key = ",".join(map(str, sorted(idx)))
             for expo, coeff in poly.items():
                 where = f"zeta[{key!r}]: f_{sorted(idx)} at exponent {expo}"
-                if not (coeff.transpose() * q + q * coeff).is_zero():
+                if not is_infinitesimal_isometry(coeff, q):
                     raise ValueError(f"{where} is not an infinitesimal isometry of the pairing")
                 if grades.first_escape(coeff, -1) is not None:
                     raise ValueError(f"{where} does not strictly lower the filtration grade")
@@ -784,17 +776,15 @@ def fiber_test(spec: OrbitSpec, stratum=None) -> FiberReport:
             if all(expo[i] == 0 for i in stratum):
                 survivors.append((idx, expo, coeff))
     w = spec.structure.w
-    weak = True
     for idx, expo, coeff in survivors:
         if w.first_escape(coeff, 0) is not None:
-            weak = False
             return FiberReport(False, False,
                                f"f_{sorted(idx)} at exponent {expo} moves weights upward")
     for idx, expo, coeff in survivors:
         if w.first_escape(coeff, -1) is not None:
-            return FiberReport(False, weak,
+            return FiberReport(False, True,
                                f"f_{sorted(idx)} at exponent {expo} preserves but does not lower weights")
-    return FiberReport(True, weak, "all surviving twist coefficients strictly lower the weights")
+    return FiberReport(True, True, "all surviving twist coefficients strictly lower the weights")
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,8 @@ def test_level_and_colevel():
 
 def test_weight_filtration_single_jordan_block():
     n = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])  # e3 -> e2 -> e1
-    w = weight_filtration(n, center=0, check=True)
+    w = weight_filtration(n, center=0)
+    assert weight_axioms_hold(w, n, 0) == (True, None)
     assert w.jump_levels == (-2, 0, 2)
     assert w.at(-2) == span(3, E1)
     assert w.at(0) == span(3, E1, E2)
@@ -93,7 +94,8 @@ def test_weight_filtration_single_jordan_block():
 
 def test_weight_filtration_mixed_block_sizes_and_center():
     n = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])  # one 2-chain, one singleton
-    w = weight_filtration(n, center=5, check=True)
+    w = weight_filtration(n, center=5)
+    assert weight_axioms_hold(w, n, 5) == (True, None)
     assert w.jump_levels == (4, 5, 6)
     assert w.at(4) == span(3, E1)
     assert w.at(5) == span(3, E1, E3)

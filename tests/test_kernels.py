@@ -373,6 +373,41 @@ def test_sum_matches_dense_elimination_of_both_bases(pair):
     assert_int_rows(got)
 
 
+@st.composite
+def subspace_lists(draw):
+    """0-4 spans in one space, possibly rank-deficient; a later span may
+    reuse rescaled rows of an earlier one, so the spans often overlap."""
+    n = draw(st.integers(1, 7))
+    spaces = []
+    for _ in range(draw(st.integers(0, 4))):
+        rows = [list(r) for r in draw(rank_deficient(draw(st.integers(0, 4)), n)).rows]
+        earlier = [r for s in spaces for r in s.rows]
+        for i in range(len(rows)):
+            if earlier and draw(st.booleans()):
+                c = draw(rescalings)
+                rows[i] = [c * x for x in earlier[draw(st.integers(0, len(earlier) - 1))]]
+        spaces.append(Subspace(n, rows))
+    return n, spaces
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_lists())
+def test_n_ary_sum_matches_one_subspace_of_all_rows(case):
+    n, spaces = case
+    got = Subspace.sum(n, spaces)
+    assert got == Subspace(n, [r for s in spaces for r in s.rows])
+    assert all(got.contains(s) for s in spaces)
+    assert_int_rows(got)
+
+
+def test_n_ary_sum_of_nothing_is_zero_and_ambients_must_agree():
+    assert Subspace.sum(3, []) == Subspace.zero(3)
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        Subspace.sum(3, [Subspace.full(3), Subspace.full(2)])
+    with pytest.raises(ValueError, match="ambient dimensions differ"):
+        Subspace.full(3) + Subspace.zero(2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(subspace_pairs())
 def test_conj_matches_dense_elimination_of_conjugates(pair):

@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from hodgenorm import cli, fixtures, lie
-from hodgenorm.exactlin import Mat, commutator, vec_is_zero
+from hodgenorm.exactlin import Mat, Subspace, commutator, vec_is_zero
 from hodgenorm.induced import induce, induced_endomorphism
 from hodgenorm.lie import (
     LieSplit,
@@ -32,6 +32,7 @@ from hodgenorm.lie import (
     smoothness_test,
     unflatten_matrix,
 )
+from hodgenorm.mhs import DeligneSplitting
 
 
 def g_split(v) -> LieSplit:
@@ -208,13 +209,44 @@ def test_cone_generators_live_in_the_corner_layer():
         assert split.m_x.contains(corner)
 
 
+def test_layers_are_a_deligne_splitting_inside_end_v():
+    v = fixtures.weight_one(1)
+    split = g_split(v)
+    assert isinstance(split, DeligneSplitting)
+    assert split.ambient == v.dim * v.dim
+    assert split.algebra.ambient == v.dim
+    assert split.piece(5, 5) == Subspace.zero(v.dim * v.dim)
+
+
+SPANS = {
+    "s_f": lambda p, q: p >= 0,
+    "s_f_perp": lambda p, q: p < 0,
+    "s_w": lambda p, q: p + q <= 0,
+    "m_x": lambda p, q: p <= 0 and q <= 0,
+}
+
+
+SPAN_CASES = {f"weight_one({a})": lambda a=a: fixtures.weight_one(a) for a in range(4)}
+SPAN_CASES.update({f"weight_two({k})": lambda k=k: fixtures.weight_two(k) for k in range(6)})
+SPAN_CASES["curve_pair"] = fixtures.curve_pair
+
+
+@pytest.mark.parametrize("make", SPAN_CASES.values(), ids=SPAN_CASES.keys())
+def test_named_spans_are_the_spans_of_their_layers(make):
+    v = make()
+    split = g_split(v)
+    for name, chosen in SPANS.items():
+        rows = [r for (p, q), sub in split.pieces.items() if chosen(p, q) for r in sub.basis]
+        assert getattr(split, name) == Subspace(v.dim * v.dim, rows), name
+
+
 def test_stabilizer_and_transverse_part_decompose_the_algebra():
     split = g_split(fixtures.weight_two(1))
     assert split.s_f.dim + split.s_f_perp.dim == 15
     assert split.s_f.intersect(split.s_f_perp).dim == 0
     # the stabilizers are subalgebras
     for sub in (split.s_f, split.s_w, split.m_x):
-        mats = [unflatten_matrix(r, split.ambient) for r in sub.basis]
+        mats = [unflatten_matrix(r, split.algebra.ambient) for r in sub.basis]
         for i, x in enumerate(mats):
             for y in mats[i + 1:]:
                 assert sub.contains_vector(flatten_matrix(commutator(x, y)))
