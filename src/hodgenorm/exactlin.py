@@ -5,31 +5,34 @@ row tuples.  Subspaces are stored via a reduced-row-echelon basis, which is
 unique for a given row space, so subspace equality is plain tuple equality
 and no tolerance ever enters.
 
-Every kernel that multiplies runs on Gaussian integers.  A row or vector
-is read once into Python ints: its nonzero entries as (index, re, im)
-triples for the products, or dense lists of real and imaginary parts for
-the eliminations, scaled by the lcm of the denominators involved.  The
-kernel multiplies and adds those ints, visiting only nonzero entries, and
-turns each nonzero result part into one `Fraction` at the end, with `ZERO`
-for zero entries.  Results are therefore the same `GaussianRational`s with
-`Fraction` parts that arithmetic over Q(i) gives, entry for entry:
+Every kernel computes on Gaussian integers.  A row reads as its nonzero
+entries, (index, re, im) int triples, times a scale: the lcm of those
+entries' denominators.  Each nonzero result part becomes one `Fraction` at
+the end, with `ZERO` for zero entries, so results are the same
+`GaussianRational`s with `Fraction` parts that arithmetic over Q(i) gives,
+entry for entry.
 
-- `Mat.__mul__` scales each left row by its own lcm and the right matrix by
-  one lcm, then accumulates each output row in ints, row by row in the
-  manner of Gustavson's sparse product;
-- `Mat.apply` scales the vector once and, per matrix row, reads only the
-  columns where the vector is nonzero, keeping a running lcm of just those
-  entries' denominators, so a sparse vector costs its support per row;
-- `dot` multiplies the nonzero pairs of two scaled vectors;
-- `Mat.det` is Bareiss's fraction-free elimination over Z[i] on the scaled
-  rows, divided by the product of the row scales at the end; it skips zero
-  entries, and rows that a step would only scale by 1;
-- `_eliminate` is fraction-free Gauss-Jordan elimination over Z[i] on int
-  rows (see there); `rref` runs it on scaled rows.
+A `Mat` keeps that int form of its rows beside them.  Kernels set it on
+their results; a matrix built from entries reads it on first use.  So each
+operation costs the nonzero entries it meets, and an operand is converted
+once however often it is used:
 
-Rescaling rows leaves the row space unchanged, and the reduced echelon form
-is unique for a row space, so `rref` gives exactly the result of
-Gauss-Jordan elimination over Q(i).
+- `+`, `-` and scalar `*` combine the triples of each row over the lcm of
+  the two scales, and `is_zero` looks for any triple at all;
+- `*` puts the right matrix over one common denominator and accumulates
+  each output row in ints, in the manner of Gustavson's sparse product;
+- `apply` and `dot` multiply the triples that meet the vector's nonzeros;
+- `submatrix` picks its triples out of the parent's, and `det` is Bareiss's
+  fraction-free elimination over Z[i] on them, divided by the product of
+  the row scales at the end;
+- `nilpotent_exp` writes N = M/d with M a Gaussian-integer matrix, forms
+  the powers of M in ints and sums the series over the one denominator
+  d^K * K!, so each entry becomes a `Fraction` once.
+
+`_eliminate` is fraction-free Gauss-Jordan elimination over Z[i] on dense
+int rows, and `rref` runs it on scaled rows.  Rescaling rows leaves the row
+space unchanged, and the reduced echelon form is unique for a row space, so
+`rref` gives exactly the result of Gauss-Jordan elimination over Q(i).
 
 A `Subspace` keeps the Gaussian-integer rows that `_eliminate` leaves
 beside its `GaussianRational` rows, and computes on them: `Subspace.sum`
@@ -38,8 +41,8 @@ spans any number of spaces with one elimination of all their stored rows
 directly, conjugation negates their imaginary parts, and `contains_vector`
 and `contains` eliminate the int form of each vector against them, so only
 vectors handed in from outside are converted.  The entrywise sums and
-scalings of vectors and matrices stay on `GaussianRational` entries and skip
-zero entries.
+scalings of vectors stay on `GaussianRational` entries and skip zero
+entries.
 """
 
 from __future__ import annotations
@@ -152,7 +155,8 @@ class GaussianRational:
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        # Fraction's slots, read directly, as in `_nonzero_ints`
+        return self.re._numerator != 0 or self.im._numerator != 0
 
     # -- structure ----------------------------------------------------------
 
@@ -269,14 +273,7 @@ def dot(u, v):
         raise ValueError("vector length mismatch")
     left, du = _nonzero_ints(u)
     right, dv = _nonzero_ints(v)
-    right = {j: (x, y) for j, x, y in right}
-    sr = si = 0
-    for j, a, b in left:
-        if j in right:
-            x, y = right[j]
-            sr += a * x - b * y
-            si += a * y + b * x
-    return _from_ints(sr, si, du * dv)
+    return _from_ints(*_pair_ints(left, {j: (x, y) for j, x, y in right}), du * dv)
 
 
 def form_value(q: "Mat", u, v):
@@ -288,14 +285,20 @@ def form_value(q: "Mat", u, v):
 
 
 class Mat:
-    """Immutable matrix over Q(i)."""
+    """Immutable matrix over Q(i).
 
-    # Only the rows, and no cached int form: `perfbench/tracer.py` tells
-    # matrices apart by this exact tuple.
-    __slots__ = ("rows",)
+    `rows` holds the `GaussianRational` entries, which equality, hashing and
+    every caller read.  `ints` holds each row as `_nonzero_ints` reads it;
+    kernels set it, other constructors leave it None for `int_form` to fill.
+    """
+
+    # Both slots are always set, `ints` possibly to None: `perfbench/tracer.py`
+    # reads every slot of a matrix whose slots are not ("rows",).
+    __slots__ = ("rows", "ints")
 
     def __init__(self, rows):
         self.rows = tuple(vec(r) for r in rows)
+        self.ints = None
         if self.rows:
             width = len(self.rows[0])
             if any(len(r) != width for r in self.rows):
@@ -303,18 +306,30 @@ class Mat:
 
     @classmethod
     def _of_rows(cls, rows):
-        # kernel results: rows are already equal-length tuples of scalars
+        # results built from entries: rows are already equal-length tuples of scalars
         self = object.__new__(cls)
         self.rows = tuple(rows)
+        self.ints = None
+        return self
+
+    @classmethod
+    def _of_ints(cls, ints, width):
+        """Kernel results: the rows given as (triples, scale), turned into
+        `GaussianRational`s once and stored as their int form."""
+        self = object.__new__(cls)
+        self.ints = tuple(_reduced(row, d) if row else (row, 1) for row, d in ints)
+        zero = (ZERO,) * width
+        self.rows = tuple(tuple(_row_from_triples(row, d, width)) if row else zero
+                          for row, d in self.ints)
         return self
 
     @classmethod
     def identity(cls, n):
-        return cls([unit_vector(i, n) for i in range(n)])
+        return cls._of_ints([([(i, 1, 0)], 1) for i in range(n)], n)
 
     @classmethod
     def zeros(cls, n):
-        return cls([(ZERO,) * n] * n)
+        return cls._of_ints([([], 1)] * n, n)
 
     @classmethod
     def from_cols(cls, cols):
@@ -326,6 +341,12 @@ class Mat:
         n = len(entries)
         return cls([[entries[i] if i == j else ZERO for j in range(n)]
                     for i in range(n)])
+
+    def int_form(self):
+        """Each row's nonzero (index, re, im) triples and scale, the stored int form."""
+        if self.ints is None:
+            self.ints = tuple(map(_nonzero_ints, self.rows))
+        return self.ints
 
     @property
     def nrows(self):
@@ -355,54 +376,39 @@ class Mat:
     def __hash__(self):
         return hash(self.rows)
 
+    def _plus(self, other, sign):
+        """self + sign * other, merging the rows' nonzero triples."""
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} and {other.shape}")
+        out = []
+        for (left, d), (right, e) in zip(self.int_form(), other.int_form()):
+            s = lcm(d, e)
+            terms = ((s // d, left), (sign * (s // e), right))
+            out.append((_triples(*_dense(terms, self.ncols)), s))
+        return Mat._of_ints(out, self.ncols)
+
     def __add__(self, other):
-        return Mat._of_rows([vec_add(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        return Mat._of_rows([vec_sub(a, b) for a, b in zip(self.rows, other.rows, strict=True)])
+        return self._plus(other, -1)
 
     def __neg__(self):
-        return Mat._of_rows([vec_scale(-ONE, r) for r in self.rows])
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, Mat):
             if self.ncols != other.nrows:
                 raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
             width = other.ncols
-            # the right matrix over one common denominator, as sparse int
-            # rows of its real and of its imaginary parts
-            scaled = [_nonzero_ints(r) for r in other.rows]
-            den = lcm(*[d for _, d in scaled])
-            right_re, right_im = [], []
-            for row, d in scaled:
-                f = den // d
-                right_re.append([(j, f * x) for j, x, _ in row if x])
-                right_im.append([(j, f * y) for j, _, y in row if y])
-            zero_row = (ZERO,) * width
-            out = []
-            for r in self.rows:
-                row, d = _nonzero_ints(r)
-                if not row:
-                    out.append(zero_row)
-                    continue
-                acc_re = [0] * width
-                acc_im = [0] * width
-                for k, a, b in row:
-                    if a:
-                        for j, x in right_re[k]:
-                            acc_re[j] += a * x
-                        for j, y in right_im[k]:
-                            acc_im[j] += a * y
-                    if b:
-                        for j, x in right_re[k]:
-                            acc_im[j] += b * x
-                        for j, y in right_im[k]:
-                            acc_re[j] -= b * y
-                out.append(tuple(_row_from_ints(acc_re, acc_im, d * den)))
-            return Mat._of_rows(out)
+            return Mat._of_ints(_int_product(self.int_form(), other.int_form(), width), width)
         if isinstance(other, (int, Fraction, GaussianRational)):
-            c = GaussianRational(other)
-            return Mat._of_rows([vec_scale(c, r) for r in self.rows])
+            if not other:
+                return Mat._of_ints([([], 1)] * self.nrows, self.ncols)
+            ((_, x, y),), e = _nonzero_ints((other,))
+            # a product of nonzero Gaussian integers is nonzero
+            return Mat._of_ints([([(j, a * x - b * y, a * y + b * x) for j, a, b in row], d * e)
+                                 for row, d in self.int_form()], self.ncols)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -431,31 +437,9 @@ class Mat:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         support, dv = _nonzero_ints(v)
-        out = []
-        for r in self.rows:
-            # sr + i si over d, where d is the lcm of the denominators met so far
-            sr = si = 0
-            d = 1
-            for j, x, y in support:
-                a = r[j]
-                ar, ai = a.re, a.im
-                pn, qn = ar._numerator, ai._numerator
-                if not (pn or qn):
-                    continue
-                pd, qd = ar._denominator, ai._denominator
-                if pd != d or qd != d:
-                    m = lcm(d, pd, qd)
-                    if m != d:
-                        f = m // d
-                        sr *= f
-                        si *= f
-                        d = m
-                    pn *= m // pd
-                    qn *= m // qd
-                sr += pn * x - qn * y
-                si += pn * y + qn * x
-            out.append(_from_ints(sr, si, d * dv))
-        return tuple(out)
+        support = {j: (x, y) for j, x, y in support}
+        return tuple(_from_ints(*_pair_ints(row, support), d * dv)
+                     for row, d in self.int_form())
 
     def transpose(self):
         return Mat._of_rows(zip(*self.rows))
@@ -470,7 +454,7 @@ class Mat:
         return sum((self.rows[i][i] for i in range(self.nrows)), start=ZERO)
 
     def is_zero(self):
-        return all(vec_is_zero(r) for r in self.rows)
+        return not any(row for row, _ in self.int_form())
 
     def det(self):
         if self.nrows != self.ncols:
@@ -478,15 +462,15 @@ class Mat:
         # Bareiss (1968) over Z[i]: after step k every entry of the trailing
         # block is a (k+1)-minor of the scaled matrix, so dividing by the
         # previous pivot is exact, and the last pivot is the determinant.
+        n = self.nrows
+        if not n:
+            return ONE
         res, ims, scale = [], [], 1
-        for r in self.rows:
-            re, im, d = _gaussian_integer_row(r)
+        for row, d in self.int_form():
+            re, im = _dense(((1, row),), n)
             res.append(re)
             ims.append(im)
             scale *= d
-        n = len(res)
-        if not n:
-            return ONE
         sign = 1
         pr, pi = 1, 0  # the previous pivot
         for k in range(n - 1):
@@ -539,7 +523,17 @@ class Mat:
         return len(rref(self.rows)[1])
 
     def submatrix(self, row_idx, col_idx):
-        return Mat([[self.rows[i][j] for j in col_idx] for i in row_idx])
+        """The entries at the given rows and columns; the int form is read off this one's."""
+        row_idx, col_idx = tuple(row_idx), tuple(col_idx)
+        form = self.int_form()
+        out = Mat._of_rows(tuple(self.rows[i][j] for j in col_idx) for i in row_idx)
+        ints = []
+        for i in row_idx:
+            row, d = form[i]
+            row = {j: (a, b) for j, a, b in row}
+            ints.append(_reduced([(k, *row[j]) for k, j in enumerate(col_idx) if j in row], d))
+        out.ints = tuple(ints)
+        return out
 
     def to_complex_rows(self):
         """Rows as python complex, for handing off to float code."""
@@ -555,41 +549,34 @@ def commutator(a: Mat, b: Mat) -> Mat:
 
 
 def nilpotent_exp(n: Mat) -> Mat:
-    """exp of a nilpotent matrix: the Taylor series, which terminates."""
-    out = Mat.identity(n.nrows)
-    term = Mat.identity(n.nrows)
-    k = 1
-    while True:
-        term = term * n
-        if term.is_zero():
-            return out
-        out = out + term * Fraction(1, factorial(k))
-        k += 1
-        if k > n.nrows:
+    """exp of a nilpotent matrix: the Taylor series, which terminates.
+
+    With n = M/d for a Gaussian-integer matrix M whose power M^(K+1) is the
+    first to vanish, the series is the sum of M^k * d^(K-k) * K!/k! over the
+    one denominator d^K * K!.  The powers of M are formed in ints, and each
+    entry becomes a `Fraction` once, at the end.
+    """
+    size = n.nrows
+    if size != n.ncols:
+        raise ValueError("exp of a non-square matrix")
+    form = n.int_form()
+    d = lcm(*[s for _, s in form])
+    m = [([(j, a * (d // s), b * (d // s)) for j, a, b in row], 1) for row, s in form]
+    powers = [[([(i, 1, 0)], 1) for i in range(size)]]
+    term = m
+    while any(row for row, _ in term):
+        if len(powers) == size:
             raise ValueError("matrix is not nilpotent")
+        powers.append(term)
+        term = _int_product(term, m, size)
+    top = len(powers) - 1
+    coeffs = [d ** (top - k) * (factorial(top) // factorial(k)) for k in range(top + 1)]
+    sums = [_triples(*_dense([(c, p[i][0]) for c, p in zip(coeffs, powers)], size))
+            for i in range(size)]
+    return Mat._of_ints([(row, d ** top * factorial(top)) for row in sums], size)
 
 
-# -- elimination -----------------------------------------------------------
-
-
-def _gaussian_integer_row(row):
-    """A row as integer lists (re, im) and their scale, the lcm of its denominators."""
-    if not isinstance(row, (tuple, list)):
-        row = tuple(row)  # it is read twice
-    try:
-        re = [x.re for x in row]
-        im = [x.im for x in row]
-    except AttributeError:  # plain ints or Fractions among the entries
-        row = vec(row)
-        re = [x.re for x in row]
-        im = [x.im for x in row]
-    # Fraction's slots, read directly: the numerator/denominator properties
-    # are Python-level calls and cost more than the conversion itself
-    scale = lcm(*[q._denominator for q in re], *[q._denominator for q in im])
-    if scale == 1:
-        return [q._numerator for q in re], [q._numerator for q in im], 1
-    return ([q._numerator * (scale // q._denominator) for q in re],
-            [q._numerator * (scale // q._denominator) for q in im], scale)
+# -- int forms and elimination ---------------------------------------------
 
 
 def _nonzero_ints(row):
@@ -613,6 +600,77 @@ def _nonzero_ints(row):
              b._numerator * (scale // b._denominator)) for j, a, b in nz], scale
 
 
+def _dense(terms, width):
+    """The sum of c * row over the (c, row) pairs of terms, rows of (index, re,
+    im) triples, as the int lists of its real and of its imaginary parts."""
+    re, im = [0] * width, [0] * width
+    for c, row in terms:
+        for j, a, b in row:
+            re[j] += c * a
+            im[j] += c * b
+    return re, im
+
+
+def _triples(re, im):
+    """The nonzero entries of dense int lists re, im as (index, re, im) triples."""
+    return [(j, re[j], im[j]) for j in compress(range(len(re)), map(or_, re, im))]
+
+
+def _pair_ints(row, support):
+    """The sum of a * support[j] over the (j, a) triples of row whose index support holds."""
+    sr = si = 0
+    for j, a, b in row:
+        if j in support:
+            x, y = support[j]
+            sr += a * x - b * y
+            si += a * y + b * x
+    return sr, si
+
+
+def _reduced(row, scale):
+    """Triples over a scale, divided by their common factor with it."""
+    if scale != 1:
+        g = gcd(scale, *[a for _, a, _ in row], *[b for _, _, b in row])
+        if g != 1:
+            return [(j, a // g, b // g) for j, a, b in row], scale // g
+    return row, scale
+
+
+def _int_product(left, right, width):
+    """The product of two matrices in int form: rows (triples, scale), unreduced.
+
+    The right matrix is put over one common denominator, as sparse int rows
+    of its real and of its imaginary parts, and each output row accumulates
+    in ints, in the manner of Gustavson's sparse product.
+    """
+    den = lcm(*[d for _, d in right])
+    right_re, right_im = [], []
+    for row, d in right:
+        f = den // d
+        right_re.append([(j, f * x) for j, x, _ in row if x])
+        right_im.append([(j, f * y) for j, _, y in row if y])
+    out = []
+    for row, d in left:
+        if not row:
+            out.append((row, 1))
+            continue
+        acc_re = [0] * width
+        acc_im = [0] * width
+        for k, a, b in row:
+            if a:
+                for j, x in right_re[k]:
+                    acc_re[j] += a * x
+                for j, y in right_im[k]:
+                    acc_im[j] += a * y
+            if b:
+                for j, x in right_re[k]:
+                    acc_im[j] += b * x
+                for j, y in right_im[k]:
+                    acc_re[j] -= b * y
+        out.append((_triples(acc_re, acc_im), d * den))
+    return out
+
+
 _FRACTION_ZERO = Fraction(0)
 
 
@@ -624,11 +682,10 @@ def _from_ints(re, im, den):
                                  Fraction(im, den) if im else _FRACTION_ZERO)
 
 
-def _row_from_ints(re, im, den):
-    """The row (re + i*im) / den for int lists re, im, as a list of scalars."""
-    out = [ZERO] * len(re)
-    for j in compress(range(len(re)), map(or_, re, im)):
-        a, b = re[j], im[j]
+def _row_from_triples(row, den, width):
+    """The row of the given width with (index, re, im) triples over den, as scalars."""
+    out = [ZERO] * width
+    for j, a, b in row:
         out[j] = GaussianRational._raw(Fraction(a, den) if a else _FRACTION_ZERO,
                                        Fraction(b, den) if b else _FRACTION_ZERO)
     return out
@@ -636,7 +693,7 @@ def _row_from_ints(re, im, den):
 
 def _reduced_row(re, im, col):
     """A row of Gaussian integers with real pivot re[col], divided by it."""
-    out = _row_from_ints(re, im, re[col])
+    out = _row_from_triples(_triples(re, im), re[col], len(re))
     out[col] = ONE
     return tuple(out)
 
@@ -747,7 +804,7 @@ def _int_rows(rows):
     """Rows as the int lists of their real and of their imaginary parts."""
     res, ims = [], []
     for r in rows:
-        re, im, _ = _gaussian_integer_row(r)
+        re, im = _dense(((1, _nonzero_ints(r)[0]),), len(r))
         res.append(re)
         ims.append(im)
     return res, ims
@@ -889,7 +946,7 @@ class Subspace:
         return not (any(re) or any(im))
 
     def contains_vector(self, v):
-        re, im, _ = _gaussian_integer_row(v)
+        (re,), (im,) = _int_rows([v])
         if len(re) != self.ambient:
             raise ValueError("vector length differs from ambient dimension")
         return self._holds(re, im)

@@ -1,20 +1,24 @@
 """Sparse exact kernels against plain dense references.
 
-The kernels in `exactlin` multiply on Gaussian integers and skip zero
-entries: products, `apply` and `dot` accumulate in ints, `det` is a
-fraction-free Bareiss elimination and `rref` a fraction-free Gauss-Jordan
-one.  The references below are the textbook dense algorithms over Q(i),
-which touch every entry, so any disagreement is a bug in the sparse or
-fraction-free bookkeeping.  Inputs mix zero rows and columns, complex
+The kernels in `exactlin` compute on Gaussian integers and skip zero
+entries: products, sums, scalings, `apply` and `dot` accumulate in ints,
+`det` is a fraction-free Bareiss elimination, `rref` a fraction-free
+Gauss-Jordan one, and `nilpotent_exp` sums its series over one
+denominator.  The references below are the textbook dense algorithms over
+Q(i), which touch every entry, so any disagreement is a bug in the sparse
+or fraction-free bookkeeping.  Inputs mix zero rows and columns, complex
 entries and plain ints; the large-entry tests also use large parts,
-non-unit Gaussian leads and rank-deficient shapes.  The tracer contract
-tests at the end keep kernel results readable by the benchmark's tracer,
-and keep the float evaluation path out of its exact spans.
+non-unit Gaussian leads and rank-deficient shapes.  The int form that a
+`Mat` stores beside its rows is checked against the rows themselves.  The
+tracer contract tests at the end keep kernel results readable by the
+benchmark's tracer, and keep the float evaluation path out of its exact
+spans.
 """
 
 import importlib.util
 import pathlib
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
 
@@ -29,6 +33,7 @@ from hodgenorm.exactlin import (
     ZERO,
     dot,
     kernel,
+    nilpotent_exp,
     qi,
     rref,
     solve,
@@ -124,6 +129,19 @@ def dense_solve(a, rhs):
     for r, p in zip(red, pivots):
         x[p] = r[-1]
     return tuple(x)
+
+
+def dense_exp(n):
+    """The entrywise Taylor loop: add N^k / k! until a power vanishes."""
+    size = n.nrows
+    out = [[ONE if i == j else ZERO for j in range(size)] for i in range(size)]
+    term = Mat(out)
+    for k in range(1, size + 1):
+        term = Mat(dense_mul(term, n))
+        if all(not x for r in term.rows for x in r):
+            return out
+        out = [[x + y / factorial(k) for x, y in zip(r, t)] for r, t in zip(out, term.rows)]
+    raise ValueError("matrix is not nilpotent")
 
 
 def dense_contains(rows, v):
@@ -539,6 +557,166 @@ def test_det_matches_dense_elimination_on_hand_cases(rows):
     assert_entries([got])
 
 
+# -- entrywise operations and the exponential on the stored int form ------------------
+
+
+def assert_int_form(m):
+    """Every slot is set; a stored int form holds each row's nonzero entries as
+    increasing (index, re, im) triples over a scale sharing no factor with
+    them, and rebuilds the rows exactly."""
+    for slot in Mat.__slots__:
+        getattr(m, slot)
+    if m.ints is None:
+        return
+    assert len(m.ints) == m.nrows
+    for (row, scale), entries in zip(m.ints, m.rows):
+        assert [j for j, _, _ in row] == sorted({j for j, _, _ in row})
+        assert all(type(x) is int and (a or b) for _, a, b in row for x in (a, b))
+        assert gcd(scale, *[x for _, a, b in row for x in (a, b)]) == 1
+        rebuilt = [ZERO] * m.ncols
+        for j, a, b in row:
+            rebuilt[j] = GaussianRational(Fraction(a, scale), Fraction(b, scale))
+        assert tuple(rebuilt) == entries
+
+
+def dense_combine(a, b, sign):
+    return [[x + sign * y for x, y in zip(r, t)] for r, t in zip(a.rows, b.rows)]
+
+
+@st.composite
+def same_shape(draw, big=False):
+    if big:
+        a = draw(wide)
+        return a, draw(rank_deficient(a.nrows, a.ncols))
+    a = draw(matrices())
+    return a, draw(matrices(nrows=a.nrows, ncols=a.ncols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(same_shape(), same_shape(big=True)))
+def test_sum_difference_and_negation_match_entrywise_arithmetic(pair):
+    a, b = pair
+    for got, expected in ((a + b, dense_combine(a, b, 1)), (a - b, dense_combine(a, b, -1)),
+                          (-a, [[-x for x in r] for r in a.rows]),
+                          (a - a, [[ZERO] * a.ncols] * a.nrows)):
+        assert got.rows == tuple(tuple(r) for r in expected)
+        for row in got.rows:
+            assert_entries(row)
+        assert_int_form(got)
+
+
+scalar_factors = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.just(ZERO),
+    st.integers(-2**70, 2**70), big_fractions, big_scalars, scalars)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices(), wide), scalar_factors)
+def test_scalar_multiple_matches_entrywise_products(a, c):
+    expected = tuple(tuple(GaussianRational(c) * x for x in r) for r in a.rows)
+    for got in (a * c, c * a):
+        assert got.rows == expected
+        for row in got.rows:
+            assert_entries(row)
+        assert_int_form(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), wide), st.data())
+def test_is_zero_matches_every_entry(a, data):
+    assert a.is_zero() == all(not x for r in a.rows for x in r)
+    zero = data.draw(st.sampled_from(["difference", "scaled", "built"]))
+    if zero == "difference":
+        z = a - a
+    elif zero == "scaled":
+        z = a * 0
+    else:
+        z = Mat([[0] * a.ncols] * a.nrows)
+    assert z.is_zero()
+    assert not (z + Mat([[ONE] + [ZERO] * (a.ncols - 1)] * a.nrows)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_det_of_submatrix_matches_dense_elimination_of_the_picked_entries(data):
+    a = data.draw(wide)
+    k = data.draw(st.integers(0, min(a.nrows, a.ncols)))
+    # any order, and repeated indices give a singular minor
+    rows = data.draw(st.lists(st.integers(0, a.nrows - 1), min_size=k, max_size=k))
+    cols = data.draw(st.lists(st.integers(0, a.ncols - 1), min_size=k, max_size=k))
+    sub = a.submatrix(rows, cols)
+    picked = Mat([[a.rows[i][j] for j in cols] for i in rows]) if k else Mat([])
+    assert sub == picked
+    assert_int_form(sub)
+    got = sub.det()
+    assert got == dense_det(picked)
+    assert_entries([got])
+
+
+@st.composite
+def unimodular(draw, n):
+    """A Gaussian-integer matrix with a Gaussian-integer inverse: the identity
+    under row swaps and additions of Gaussian-integer multiples of rows."""
+    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            g = qi(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+            rows[i] = [x + g * y for x, y in zip(rows[i], rows[j])]
+    return Mat(rows)
+
+
+@st.composite
+def nilpotents(draw):
+    """A strictly upper-triangular matrix in a moved basis, so not triangular."""
+    n = draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([scalars, big_scalars]))
+    upper = Mat([[draw(entries) if j > i else ZERO for j in range(n)] for i in range(n)])
+    p = draw(unimodular(n))
+    return Mat(dense_mul(Mat(dense_mul(p, upper)), Mat(dense_inverse(p))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(nilpotents())
+def test_nilpotent_exp_matches_the_entrywise_taylor_loop(n):
+    got = nilpotent_exp(n)
+    assert got.rows == tuple(tuple(r) for r in dense_exp(n))
+    for row in got.rows:
+        assert_entries(row)
+    assert_int_form(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nilpotents(), st.one_of(gaussian_leads, st.builds(GaussianRational, fractions).filter(bool)))
+def test_nilpotent_exp_refuses_a_matrix_that_is_not_nilpotent(n, c):
+    shifted = n + Mat.identity(n.nrows) * c  # eigenvalue c
+    with pytest.raises(ValueError, match="matrix is not nilpotent"):
+        dense_exp(shifted)
+    with pytest.raises(ValueError, match="matrix is not nilpotent"):
+        nilpotent_exp(shifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(products(), nilpotents())
+def test_every_kernel_result_keeps_a_readable_int_form(pair, n):
+    a, b = pair
+    square = Mat(dense_mul(a, a.transpose()))
+    results = [a, b, Mat.identity(a.nrows), Mat.zeros(a.ncols), Mat.from_cols(a.rows),
+               Mat.diag(a.rows[0]), a * b, a + a, a - a, a * qi(2, -1), a.transpose(),
+               a.submatrix(range(a.nrows), reversed(range(a.ncols))), nilpotent_exp(n)]
+    try:
+        results.append(square.inverse())
+    except ValueError:
+        pass
+    for m in results:
+        assert_int_form(m)
+        m.int_form()
+        assert m.ints is not None
+        assert_int_form(m)
+
+
 # -- the benchmark tracer reads kernel results ---------------------------------------
 
 
@@ -551,9 +729,15 @@ def _bench_tracer():
     return module
 
 
+def largest_part_bits(m):
+    return max((max(p.numerator.bit_length(), p.denominator.bit_length())
+                for r in m.rows for x in r for p in (x.re, x.im)), default=0)
+
+
 def test_tracer_reads_kernel_results():
-    # The tracer recognizes matrices and subspaces by their exact __slots__
-    # tuples, so a slot added to Mat breaks traced runs; this catches it.
+    # The tracer reads a matrix through its `rows` when `Mat.__slots__` is
+    # ("rows",), and otherwise through every slot, so each slot must be set
+    # on every result and hold nothing it cannot read.
     entry_bits = _bench_tracer().entry_bits
     product = Mat([[Fraction(1, 2**20), 3]]) * Mat([[1], [qi(0, 2**30)]])
     assert product.rows == ((qi(Fraction(1, 2**20), 3 * 2**30),),)
@@ -561,6 +745,10 @@ def test_tracer_reads_kernel_results():
     sub = Subspace(2, [(qi(0, 2**40), 1)])  # reduced to (1, -i / 2**40)
     assert entry_bits(sub) == 41
     assert entry_bits(qi(Fraction(5, 7))) == 3
+    a = Mat([[0, Fraction(3, 2**21), qi(0, 5)], [0, 0, 2**25], [0, 0, 0]])
+    for result in (a + a * qi(1, 1), a * Fraction(2**30, 7), nilpotent_exp(a)):
+        result.int_form()
+        assert entry_bits(result) == largest_part_bits(result) > 25
 
 
 def test_float_evaluation_opens_no_exact_span():
