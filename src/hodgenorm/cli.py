@@ -13,6 +13,8 @@ produce byte-identical reports.  Exit status: 0 when every check passes,
 
 import argparse
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,15 +62,29 @@ def _is_int(node):
     return isinstance(node, int) and not isinstance(node, bool)
 
 
+# The largest numerator or denominator a fixture may give, in bits.  The
+# shipped fixtures need 3; 10^±400 (1329 bits) is accepted, so that the
+# float-range checks name such an entry themselves.
+MAX_PART_BITS = 2048
+# Fraction builds 10^e in full, so a six-digit exponent is refused unbuilt.
+_LONG_EXPONENT = re.compile(r"[eE][-+]?0*[1-9][0-9]{5}")
+
+
 def _parse_fraction(node, path):
     if _is_int(node):
-        return Fraction(node)
-    if isinstance(node, str):
+        value = Fraction(node)
+    elif isinstance(node, str):
+        if _LONG_EXPONENT.search(node):
+            _fail(path, f"exponent out of range in {node!r}")
         try:
-            return Fraction(node)
+            value = Fraction(node)
         except (ValueError, ZeroDivisionError):
             _fail(path, f"bad rational {node!r}")
-    _fail(path, f"expected a rational string, got {type(node).__name__}")
+    else:
+        _fail(path, f"expected a rational string, got {type(node).__name__}")
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_PART_BITS:
+        _fail(path, f"numerator or denominator exceeds {MAX_PART_BITS} bits")
+    return value
 
 
 def _parse_scalar(node, path):
@@ -255,7 +271,19 @@ def _verify_expectations(fixture, expectations):
     if "lam" in expectations:
         lam = _parse_scalar(expectations["lam"], "markers.lam")
         if lam != markers.lam:
-            _fail("markers.lam", f"fixture says {expectations['lam']}, computed {markers.lam}")
+            _fail("markers.lam",
+                  f"fixture says {expectations['lam']}, computed {_abbreviated(markers.lam)}")
+
+
+def _abbreviated(x: GaussianRational):
+    """x as it prints or, with a part over MAX_PART_BITS, that part's digit
+    count: str() refuses an int of more than 4300 digits."""
+    widest = max(abs(k) for part in (x.re, x.im) for k in part.as_integer_ratio())
+    if widest.bit_length() <= MAX_PART_BITS:
+        return str(x)
+    digits = int((widest.bit_length() - 1) * math.log10(2)) + 1
+    digits += widest >= 10 ** digits
+    return f"a value with a {digits}-digit part"
 
 
 def fixture_document(data, zeta=None, n_coords=None, expectations=None) -> dict:

@@ -979,11 +979,16 @@ class Subspace:
         """Zassenhaus: row-reduce [A|A; B|0]; zero-left rows carry A∩B.
 
         Those rows are the ones with a pivot in the right half, and their
-        right halves are already the reduced echelon basis of A∩B.
+        right halves are already the reduced echelon basis of A∩B.  A meet
+        with the full or the zero space is read off without elimination.
         """
         if self.ambient != other.ambient:
             raise ValueError("ambient dimensions differ")
         n = self.ambient
+        if other.dim == n or not self.dim:
+            return self
+        if self.dim == n or not other.dim:
+            return other
         z = (0,) * n
         res = [list(re + re) for _, re, _ in self.int_rows]
         res += [list(re + z) for _, re, _ in other.int_rows]

@@ -25,15 +25,14 @@ matrices when brackets or actions are needed.
 
 from dataclasses import dataclass
 from itertools import chain
+from math import lcm
 
 from .exactlin import (
-    ZERO,
     Mat,
     Subspace,
+    _nonzero_ints,
     commutator,
     kernel,
-    vec,
-    vec_scale,
 )
 from .mhs import DeligneSplitting, MixedHodge, is_infinitesimal_isometry
 
@@ -45,10 +44,13 @@ def flatten_matrix(x: Mat):
 
 def unflatten_matrix(v, n):
     """The n x n matrix with row-major coordinates v."""
-    v = vec(v)
     if len(v) != n * n:
         raise ValueError("vector length does not match the requested shape")
-    return Mat([v[i * n:(i + 1) * n] for i in range(n)])
+    triples, scale = _nonzero_ints(v)
+    rows = [[] for _ in range(n)]
+    for j, a, b in triples:
+        rows[j // n].append((j % n, a, b))
+    return Mat._of_ints([(row, scale) for row in rows], n)
 
 
 @dataclass(frozen=True)
@@ -103,25 +105,33 @@ def lie_algebra(q: Mat) -> LieAlgebraBasis:
     else:
         raise ValueError("pairing must be symmetric or antisymmetric")
     # q^{-1} (E_ij - eps E_ji) has two nonzero columns: column j is column i
-    # of q^{-1}, and column i is -eps times column j of q^{-1}
-    q_inv_cols = q.inverse().cols()
+    # of q^{-1}, and column i is -eps times column j of q^{-1}; the columns
+    # are taken in int form, as the rows of the transpose
+    q_inv_cols = q.inverse().transpose().int_form()
+    scaled_cols = [([(i, -eps * a, -eps * b) for i, a, b in col], d) for col, d in q_inv_cols]
     basis = []
     for i in range(n):
         if eps == -1:
             basis.append(_with_columns(n, {i: q_inv_cols[i]}))
         for j in range(i + 1, n):
-            basis.append(_with_columns(
-                n, {j: q_inv_cols[i], i: vec_scale(-eps, q_inv_cols[j])}))
+            basis.append(_with_columns(n, {i: scaled_cols[j], j: q_inv_cols[i]}))
     return LieAlgebraBasis(q, tuple(basis))
 
 
 def _with_columns(n, columns):
-    """The n x n matrix with the given {index: column} and zeros elsewhere."""
-    rows = [[ZERO] * n for _ in range(n)]
-    for j, col in columns.items():
-        for i, x in enumerate(col):
-            rows[i][j] = x
-    return Mat(rows)
+    """The n x n matrix with the given {index: column} and zeros elsewhere.
+
+    Each column is given in int form, as (index, re, im) triples over a
+    scale; the matrix is built from the triples over one common scale.
+    """
+    scale = lcm(*[d for _, d in columns.values()])
+    rows = [[] for _ in range(n)]
+    for j in sorted(columns):
+        col, d = columns[j]
+        f = scale // d
+        for i, a, b in col:
+            rows[i].append((j, f * a, f * b))
+    return Mat._of_ints([(row, scale) for row in rows], n)
 
 
 class LieSplit(DeligneSplitting):

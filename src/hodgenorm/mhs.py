@@ -70,10 +70,10 @@ class MixedHodge:
     def split(self) -> DeligneSplitting:
         """The Deligne splitting of (W, F), computed and verified once.
 
-        Every reader of the splitting shares this one instance.  The first
-        call runs deligne_split, which checks every defining identity; a
-        structure that fails raises ValueError on every call, since a failed
-        build is not cached.
+        Every reader of the splitting shares this one instance, the same one
+        deligne_split(self) returns, whichever runs first.  The first
+        computation checks every defining identity; a structure that fails
+        raises ValueError on every call, since a failed build is not kept.
         """
         return self._split
 
@@ -127,12 +127,16 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
 
     Every defining identity of the splitting is checked exactly and a
     ValueError names the first failure, under the field f as MixedHodge's
-    own errors name theirs.  Within one call each F^a ∩ W_b and
+    own errors name theirs.  Within one computation each F^a ∩ W_b and
     conj(F)^a ∩ W_b is formed once, keyed by the identity of the two steps
-    that at() returns, which the filtrations keep alive.  Nothing outlives
-    the call: each call computes afresh, and MixedHodge.split() is the
-    shared, cached copy.
+    that at() returns, which the filtrations keep alive.  The verified
+    splitting is kept on the structure, where MixedHodge.split() reads it:
+    later calls return that same object, and it lives exactly as long as
+    the structure.  A failed build is not kept.
     """
+    kept = structure.__dict__.get("_split")
+    if kept is not None:
+        return kept
     w, f = structure.w, structure.f
     dim = structure.ambient
     fbar = f.conj()
@@ -166,6 +170,7 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     defect = splitting_defect(structure, split)
     if defect is not None:
         raise ValueError(f"f: not a mixed Hodge structure: {defect}")
+    structure.__dict__["_split"] = split
     return split
 
 
@@ -295,7 +300,8 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
 
     if cone is not None and len(cone):
         k = len(cone)
-        for coeffs in ((1,) * k, tuple(range(1, k + 1))):
+        # one filtration per distinct element: for k = 1 the two coincide
+        for coeffs in dict.fromkeys(((1,) * k, tuple(range(1, k + 1)))):
             if weight_filtration(cone.element(coeffs), center=n) != structure.w:
                 return False, f"W differs from the weight filtration at {coeffs}"
         ok, detail = cone_compatibility(structure, cone)
@@ -308,6 +314,7 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
         n_int = Mat.zeros(structure.ambient)
 
     powers = {0: Mat.identity(structure.ambient)}
+    kernels = {}  # ker N^{l+1}, one per l
     for (p, q), sub in split.pieces.items():
         l = p + q - n
         if l < 0:
@@ -315,7 +322,9 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
         for j in range(1, l + 2):
             if j not in powers:
                 powers[j] = powers[j - 1] * n_int
-        prim = sub.intersect(kernel(powers[l + 1]))
+        if l not in kernels:
+            kernels[l] = kernel(powers[l + 1])
+        prim = sub.intersect(kernels[l])
         if not prim.dim:
             continue
         sign = i_power(p - q)

@@ -101,7 +101,7 @@ def test_criterion_03_random_splitting_axioms():
     checked = 0
     for _ in range(100):
         structure = random_split_mixed_hodge(rng, max_dim=8)
-        split = deligne_split(structure)  # verify=True re-derives every identity
+        split = deligne_split(structure)  # checks every identity
         ok, msg = check_symmetries(split.diamond(), structure.n)
         assert ok, msg
         assert split.total_dim() == structure.ambient

@@ -12,11 +12,13 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hodgenorm import cli, fixtures
+from hodgenorm.exactlin import GaussianRational
 from hodgenorm.filtrations import _Filtration, DecreasingFiltration
 from hodgenorm.cli import (
     dump_document,
@@ -62,6 +64,35 @@ def test_real_scalars_serialize_without_imaginary_part():
 def test_bad_rational_names_the_field():
     with pytest.raises(FixtureError, match=r"f\.0\[0\]\[1\]\[1\]: bad rational"):
         cli._parse_vector([["1", "0"], ["0", "1/x"]], "f.0[0]", 2)
+
+
+BIT_CAP = "numerator or denominator exceeds 2048 bits"
+
+
+@pytest.mark.parametrize("token, message", [
+    ("1e40000", BIT_CAP), ("-1e40000", BIT_CAP), ("1/1e700", "bad rational '1/1e700'"),
+    ("3e-617", BIT_CAP), (2 ** 2048, BIT_CAP), ("1e999999999", "exponent out of range"),
+    ("0e0000123456", "exponent out of range")])
+def test_rationals_past_the_bit_cap_name_the_field(token, message):
+    with pytest.raises(FixtureError, match=rf"^q\[0\]\[1\]: {re.escape(message)}"):
+        cli._parse_fraction(token, "q[0][1]")
+
+
+def test_rationals_up_to_the_bit_cap_are_accepted():
+    # 10^616 has 2047 bits
+    for token in ("1e616", "-1e-616", 2 ** 2048 - 1, f"1/{2 ** 2048 - 1}", "0e99999"):
+        assert cli._parse_fraction(token, "q") == Fraction(token)
+
+
+def test_a_computed_value_past_the_bit_cap_is_shown_by_its_digit_count():
+    huge = GaussianRational(10 ** 40000)
+    assert cli._abbreviated(huge) == "a value with a 40001-digit part"
+    assert cli._abbreviated(-huge + 1) == "a value with a 40000-digit part"
+    assert cli._abbreviated(GaussianRational(0, Fraction(1, 10 ** 616))) == f"1/{10 ** 616}i"
+    fixture = type("Computed", (), {"markers": type("Markers", (), {"lam": huge})})()
+    with pytest.raises(FixtureError) as err:
+        cli._verify_expectations(fixture, {"lam": "1"})
+    assert str(err.value) == "markers.lam: fixture says 1, computed a value with a 40001-digit part"
 
 
 def test_scalar_rejects_wrong_shapes():
@@ -589,8 +620,11 @@ def _paths(node, path=()):
 
 FUZZ_DOCS = {name: json.loads((DATA / name).read_text()) for name in ("elliptic.json", "pair.json")}
 FUZZ_SITES = [(name, path) for name, doc in FUZZ_DOCS.items() for path in _paths(doc)]
-# a bool, null, string, nested list, and rationals beyond either end of the float range
-FUZZ_VALUES = [True, None, "x", [["1"]], "1e400", "1e-400"]
+# a bool, null, string, nested list, rationals beyond either end of the float
+# range, and one beyond the bit cap
+FUZZ_VALUES = [True, None, "x", [["1"]], "1e400", "1e-400", "1e40000"]
+# elliptic's pairing scaled by 10^40000, which keeps it antisymmetric
+HUGE_Q = [["0", "1e40000"], ["-1e40000", "0"]]
 FIELD_PATH = re.compile(r"error: [\w$]+(\[[^\]]*\]|\.\w+)*: ")
 
 
@@ -619,6 +653,14 @@ def _mutated(doc, path, kind, value):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
+@example(site=("elliptic.json", ("q",)), kind="swap", value=HUGE_Q, command="check")
+@example(site=("elliptic.json", ("q",)), kind="swap", value=HUGE_Q, command="diamond")
+@example(site=("elliptic.json", ("q",)), kind="swap", value=HUGE_Q, command="lie")
+@example(site=("elliptic.json", ("q", 0, 1)), kind="swap", value="1e40000", command="markers")
+@example(site=("elliptic.json", ("markers", "lam")), kind="swap", value="1e40000",
+         command="check")
+@example(site=("pair.json", ("markers", "lam")), kind="swap", value="-1e40000",
+         command="diamond")
 @given(site=st.sampled_from(FUZZ_SITES),
        kind=st.sampled_from(["swap", "drop", "add", "flip"]),
        value=st.sampled_from(FUZZ_VALUES),

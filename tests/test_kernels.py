@@ -9,10 +9,12 @@ Q(i), which touch every entry, so any disagreement is a bug in the sparse
 or fraction-free bookkeeping.  Inputs mix zero rows and columns, complex
 entries and plain ints; the large-entry tests also use large parts,
 non-unit Gaussian leads and rank-deficient shapes.  The int form that a
-`Mat` stores beside its rows is checked against the rows themselves.  The
-tracer contract tests at the end keep kernel results readable by the
-benchmark's tracer, and keep the float evaluation path out of its exact
-spans.
+`Mat` stores beside its rows is checked against the rows themselves.
+Meets with the full or the zero space skip the elimination, so they have
+their own test, as does the count of weight filtrations that
+`polarization_check` builds.  The tracer contract tests at the end keep
+kernel results readable by the benchmark's tracer, and keep the float
+evaluation path out of its exact spans.
 """
 
 import importlib.util
@@ -24,7 +26,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from hodgenorm import orbit, probe
+from hodgenorm import mhs, orbit, probe
 from hodgenorm.exactlin import (
     GaussianRational,
     Mat,
@@ -39,7 +41,7 @@ from hodgenorm.exactlin import (
     solve,
     vec,
 )
-from hodgenorm.fixtures import orbit_elliptic
+from hodgenorm.fixtures import curve_pair, elliptic, orbit_elliptic
 
 # -- dense references ----------------------------------------------------------
 
@@ -379,6 +381,42 @@ def test_intersect_matches_dense_kernel_of_stacked_bases(pair):
     assert got.dim + len(dense_rref(a.rows + b.rows)[1]) == a.dim + b.dim
     assert all(dense_contains(a.rows, v) and dense_contains(b.rows, v) for v in got.rows)
     assert_int_rows(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs())
+def test_meets_with_the_full_or_zero_space_match_dense_elimination(pair):
+    # these meets skip the elimination, so they are checked on their own
+    for a in pair:
+        n = a.ambient
+        full, zero = Subspace.full(n), Subspace.zero(n)
+        for x, y in ((a, full), (full, a), (a, zero), (zero, a)):
+            got = x & y
+            assert got.rows == dense_intersect(x.rows, y.rows)
+            assert_int_rows(got)
+        for other in (Subspace.full(n + 1), Subspace.zero(n + 1)):
+            for x, y in ((a, other), (other, a)):
+                with pytest.raises(ValueError, match="ambient dimensions differ"):
+                    x & y
+
+
+def test_polarization_check_builds_one_weight_filtration_per_distinct_cone_element(
+        monkeypatch):
+    # the elements (1,...,1) and (1,...,k) coincide on a one-generator cone
+    built = []
+    weight_filtration = mhs.weight_filtration
+
+    def spy(n_op, center=0):
+        built.append(n_op)
+        return weight_filtration(n_op, center=center)
+
+    monkeypatch.setattr(mhs, "weight_filtration", spy)
+    structure, cone = elliptic()
+    assert mhs.polarization_check(structure, cone) == (True, None)
+    assert len(built) == 1
+    pair = curve_pair()
+    assert mhs.polarization_check(pair.structure(), pair.cone) == (True, None)
+    assert len(built) == 3
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,9 +8,18 @@ import random
 
 import pytest
 
+from hodgenorm import mhs
 from hodgenorm.exactlin import Mat, Subspace, qi, vec
 from hodgenorm.filtrations import DecreasingFiltration, IncreasingFiltration
-from hodgenorm.fixtures import defective_inputs, elliptic, random_split_mixed_hodge, weight_two
+from hodgenorm.fixtures import (
+    defective_inputs,
+    elliptic,
+    random_split_mixed_hodge,
+    random_unimodular,
+    weight_one,
+    weight_two,
+)
+from hodgenorm.induced import PureHodgeData, induce, tate_normalize
 from hodgenorm.mhs import (
     MixedHodge,
     NilpotentCone,
@@ -202,7 +211,7 @@ def test_random_split_structures_pass_all_identities():
     rng = random.Random(2024)
     for _ in range(15):
         structure = random_split_mixed_hodge(rng)
-        split = deligne_split(structure)  # verify=True: raises on any defect
+        split = deligne_split(structure)  # raises on any defect
         ok, msg = check_symmetries(split.diamond(), structure.n)
         assert ok, msg
         assert split.total_dim() == structure.ambient
@@ -223,6 +232,55 @@ def test_deligne_split_forms_each_step_intersection_once(monkeypatch):
     pairs = [(id(a), id(b)) for a, b in calls]
     assert len(set(pairs)) == len(pairs)
     made = len(calls)
-    again = deligne_split(structure)  # nothing is kept between calls
-    assert len(calls) == 2 * made
-    assert again.pieces == first.pieces
+    again = deligne_split(structure)  # the verified splitting is kept on the structure
+    assert len(calls) == made
+    assert again is first
+    assert structure.split() is first
+
+
+def _moved(v, g):
+    """The same polarized data written in the basis g: x -> g x."""
+    g_inv = g.inverse()
+    q = g_inv.transpose() * v.q * g_inv
+    cone = NilpotentCone([g * n * g_inv for n in v.cone.generators], q)
+    return PureHodgeData(v.weight, q, v.f.apply(g), cone, v.w.apply(g))
+
+
+def _spy_on_splitting_defect(monkeypatch):
+    checked = []
+    defect = mhs.splitting_defect
+
+    def spy(structure, split):
+        checked.append(structure)
+        return defect(structure, split)
+
+    monkeypatch.setattr(mhs, "splitting_defect", spy)
+    return checked
+
+
+def test_split_then_polarize_verifies_the_splitting_once(monkeypatch):
+    # deligne_split and then polarization_check on one induced structure
+    v = weight_one(2)
+    ind = tate_normalize(induce(_moved(v, random_unimodular(random.Random(12), v.dim))))
+    structure = ind.structure()
+    checked = _spy_on_splitting_defect(monkeypatch)
+    split = deligne_split(structure)
+    assert polarization_check(structure, ind.cone) == (True, None)
+    assert checked == [structure]
+    assert structure.split() is split
+    assert deligne_split(structure) is split
+    assert len(checked) == 1
+
+
+def test_a_defective_splitting_is_rejected_on_every_call(monkeypatch):
+    # F^1 is a rational line, so I^{1,0} and I^{0,1} coincide
+    w = IncreasingFiltration(2, {1: Subspace.full(2)})
+    f = DecreasingFiltration.from_generators(2, {1: [vec((1, 0))], 0: [vec((0, 1))]})
+    structure = MixedHodge(1, w, f, Mat([[0, 1], [-1, 0]]))
+    checked = _spy_on_splitting_defect(monkeypatch)
+    with pytest.raises(ValueError, match=r"^f: not a mixed Hodge structure: ") as err:
+        deligne_split(structure)
+    assert polarization_check(structure) == (False, str(err.value))
+    with pytest.raises(ValueError, match=r"^f: not a mixed Hodge structure: "):
+        structure.split()
+    assert len(checked) == 3
