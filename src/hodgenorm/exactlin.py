@@ -335,13 +335,6 @@ class Mat:
     def from_cols(cls, cols):
         return cls(cols).transpose()
 
-    @classmethod
-    def diag(cls, entries):
-        entries = vec(entries)
-        n = len(entries)
-        return cls([[entries[i] if i == j else ZERO for j in range(n)]
-                    for i in range(n)])
-
     def int_form(self):
         """Each row's nonzero (index, re, im) triples and scale, the stored int form."""
         if self.ints is None:
@@ -450,9 +443,6 @@ class Mat:
     def conj_t(self):
         return self.transpose().conj()
 
-    def trace(self):
-        return sum((self.rows[i][i] for i in range(self.nrows)), start=ZERO)
-
     def is_zero(self):
         return not any(row for row, _ in self.int_form())
 
@@ -518,9 +508,6 @@ class Mat:
         if len(pivots) < n or any(p >= n for p in pivots[:n]):
             raise ValueError("matrix is singular")
         return Mat([r[n:] for r in red])
-
-    def rank(self):
-        return len(rref(self.rows)[1])
 
     def submatrix(self, row_idx, col_idx):
         """The entries at the given rows and columns; the int form is read off this one's."""
@@ -823,20 +810,6 @@ def rref(rows):
     return tuple(map(_reduced_row, res, ims, pivots)), tuple(pivots)
 
 
-def solve(mat: Mat, rhs):
-    """One solution x of mat @ x = rhs, or None if the system is infeasible."""
-    rhs = vec(rhs)
-    aug = [list(r) + [b] for r, b in zip(mat.rows, rhs, strict=True)]
-    red, pivots = rref(aug)
-    n = mat.ncols
-    if n in pivots:
-        return None
-    x = [ZERO] * n
-    for r, p in zip(red, pivots):
-        x[p] = r[n]
-    return tuple(x)
-
-
 def kernel(mat: Mat) -> "Subspace":
     """Kernel of the linear map given by mat (acting on column vectors)."""
     red, pivots = rref(mat.rows)
@@ -1017,19 +990,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
-
-
-def extend_basis(inner: Subspace, outer: Subspace):
-    """Vectors from outer's basis extending a basis of inner inside outer."""
-    if not outer.contains(inner):
-        raise ValueError("inner is not contained in outer")
-    chosen = []
-    current = inner
-    for r in outer.rows:
-        if not current.contains_vector(r):
-            chosen.append(r)
-            current = current + Subspace(outer.ambient, [r])
-    return tuple(chosen)
 
 
 def hermitian_positive_definite(gram: Mat) -> bool:

@@ -13,7 +13,7 @@ every integer compare equal regardless of which levels the caller recorded.
 
 from __future__ import annotations
 
-from .exactlin import Mat, Subspace, dot, kernel, extend_basis
+from .exactlin import Mat, Subspace, dot, image, kernel
 
 
 class _Filtration:
@@ -165,37 +165,34 @@ def weight_filtration(n_op: Mat, center: int = 0) -> IncreasingFiltration:
     """The unique increasing filtration W centered at `center` with
     n_op · W_l ⊆ W_{l-2} and n_op^l inducing Gr_{center+l} ≅ Gr_{center-l}.
 
-    Built from Jordan chains: a block of size s contributes weights
-    center-s+1, center-s+3, ..., center+s-1 down its chain.
+    With N = n_op and N^ν = 0, for -ν ≤ l < ν
+
+        W_{center+l} = Σ_{j ≥ max(0, -l-1)} ker N^{l+j+1} ∩ im N^j.
+
+    In a Jordan basis both sides are spans of basis vectors, so the formula
+    is checked one block at a time.  For a chain v, Nv, ..., N^{s-1}v, whose
+    vector N^k v has weight center+s-1-2k, the term j spans the N^k v with
+    k ≥ max(j, s-l-j-1); the least such bound over the allowed j is
+    ⌈(s-1-l)/2⌉, so the sum spans the chain's vectors of weight at most
+    center+l.  The sum stops at j = min(ν, ν-l) - 1: from j = ν-l-1 on the
+    kernel is everything, and that term's im N^j holds all later ones.
     """
     dim = n_op.nrows
     if n_op.ncols != dim:
         raise ValueError("operator must be square")
-    kers = [Subspace.zero(dim)]
+    kers, ims = [Subspace.zero(dim)], []
     power = Mat.identity(dim)
     while kers[-1].dim < dim:
+        if len(kers) > dim:
+            raise ValueError("operator is not nilpotent")
+        ims.append(image(power))
         power = power * n_op
         kers.append(kernel(power))
-        if len(kers) > dim + 1:
-            raise ValueError("operator is not nilpotent")
     nu = len(kers) - 1
-
-    tops = {}
-    descended = []  # images N^(t-s) v of longer-chain tops, at the current height
-    for s in range(nu, 0, -1):
-        lower = kers[s - 1] + Subspace(dim, descended)
-        tops[s] = extend_basis(lower, kers[s])
-        descended = [n_op.apply(x) for x in descended + list(tops[s])]
-
-    by_weight = {}
-    for s, vs in tops.items():
-        for v in vs:
-            x = v
-            for j in range(s):
-                by_weight.setdefault(center + s - 1 - 2 * j, []).append(x)
-                x = n_op.apply(x)
-    return IncreasingFiltration.from_generators(dim, by_weight) if by_weight \
-        else IncreasingFiltration(dim, {center: Subspace.zero(dim)})
+    return IncreasingFiltration(dim, {
+        center + l: Subspace.sum(dim, (kers[l + j + 1].intersect(ims[j])
+                                       for j in range(max(0, -l - 1), min(nu, nu - l))))
+        for l in range(-nu, nu)})
 
 
 def weight_axioms_hold(wf: IncreasingFiltration, n_op: Mat, center: int):

@@ -68,21 +68,9 @@ class LieAlgebraBasis:
     def dim(self):
         return len(self.basis)
 
-    def span(self) -> Subspace:
-        n = self.ambient
-        return Subspace(n * n, [flatten_matrix(b) for b in self.basis])
-
     def contains(self, x: Mat) -> bool:
         """Membership test straight from the defining equation."""
         return is_infinitesimal_isometry(x, self.q)
-
-    def bracket_closure_holds(self) -> bool:
-        s = self.span()
-        return all(
-            s.contains_vector(flatten_matrix(commutator(a, b)))
-            for i, a in enumerate(self.basis)
-            for b in self.basis[i + 1:]
-        )
 
 
 def lie_algebra(q: Mat) -> LieAlgebraBasis:
@@ -238,32 +226,8 @@ def _cut_out_layers(local, flats, cell_shifts) -> dict:
     for d in sorted(set(cell_shifts)):
         coeffs = kernel(Mat([row for row, s in zip(cells, cell_shifts) if s != d]))
         if coeffs.dim:
-            pieces[d] = Subspace(len(cells), _combine(coeffs, flats))
+            pieces[d] = Subspace(len(cells), (Mat(coeffs.basis) * Mat(flats)).rows)
     return pieces
-
-
-def _combine(coeffs: Subspace, flats):
-    """One combination of the flattened elements per coefficient vector."""
-    return (Mat(coeffs.basis) * Mat(flats)).rows if coeffs.dim else []
-
-
-def centralizer(algebra: LieAlgebraBasis, ns) -> Subspace:
-    """Elements of g commuting with every matrix in ns, flattened.
-
-    An empty collection returns the span of the whole algebra.
-    """
-    ns = list(ns)
-    n = algebra.ambient
-    flats = [flatten_matrix(b) for b in algebra.basis]
-    if not ns:
-        return Subspace(n * n, flats)
-    cols = []
-    for b in algebra.basis:
-        stacked = []
-        for nil in ns:
-            stacked.extend(flatten_matrix(commutator(b, nil)))
-        cols.append(stacked)
-    return Subspace(n * n, _combine(kernel(Mat.from_cols(cols)), flats))
 
 
 def hermitian_test(split: LieSplit):

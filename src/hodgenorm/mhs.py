@@ -20,6 +20,7 @@ from .exactlin import (
     Mat,
     ONE,
     Subspace,
+    commutator,
     dot,
     hermitian_positive_definite,
     kernel,
@@ -194,10 +195,6 @@ def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
     return None
 
 
-def hodge_diamond(structure: MixedHodge):
-    return structure.split().diamond()
-
-
 def check_symmetries(diamond: dict, n: int, limiting: bool = False):
     """Conjugation symmetry of a diamond; for limiting ones also the
     reflection h^{p,q} = h^{p-k,q-k} with k = p+q-n."""
@@ -243,7 +240,7 @@ class NilpotentCone:
                 raise ValueError(f"cone[{idx}]: generator {idx} is not infinitesimally skew")
         for i, a in enumerate(self.generators):
             for b in self.generators[i + 1:]:
-                if not (a * b - b * a).is_zero():
+                if not commutator(a, b).is_zero():
                     raise ValueError("cone: generators do not commute")
 
     def __len__(self):

@@ -592,13 +592,6 @@ class OrbitFrame:
     q01: GaussianRational
     h_tilde: Fraction
 
-    def vector(self, j):
-        """The frame vector eta * e_j."""
-        return self.eta.apply(self.spec.basis.column(j))
-
-    def vectors(self):
-        return tuple(self.vector(j) for j in range(self.spec.dim))
-
 
 def eval_frame(spec: OrbitSpec, t, ell, branch=None) -> OrbitFrame:
     """Evaluate the frame at an interior point with explicit ell-values.

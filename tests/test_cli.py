@@ -625,6 +625,9 @@ FUZZ_SITES = [(name, path) for name, doc in FUZZ_DOCS.items() for path in _paths
 FUZZ_VALUES = [True, None, "x", [["1"]], "1e400", "1e-400", "1e40000"]
 # elliptic's pairing scaled by 10^40000, which keeps it antisymmetric
 HUGE_Q = [["0", "1e40000"], ["-1e40000", "0"]]
+# json.dumps cannot write an int of more than 4300 digits, so a document
+# carries this marker where the bare integer 10^5000 is written in its place
+HUGE_INT = "<the bare JSON integer 10^5000>"
 FIELD_PATH = re.compile(r"error: [\w$]+(\[[^\]]*\]|\.\w+)*: ")
 
 
@@ -661,6 +664,8 @@ def _mutated(doc, path, kind, value):
          command="check")
 @example(site=("pair.json", ("markers", "lam")), kind="swap", value="-1e40000",
          command="diamond")
+@example(site=("elliptic.json", ("weight",)), kind="swap", value=HUGE_INT, command="diamond")
+@example(site=("elliptic.json", ("q", 0, 1)), kind="swap", value=HUGE_INT, command="check")
 @given(site=st.sampled_from(FUZZ_SITES),
        kind=st.sampled_from(["swap", "drop", "add", "flip"]),
        value=st.sampled_from(FUZZ_VALUES),
@@ -669,13 +674,15 @@ def test_mutated_fixtures_exit_cleanly_and_name_the_field(site, kind, value, com
                                                           tmp_path_factory):
     name, path = site
     target = tmp_path_factory.mktemp("fuzz") / name
-    target.write_text(json.dumps(_mutated(FUZZ_DOCS[name], path, kind, value)))
+    text = json.dumps(_mutated(FUZZ_DOCS[name], path, kind, value))
+    target.write_text(text.replace(json.dumps(HUGE_INT), "1" + "0" * 5000))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(target)])
     assert code in (0, 1, 2)
     if code == 2:
         assert FIELD_PATH.match(err.getvalue()), err.getvalue()
+        assert len(err.getvalue()) < 500, err.getvalue()[:200]
 
 
 # -- resource and float-range preconditions -----------------------------------------

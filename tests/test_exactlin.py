@@ -11,7 +11,6 @@ from hodgenorm.exactlin import (
     Mat,
     Subspace,
     commutator,
-    extend_basis,
     fraction_sqrt,
     gauss_sqrt,
     hermitian_positive_definite,
@@ -20,7 +19,6 @@ from hodgenorm.exactlin import (
     nilpotent_exp,
     qi,
     rref,
-    solve,
     vec,
 )
 
@@ -111,11 +109,10 @@ def test_inverse_hand_worked():
         Mat([[1, 2], [2, 4]]).inverse()
 
 
-def test_matrix_power_and_trace():
+def test_matrix_power():
     n = Mat([[0, 1], [0, 0]])
     assert n ** 2 == Mat.zeros(2)
     assert n ** 0 == Mat.identity(2)
-    assert Mat([[1, 5], [0, 3]]).trace() == 4
 
 
 def test_nilpotent_exp_hand_worked():
@@ -153,22 +150,7 @@ def test_rank_nullity():
     rng = random.Random(11)
     for _ in range(25):
         m = _random_mat(rng, rng.randint(1, 4), rng.randint(1, 5))
-        assert m.rank() + kernel(m).dim == m.ncols
-        assert image(m).dim == m.rank()
-
-
-def test_solve_round_trip():
-    rng = random.Random(13)
-    for _ in range(25):
-        m = _random_mat(rng, 3, 4)
-        v = vec([rng.randint(-3, 3) for _ in range(4)])
-        b = m.apply(v)
-        x = solve(m, b)
-        assert x is not None and m.apply(x) == b
-
-
-def test_solve_infeasible():
-    assert solve(Mat([[1, 0], [1, 0]]), (1, 2)) is None
+        assert image(m).dim + kernel(m).dim == m.ncols
 
 
 # -- subspaces ---------------------------------------------------------------
@@ -200,26 +182,16 @@ def test_subspace_equality_is_basis_independent():
     assert hash(a) == hash(b)
 
 
-def test_extend_basis():
-    inner = Subspace(3, [vec([1, 0, 0])])
-    outer = Subspace.full(3)
-    ext = extend_basis(inner, outer)
-    assert len(ext) == 2
-    total = inner + Subspace(3, ext)
-    assert total == outer
-    with pytest.raises(ValueError):
-        extend_basis(outer, inner)
-
-
 def test_coords():
-    # coordinates in the echelon basis solve basis-as-columns * c = v
+    # the reduced echelon basis has pivots 1 cleared above and below, so a
+    # vector of the span has its entries at the pivots as coordinates
     s = Subspace(3, [vec([1, 0, 1]), vec([0, 1, 0])])
-    c = solve(Mat.from_cols(s.rows), vec([2, 3, 2]))
-    assert c is not None
+    v = vec([2, 3, 2])
+    c = [v[p] for p, _, _ in s.int_rows]
     rebuilt = [sum((ci * bi for ci, bi in zip(c, col)), start=qi(0))
                for col in zip(*s.basis)]
-    assert tuple(rebuilt) == vec([2, 3, 2])
-    assert solve(Mat.from_cols(s.rows), vec([0, 0, 1])) is None
+    assert tuple(rebuilt) == v
+    assert not s.contains_vector(vec([0, 0, 1]))
 
 
 def test_subspace_checks_every_vector_length():

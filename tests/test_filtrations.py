@@ -1,14 +1,16 @@
-"""Weight filtrations: frozen Jordan-chain oracles and the axiom checker.
+"""Filtrations, and weight filtrations checked against hand-worked Jordan
+blocks and the axiom checker.
 
 The two defining axioms determine the weight filtration uniquely, so
-`weight_axioms_hold` is a complete independent oracle for the construction.
+`weight_axioms_hold` is a complete independent oracle for the construction;
+the random nilpotents are drawn with real and with Gaussian-integer entries.
 """
 
 import random
 
 import pytest
 
-from hodgenorm.exactlin import Mat, Subspace, vec
+from hodgenorm.exactlin import Mat, Subspace, qi, vec
 from hodgenorm.filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
@@ -117,7 +119,7 @@ def test_weight_filtration_shift_matches_hand_computation():
 
 
 def test_non_nilpotent_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="operator is not nilpotent"):
         weight_filtration(Mat([[1, 0], [0, 0]]))
 
 
@@ -131,7 +133,11 @@ def _random_unimodular(rng, n):
 
 
 def _random_nilpotent(rng, n):
-    strict = [[rng.randint(-2, 2) if j > i else 0 for j in range(n)] for i in range(n)]
+    """g·S·g⁻¹ for a strictly upper triangular S, with Gaussian-integer
+    entries in about half the draws, so that N need not be real."""
+    imag = (-2, 2) if rng.random() < 0.5 else (0, 0)
+    strict = [[qi(rng.randint(-2, 2), rng.randint(*imag)) if j > i else 0 for j in range(n)]
+              for i in range(n)]
     g = _random_unimodular(rng, n)
     return g * Mat(strict) * g.inverse()
 

@@ -113,9 +113,9 @@ def test_derivation_exponentiates_to_the_compound():
 
 
 def test_derivation_of_diagonal_adds_eigenvalues():
-    d = Mat.diag([1, 2, 5])
+    d = Mat([[1, 0, 0], [0, 2, 0], [0, 0, 5]])
     lifted = wedge_derivation(d, 2)
-    assert lifted == Mat.diag([3, 6, 7])  # pairs (0,1), (0,2), (1,2)
+    assert lifted == Mat([[3, 0, 0], [0, 6, 0], [0, 0, 7]])  # pairs (0,1), (0,2), (1,2)
 
 
 def test_kron_mixed_product():

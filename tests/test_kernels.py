@@ -38,7 +38,6 @@ from hodgenorm.exactlin import (
     nilpotent_exp,
     qi,
     rref,
-    solve,
     vec,
 )
 from hodgenorm.fixtures import curve_pair, elliptic, orbit_elliptic
@@ -120,17 +119,6 @@ def dense_kernel(a):
                 v[p] = -r[free]
             basis.append(v)
     return dense_rref(basis)[0] if basis else ()
-
-
-def dense_solve(a, rhs):
-    """The solution with every free variable 0, or None if there is none."""
-    red, pivots = dense_rref([list(r) + [b] for r, b in zip(a.rows, rhs)])
-    if a.ncols in pivots:
-        return None
-    x = [ZERO] * a.ncols
-    for r, p in zip(red, pivots):
-        x[p] = r[-1]
-    return tuple(x)
 
 
 def dense_exp(n):
@@ -310,20 +298,6 @@ def test_kernel_matches_dense_reference_on_large_entries(a):
     assert got.rows == dense_kernel(a)
     assert_canonical(got.rows, rref(got.rows)[1])
     assert all(not any(dense_apply(a, v)) for v in got.rows)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_solve_matches_dense_reference_on_large_entries(data):
-    a = data.draw(wide)
-    if data.draw(st.booleans()):  # a right-hand side in the image
-        rhs = dense_apply(a, data.draw(st.tuples(*[big_scalars] * a.ncols)))
-    else:
-        rhs = data.draw(st.tuples(*[big_scalars] * a.nrows))
-    got = solve(a, rhs)
-    assert got == dense_solve(a, rhs)
-    if got is not None:
-        assert dense_apply(a, got) == tuple(rhs)
 
 
 # -- subspace operations on stored Gaussian-integer rows --------------------------------
@@ -742,7 +716,7 @@ def test_every_kernel_result_keeps_a_readable_int_form(pair, n):
     a, b = pair
     square = Mat(dense_mul(a, a.transpose()))
     results = [a, b, Mat.identity(a.nrows), Mat.zeros(a.ncols), Mat.from_cols(a.rows),
-               Mat.diag(a.rows[0]), a * b, a + a, a - a, a * qi(2, -1), a.transpose(),
+               a * b, a + a, a - a, a * qi(2, -1), a.transpose(),
                a.submatrix(range(a.nrows), reversed(range(a.ncols))), nilpotent_exp(n)]
     try:
         results.append(square.inverse())

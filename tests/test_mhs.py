@@ -27,7 +27,6 @@ from hodgenorm.mhs import (
     cone_compatibility,
     deligne_split,
     f_infinity,
-    hodge_diamond,
     polarization_check,
 )
 
@@ -70,7 +69,7 @@ def test_pure_weight_one_polarization():
         4, {1: [vec((1, qi(0, 1), 0, 0)), vec((0, 0, 1, qi(0, 1)))],
             0: [vec((0, 1, 0, 0)), vec((0, 0, 0, 1))]})
     structure = MixedHodge(1, w, f, q)
-    assert hodge_diamond(structure) == {(1, 0): 2, (0, 1): 2}
+    assert structure.split().diamond() == {(1, 0): 2, (0, 1): 2}
     ok, detail = polarization_check(structure)
     assert ok, detail
     flipped = MixedHodge(1, w, f, q * -1)
@@ -94,7 +93,7 @@ def three_chain():
 
 def test_three_chain_split_and_polarization():
     structure, cone = three_chain()
-    diamond = hodge_diamond(structure)
+    diamond = structure.split().diamond()
     assert diamond == {(2, 2): 1, (1, 1): 1, (0, 0): 1}
     ok, _ = check_symmetries(diamond, 2, limiting=True)
     assert ok
@@ -131,7 +130,7 @@ def two_chain_pair():
 
 def test_two_chain_pair_split_and_polarization():
     structure, cone = two_chain_pair()
-    diamond = hodge_diamond(structure)
+    diamond = structure.split().diamond()
     assert diamond == {(2, 1): 1, (1, 2): 1, (1, 0): 1, (0, 1): 1}
     ok, _ = check_symmetries(diamond, 2, limiting=True)
     assert ok

@@ -218,7 +218,7 @@ def test_curve_frame_by_hand():
     assert fr.theta == nilpotent_exp(ell * n_op)
     assert fr.zeta == nilpotent_exp(x * n_op)
     assert fr.zeta_hat == fr.zeta
-    assert fr.vector(0) == vec((1, ell + x))
+    assert fr.eta.apply(spec.basis.column(0)) == vec((1, ell + x))
     assert fr.q01 == 1 and fr.h_tilde == 1
 
 
