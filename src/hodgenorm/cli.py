@@ -35,8 +35,8 @@ from .orbit import (
     triangularity_check,
 )
 
-# The float probe layer (and numpy with it) is imported inside the commands
-# that use it, so exact-only commands start without it.
+# The float probe layer (and numpy with it) is imported inside the commands,
+# and the branches of `eval`, that use it, so exact-only runs start without it.
 
 FIXTURE_TAG = "hodge-fixture/1"
 REPORT_TAG = "hodge-report/1"
@@ -75,8 +75,20 @@ _LONG_INTEGER = re.compile(r"-?[1-9][0-9]{%d,}" % len(str(2 ** MAX_PART_BITS)))
 _OVER_CAP = f"numerator or denominator exceeds {MAX_PART_BITS} bits"
 
 
+# Input text longer than this is echoed as its start and its length, so that
+# no message grows with its input.
+MAX_ECHO = 40
+
+
 def _json_int(text):
     return text if _LONG_INTEGER.fullmatch(text) else int(text)
+
+
+def _echoed(text):
+    """repr(text) or, for text over MAX_ECHO characters, its start and length."""
+    if len(text) <= MAX_ECHO:
+        return repr(text)
+    return f"{text[:MAX_ECHO // 2]!r}... ({len(text)} characters)"
 
 
 def _parse_fraction(node, path):
@@ -90,7 +102,7 @@ def _parse_fraction(node, path):
         try:
             value = Fraction(node)
         except (ValueError, ZeroDivisionError):
-            _fail(path, f"bad rational {node!r}")
+            _fail(path, f"bad rational {_echoed(node)}")
     else:
         _fail(path, f"expected a rational string, got {type(node).__name__}")
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_PART_BITS:
@@ -138,13 +150,14 @@ def _parse_levels(node, path, dim, cls):
         _fail(path, "expected a non-empty object of level -> spanning vectors")
     gens = {}
     for key, vectors in node.items():
+        where = f"{path}.{key}" if len(key) <= MAX_ECHO else f"{path}[{_echoed(key)}]"
         try:
             level = int(key)
         except ValueError:
-            _fail(f"{path}.{key}", "level keys must be integers")
+            _fail(where, "level keys must be integers")
         if not isinstance(vectors, list):
-            _fail(f"{path}.{key}", "expected a list of spanning vectors")
-        gens[level] = [_parse_vector(v, f"{path}.{key}[{j}]", dim)
+            _fail(where, "expected a list of spanning vectors")
+        gens[level] = [_parse_vector(v, f"{where}[{j}]", dim)
                        for j, v in enumerate(vectors)]
     return cls.from_generators(dim, gens)
 
@@ -159,7 +172,7 @@ def _parse_zeta(node, path, k, n_coords, dim):
         _fail(path, "expected an object keyed by comma-joined index sets")
     table = {}
     for key, terms in node.items():
-        where = f"{path}[{key!r}]"
+        where = f"{path}[{_echoed(key)}]"
         try:
             idx = frozenset(int(s) for s in key.split(",")) if key else frozenset()
         except ValueError:
@@ -496,7 +509,6 @@ def cmd_lie(fixture, args):
 
 
 def cmd_eval(fixture, args):
-    from .probe import norm_value
     spec = fixture.orbit()
     if args.t is None:
         raise FixtureError("eval needs --t with one value per coordinate")
@@ -522,6 +534,7 @@ def cmd_eval(fixture, args):
         _require_floats(fixture)
         for j, x in enumerate(t):
             _require_float(x, f"--t[{j}]")
+        from .probe import norm_value
         value = norm_value(spec, tuple(x.to_complex() for x in t))
         lines.append(f"h ~ {value!r}  (principal-branch ell)")
         report.update({"mode": "float", "h": value})

@@ -7,21 +7,24 @@ and no tolerance ever enters.
 
 Every kernel computes on Gaussian integers.  A row reads as its nonzero
 entries, (index, re, im) int triples, times a scale: the lcm of those
-entries' denominators.  Each nonzero result part becomes one `Fraction` at
-the end, with `ZERO` for zero entries, so results are the same
-`GaussianRational`s with `Fraction` parts that arithmetic over Q(i) gives,
-entry for entry.
+entries' denominators.  Kernel results keep only that int form; their
+`GaussianRational` rows are built the first time `rows` is read, one
+`Fraction` per nonzero part and `ZERO` for zero entries, so they are the
+same scalars that arithmetic over Q(i) gives, entry for entry.
 
-A `Mat` keeps that int form of its rows beside them.  Kernels set it on
-their results; a matrix built from entries reads it on first use.  So each
-operation costs the nonzero entries it meets, and an operand is converted
-once however often it is used:
+A `Mat` keeps the int form of its rows.  Kernels set it on their results; a
+matrix built from entries reads it on first use.  So each operation costs
+the nonzero entries it meets, and an operand is converted once however
+often it is used.  The int form of a row is canonical (ascending indices,
+a positive scale sharing no factor with the parts), so equality and
+hashing read it too:
 
 - `+`, `-` and scalar `*` combine the triples of each row over the lcm of
   the two scales, and `is_zero` looks for any triple at all;
 - `*` puts the right matrix over one common denominator and accumulates
   each output row in ints, in the manner of Gustavson's sparse product;
 - `apply` and `dot` multiply the triples that meet the vector's nonzeros;
+- `transpose` and `conj` move and negate triples;
 - `submatrix` picks its triples out of the parent's, and `det` is Bareiss's
   fraction-free elimination over Z[i] on them, divided by the product of
   the row scales at the end;
@@ -34,15 +37,17 @@ int rows, and `rref` runs it on scaled rows.  Rescaling rows leaves the row
 space unchanged, and the reduced echelon form is unique for a row space, so
 `rref` gives exactly the result of Gauss-Jordan elimination over Q(i).
 
-A `Subspace` keeps the Gaussian-integer rows that `_eliminate` leaves
-beside its `GaussianRational` rows, and computes on them: `Subspace.sum`
-spans any number of spaces with one elimination of all their stored rows
-(`+` is its two-space case), Zassenhaus intersections eliminate them
-directly, conjugation negates their imaginary parts, and `contains_vector`
-and `contains` eliminate the int form of each vector against them, so only
-vectors handed in from outside are converted.  The entrywise sums and
-scalings of vectors stay on `GaussianRational` entries and skip zero
-entries.
+A `Subspace` keeps the Gaussian-integer rows that `_eliminate` leaves, each
+divided by its integer content, and computes on them: `Subspace.sum` spans
+any number of spaces with one elimination of all their stored rows (`+` is
+its two-space case), Zassenhaus intersections eliminate them directly,
+conjugation negates their imaginary parts, `kernel`, `image` and `apply`
+build their spanning rows in ints, and `contains_vector` and `contains`
+eliminate the int form of each vector against them, so only vectors handed
+in from outside are converted.  A primitive row with a positive lead is
+the only such multiple of its reduced row, so equality and hashing read the
+stored rows.  The entrywise sums and scalings of vectors stay on
+`GaussianRational` entries and skip zero entries.
 """
 
 from __future__ import annotations
@@ -287,41 +292,51 @@ def form_value(q: "Mat", u, v):
 class Mat:
     """Immutable matrix over Q(i).
 
-    `rows` holds the `GaussianRational` entries, which equality, hashing and
-    every caller read.  `ints` holds each row as `_nonzero_ints` reads it;
-    kernels set it, other constructors leave it None for `int_form` to fill.
+    `ints` holds each row as `_nonzero_ints` reads it, and equality and
+    hashing read it.  Kernels store only that; other constructors store the
+    `GaussianRational` entries in `rows` and leave `ints` None for
+    `int_form` to fill.  A kernel result builds its `rows` the first time
+    they are read.
     """
 
-    # Both slots are always set, `ints` possibly to None: `perfbench/tracer.py`
-    # reads every slot of a matrix whose slots are not ("rows",).
-    __slots__ = ("rows", "ints")
+    # `ints` and `width` are always set, `ints` possibly to None, and `rows`
+    # is filled by `__getattr__` when read unset: `perfbench/tracer.py` reads
+    # every slot of a matrix whose slots are not ("rows",).
+    __slots__ = ("rows", "ints", "width")
 
     def __init__(self, rows):
         self.rows = tuple(vec(r) for r in rows)
         self.ints = None
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
+        self.width = len(self.rows[0]) if self.rows else 0
+        if any(len(r) != self.width for r in self.rows):
+            raise ValueError("ragged rows")
 
     @classmethod
-    def _of_rows(cls, rows):
-        # results built from entries: rows are already equal-length tuples of scalars
+    def _of_rows(cls, rows, width):
+        # results built from entries: rows are already tuples of `width` scalars
         self = object.__new__(cls)
         self.rows = tuple(rows)
         self.ints = None
+        self.width = width
         return self
 
     @classmethod
     def _of_ints(cls, ints, width):
-        """Kernel results: the rows given as (triples, scale), turned into
-        `GaussianRational`s once and stored as their int form."""
+        """Kernel results: the rows given as (triples, scale), stored as
+        their reduced int form; `rows` is built on first read."""
         self = object.__new__(cls)
-        self.ints = tuple(_reduced(row, d) if row else (row, 1) for row, d in ints)
-        zero = (ZERO,) * width
-        self.rows = tuple(tuple(_row_from_triples(row, d, width)) if row else zero
-                          for row, d in self.ints)
+        self.ints = tuple(_reduced(row, d) if row else ([], 1) for row, d in ints)
+        self.width = width
         return self
+
+    def __getattr__(self, name):
+        # only an unset `rows` slot gets here: build it from the int form
+        if name != "rows":
+            raise AttributeError(name)
+        zero = (ZERO,) * self.width
+        self.rows = tuple(tuple(_row_from_triples(row, d, self.width)) if row else zero
+                          for row, d in self.ints)
+        return self.rows
 
     @classmethod
     def identity(cls, n):
@@ -343,11 +358,11 @@ class Mat:
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self.rows if self.ints is None else self.ints)
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        return self.width
 
     @property
     def shape(self):
@@ -360,14 +375,12 @@ class Mat:
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
-    def cols(self):
-        return tuple(self.col(j) for j in range(self.ncols))
-
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        return (isinstance(other, Mat) and self.width == other.width
+                and self.int_form() == other.int_form())
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.width, tuple((tuple(row), d) for row, d in self.int_form())))
 
     def _plus(self, other, sign):
         """self + sign * other, merging the rows' nonzero triples."""
@@ -435,10 +448,20 @@ class Mat:
                      for row, d in self.int_form())
 
     def transpose(self):
-        return Mat._of_rows(zip(*self.rows))
+        """Each column's triples, put over the lcm of the scales they meet."""
+        cols = [[] for _ in range(self.width)]
+        for i, (row, d) in enumerate(self.int_form()):
+            for j, a, b in row:
+                cols[j].append((i, a, b, d))
+        out = []
+        for col in cols:
+            s = lcm(*[d for *_, d in col])
+            out.append(([(i, a * (s // d), b * (s // d)) for i, a, b, d in col], s))
+        return Mat._of_ints(out, self.nrows)
 
     def conj(self):
-        return Mat([vec_conj(r) for r in self.rows])
+        return Mat._of_ints([([(j, a, -b) for j, a, b in row], d)
+                             for row, d in self.int_form()], self.width)
 
     def conj_t(self):
         return self.transpose().conj()
@@ -511,16 +534,14 @@ class Mat:
 
     def submatrix(self, row_idx, col_idx):
         """The entries at the given rows and columns; the int form is read off this one's."""
-        row_idx, col_idx = tuple(row_idx), tuple(col_idx)
+        col_idx = tuple(col_idx)
         form = self.int_form()
-        out = Mat._of_rows(tuple(self.rows[i][j] for j in col_idx) for i in row_idx)
         ints = []
         for i in row_idx:
             row, d = form[i]
             row = {j: (a, b) for j, a, b in row}
-            ints.append(_reduced([(k, *row[j]) for k, j in enumerate(col_idx) if j in row], d))
-        out.ints = tuple(ints)
-        return out
+            ints.append(([(k, *row[j]) for k, j in enumerate(col_idx) if j in row], d))
+        return Mat._of_ints(ints, len(col_idx))
 
     def to_complex_rows(self):
         """Rows as python complex, for handing off to float code."""
@@ -787,6 +808,17 @@ def _eliminate(res, ims):
     return pivots
 
 
+def _dense_rows(form, width):
+    """The triples of int-form rows as int lists of their real and of their
+    imaginary parts; the scales are dropped, which leaves the row space alone."""
+    res, ims = [], []
+    for row, _ in form:
+        re, im = _dense(((1, row),), width)
+        res.append(re)
+        ims.append(im)
+    return res, ims
+
+
 def _int_rows(rows):
     """Rows as the int lists of their real and of their imaginary parts."""
     res, ims = [], []
@@ -811,24 +843,39 @@ def rref(rows):
 
 
 def kernel(mat: Mat) -> "Subspace":
-    """Kernel of the linear map given by mat (acting on column vectors)."""
-    red, pivots = rref(mat.rows)
+    """Kernel of the linear map given by mat (acting on column vectors).
+
+    With the rows of mat eliminated, row r having lead a_r at pivot p_r,
+    each free column f gives the kernel vector with 1 at f and
+    -row_r[f] / a_r at each p_r: times the lcm m of the leads it meets, a
+    row of Gaussian integers.  Those rows span the kernel, so one more
+    elimination gives its echelon basis.
+    """
     n = mat.ncols
-    pivset = set(pivots)
-    basis = []
+    res, ims = _dense_rows(mat.int_form(), n)
+    pivots = _eliminate(res, ims)
+    pivoted = set(pivots)
+    out_re, out_im = [], []
     for free in range(n):
-        if free in pivset:
+        if free in pivoted:
             continue
-        v = [ZERO] * n
-        v[free] = ONE
-        for r, p in zip(red, pivots):
-            v[p] = -r[free]
-        basis.append(tuple(v))
-    return Subspace(n, basis)
+        meets = [r for r in range(len(pivots)) if res[r][free] or ims[r][free]]
+        m = lcm(*[res[r][pivots[r]] for r in meets])
+        re, im = [0] * n, [0] * n
+        re[free] = m
+        for r in meets:
+            f = m // res[r][pivots[r]]
+            re[pivots[r]] = -f * res[r][free]
+            im[pivots[r]] = -f * ims[r][free]
+        out_re.append(re)
+        out_im.append(im)
+    return Subspace._echelon(n, out_re, out_im, _eliminate(out_re, out_im))
 
 
 def image(mat: Mat) -> "Subspace":
-    return Subspace(mat.nrows, mat.cols())
+    """The column space: the span of the rows of the transpose."""
+    res, ims = _dense_rows(mat.transpose().int_form(), mat.nrows)
+    return Subspace._echelon(mat.nrows, res, ims, _eliminate(res, ims))
 
 
 # -- subspaces -------------------------------------------------------------
@@ -837,12 +884,16 @@ def image(mat: Mat) -> "Subspace":
 class Subspace:
     """A linear subspace of Q(i)^n with a canonical echelon basis.
 
-    `rows` is the reduced echelon basis with pivots 1; equality and hashing
-    read it.  `int_rows` holds the same rows as `_eliminate` leaves them,
+    `int_rows` holds the reduced echelon basis as `_eliminate` leaves it,
     triples (pivot, re, im) of Gaussian integers with a positive integer
-    lead re[pivot], whose scale depends on how they were reached.
+    lead re[pivot], each divided by its integer content.  Such a row is the
+    only primitive multiple of its reduced row with a positive lead, so
+    equality and hashing read `int_rows`.  `rows`, the same basis with
+    pivots 1 as `GaussianRational`s, is built the first time it is read.
     """
 
+    # `ambient` and `int_rows` are always set, and `__getattr__` fills `rows`
+    # when read unset: `perfbench/tracer.py` reads every slot of a subspace.
     __slots__ = ("ambient", "rows", "int_rows")
 
     def __init__(self, ambient, vectors=()):
@@ -853,9 +904,23 @@ class Subspace:
         self._set(res, ims, _eliminate(res, ims))
 
     def _set(self, res, ims, pivots):
-        """Store the reduced rows that _eliminate left first in res and ims."""
-        self.rows = tuple(map(_reduced_row, res, ims, pivots))
-        self.int_rows = tuple(zip(pivots, map(tuple, res), map(tuple, ims)))
+        """Store the reduced rows that _eliminate left first in res and ims,
+        each divided by its integer content."""
+        rows = []
+        for p, re, im in zip(pivots, res, ims):
+            g = gcd(*re, *im)
+            if g != 1:
+                re = [x // g for x in re]
+                im = [x // g for x in im]
+            rows.append((p, tuple(re), tuple(im)))
+        self.int_rows = tuple(rows)
+
+    def __getattr__(self, name):
+        # only an unset `rows` slot gets here: build it from the int rows
+        if name != "rows":
+            raise AttributeError(name)
+        self.rows = tuple(_reduced_row(re, im, p) for p, re, im in self.int_rows)
+        return self.rows
 
     @classmethod
     def _echelon(cls, ambient, res, ims, pivots):
@@ -870,11 +935,14 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, Mat.identity(ambient).rows)
+        ambient = int(ambient)
+        units = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+        zeros = [[0] * ambient for _ in range(ambient)]
+        return cls._echelon(ambient, units, zeros, list(range(ambient)))
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self.int_rows)
 
     @property
     def basis(self):
@@ -883,10 +951,10 @@ class Subspace:
     def __eq__(self, other):
         return (isinstance(other, Subspace)
                 and self.ambient == other.ambient
-                and self.rows == other.rows)
+                and self.int_rows == other.int_rows)
 
     def __hash__(self):
-        return hash((self.ambient, self.rows))
+        return hash((self.ambient, self.int_rows))
 
     def _holds(self, re, im):
         """Whether v = re + i*im, a row of Gaussian integers, lies in the span.
@@ -980,13 +1048,24 @@ class Subspace:
         """The conjugate space; conjugating a reduced echelon basis keeps it reduced."""
         out = object.__new__(Subspace)
         out.ambient = self.ambient
-        out.rows = tuple(map(vec_conj, self.rows))
         out.int_rows = tuple((p, re, tuple(-y for y in im)) for p, re, im in self.int_rows)
         return out
 
     def apply(self, mat: Mat):
-        """Image of this subspace under mat."""
-        return Subspace(mat.nrows, [mat.apply(r) for r in self.rows])
+        """Image of this subspace under mat: mat times each stored row, with
+        the rows of mat over the lcm of their scales."""
+        if mat.ncols != self.ambient:
+            raise ValueError("vector length mismatch")
+        form = mat.int_form()
+        den = lcm(*[d for _, d in form])
+        factors = [den // d for _, d in form]
+        res, ims = [], []
+        for _, re, im in self.int_rows:
+            support = {j: (x, y) for j, x, y in _triples(re, im)}
+            images = [_pair_ints(row, support) for row, _ in form]
+            res.append([f * x for f, (x, _) in zip(factors, images)])
+            ims.append([f * y for f, (_, y) in zip(factors, images)])
+        return Subspace._echelon(mat.nrows, res, ims, _eliminate(res, ims))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"

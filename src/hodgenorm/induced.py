@@ -10,12 +10,19 @@ by monomials of a bigraded basis of V with their total levels.  Downstream:
 a Tate shift that renormalizes the top filtration level to a line, and the
 distinguished vectors (e0, e_infinity, e_d) with the pairing scalar between
 them.
+
+Wedge coordinates and compound matrices are k×k minors.  They come from one
+Laplace expansion over row prefixes in Gaussian integers, which shares each
+(j-1)-minor among all the j-minors that expand into it, and each result is
+divided by the product of its row scales once.  Kronecker products multiply
+the int triples of the factors' rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +32,8 @@ from .exactlin import (
     ONE,
     Subspace,
     ZERO,
+    _from_ints,
+    _nonzero_ints,
     form_value,
     vec_conj,
     vec_scale,
@@ -45,18 +54,67 @@ def wedge_indices(v_dim, k):
     return tuple(itertools.combinations(range(v_dim), k))
 
 
+def _prefix_minors(form, prefix, memo):
+    """The nonzero minors of the rows `prefix` of an int-form matrix, as
+    {column set: [re, im]} in Gaussian integers, before dividing by the
+    row scales.
+
+    Laplace expansion along the last row: the minor on columns S is the sum,
+    over the columns c of S where that row is nonzero, of
+    (-1)^(j + position of c in S) times the row's entry at c times the minor
+    of the first j rows on S without c.  Those (j-1)-minors come from
+    `memo`, keyed by row prefix, so prefixes that several row sets share
+    are expanded once.
+    """
+    if not prefix:
+        return {(): [1, 0]}
+    got = memo.get(prefix)
+    if got is not None:
+        return got
+    below = _prefix_minors(form, prefix[:-1], memo)
+    j = len(prefix) - 1
+    out = {}
+    for c, a, b in form[prefix[-1]][0]:
+        for cols, (x, y) in below.items():
+            if c in cols:
+                continue
+            pos = bisect_left(cols, c)
+            sign = -1 if (j + pos) % 2 else 1
+            acc = out.setdefault(cols[:pos] + (c,) + cols[pos:], [0, 0])
+            acc[0] += sign * (a * x - b * y)
+            acc[1] += sign * (a * y + b * x)
+    got = memo[prefix] = {cols: v for cols, v in out.items() if v[0] or v[1]}
+    return got
+
+
 def wedge_coords(vectors, v_dim):
-    """Coordinates of v1 ∧ ... ∧ vk in the standard wedge basis: k×k minors."""
-    k = len(vectors)
-    cols = Mat.from_cols(vectors)
-    return tuple(cols.submatrix(rows, range(k)).det()
-                 for rows in wedge_indices(v_dim, k))
+    """Coordinates of v1 ∧ ... ∧ vk in the standard wedge basis: the k×k
+    minors of the vectors taken as rows, by Laplace expansion."""
+    form = [_nonzero_ints(v) for v in vectors]
+    k = len(form)
+    minors = _prefix_minors(form, tuple(range(k)), {})
+    scale = math.prod(d for _, d in form)
+    return tuple(_from_ints(*minors[cols], scale) if cols in minors else ZERO
+                 for cols in wedge_indices(v_dim, k))
 
 
 def wedge_matrix(m: Mat, k: int) -> Mat:
-    """The compound matrix: action of m on Λ^k by k×k minors."""
+    """The compound matrix: action of m on Λ^k by k×k minors.
+
+    The minors of each row set come from one Laplace expansion, whose
+    (j-1)-minors are shared by every row set with the same first j-1 rows;
+    each row of the result is divided by the product of its row scales.
+    """
     combos = wedge_indices(m.nrows, k)
-    return Mat([[m.submatrix(s, t).det() for t in combos] for s in combos])
+    index = {cols: i for i, cols in enumerate(combos)}
+    form = m.int_form()
+    memo = {}
+    out = []
+    for rows in combos:
+        minors = _prefix_minors(form, rows, memo)
+        out.append((sorted((index[cols], re, im) for cols, (re, im) in minors.items()),
+                    math.prod(form[i][1] for i in rows)))
+    return Mat._of_ints(out, len(combos))
 
 
 def wedge_derivation(m: Mat, k: int) -> Mat:
@@ -82,12 +140,12 @@ def wedge_derivation(m: Mat, k: int) -> Mat:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    rows = []
-    for i1 in range(a.nrows):
-        for i2 in range(b.nrows):
-            rows.append([a[i1, j1] * b[i2, j2]
-                         for j1 in range(a.ncols) for j2 in range(b.ncols)])
-    return Mat(rows)
+    """The Kronecker product, from the products of the rows' int triples."""
+    w = b.ncols
+    return Mat._of_ints([([(j1 * w + j2, x1 * x2 - y1 * y2, x1 * y2 + y1 * x2)
+                           for j1, x1, y1 in ra for j2, x2, y2 in rb], da * db)
+                         for ra, da in a.int_form() for rb, db in b.int_form()],
+                        a.ncols * w)
 
 
 def kron_vec(u, v):

@@ -205,8 +205,9 @@ def _adapted_algebra(algebra: LieAlgebraBasis, structure: MixedHodge):
     # need no normalizing)
     flats = []
     if local:
-        stacked = (Mat._of_rows(chain.from_iterable(b.rows for b in local)) * a_inv).rows
-        side = Mat._of_rows(tuple(chain.from_iterable(stacked[i::n])) for i in range(n))
+        stacked = (Mat._of_ints(chain.from_iterable(b.int_form() for b in local), n) * a_inv).rows
+        side = Mat._of_rows((tuple(chain.from_iterable(stacked[i::n])) for i in range(n)),
+                            n * len(local))
         wide = (a * side).rows
         flats = [tuple(chain.from_iterable(r[k * n:(k + 1) * n] for r in wide))
                  for k in range(len(local))]

@@ -321,6 +321,20 @@ def test_eval_float_mode(capsys):
     assert "h ~ 1.0" in out
 
 
+def test_exact_eval_starts_without_numpy():
+    # the float layer, and numpy with it, loads only in the float branch
+    code = ("import sys; from hodgenorm.cli import main; "
+            f"code = main(['eval', {str(DATA / 'elliptic.json')!r}, "
+            "'--t', '1/3', '1/4', '--ell', '0,1']); "
+            "print(code, 'numpy' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"
+
+
 def test_eval_branch_shift_changes_nothing(capsys):
     base = run(capsys, "eval", DATA / "pair.json",
                "--t", "1/3", "1/5", "1/7", "--ell", "0,1", "1,1")
@@ -628,6 +642,9 @@ HUGE_Q = [["0", "1e40000"], ["-1e40000", "0"]]
 # json.dumps cannot write an int of more than 4300 digits, so a document
 # carries this marker where the bare integer 10^5000 is written in its place
 HUGE_INT = "<the bare JSON integer 10^5000>"
+# input text that an exit-2 message must not echo in full
+LONG_DECIMAL = "1." + "0" * 5001
+LONG_KEY = "1" + "0" * 5000
 FIELD_PATH = re.compile(r"error: [\w$]+(\[[^\]]*\]|\.\w+)*: ")
 
 
@@ -666,6 +683,10 @@ def _mutated(doc, path, kind, value):
          command="diamond")
 @example(site=("elliptic.json", ("weight",)), kind="swap", value=HUGE_INT, command="diamond")
 @example(site=("elliptic.json", ("q", 0, 1)), kind="swap", value=HUGE_INT, command="check")
+@example(site=("elliptic.json", ("q", 0, 1)), kind="swap", value=LONG_DECIMAL, command="diamond")
+@example(site=("elliptic.json", ("f",)), kind="swap", value={LONG_KEY: []}, command="diamond")
+@example(site=("elliptic.json", ("w",)), kind="swap", value={LONG_KEY: []}, command="diamond")
+@example(site=("elliptic.json", ("zeta",)), kind="swap", value={LONG_KEY: []}, command="diamond")
 @given(site=st.sampled_from(FUZZ_SITES),
        kind=st.sampled_from(["swap", "drop", "add", "flip"]),
        value=st.sampled_from(FUZZ_VALUES),

@@ -9,12 +9,18 @@ Q(i), which touch every entry, so any disagreement is a bug in the sparse
 or fraction-free bookkeeping.  Inputs mix zero rows and columns, complex
 entries and plain ints; the large-entry tests also use large parts,
 non-unit Gaussian leads and rank-deficient shapes.  The int form that a
-`Mat` stores beside its rows is checked against the rows themselves.
-Meets with the full or the zero space skip the elimination, so they have
-their own test, as does the count of weight filtrations that
-`polarization_check` builds.  The tracer contract tests at the end keep
-kernel results readable by the benchmark's tracer, and keep the float
-evaluation path out of its exact spans.
+`Mat` stores is checked against the rows themselves.  `transpose`,
+`kernel`, `image`, `Subspace.apply`, `kron` and the Laplace minors of
+`wedge_matrix` and `wedge_coords` run on that int form too, so each has a
+test against entrywise references (`submatrix(...).det()` for the minors),
+and equality, which reads the int form, is checked to agree with equality
+of the rows for results reached by different routes.  Kernel results build
+their `rows` on first read, which the laziness tests pin.  Meets with the
+full or the zero space skip the elimination, so they have their own test,
+as does the count of weight filtrations that `polarization_check` builds.
+The tracer contract tests at the end keep kernel results readable by the
+benchmark's tracer, and keep the float evaluation path out of its exact
+spans.
 """
 
 import importlib.util
@@ -34,12 +40,14 @@ from hodgenorm.exactlin import (
     Subspace,
     ZERO,
     dot,
+    image,
     kernel,
     nilpotent_exp,
     qi,
     rref,
     vec,
 )
+from hodgenorm.induced import kron, wedge_coords, wedge_indices, wedge_matrix
 from hodgenorm.fixtures import curve_pair, elliptic, orbit_elliptic
 
 # -- dense references ----------------------------------------------------------
@@ -325,6 +333,7 @@ def assert_int_rows(sub):
         assert not any(re[:p]) and not any(im[:p])
         assert row == tuple(GaussianRational(Fraction(x, lead), Fraction(y, lead))
                             for x, y in zip(re, im))
+        assert gcd(*re, *im) == 1  # primitive, so equality may read the int rows
     assert_canonical(sub.rows, [p for p, _, _ in sub.int_rows])
 
 
@@ -457,6 +466,28 @@ def test_contains_matches_dense_rank(pair):
     for v in b.rows:
         assert a.contains_vector(v) == dense_contains(a.rows, v)
     assert (a + b).contains(b) and a.contains(a.intersect(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), wide))
+def test_image_matches_dense_elimination_of_the_columns(a):
+    got = image(a)
+    assert got.ambient == a.nrows
+    assert got.rows == dense_rref(list(zip(*a.rows)))[0]
+    assert_int_rows(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_subspace_apply_matches_dense_images_of_the_basis(data):
+    sub = data.draw(subspace_pairs())[0]
+    m = data.draw(st.one_of(matrices(ncols=sub.ambient),
+                            st.integers(1, 7).flatmap(lambda k: rank_deficient(k, sub.ambient))))
+    got = sub.apply(m)
+    images = [dense_apply(m, v) for v in sub.rows]
+    assert got.ambient == m.nrows
+    assert got.rows == (dense_rref(images)[0] if images else ())
+    assert_int_rows(got)
 
 
 @settings(max_examples=60, deadline=None)
@@ -729,6 +760,124 @@ def test_every_kernel_result_keeps_a_readable_int_form(pair, n):
         assert_int_form(m)
 
 
+# -- int-form routes: transpose, Kronecker products, Laplace minors, equality -----------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), wide))
+def test_transpose_matches_the_entries_read_by_columns(a):
+    got = a.transpose()
+    assert got.shape == (a.ncols, a.nrows)
+    assert got.rows == tuple(zip(*a.rows))
+    for row in got.rows:
+        assert_entries(row)
+    assert_int_form(got)
+    assert got.transpose() == a
+
+
+small_wide = st.tuples(st.integers(1, 3), st.integers(1, 4)).flatmap(
+    lambda shape: rank_deficient(*shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(), small_wide), st.one_of(matrices(), small_wide))
+def test_kron_matches_entrywise_products(a, b):
+    got = kron(a, b)
+    assert got.rows == tuple(tuple(x * y for x in r for y in t) for r in a.rows for t in b.rows)
+    for row in got.rows:
+        assert_entries(row)
+    assert_int_form(got)
+
+
+square_inputs = st.integers(1, 5).flatmap(
+    lambda n: st.one_of(matrices(nrows=n, ncols=n), rank_deficient(n, n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_inputs, st.data())
+def test_wedge_matrix_matches_the_determinants_of_its_minors(m, data):
+    k = data.draw(st.integers(0, m.nrows))
+    combos = wedge_indices(m.nrows, k)
+    got = wedge_matrix(m, k)
+    assert got.rows == tuple(tuple(m.submatrix(s, t).det() for t in combos) for s in combos)
+    for row in got.rows:
+        assert_entries(row)
+    assert_int_form(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.one_of(st.tuples(*[scalars] * n), large_vectors(n)),
+                                             max_size=n))))
+def test_wedge_coords_match_the_determinants_of_the_minors(case):
+    n, vectors = case
+    k = len(vectors)
+    cols = Mat.from_cols(vectors) if vectors else Mat([])
+    got = wedge_coords(vectors, n)
+    assert got == tuple(cols.submatrix(rows, range(k)).det() for rows in wedge_indices(n, k))
+    assert_entries(got)
+
+
+def assert_equality_reads_rows(items):
+    """`==` agrees with equality of the rows, and equal items hash alike."""
+    for x in items:
+        for y in items:
+            assert (x == y) == (x.rows == y.rows)
+            if x == y:
+                assert hash(x) == hash(y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(same_shape(), same_shape(big=True)), scalar_factors)
+def test_matrix_equality_agrees_with_the_entries_across_routes(pair, c):
+    a, b = pair
+    routes = [a, b, Mat(a.rows), a * Mat.identity(a.ncols), Mat.identity(a.nrows) * a,
+              a.transpose().transpose(), a + b - b, (a - b) + b, a * c, Mat((a * c).rows),
+              a * 0, Mat([[0] * a.ncols] * a.nrows)]
+    if c:
+        routes.append((a * c) * (ONE / GaussianRational(c)))
+    assert_equality_reads_rows(routes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspace_pairs(), st.data())
+def test_subspace_equality_agrees_with_the_rows_across_routes(pair, data):
+    a, b = pair
+    n = a.ambient
+    m = data.draw(st.one_of(matrices(nrows=n, ncols=n), rank_deficient(n, n)))
+    meet, span = a & b, a + b
+    routes = [a, b, meet, span, b & a, b + a, Subspace(n, meet.rows), Subspace(n, span.rows),
+              Subspace.sum(n, [meet, Subspace.zero(n)]), meet + meet, span & span,
+              Subspace(n, a.rows + b.rows), Subspace.full(n), Subspace.zero(n),
+              kernel(m), Subspace(n, dense_kernel(m)), image(m), Subspace(n, list(zip(*m.rows))),
+              a.apply(m), a.conj().conj(), a.conj()]
+    assert_equality_reads_rows(routes)
+
+
+# -- kernel results build their rows on first read ------------------------------------
+
+
+def test_kernel_results_build_their_rows_on_first_read():
+    a = Mat([[1, qi(0, 2), 0], [Fraction(1, 3), 0, 5], [0, 0, 0]])
+    b = Mat([[2, 0, qi(1, 1)], [0, Fraction(1, 2), 0], [1, 1, 0]])
+    u = Subspace(3, [(1, 0, 1), (0, 1, 0)])
+    v = Subspace(3, [(1, 1, 0), (0, 0, qi(0, 3))])
+    results = [
+        (a * b, tuple(tuple(r) for r in dense_mul(a, b))),
+        (a + b, tuple(tuple(x + y for x, y in zip(r, t)) for r, t in zip(a.rows, b.rows))),
+        (u.intersect(v), dense_intersect(u.rows, v.rows)),
+        (Subspace.sum(3, [u, v]), dense_rref(u.rows + v.rows)[0]),
+        (kernel(a), dense_kernel(a)),
+        (u.apply(b), dense_rref([dense_apply(b, r) for r in u.rows])[0]),
+    ]
+    for result, eager in results:
+        slot = type(result).rows
+        with pytest.raises(AttributeError):
+            slot.__get__(result)
+        assert result.rows == eager
+        assert slot.__get__(result) is result.rows
+
+
 # -- the benchmark tracer reads kernel results ---------------------------------------
 
 
@@ -748,8 +897,9 @@ def largest_part_bits(m):
 
 def test_tracer_reads_kernel_results():
     # The tracer reads a matrix through its `rows` when `Mat.__slots__` is
-    # ("rows",), and otherwise through every slot, so each slot must be set
-    # on every result and hold nothing it cannot read.
+    # ("rows",), and otherwise through every slot, so each slot must be
+    # readable on every result, an unread `rows` filling on that read, and
+    # hold nothing it cannot read.
     entry_bits = _bench_tracer().entry_bits
     product = Mat([[Fraction(1, 2**20), 3]]) * Mat([[1], [qi(0, 2**30)]])
     assert product.rows == ((qi(Fraction(1, 2**20), 3 * 2**30),),)
@@ -759,8 +909,17 @@ def test_tracer_reads_kernel_results():
     assert entry_bits(qi(Fraction(5, 7))) == 3
     a = Mat([[0, Fraction(3, 2**21), qi(0, 5)], [0, 0, 2**25], [0, 0, 0]])
     for result in (a + a * qi(1, 1), a * Fraction(2**30, 7), nilpotent_exp(a)):
-        result.int_form()
-        assert entry_bits(result) == largest_part_bits(result) > 25
+        with pytest.raises(AttributeError):
+            Mat.rows.__get__(result)
+        bits = entry_bits(result)
+        assert Mat.rows.__get__(result) == result.rows
+        assert bits == largest_part_bits(result) > 25
+    line = Subspace(3, [(1, 0, Fraction(1, 2**30))])
+    meet = line & Subspace(3, [(2**5, 0, Fraction(1, 2**25)), (0, 1, 0)])
+    with pytest.raises(AttributeError):
+        Subspace.rows.__get__(meet)
+    assert entry_bits(meet) == 31  # the denominator 2**30
+    assert Subspace.rows.__get__(meet) == ((ONE, ZERO, qi(Fraction(1, 2**30))),)
 
 
 def test_float_evaluation_opens_no_exact_span():
