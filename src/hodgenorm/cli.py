@@ -7,8 +7,8 @@ a degenerating frame over the polydisc.  Every command prints a
 deterministic human-readable summary (sorted bigrades, sorted indices) and
 can additionally write a machine-readable JSON report; identical inputs
 produce byte-identical reports.  Exit status: 0 when every check passes,
-1 when a check fails (the first failing invariant is named on stderr),
-2 when the input cannot be parsed or validated.
+1 when a check fails (the first failing invariant is named on stderr), 2
+when the input or an option value is refused, naming the field or option.
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filt
 from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
 from .lie import flatten_matrix, hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
 # deligne_split stays bound here for callers that reach it through this module
-from .mhs import check_symmetries, deligne_split, NilpotentCone  # noqa: F401
+from .mhs import check_symmetries, deligne_split, is_infinitesimal_isometry, NilpotentCone  # noqa: F401
 from .orbit import (
     adapted_basis,
     eval_frame,
@@ -73,6 +73,9 @@ _LONG_EXPONENT = re.compile(r"[eE][-+]?0*[1-9][0-9]{5}")
 # literal as its text, and the field that holds it refuses it by name.
 _LONG_INTEGER = re.compile(r"-?[1-9][0-9]{%d,}" % len(str(2 ** MAX_PART_BITS)))
 _OVER_CAP = f"numerator or denominator exceeds {MAX_PART_BITS} bits"
+# The largest exponent of a twist term.  The shipped fixtures need 1; the
+# exact twist at a point grows with the exponent, and 10^5 runs for minutes.
+MAX_TWIST_EXPONENT = 64
 
 
 # Input text longer than this is echoed as its start and its length, so that
@@ -92,19 +95,31 @@ def _echoed(text):
 
 
 def _parse_fraction(node, path):
-    if _is_int(node):
-        value = Fraction(node)
-    elif isinstance(node, str):
-        if _LONG_EXPONENT.search(node):
-            _fail(path, f"exponent out of range in {node!r}")
-        if _LONG_INTEGER.fullmatch(node):
-            _fail(path, _OVER_CAP)
-        try:
-            value = Fraction(node)
-        except (ValueError, ZeroDivisionError):
+    if isinstance(node, str):
+        value = _text_fraction(node, path)
+        if value is None:
             _fail(path, f"bad rational {_echoed(node)}")
-    else:
+        return value
+    if not _is_int(node):
         _fail(path, f"expected a rational string, got {type(node).__name__}")
+    return _capped(Fraction(node), path)
+
+
+def _text_fraction(text, path):
+    """The rational text spells, within the bit cap, or None if it spells
+    none; an exponent or integer too long to build is refused unbuilt."""
+    if _LONG_EXPONENT.search(text):
+        _fail(path, f"exponent out of range in {_echoed(text)}")
+    if _LONG_INTEGER.fullmatch(text):
+        _fail(path, _OVER_CAP)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return _capped(value, path)
+
+
+def _capped(value, path):
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_PART_BITS:
         _fail(path, _OVER_CAP)
     return value
@@ -190,6 +205,8 @@ def _parse_zeta(node, path, k, n_coords, dim):
             if (not isinstance(powers, list) or len(powers) != n_coords
                     or not all(_is_int(e) and e >= 0 for e in powers)):
                 _fail(f"{at}.powers", f"expected {n_coords} nonnegative integers")
+            if any(e > MAX_TWIST_EXPONENT for e in powers):
+                _fail(f"{at}.powers", f"an exponent exceeds {MAX_TWIST_EXPONENT}")
             poly[tuple(powers)] = _parse_matrix(term["matrix"], f"{at}.matrix", dim)
         table[idx] = poly
     return table
@@ -345,19 +362,39 @@ def load_fixture(path) -> Fixture:
     return parse_fixture(doc)
 
 
-# -- scalar parsing for --t / --ell ------------------------------------------------
+# -- option values ------------------------------------------------------------------
 
 
-def _parse_cli_scalar(token):
-    parts = token.split(",")
-    try:
-        if len(parts) == 1:
-            return GaussianRational(Fraction(parts[0]))
-        if len(parts) == 2:
-            return GaussianRational(Fraction(parts[0]), Fraction(parts[1]))
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise FixtureError(f"bad coordinate {token!r}: use 're' or 're,im' rationals")
+def _parse_cli_values(tokens, option, count):
+    """The values of --t or --ell, one 're' or 're,im' token per coordinate,
+    each part checked as a fixture rational is and named option[j]."""
+    if len(tokens) != count:
+        _fail(option, f"expected {_counted(count, 'value')}, got {len(tokens)}")
+    values = []
+    for j, token in enumerate(tokens):
+        path = f"{option}[{j}]"
+        parts = token.split(",")
+        parts = [_text_fraction(part, path) for part in parts] if len(parts) <= 2 else [None]
+        if None in parts:
+            _fail(path, f"bad coordinate {_echoed(token)}: use 're' or 're,im' rationals")
+        values.append(GaussianRational(*parts))
+    return tuple(values)
+
+
+def _require_branch(branch, k):
+    if len(branch) != k:
+        _fail("--branch", f"expected {_counted(k, 'integer')}, one per cone generator, "
+                          f"got {len(branch)}")
+    return tuple(branch)
+
+
+def _counted(count, noun):
+    return f"{count} {noun}" + ("" if count == 1 else "s")
+
+
+def _require_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        _fail("--tol", f"expected a finite positive number, got {tol!r}")
 
 
 # -- float range -------------------------------------------------------------------
@@ -512,12 +549,12 @@ def cmd_eval(fixture, args):
     spec = fixture.orbit()
     if args.t is None:
         raise FixtureError("eval needs --t with one value per coordinate")
-    t = tuple(_parse_cli_scalar(tok) for tok in args.t)
-    branch = tuple(args.branch) if args.branch else None
+    t = _parse_cli_values(args.t, "--t", spec.n_coords)
+    branch = _require_branch(args.branch, spec.k) if args.branch else None
     report = {"t": [_show_scalar(x) for x in t]}
     lines = []
     if args.ell is not None:
-        ell = tuple(_parse_cli_scalar(tok) for tok in args.ell)
+        ell = _parse_cli_values(args.ell, "--ell", spec.k)
         frame = eval_frame(spec, t, ell, branch=branch)
         lines.append(f"h = {frame.h_tilde}")
         lines.append(f"q01 = {frame.q01}")
@@ -609,34 +646,32 @@ def suite_bracket(fixture, args):
     data = fixture.data
     st = data.structure()
     algebra = lie_algebra(data.q)
-    split = data.split()
     lsplit = lie_deligne_split(algebra, st)
     # x^T Q + Q x = 0 per basis element makes [x, y]^T Q = -Q [x, y] an
     # identity, so closure of the bracket needs no pairwise commutators.
-    isometry_ok = all(algebra.contains(x) for x in algebra.basis)
+    isometry_ok = all(is_infinitesimal_isometry(x, algebra.q) for x in algebra.basis)
     out = [Check("bracket.isometry-algebra", isometry_ok,
                  "x^T Q + Q x = 0 on the basis; bracket closure follows")]
     layer_total = lsplit.total_dim()
     out.append(Check("bracket.layer-sum", layer_total == algebra.dim,
                      f"layer dims {layer_total} fill the algebra dim {algebra.dim}"))
-    action_ok = True
-    detail = "g^{p,q} I^{r,s} <= I^{r+p, s+q}"
-    for (p, q) in sorted(lsplit.pieces):
+    # cell (k, l) of A^{-1} x A shifts grades[l] to grades[k]; name the last leak
+    a, a_inv, grades = st.frame
+    leak = None
+    for (p, q) in lsplit.pieces:
         for x in lsplit.slot_matrices(p, q):
-            for (r, s), sub in sorted(split.pieces.items()):
-                target = split.pieces.get((r + p, s + q))
-                image = sub.apply(x)
-                inside = (target.contains(image) if target is not None
-                          else image.dim == 0)
-                if not inside:
-                    action_ok = False
-                    detail = f"g^({p},{q}) breaks out of I^({r + p},{s + q})"
-    out.append(Check("bracket.action-compatibility", action_ok, detail))
+            leaks = [grades[l] for k, (row, _) in enumerate((a_inv * x * a).int_form())
+                     for l, _, _ in row if grades[k] != (grades[l][0] + p, grades[l][1] + q)]
+            if leaks:
+                r, s = max(leaks)
+                leak = f"g^({p},{q}) breaks out of I^({r + p},{s + q})"
+    out.append(Check("bracket.action-compatibility", leak is None,
+                     leak or "g^{p,q} I^{r,s} <= I^{r+p, s+q}"))
     # Exhaustive layers (layer-sum) acting compatibly on the direct sum of
     # the I^{p,q} force each commutator into the expected layer: a product
     # of two layer elements shifts every piece by the summed bidegree, and
     # a member of the algebra doing so can only be its (p+r, q+s) part.
-    entailed = isometry_ok and layer_total == algebra.dim and action_ok
+    entailed = isometry_ok and layer_total == algebra.dim and leak is None
     out.append(Check("bracket.bracket-compatibility", entailed,
                      "[g^{p,q}, g^{r,s}] <= g^{p+r,q+s}, entailed by the three"
                      " checks above"))
@@ -689,8 +724,6 @@ def suite_monodromy(fixture, args):
     out = []
     for t, ell in _deterministic_points(spec):
         for shift in shifts:
-            if len(shift) != spec.k:
-                raise FixtureError(f"--branch needs {spec.k} integers")
             ok, detail = monodromy_check(spec, t, ell, shift)
             out.append(Check(f"monodromy.shift-{','.join(map(str, shift))}", ok,
                              detail if not ok else f"invariant at t={t}"))
@@ -762,6 +795,9 @@ SUITE_RUNNERS = {
 
 
 def cmd_check(fixture, args):
+    _require_tol(args.tol)
+    if args.branch:
+        _require_branch(args.branch, len(fixture.data.cone))
     names = SUITES if args.suite == "all" else (args.suite,)
     if FLOAT_SUITES.intersection(names):
         _require_floats(fixture)
@@ -796,6 +832,7 @@ def cmd_check(fixture, args):
 
 def cmd_probe(fixture, args):
     from .probe import f_infinity_probe, levi_probe, ProbeConfig, radial_limit, term_vanishing
+    _require_tol(args.tol)
     if not len(fixture.data.cone):
         raise FixtureError("probe needs a fixture with a nonempty cone")
     _require_floats(fixture)

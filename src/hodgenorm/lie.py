@@ -20,7 +20,7 @@ per shift.
 All computations are exact.  Subspaces of g live in flattened endomorphism
 coordinates (row-major, ambient dimension n^2), and spans of layers are
 DeligneSplitting's; `slot_matrices` converts a layer back to honest
-matrices when brackets or actions are needed.
+matrices, for brackets and for actions read off `MixedHodge.frame`.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,7 @@ from .exactlin import (
     commutator,
     kernel,
 )
-from .mhs import DeligneSplitting, MixedHodge, is_infinitesimal_isometry
+from .mhs import DeligneSplitting, MixedHodge
 
 
 def flatten_matrix(x: Mat):
@@ -67,10 +67,6 @@ class LieAlgebraBasis:
     @property
     def dim(self):
         return len(self.basis)
-
-    def contains(self, x: Mat) -> bool:
-        """Membership test straight from the defining equation."""
-        return is_infinitesimal_isometry(x, self.q)
 
 
 def lie_algebra(q: Mat) -> LieAlgebraBasis:
@@ -164,8 +160,8 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
     """Decompose the symmetry algebra along the splitting of a mixed structure.
 
     The layer g^{p,q} consists of the X in g carrying each splitting piece
-    I^{r,s} of V into I^{r+p, s+q}.  In a basis adapted to the splitting
-    (the structure's own cached one), entry (k, l) shifts the bidegree by
+    I^{r,s} of V into I^{r+p, s+q}.  In the structure's splitting frame
+    (`MixedHodge.frame`, computed once), entry (k, l) shifts the bidegree by
     g_k - g_l.  When each closed-form element has one shift, as under a
     polarization, the elements bucketed by shift are independent, sum to g
     and lie in their own layers, so each bucket spans its layer.  Otherwise
@@ -184,7 +180,7 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
 
 
 def _adapted_algebra(algebra: LieAlgebraBasis, structure: MixedHodge):
-    """The closed-form algebra in a basis A adapted to the splitting.
+    """The closed-form algebra in the structure's splitting frame A.
 
     Returns the basis X_a of the symmetry algebra of A^T q A, the flattened
     A X_a A^{-1} (the same elements in the original coordinates), and the
@@ -195,10 +191,7 @@ def _adapted_algebra(algebra: LieAlgebraBasis, structure: MixedHodge):
         raise ValueError("mixed structure and pairing have different dimensions")
     if structure.q is not None and structure.q != algebra.q:
         raise ValueError("mixed structure carries a different pairing")
-    pieces = structure.split().pieces
-    grades = [pq for pq, sub in pieces.items() for _ in sub.basis]
-    a = Mat.from_cols([v for sub in pieces.values() for v in sub.basis])
-    a_inv = a.inverse()
+    a, a_inv, grades = structure.frame
     local = lie_algebra(a.transpose() * algebra.q * a).basis
     # every A X_a A^{-1} from two products: the X_a stacked, times A^{-1},
     # then A times those blocks set side by side (rows of kernel results

@@ -40,7 +40,8 @@ def i_power(k):
 
 @dataclass(frozen=True)
 class MixedHodge:
-    """Weight-n mixed structure (W, F) with an optional pairing Q."""
+    """Weight-n mixed structure (W, F) with an optional pairing Q; its
+    `split`, `f_isotropy` and `frame` are computed once and shared."""
 
     n: int
     w: IncreasingFiltration
@@ -87,6 +88,13 @@ class MixedHodge:
         """F.isotropy(q, n): whether Q(F^a, F^b) = 0 for a + b > n, with its
         witness; tested once and shared by every reader."""
         return self.f.isotropy(self.q, self.n)
+
+    @cached_property
+    def frame(self):
+        """(A, A^{-1}, grades): the pieces' bases as A's columns, and their bidegrees."""
+        pieces = self.split().pieces
+        a = Mat.from_cols([v for sub in pieces.values() for v in sub.basis])
+        return a, a.inverse(), tuple(pq for pq, sub in pieces.items() for _ in sub.basis)
 
 
 class DeligneSplitting:

@@ -17,9 +17,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hodgenorm import cli, fixtures
+from hodgenorm import cli, fixtures, lie
 from hodgenorm.exactlin import GaussianRational
 from hodgenorm.filtrations import _Filtration, DecreasingFiltration
+from hodgenorm.lie import lie_algebra, LieSplit
 from hodgenorm.cli import (
     dump_document,
     Fixture,
@@ -365,6 +366,49 @@ def test_eval_bad_coordinate_token(capsys):
     assert "bad coordinate" in err
 
 
+COORDINATES = "use 're' or 're,im' rationals"
+# Option values the fixture's numbers would refuse, and option counts that do
+# not fit the fixture: each exits 2 naming the option before any work.
+OPTION_ERRORS = [
+    (("eval", "elliptic", "--t", "1e5000", "1/2", "--ell", "0,1"), f"--t[0]: {BIT_CAP}"),
+    (("eval", "elliptic", "--t", "1/3", "1/2", "--ell", "1e5000,1"), f"--ell[0]: {BIT_CAP}"),
+    (("eval", "elliptic", "--t", "1/3", "1/2", "--ell", "0,1e-5000"), f"--ell[0]: {BIT_CAP}"),
+    (("eval", "elliptic", "--t", "1/3", "1e999999"),
+     "--t[1]: exponent out of range in '1e999999'"),
+    (("eval", "elliptic", "--t", "x", "1"), f"--t[0]: bad coordinate 'x': {COORDINATES}"),
+    (("eval", "elliptic", "--t", "1/3", "1,2,3"),
+     f"--t[1]: bad coordinate '1,2,3': {COORDINATES}"),
+    (("eval", "elliptic", "--t", "1/3", "1." + "0" * 5001 + "x"),
+     f"--t[1]: bad coordinate '1.000000000000000000'... (5004 characters): {COORDINATES}"),
+    (("eval", "elliptic", "--t", "1/3"), "--t: expected 2 values, got 1"),
+    (("eval", "elliptic", "--t", "1/3", "1/4", "--ell", "0,1", "1"),
+     "--ell: expected 1 value, got 2"),
+    (("eval", "pair", "--t", "1/3", "1/5", "1/7", "--ell", "0,1", "1,1", "--branch", "3"),
+     "--branch: expected 2 integers, one per cone generator, got 1"),
+    (("check", "pair", "--branch", "1"),
+     "--branch: expected 2 integers, one per cone generator, got 1"),
+    (("check", "elliptic", "--suite", "monodromy", "--branch", "1", "2"),
+     "--branch: expected 1 integer, one per cone generator, got 2"),
+    (("check", "a1_input", "--suite", "symmetries", "--branch", "1", "2"),
+     "--branch: expected 1 integer, one per cone generator, got 2"),
+    (("check", "elliptic", "--tol", "-1"), "--tol: expected a finite positive number, got -1.0"),
+    (("check", "elliptic", "--tol", "nan"), "--tol: expected a finite positive number, got nan"),
+    (("check", "elliptic", "--suite", "limits", "--tol", "0"),
+     "--tol: expected a finite positive number, got 0.0"),
+    (("probe", "elliptic", "--tol", "inf"), "--tol: expected a finite positive number, got inf"),
+    (("probe", "elliptic", "--tol=-1e-6"),
+     "--tol: expected a finite positive number, got -1e-06"),
+]
+
+
+@pytest.mark.parametrize("argv, message", OPTION_ERRORS, ids=[m for _, m in OPTION_ERRORS])
+def test_bad_option_values_exit_2_naming_the_option(argv, message, capsys):
+    command, name, *rest = argv
+    code, out, err = run(capsys, command, DATA / f"{name}.json", *rest)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # -- check ---------------------------------------------------------------------------
 
 
@@ -687,6 +731,8 @@ def _mutated(doc, path, kind, value):
 @example(site=("elliptic.json", ("f",)), kind="swap", value={LONG_KEY: []}, command="diamond")
 @example(site=("elliptic.json", ("w",)), kind="swap", value={LONG_KEY: []}, command="diamond")
 @example(site=("elliptic.json", ("zeta",)), kind="swap", value={LONG_KEY: []}, command="diamond")
+@example(site=("elliptic.json", ("zeta", "0", 0, "powers")), kind="swap", value=[0, 100000],
+         command="check")
 @given(site=st.sampled_from(FUZZ_SITES),
        kind=st.sampled_from(["swap", "drop", "add", "flip"]),
        value=st.sampled_from(FUZZ_VALUES),
@@ -704,6 +750,16 @@ def test_mutated_fixtures_exit_cleanly_and_name_the_field(site, kind, value, com
     if code == 2:
         assert FIELD_PATH.match(err.getvalue()), err.getvalue()
         assert len(err.getvalue()) < 500, err.getvalue()[:200]
+
+
+def test_twist_exponents_are_capped_at_parse_time(tmp_path, capsys):
+    doc = elliptic_doc()
+    refused = "error: zeta['0'][0].powers: an exponent exceeds 64\n"
+    for exponent, code, err in ((64, 0, ""), (65, 2, refused), (100000, 2, refused)):
+        doc["zeta"]["0"][0]["powers"] = [0, exponent]
+        path = tmp_path / f"power-{exponent}.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "check", path, "--suite", "monodromy")[0::2] == (code, err)
 
 
 # -- resource and float-range preconditions -----------------------------------------
@@ -820,15 +876,16 @@ def test_induce_refuses_an_oversized_structure_before_building_it(tmp_path):
 # -- agreement with the benchmark reference ---------------------------------------------
 
 
-def _bench_loads():
-    """perfbench/loads.py, which builds the benchmark's argv and fresh inputs."""
-    spec = importlib.util.spec_from_file_location("perfbench_loads", ROOT / "perfbench" / "loads.py")
+def _script(relative):
+    """A script of the repository, loaded read-only as a module."""
+    spec = importlib.util.spec_from_file_location(pathlib.Path(relative).stem, ROOT / relative)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-LOADS = _bench_loads()
+# perfbench/loads.py builds the benchmark's argv and fresh inputs
+LOADS = _script("perfbench/loads.py")
 BENCH_ARGV = dict(LOADS.cli_ops(ROOT))
 with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as _handle:
     REFERENCE = json.load(_handle)
@@ -904,3 +961,136 @@ def test_a_moved_dense_family_matches_the_benchmark_reference():
     g = fixtures.random_unimodular(random.Random("perfbench:weight_one(1)"), v.dim)
     facts = LOADS.structure_facts(LOADS.moved(v, g))
     assert facts == REFERENCE["fresh"]["weight_one(1)"]
+
+
+# -- shipped files and their builders ----------------------------------------------------
+
+
+def test_shipped_fixtures_are_what_their_builders_make():
+    docs = _script("tools/build_fixtures.py").documents()
+    assert sorted(docs) == SHIPPED
+    for name, doc in docs.items():
+        assert dump_document(doc) == (DATA / name).read_text(), name
+
+
+# -- the bracket suite's action check ------------------------------------------------------
+
+
+def action_by_images(fixture):
+    """bracket.action-compatibility in its first formulation, kept as the
+    reference: every layer element applied to every splitting piece, each
+    image tested for membership in its target piece, and the last failure
+    named."""
+    data = fixture.data
+    split = data.split()
+    layers = cli.lie_deligne_split(lie_algebra(data.q), data.structure())
+    ok, detail = True, "g^{p,q} I^{r,s} <= I^{r+p, s+q}"
+    for (p, q) in sorted(layers.pieces):
+        for x in layers.slot_matrices(p, q):
+            for (r, s), sub in sorted(split.pieces.items()):
+                target = split.pieces.get((r + p, s + q))
+                image = sub.apply(x)
+                if not (target.contains(image) if target is not None else image.dim == 0):
+                    ok, detail = False, f"g^({p},{q}) breaks out of I^({r + p},{s + q})"
+    return ok, detail
+
+
+def action_in_frame(fixture):
+    """The suite's own bracket.action-compatibility verdict and detail."""
+    (check,) = [c for c in cli.suite_bracket(fixture, None)
+                if c.name == "bracket.action-compatibility"]
+    return check.ok, check.detail
+
+
+def _carried(data):
+    return Fixture(data=data, zeta={}, n_coords=len(data.cone), expectations={})
+
+
+def family_fixtures():
+    """The fixture families, as built and written in a dense basis."""
+    plain = [fixtures.weight_one(a) for a in range(4)]
+    plain += [fixtures.weight_two(k) for k in range(6)]
+    plain += [fixtures.weight_one(2, split_cone=True), fixtures.curve_pair()]
+    moved = [LOADS.moved(v, fixtures.random_unimodular(random.Random(f"moved:{j}"), v.dim))
+             for j, v in enumerate((fixtures.weight_one(1), fixtures.weight_two(1),
+                                    fixtures.curve_pair()))]
+    return [_carried(v) for v in plain + moved]
+
+
+# the fields a structure is built from; mutations elsewhere (cone, zeta,
+# markers) leave q, F and W as they were
+STRUCTURE_FIELDS = {"dim", "weight", "q", "f", "w"}
+
+
+def structure_mutations():
+    """Each distinct structure the loader accepts among the fuzz mutations
+    of elliptic and pair at a structure field.
+
+    The documents are mutated without their twists and marker expectations,
+    which only refuse more: every structure a full document loads is here.
+    """
+    bare = {name: {key: node for key, node in doc.items() if key not in ("zeta", "markers")}
+            for name, doc in FUZZ_DOCS.items()}
+    # only a swap reads the value; "-0" is 0, so a flipped zero is no mutation
+    mutations = [("drop", None), ("add", None), ("flip", None)]
+    mutations += [("swap", value) for value in FUZZ_VALUES]
+    docs = {json.dumps(doc).replace('"-0"', '"0"'): doc
+            for name, path in FUZZ_SITES if path[:1] and path[0] in STRUCTURE_FIELDS
+            for kind, value in mutations
+            for doc in [_mutated(bare[name], path, kind, value)]}
+    kept = {}
+    for doc in docs.values():
+        try:
+            data = parse_fixture(doc).data
+        except (ValueError, ArithmeticError):
+            continue
+        key = json.dumps([cli._show_matrix(data.q), cli._show_levels(data.f),
+                          cli._show_levels(data.w), data.weight])
+        kept.setdefault(key, _carried(data))
+    return list(kept.values())
+
+
+def _outcome(check, fixture):
+    try:
+        return check(fixture)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def test_action_check_agrees_with_the_images_reference(monkeypatch):
+    cut_outs = []
+    cut_out = lie._cut_out_layers
+    monkeypatch.setattr(lie, "_cut_out_layers", lambda *a: cut_outs.append(a) or cut_out(*a))
+    shipped = [load_fixture(DATA / name) for name in SHIPPED]
+    routes = {}
+    for group, cases in (("shipped", shipped), ("families", family_fixtures()),
+                         ("mutations", structure_mutations())):
+        routes[group] = 0
+        for j, fx in enumerate(cases):
+            before = len(cut_outs)
+            assert _outcome(action_in_frame, fx) == _outcome(action_by_images, fx), (group, j)
+            routes[group] += len(cut_outs) > before
+    # 26 of the mutations of the full documents take the cut-out route
+    assert routes["mutations"] >= 26
+
+
+ROTATED = {"hermitian": "g^(3,1) breaks out of I^(4,1)",
+           "varying": "g^(3,0) breaks out of I^(4,2)",
+           "pair": "g^(1,1) breaks out of I^(2,2)",
+           "elliptic": "g^(1,1) breaks out of I^(2,2)"}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATED))
+def test_action_check_names_the_last_leak_under_rotated_layer_labels(name, monkeypatch):
+    layers_of = cli.lie_deligne_split
+
+    def rotated(algebra, structure):
+        # each layer under the label of the next one, the last under the first
+        layers = layers_of(algebra, structure)
+        labels = list(layers.pieces)
+        return LieSplit(algebra, dict(zip(labels[1:] + labels[:1], layers.pieces.values())))
+
+    monkeypatch.setattr(cli, "lie_deligne_split", rotated)
+    fx = load_fixture(DATA / f"{name}.json")
+    assert action_in_frame(fx) == (False, ROTATED[name])
+    assert action_by_images(fx) == (False, ROTATED[name])

@@ -37,8 +37,8 @@ def doc_for_spec(spec):
                             expectations_for(data))
 
 
-def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+def documents():
+    """Each shipped file name with the fixture document its builder makes."""
     docs = {
         "elliptic.json": doc_for_spec(orbit_elliptic()),
         "varying.json": doc_for_spec(orbit_varying()),
@@ -50,8 +50,12 @@ def main():
         a1_input, expectations=expectations_for(a1_input))
     a1 = tate_normalize(induce(a1_input))
     docs["a1.json"] = fixture_document(a1, expectations=expectations_for(a1))
+    return docs
 
-    for name, doc in sorted(docs.items()):
+
+def main():
+    OUT.mkdir(parents=True, exist_ok=True)
+    for name, doc in sorted(documents().items()):
         path = OUT / name
         text = dump_document(doc)
         old = path.read_text() if path.exists() else None
