@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactlin import GaussianRational, Mat
+from .exactlin import GaussianRational, Mat, _scaled_ints, image
 from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
 from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
 from .lie import flatten_matrix, hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
@@ -94,7 +94,14 @@ def _echoed(text):
     return f"{text[:MAX_ECHO // 2]!r}... ({len(text)} characters)"
 
 
+# Most entries are zero: a "0" entry of a vector is skipped unparsed, and
+# any other zero part is this one shared Fraction.
+_NO_PART = Fraction(0)
+
+
 def _parse_fraction(node, path):
+    if node == "0" or (type(node) is int and not node):
+        return _NO_PART
     if isinstance(node, str):
         value = _text_fraction(node, path)
         if value is None:
@@ -125,25 +132,33 @@ def _capped(value, path):
     return value
 
 
-def _parse_scalar(node, path):
+def _parse_parts(node, path):
+    """The real and imaginary parts of a scalar entry, one Fraction per nonzero part."""
     if isinstance(node, (int, str)):
-        return GaussianRational(_parse_fraction(node, path))
+        return _parse_fraction(node, path), _NO_PART
     if isinstance(node, list) and len(node) == 2:
-        return GaussianRational(_parse_fraction(node[0], path + "[0]"),
-                                _parse_fraction(node[1], path + "[1]"))
+        return _parse_fraction(node[0], path + "[0]"), _parse_fraction(node[1], path + "[1]")
     _fail(path, "expected 'num/den' or a [re, im] pair")
 
 
-def _parse_vector(node, path, dim):
+def _parse_scalar(node, path):
+    return GaussianRational(*_parse_parts(node, path))
+
+
+def _parse_row(node, path, dim):
+    """A vector in int form: its nonzero entries as (index, re, im) int
+    triples over the lcm of their denominators, and that lcm."""
     if not isinstance(node, list) or len(node) != dim:
         _fail(path, f"expected a vector of {dim} entries")
-    return tuple(_parse_scalar(x, f"{path}[{j}]") for j, x in enumerate(node))
+    parts = [(j, *_parse_parts(x, f"{path}[{j}]")) for j, x in enumerate(node) if x != "0"]
+    return _scaled_ints([(j, re, im) for j, re, im in parts if re or im])
 
 
 def _parse_matrix(node, path, dim):
+    """A matrix in int form; its `GaussianRational` rows are built only if read."""
     if not isinstance(node, list) or len(node) != dim:
         _fail(path, f"expected {dim} rows")
-    return Mat([_parse_vector(row, f"{path}[{i}]", dim) for i, row in enumerate(node)])
+    return Mat._of_ints([_parse_row(row, f"{path}[{i}]", dim) for i, row in enumerate(node)], dim)
 
 
 def _show_scalar(x: GaussianRational):
@@ -172,9 +187,14 @@ def _parse_levels(node, path, dim, cls):
             _fail(where, "level keys must be integers")
         if not isinstance(vectors, list):
             _fail(where, "expected a list of spanning vectors")
-        gens[level] = [_parse_vector(v, f"{where}[{j}]", dim)
-                       for j, v in enumerate(vectors)]
-    return cls.from_generators(dim, gens)
+        gens[level] = [_parse_row(v, f"{where}[{j}]", dim) for j, v in enumerate(vectors)]
+    # from_generators' steps, spanned in int form: X_l is the row space of
+    # every generator listed at l or before it in growing order
+    rows, steps = [], {}
+    for level in sorted(gens, key=lambda l: cls._sign * l):
+        rows += gens[level]
+        steps[level] = image(Mat._of_ints(rows, dim).transpose())
+    return cls(dim, steps)
 
 
 def _show_levels(filtration):
@@ -451,7 +471,7 @@ def _diamond_lines(split):
 def _proportional_column(basis, vector):
     """The column j that vector is a nonzero multiple of, or None: the
     columns are a basis, so j must be vector's only nonzero coordinate."""
-    support = [j for j, c in enumerate(basis.coords(vector)) if c]
+    support = [j for j, c in enumerate(basis.inv.apply(vector)) if c]
     return support[0] if len(support) == 1 else None
 
 
@@ -546,10 +566,14 @@ def cmd_lie(fixture, args):
 
 
 def cmd_eval(fixture, args):
-    spec = fixture.orbit()
     if args.t is None:
         raise FixtureError("eval needs --t with one value per coordinate")
-    t = _parse_cli_values(args.t, "--t", spec.n_coords)
+    t = _parse_cli_values(args.t, "--t", fixture.n_coords)
+    for j in range(len(fixture.data.cone)):
+        if not t[j]:
+            _fail(f"--t[{j}]", "divisor coordinate is zero; eval takes interior points only, "
+                               "where every divisor coordinate is nonzero")
+    spec = fixture.orbit()
     branch = _require_branch(args.branch, spec.k) if args.branch else None
     report = {"t": [_show_scalar(x) for x in t]}
     lines = []

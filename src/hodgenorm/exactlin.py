@@ -23,7 +23,7 @@ hashing read it too:
   the two scales, and `is_zero` looks for any triple at all;
 - `*` puts the right matrix over one common denominator and accumulates
   each output row in ints, in the manner of Gustavson's sparse product;
-- `apply` and `dot` multiply the triples that meet the vector's nonzeros;
+- `apply` multiplies the triples that meet the vector's nonzeros;
 - `transpose` and `conj` move and negate triples;
 - `submatrix` picks its triples out of the parent's, and `det` is Bareiss's
   fraction-free elimination over Z[i] on them, divided by the product of
@@ -33,9 +33,11 @@ hashing read it too:
   d^K * K!, so each entry becomes a `Fraction` once.
 
 `_eliminate` is fraction-free Gauss-Jordan elimination over Z[i] on dense
-int rows, and `rref` runs it on scaled rows.  Rescaling rows leaves the row
-space unchanged, and the reduced echelon form is unique for a row space, so
-`rref` gives exactly the result of Gauss-Jordan elimination over Q(i).
+int rows.  `inverse` runs it on [A | D], D the diagonal of A's row scales,
+and reads A^-1 off the right half over the leads; `rref` runs it on scaled
+rows.  Rescaling rows leaves the row space unchanged, and the reduced
+echelon form is unique for a row space, so both give exactly the results
+of Gauss-Jordan elimination over Q(i).
 
 A `Subspace` keeps the Gaussian-integer rows that `_eliminate` leaves, each
 divided by its integer content, and computes on them: `Subspace.sum` spans
@@ -46,8 +48,12 @@ build their spanning rows in ints, and `contains_vector` and `contains`
 eliminate the int form of each vector against them, so only vectors handed
 in from outside are converted.  A primitive row with a positive lead is
 the only such multiple of its reduced row, so equality and hashing read the
-stored rows.  The entrywise sums and scalings of vectors stay on
-`GaussianRational` entries and skip zero entries.
+stored rows.
+
+Vectors are tuples of scalars with no algebra of their own.  Combinations
+of vectors are products with the `Mat` of their rows, and a pairing of two
+sets of vectors is one Gram product B·q·Cᵀ, or B·q·conj(C)ᵀ through
+`conj_t`; a single pairing is its 1x1 case.
 """
 
 from __future__ import annotations
@@ -245,45 +251,6 @@ def vec(entries) -> tuple:
     """Normalize an iterable of scalar-likes into a vector tuple."""
     return tuple(GaussianRational(x) if not isinstance(x, GaussianRational) else x
                  for x in entries)
-
-
-def vec_add(u, v):
-    return tuple(a + b if b else a for a, b in zip(u, v, strict=True))
-
-
-def vec_sub(u, v):
-    return tuple(a - b if b else a for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v):
-    c = GaussianRational(c) if not isinstance(c, GaussianRational) else c
-    return tuple(c * x if x else x for x in v)
-
-
-def vec_conj(v):
-    return tuple(x.conjugate() for x in v)
-
-
-def vec_is_zero(v):
-    return not any(v)
-
-
-def unit_vector(i, n):
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def dot(u, v):
-    """Plain bilinear dot product — no conjugation."""
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    left, du = _nonzero_ints(u)
-    right, dv = _nonzero_ints(v)
-    return _from_ints(*_pair_ints(left, {j: (x, y) for j, x, y in right}), du * dv)
-
-
-def form_value(q: "Mat", u, v):
-    """The bilinear pairing u^T q v given by the Gram matrix q."""
-    return dot(u, q.apply(v))
 
 
 # -- matrices --------------------------------------------------------------
@@ -525,12 +492,17 @@ class Mat:
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
+        # row i of [A | D], D the diagonal of the row scales, is d_i times row
+        # i of [A | I]; A is invertible exactly when it reduces to
+        # [diag(a) | diag(a) A^-1]
         n = self.nrows
-        aug = [list(r) + list(unit_vector(i, n)) for i, r in enumerate(self.rows)]
-        red, pivots = rref(aug)
-        if len(pivots) < n or any(p >= n for p in pivots[:n]):
+        res, ims = _dense_rows([([*row, (n + i, d, 0)], d)
+                                for i, (row, d) in enumerate(self.int_form())], 2 * n)
+        pivots = _eliminate(res, ims)
+        if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Mat([r[n:] for r in red])
+        return Mat._of_ints([(_triples(re[n:], im[n:]), re[i])
+                             for i, (re, im) in enumerate(zip(res, ims))], n)
 
     def submatrix(self, row_idx, col_idx):
         """The entries at the given rows and columns; the int form is read off this one's."""
@@ -599,6 +571,12 @@ def _nonzero_ints(row):
     except AttributeError:  # plain ints or Fractions among the entries
         nz = [(j, x.re, x.im) for j, x in enumerate(vec(row))
               if x.re._numerator or x.im._numerator]
+    return _scaled_ints(nz)
+
+
+def _scaled_ints(nz):
+    """(index, re, im) triples of `Fraction`s, not both zero, as int triples
+    over the lcm of their denominators, and that lcm."""
     if not nz:
         return nz, 1
     scale = lcm(*[a._denominator for _, a, _ in nz], *[b._denominator for _, _, b in nz])
@@ -835,7 +813,8 @@ def rref(rows):
     Returns (reduced_rows, pivot_columns) with zero rows dropped, pivots
     normalized to 1 and cleared above and below.  The result depends only on
     the row space.  The elimination is `_eliminate`'s, on the rows scaled to
-    Gaussian integers.
+    Gaussian integers.  The package itself reads its subspaces and inverses
+    off `_eliminate` directly; `perfbench/tracer.py` still targets this.
     """
     res, ims = _int_rows(rows)
     pivots = _eliminate(res, ims)

@@ -13,7 +13,7 @@ every integer compare equal regardless of which levels the caller recorded.
 
 from __future__ import annotations
 
-from .exactlin import Mat, Subspace, dot, image, kernel
+from .exactlin import Mat, Subspace, image, kernel
 
 
 class _Filtration:
@@ -104,7 +104,9 @@ class _Filtration:
         for Q(F^a, F^b) = 0 when a+b > n.  Returns (True, None) or (False,
         (a, b, u, v)) with Q(u, v) != 0: a runs over the jump levels in
         ascending order, and b is a's admissible partner with the largest
-        step, which contains the steps of all the others.
+        step, which contains the steps of all the others.  The pairing of
+        the two echelon bases is one Gram product, and (u, v) is its first
+        nonzero cell in row-major order.
         """
         s = self._sign
         jumps = self.jump_levels
@@ -113,12 +115,11 @@ class _Filtration:
             if not partners:
                 continue
             b = max(partners, key=lambda m: s * m)
-            right = self.at(b).basis
-            q_right = [q.apply(v) for v in right]
-            for u in self.at(a).basis:
-                for v, qv in zip(right, q_right):
-                    if dot(u, qv):
-                        return False, (a, b, u, v)
+            left, right = self.at(a).basis, self.at(b).basis
+            gram = Mat(left) * q * Mat(right).transpose()
+            for u, (row, _) in zip(left, gram.int_form()):
+                if row:
+                    return False, (a, b, u, right[row[0][0]])
         return True, None
 
     def first_escape(self, x: Mat, shift: int):

@@ -34,9 +34,6 @@ from .exactlin import (
     ZERO,
     _from_ints,
     _nonzero_ints,
-    form_value,
-    vec_conj,
-    vec_scale,
 )
 from .filtrations import (
     DecreasingFiltration,
@@ -386,9 +383,11 @@ def locate_markers(ind: InducedStructure) -> Markers:
         raise ValueError(
             f"W_{2 * n - m} ∩ F^{2 * n - m} has dimension {opposite.dim}, not 1")
     einf = opposite.basis[0]
-    s = form_value(ind.q, e0, vec_conj(einf))
+    einf_bar = Mat([einf]).conj()
+    s = (Mat([e0]) * ind.q * einf_bar.transpose())[0, 0]
     if not s:
         raise ArithmeticError("the top and opposite lines do not pair")
-    ed = vec_scale(ONE / s, vec_conj(einf))
-    lam = (ONE / s).conjugate()
+    scale = ONE / s
+    ed = (einf_bar * scale).rows[0]
+    lam = scale.conjugate()
     return Markers(n=n, m=m, e0=e0, einf=einf, ed=ed, lam=lam)

@@ -21,10 +21,8 @@ from .exactlin import (
     ONE,
     Subspace,
     commutator,
-    dot,
     hermitian_positive_definite,
     kernel,
-    vec_conj,
 )
 from .filtrations import (
     DecreasingFiltration,
@@ -332,10 +330,8 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
         prim = sub.intersect(kernels[l])
         if not prim.dim:
             continue
-        sign = i_power(p - q)
-        basis = prim.basis
-        q_moved = [structure.q.apply(powers[l].apply(vec_conj(v))) for v in basis]
-        gram = Mat([[sign * dot(u, qm) for qm in q_moved] for u in basis])
+        basis = Mat(prim.basis)
+        gram = i_power(p - q) * (basis * structure.q * powers[l] * basis.conj_t())
         try:
             if not hermitian_positive_definite(gram):
                 return False, f"primitive form on ({p},{q}) is not positive"

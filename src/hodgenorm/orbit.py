@@ -29,17 +29,10 @@ from .exactlin import (
     Mat,
     ONE,
     Subspace,
-    ZERO,
     GaussianRational,
     commutator,
-    form_value,
     gauss_sqrt,
     nilpotent_exp,
-    vec_add,
-    vec_conj,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
 )
 from .filtrations import IncreasingFiltration, level, weight_filtration
 from .induced import Markers, locate_markers
@@ -80,36 +73,40 @@ class AdaptedBasis:
     def column(self, j):
         return self.mat.col(j)
 
-    def coords(self, v):
-        """Coordinates of v relative to the adapted columns."""
-        return self.inv.apply(v)
 
+def _symmetric_diagonal_basis(q, vectors: Mat) -> Mat:
+    """Congruence-diagonalize a symmetric pairing on the span of the rows.
 
-def _symmetric_diagonal_basis(q, vectors):
-    """Congruence-diagonalize a symmetric pairing on the given span."""
-    gram = lambda u, v: form_value(q, u, v)
-    work = list(vectors)
+    Each step takes the first row v with Q(v, v) != 0 (else the first row
+    plus its first partner), projects every row off v by one product for
+    the coefficients Q(v, x) / Q(v, v) and a rank-one update, and goes on
+    with the echelon basis of what is left.
+    """
+    width = vectors.ncols
+    work = vectors
     out = []
-    while work:
-        v = next((x for x in work if gram(x, x)), None)
-        if v is None:
-            u = work[0]
-            partner = next((x for x in work[1:] if gram(u, x)), None)
+    while work.nrows:
+        k = work.nrows
+        gram = work * q * work.transpose()
+        pick = next((i for i in range(k) if gram[i, i]), None)
+        if pick is not None:
+            units = [(pick, 1, 0)]
+        else:
+            partner = next((j for j in range(1, k) if gram[0, j]), None)
             if partner is None:
                 raise ValueError("f: no compatible basis: the middle layer pairing degenerates")
-            v = vec_add(u, partner)
-        d = gram(v, v)
-        out.append(v)
-        rest = []
-        for x in work:
-            y = vec_sub(x, vec_scale(gram(v, x) / d, v))
-            if not vec_is_zero(y):
-                rest.append(y)
-        work = list(Subspace(len(v), rest).basis) if rest else []
-    return out
+            units = [(0, 1, 0), (partner, 1, 0)]
+        select = Mat._of_ints([(units, 1)], k)
+        v = select * work
+        coeffs = select * gram
+        d = (coeffs * select.transpose())[0, 0]
+        out.append(v.rows[0])
+        rest = work - (coeffs * (ONE / d)).transpose() * v
+        work = Mat._of_rows(Subspace(width, rest.rows).basis, width)
+    return Mat._of_rows(out, width)
 
 
-def _middle_block_basis(q, vectors):
+def _middle_block_basis(q, vectors: Mat) -> Mat:
     """Anti-diagonal normalization of the self-dual middle layer.
 
     Congruence-diagonalizes the pairing and folds diagonal vectors into
@@ -119,22 +116,24 @@ def _middle_block_basis(q, vectors):
     count leaves one central vector, whose pivot must itself be a square.
     """
     diag = _symmetric_diagonal_basis(q, vectors)
-    pivots = [form_value(q, v, v) for v in diag]
-    k = len(diag)
+    gram = diag * q * diag.transpose()
+    k = diag.nrows
+    pivots = [gram[i, i] for i in range(k)]
+    rows = lambda *idx: diag.submatrix(idx, range(diag.ncols))
     unmatched = list(range(k))
-    center = None
+    out = [None] * k
     if k % 2:
         for idx in unmatched:
             root = gauss_sqrt(pivots[idx])
             if root is not None:
-                center = vec_scale(ONE / root, diag[idx])
+                out[k // 2] = (rows(idx) * (ONE / root)).rows[0]
                 unmatched.remove(idx)
                 break
-        if center is None:
+        else:
             raise ValueError(
                 "f: no compatible basis: no middle-layer pivot has a Gaussian-rational "
                 "square root")
-    pairs = []
+    j = 0
     while unmatched:
         a = unmatched.pop(0)
         fold = None
@@ -149,29 +148,25 @@ def _middle_block_basis(q, vectors):
                 "over the Gaussian rationals")
         b, c = fold
         unmatched.remove(b)
-        u = vec_add(diag[a], vec_scale(c, diag[b]))
-        w = vec_scale(ONE / (pivots[a] + pivots[a]), vec_sub(diag[a], vec_scale(c, diag[b])))
-        pairs.append((u, w))
-    out = [None] * k
-    for j, (u, w) in enumerate(pairs):
-        out[j] = u
-        out[k - 1 - j] = w
-    if center is not None:
-        out[k // 2] = center
-    return out
+        h = ONE / (pivots[a] + pivots[a])
+        # u = v_a + c v_b and w = (v_a - c v_b) / 2d_a
+        out[j], out[k - 1 - j] = (Mat([[ONE, c], [h, -c * h]]) * rows(a, b)).rows
+        j += 1
+    return Mat._of_rows(out, diag.ncols)
 
 
-def _dual_pair_normalize(q, kept, replaced):
+def _anti_identity(k):
+    return Mat._of_ints([([(k - 1 - i, 1, 0)], 1) for i in range(k)], k)
+
+
+def _dual_pair_normalize(q, kept: Mat, replaced: Mat) -> Mat:
     """Recombine the later of two dual layers so the cross Gram is anti-identity."""
-    k = len(kept)
-    gram = Mat([[form_value(q, a, b) for b in replaced] for a in kept])
     try:
-        correction = gram.inverse()
+        correction = (kept * q * replaced.transpose()).inverse()
     except ValueError:
         raise ValueError(
             "f: no compatible basis: the pairing degenerates between dual layers") from None
-    anti = Mat([[ONE if i + j == k - 1 else ZERO for j in range(k)] for i in range(k)])
-    return ((correction * anti).transpose() * Mat(replaced)).rows
+    return (correction * _anti_identity(kept.nrows)).transpose() * replaced
 
 
 def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
@@ -203,12 +198,12 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
         if anti not in pieces or pieces[anti].dim != pieces[(p, qq)].dim:
             raise ValueError("f: no compatible basis: splitting layers are not dually paired")
 
-    vectors = {pq: list(pieces[pq].basis) for pq in blocks}
+    vectors = {pq: Mat(pieces[pq].basis) for pq in blocks}
     for i, bi in enumerate(blocks):
         for bj in blocks[i:]:
             if (bi[0] + bj[0], bi[1] + bj[1]) == (n, n):
                 continue
-            if any(form_value(q, u, v) for u in vectors[bi] for v in vectors[bj]):
+            if not (vectors[bi] * q * vectors[bj].transpose()).is_zero():
                 raise ValueError(
                     "f: no compatible basis: the pairing links non-dual splitting layers")
 
@@ -219,20 +214,16 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
         elif blocks.index(anti) > i:
             vectors[anti] = _dual_pair_normalize(q, vectors[bi], vectors[anti])
 
-    columns, bigrades = [], []
-    for b in blocks:
-        columns.extend(vectors[b])
-        bigrades.extend([b] * len(vectors[b]))
-    d = len(columns) - 1
-    for i in range(len(columns)):
-        if 2 * i > d:
-            break
-        for j in range(len(columns)):
-            want = ONE if i + j == d else ZERO
-            if form_value(q, columns[i], columns[j]) != want:
-                raise ArithmeticError("adapted pairing normalization failed")
-    mat = Mat.from_cols(columns)
-    return AdaptedBasis(mat=mat, inv=mat.inverse(), bigrades=tuple(bigrades), n=n)
+    columns = Mat([row for b in blocks for row in vectors[b].rows])
+    bigrades = tuple(b for b in blocks for _ in range(vectors[b].nrows))
+    # Q(e_i, e_j) is cell (i, j) of C^T q C, checked on its rows i <= d/2
+    size = len(bigrades)
+    half, full = range((size - 1) // 2 + 1), range(size)
+    gram = columns * q * columns.transpose()
+    if gram.submatrix(half, full) != _anti_identity(size).submatrix(half, full):
+        raise ArithmeticError("adapted pairing normalization failed")
+    mat = columns.transpose()
+    return AdaptedBasis(mat=mat, inv=mat.inverse(), bigrades=bigrades, n=n)
 
 
 # -- orbit data --------------------------------------------------------------
@@ -318,7 +309,7 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSp
         raise ArithmeticError("adapted basis disagrees with the markers")
 
     for j, g in enumerate(cone.generators):
-        if not vec_is_zero(g.apply(markers.einf)):
+        if any(g.apply(markers.einf)):
             raise ValueError(f"cone[{j}]: generator {j} does not annihilate the opposite marker")
 
     ok, detail = polarization_check(structure.structure(), cone)
@@ -560,7 +551,7 @@ class _Exact:
         self.zeros, self.identity = Mat.zeros(self.dim), Mat.identity(self.dim)
 
     def pair(self, u, v):
-        return form_value(self.q, u, vec_conj(v))
+        return (Mat([u]) * self.q * Mat([v]).conj_t())[0, 0]
 
 
 def _branch_shifts(branch, count, what):
@@ -677,9 +668,9 @@ def limit_norm(spec: OrbitSpec, t=None) -> Fraction:
         if t[j]:
             raise ValueError("the deepest stratum pins every divisor coordinate to zero")
     mk = spec.markers
-    u = deep_twist(kit, t) @ mk.e0
+    u = Mat([deep_twist(kit, t) @ mk.e0])
     power = spec.cone.element((1,) * spec.k) ** (mk.m - mk.n)
-    val = i_power(2 * mk.n - mk.m) * form_value(spec.structure.q, u, power.apply(vec_conj(u)))
+    val = i_power(2 * mk.n - mk.m) * (u * spec.structure.q * power * u.conj_t())[0, 0]
     if val.im:
         raise ArithmeticError("stratum norm came out non-real; pairing conventions are inconsistent")
     return val.re
@@ -726,16 +717,14 @@ def triangularity_check(frame: OrbitFrame):
     grade is not strictly below e_j's.  Returns (ok, detail).
     """
     basis = frame.spec.basis
-    for j in range(basis.dim):
-        col = basis.column(j)
-        delta = vec_sub(frame.eta.apply(col), col)
-        if vec_is_zero(delta):
-            continue
-        p_j = basis.bigrades[j][0]
-        for i, c in enumerate(basis.coords(delta)):
-            if c and basis.bigrades[i][0] >= p_j:
-                return False, (f"frame vector {j} leaks into grade {basis.bigrades[i]}"
-                               f" at or above its own grade {basis.bigrades[j]}")
+    grades = basis.bigrades
+    # column j of A^-1 eta A - I holds the coordinates of eta.e_j - e_j
+    delta = basis.inv * frame.eta * basis.mat - Mat.identity(basis.dim)
+    for j, (col, _) in enumerate(delta.transpose().int_form()):
+        for i, _, _ in col:
+            if grades[i][0] >= grades[j][0]:
+                return False, (f"frame vector {j} leaks into grade {grades[i]}"
+                               f" at or above its own grade {grades[j]}")
     return True, "frame is unitriangular across the filtration grading"
 
 

@@ -171,8 +171,8 @@ class ProbeConfig:
         object.__setattr__(self, "radii", radii)
         if not radii:
             raise ValueError("at least one radius is required")
-        if any(r <= 0 for r in radii):
-            raise ValueError("radii must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in radii):
+            raise ValueError("radii must be finite and positive")
         if any(b >= a for a, b in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly decreasing")
         if self.angles is not None:
@@ -181,12 +181,14 @@ class ProbeConfig:
                 tuple(tuple(float(a) for a in vec) for vec in self.angles))
             if not self.angles:
                 raise ValueError("the explicit angle list must not be empty")
+            if not all(math.isfinite(a) for vec in self.angles for a in vec):
+                raise ValueError("angles must be finite")
         if int(self.n_angles) < 1:
             raise ValueError("n_angles must be at least 1")
-        if not float(self.fd_step) > 0:
-            raise ValueError("fd_step must be positive")
-        if not float(self.tol) > 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(float(self.fd_step)) and float(self.fd_step) > 0):
+            raise ValueError("fd_step must be finite and positive")
+        if not (math.isfinite(float(self.tol)) and float(self.tol) > 0):
+            raise ValueError("tol must be finite and positive")
 
     def angle_vectors(self, m):
         """The angle vectors driving an m-coordinate radial sweep."""

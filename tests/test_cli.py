@@ -64,7 +64,7 @@ def test_real_scalars_serialize_without_imaginary_part():
 
 def test_bad_rational_names_the_field():
     with pytest.raises(FixtureError, match=r"f\.0\[0\]\[1\]\[1\]: bad rational"):
-        cli._parse_vector([["1", "0"], ["0", "1/x"]], "f.0[0]", 2)
+        cli._parse_row([["1", "0"], ["0", "1/x"]], "f.0[0]", 2)
 
 
 BIT_CAP = "numerator or denominator exceeds 2048 bits"
@@ -113,6 +113,35 @@ def test_shipped_fixtures_all_parse():
         fx = load_fixture(DATA / name)
         assert isinstance(fx, Fixture)
         assert fx.data.dim >= 2
+
+
+def _nonzero_entries(doc):
+    """The scalars of a fixture document with a part other than "0"."""
+    def count(rows):
+        return sum(any(part not in ("0", 0) for part in (x if isinstance(x, list) else [x]))
+                   for row in rows for x in row)
+    matrices = [doc["q"], *doc["cone"]]
+    matrices += [term["matrix"] for terms in doc.get("zeta", {}).values() for term in terms]
+    vectors = [v for key in ("f", "w") for vs in doc.get(key, {}).values() for v in vs]
+    lam = [[doc["markers"]["lam"]]] if "lam" in doc.get("markers", {}) else []
+    return sum(map(count, matrices)) + count(vectors) + count(lam)
+
+
+def test_loading_builds_no_scalar_per_zero_entry(monkeypatch):
+    # zero entries build nothing and matrices land in int form, so a load
+    # builds fewer GaussianRationals than the document has nonzero entries,
+    # the marker checks included
+    built = []
+    init, raw = GaussianRational.__init__, GaussianRational._raw.__func__
+    monkeypatch.setattr(GaussianRational, "__init__",
+                        lambda self, *a: built.append(1) or init(self, *a))
+    monkeypatch.setattr(GaussianRational, "_raw",
+                        classmethod(lambda cls, re, im: built.append(1) or raw(cls, re, im)))
+    for name in SHIPPED:
+        doc = json.loads((DATA / name).read_text())
+        built.clear()
+        load_fixture(DATA / name)
+        assert 0 < len(built) <= _nonzero_entries(doc), name
 
 
 def test_write_read_write_is_byte_identical():
@@ -367,6 +396,8 @@ def test_eval_bad_coordinate_token(capsys):
 
 
 COORDINATES = "use 're' or 're,im' rationals"
+INTERIOR = ("divisor coordinate is zero; eval takes interior points only, "
+            "where every divisor coordinate is nonzero")
 # Option values the fixture's numbers would refuse, and option counts that do
 # not fit the fixture: each exits 2 naming the option before any work.
 OPTION_ERRORS = [
@@ -381,6 +412,9 @@ OPTION_ERRORS = [
     (("eval", "elliptic", "--t", "1/3", "1." + "0" * 5001 + "x"),
      f"--t[1]: bad coordinate '1.000000000000000000'... (5004 characters): {COORDINATES}"),
     (("eval", "elliptic", "--t", "1/3"), "--t: expected 2 values, got 1"),
+    (("eval", "elliptic", "--t", "0", "1/2", "--ell", "0,1"), f"--t[0]: {INTERIOR}"),
+    (("eval", "elliptic", "--t", "0", "1/2"), f"--t[0]: {INTERIOR}"),
+    (("eval", "pair", "--t", "1/3", "0,0", "1/7", "--ell", "0,1", "1,1"), f"--t[1]: {INTERIOR}"),
     (("eval", "elliptic", "--t", "1/3", "1/4", "--ell", "0,1", "1"),
      "--ell: expected 1 value, got 2"),
     (("eval", "pair", "--t", "1/3", "1/5", "1/7", "--ell", "0,1", "1,1", "--branch", "3"),

@@ -1,10 +1,10 @@
 """Sparse exact kernels against plain dense references.
 
 The kernels in `exactlin` compute on Gaussian integers and skip zero
-entries: products, sums, scalings, `apply` and `dot` accumulate in ints,
-`det` is a fraction-free Bareiss elimination, `rref` a fraction-free
-Gauss-Jordan one, and `nilpotent_exp` sums its series over one
-denominator.  The references below are the textbook dense algorithms over
+entries: products (a pairing among them, as a 1x1 Gram product), sums,
+scalings and `apply` accumulate in ints, `det` is a fraction-free Bareiss
+elimination, `rref` and `inverse` fraction-free Gauss-Jordan ones, and
+`nilpotent_exp` sums its series over one denominator.  The references below are the textbook dense algorithms over
 Q(i), which touch every entry, so any disagreement is a bug in the sparse
 or fraction-free bookkeeping.  Inputs mix zero rows and columns, complex
 entries and plain ints; the large-entry tests also use large parts,
@@ -39,7 +39,6 @@ from hodgenorm.exactlin import (
     ONE,
     Subspace,
     ZERO,
-    dot,
     image,
     kernel,
     nilpotent_exp,
@@ -544,9 +543,9 @@ def test_apply_matches_dense_product_on_large_entries(data):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 16).flatmap(lambda n: st.tuples(large_vectors(n), large_vectors(n))))
-def test_dot_matches_dense_sum_on_large_entries(pair):
+def test_gram_cell_matches_dense_sum_on_large_entries(pair):
     u, v = pair
-    got = dot(u, v)
+    got = (Mat([u]) * Mat([v]).transpose())[0, 0]
     assert got == dense_dot(u, v)
     assert_entries([got])
 

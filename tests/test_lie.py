@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from hodgenorm import cli, fixtures, lie
-from hodgenorm.exactlin import Mat, Subspace, commutator, vec_is_zero
+from hodgenorm.exactlin import Mat, Subspace, commutator
 from hodgenorm.induced import induce, induced_endomorphism
 from hodgenorm.lie import (
     LieSplit,
@@ -158,7 +158,7 @@ def test_layer_members_shift_splitting_pieces_as_labelled(monkeypatch):
                     target = pieces.piece(r + p, s + q)
                     for b in piece.basis:
                         image = x.apply(b)
-                        assert target.contains_vector(image) or vec_is_zero(image)
+                        assert target.contains_vector(image) or not any(image)
     # only 6 of the 15 dimensions of its g shift the pieces homogeneously
     assert split.diamond() == {(-1, -1): 3, (0, 0): 3}
 
@@ -200,7 +200,7 @@ def test_induced_action_respects_the_bigrading_on_h():
                 target = pieces.piece(p + r, q + s)
                 for b in piece.basis:
                     image = x_h.apply(b)
-                    assert target.contains_vector(image) or vec_is_zero(image)
+                    assert target.contains_vector(image) or not any(image)
 
 
 def test_cone_generators_live_in_the_corner_layer():

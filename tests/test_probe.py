@@ -69,6 +69,11 @@ def test_config_rejects_bad_radii():
         ProbeConfig(radii=(1e-3, 1e-2))
     with pytest.raises(ValueError):
         ProbeConfig(radii=(1e-2, 0.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ProbeConfig(radii=(bad, 1e-2))
+        with pytest.raises(ValueError):
+            ProbeConfig(radii=(1e-2, bad))
 
 
 def test_config_rejects_bad_steps_and_tolerances():
@@ -80,6 +85,13 @@ def test_config_rejects_bad_steps_and_tolerances():
         ProbeConfig(n_angles=0)
     with pytest.raises(ValueError):
         ProbeConfig(angles=())
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ProbeConfig(fd_step=bad)
+        with pytest.raises(ValueError):
+            ProbeConfig(tol=bad)
+        with pytest.raises(ValueError):
+            ProbeConfig(angles=((0.5, bad),))
 
 
 def test_default_angle_lattice_is_deterministic():
