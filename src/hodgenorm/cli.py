@@ -20,10 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactlin import GaussianRational, Mat, _scaled_ints, image
+from .exactlin import GaussianRational, Mat, Subspace, _scaled_ints
 from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
 from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
-from .lie import flatten_matrix, hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
+from .lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
 # deligne_split stays bound here for callers that reach it through this module
 from .mhs import check_symmetries, deligne_split, is_infinitesimal_isometry, NilpotentCone  # noqa: F401
 from .orbit import (
@@ -193,7 +193,7 @@ def _parse_levels(node, path, dim, cls):
     rows, steps = [], {}
     for level in sorted(gens, key=lambda l: cls._sign * l):
         rows += gens[level]
-        steps[level] = image(Mat._of_ints(rows, dim).transpose())
+        steps[level] = Subspace._span(dim, rows)
     return cls(dim, steps)
 
 
@@ -668,23 +668,26 @@ def suite_isotropy(fixture, args):
 
 def suite_bracket(fixture, args):
     data = fixture.data
-    st = data.structure()
     algebra = lie_algebra(data.q)
-    lsplit = lie_deligne_split(algebra, st)
-    # x^T Q + Q x = 0 per basis element makes [x, y]^T Q = -Q [x, y] an
-    # identity, so closure of the bracket needs no pairwise commutators.
+    lsplit = lie_deligne_split(algebra, data.structure())
+    # Each bucket element X_a stands for A X_a A^{-1}.  The identity behind
+    # each check: isometry-algebra, each X_a an isometry of A^T Q A (the same
+    # closed form, tested on Q, where it makes [x, y]^T Q = -Q [x, y] an
+    # identity, so closure needs no pairwise commutators); layer-sum,
+    # A A^{-1} = I, so the bucket sizes count the layers of g; and
+    # action-compatibility, each X_a on the one shift its bucket is filed under.
     isometry_ok = all(is_infinitesimal_isometry(x, algebra.q) for x in algebra.basis)
     out = [Check("bracket.isometry-algebra", isometry_ok,
                  "x^T Q + Q x = 0 on the basis; bracket closure follows")]
     layer_total = lsplit.total_dim()
     out.append(Check("bracket.layer-sum", layer_total == algebra.dim,
                      f"layer dims {layer_total} fill the algebra dim {algebra.dim}"))
-    # cell (k, l) of A^{-1} x A shifts grades[l] to grades[k]; name the last leak
-    a, a_inv, grades = st.frame
+    # cell (k, l) of a bucket element shifts grades[l] to grades[k]; name the last leak
+    grades = lsplit.frame[2]
     leak = None
-    for (p, q) in lsplit.pieces:
-        for x in lsplit.slot_matrices(p, q):
-            leaks = [grades[l] for k, (row, _) in enumerate((a_inv * x * a).int_form())
+    for (p, q), xs in lsplit.layers.items():
+        for x in xs:
+            leaks = [grades[l] for k, (row, _) in enumerate(x.int_form())
                      for l, _, _ in row if grades[k] != (grades[l][0] + p, grades[l][1] + q)]
             if leaks:
                 r, s = max(leaks)
@@ -700,9 +703,7 @@ def suite_bracket(fixture, args):
                      "[g^{p,q}, g^{r,s}] <= g^{p+r,q+s}, entailed by the three"
                      " checks above"))
     if len(data.cone):
-        deg = lsplit.piece(-1, -1)
-        contained = all(deg.contains_vector(flatten_matrix(g))
-                        for g in data.cone.generators)
+        contained = all(lsplit.in_layer(-1, -1, g) for g in data.cone.generators)
         out.append(Check("bracket.cone-containment", contained,
                          "every generator lies in g^{-1,-1}"))
     else:

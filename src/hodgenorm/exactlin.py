@@ -853,8 +853,7 @@ def kernel(mat: Mat) -> "Subspace":
 
 def image(mat: Mat) -> "Subspace":
     """The column space: the span of the rows of the transpose."""
-    res, ims = _dense_rows(mat.transpose().int_form(), mat.nrows)
-    return Subspace._echelon(mat.nrows, res, ims, _eliminate(res, ims))
+    return Subspace._span(mat.nrows, mat.transpose().int_form())
 
 
 # -- subspaces -------------------------------------------------------------
@@ -907,6 +906,12 @@ class Subspace:
         self.ambient = ambient
         self._set(res, ims, pivots)
         return self
+
+    @classmethod
+    def _span(cls, ambient, form):
+        """The span of rows in `Mat.int_form`'s (triples, scale) form, scales dropped."""
+        res, ims = _dense_rows(form, ambient)
+        return cls._echelon(ambient, res, ims, _eliminate(res, ims))
 
     @classmethod
     def zero(cls, ambient):

@@ -11,46 +11,23 @@ read off this decomposition drive everything downstream — whether the
 layers stay inside the unit box |p|, |q| <= 1, and whether the part of g
 transverse to the stabilizer of F is confined to nonpositive total degree.
 
-`lie_deligne_split` reads the layers off the closed-form basis taken in a
-basis adapted to the splitting.  Under a polarization, Q pairs I^{p,q} only
-with I^{n-p,n-q}, so every element shifts by one bidegree and bucketing by
-shift gives the layers; otherwise each layer is cut out of g by one kernel
-per shift.
+`lie_deligne_split` reads the layers off the closed-form basis taken in the
+splitting frame of the structure.  Under a polarization, Q pairs I^{p,q}
+only with I^{n-p,n-q}, so every element shifts by one bidegree and
+bucketing by shift gives the layers; otherwise each layer is cut out of g
+by one kernel per shift.
 
-All computations are exact.  Subspaces of g live in flattened endomorphism
-coordinates (row-major, ambient dimension n^2), and spans of layers are
-DeligneSplitting's; `slot_matrices` converts a layer back to honest
-matrices, for brackets and for actions read off `MixedHodge.frame`.
+All computations are exact.  The layers stay in the frame, where the
+diamond, the verdicts and the bracket suite read them; their spans in
+flattened endomorphism coordinates (row-major, ambient dimension n^2) are
+built only when read.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from math import lcm
 
-from .exactlin import (
-    Mat,
-    Subspace,
-    _nonzero_ints,
-    commutator,
-    kernel,
-)
+from .exactlin import Mat, Subspace, _triples, commutator, kernel
 from .mhs import DeligneSplitting, MixedHodge
-
-
-def flatten_matrix(x: Mat):
-    """Row-major coordinates of a matrix, as a vector of length nrows*ncols."""
-    return tuple(entry for row in x.rows for entry in row)
-
-
-def unflatten_matrix(v, n):
-    """The n x n matrix with row-major coordinates v."""
-    if len(v) != n * n:
-        raise ValueError("vector length does not match the requested shape")
-    triples, scale = _nonzero_ints(v)
-    rows = [[] for _ in range(n)]
-    for j, a, b in triples:
-        rows[j // n].append((j % n, a, b))
-    return Mat._of_ints([(row, scale) for row in rows], n)
 
 
 @dataclass(frozen=True)
@@ -121,19 +98,48 @@ def _with_columns(n, columns):
 class LieSplit(DeligneSplitting):
     """The layers g^{p,q}: the Deligne splitting of g inside End(V).
 
-    The pieces live in flattened End(V), so `ambient` is n^2 for
-    n = algebra.ambient; pieces, diamond and spans are DeligneSplitting's.
+    Each layer is kept as its bucket of elements x in the splitting frame
+    (A, A^{-1}, grades), standing for A x A^{-1}; the diamond counts them.
+    The pieces in flattened End(V) (`ambient` n^2) are built when first read.
     """
 
-    __slots__ = ("algebra",)
+    # `pieces` is filled by `__getattr__` when read unset
+    __slots__ = ("algebra", "frame", "layers")
 
-    def __init__(self, algebra: LieAlgebraBasis, pieces):
-        super().__init__(algebra.ambient ** 2, pieces)
+    def __init__(self, algebra: LieAlgebraBasis, frame, layers):
+        self.ambient = algebra.ambient ** 2
         self.algebra = algebra
+        self.frame = frame
+        self.layers = {pq: tuple(xs) for pq, xs in sorted(layers.items()) if xs}
+
+    def __getattr__(self, name):
+        # only an unset `pieces` slot gets here: span each bucket in End(V)
+        if name != "pieces":
+            raise AttributeError(name)
+        a, a_inv, _ = self.frame
+        n = self.algebra.ambient
+        row_major = {(k, l): k * n + l for k in range(n) for l in range(n)}
+        self.pieces = {pq: Subspace._span(n * n, [_flat(a * x * a_inv, row_major) for x in xs])
+                       for pq, xs in self.layers.items()}
+        return self.pieces
+
+    def diamond(self):
+        return {pq: len(xs) for pq, xs in self.layers.items()}
 
     def slot_matrices(self, p, q):
+        """The echelon basis of g^{p,q} in End(V), as matrices."""
         n = self.algebra.ambient
-        return [unflatten_matrix(row, n) for row in self.piece(p, q).basis]
+        return [Mat._of_ints([(_triples(re[k * n:k * n + n], im[k * n:k * n + n]), re[j])
+                              for k in range(n)], n)
+                for j, re, im in self.piece(p, q).int_rows]
+
+    def in_layer(self, p, q, x: Mat) -> bool:
+        """Whether the endomorphism x of V lies in g^{p,q}: whether A^{-1} x A
+        adds to the rank of the bucket's independent elements."""
+        a, a_inv, _ = self.frame
+        cells = {}
+        rows = [_flat(y, cells) for y in self.layers.get((p, q), ()) + (a_inv * x * a,)]
+        return Subspace._span(len(cells), rows).dim < len(rows)
 
     @property
     def s_f(self) -> Subspace:
@@ -160,68 +166,53 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
     """Decompose the symmetry algebra along the splitting of a mixed structure.
 
     The layer g^{p,q} consists of the X in g carrying each splitting piece
-    I^{r,s} of V into I^{r+p, s+q}.  In the structure's splitting frame
-    (`MixedHodge.frame`, computed once), entry (k, l) shifts the bidegree by
-    g_k - g_l.  When each closed-form element has one shift, as under a
-    polarization, the elements bucketed by shift are independent, sum to g
-    and lie in their own layers, so each bucket spans its layer.  Otherwise
-    the layers are cut out of g by their definition (`_cut_out_layers`).
+    I^{r,s} of V into I^{r+p, s+q}.  In the structure's splitting frame A
+    (`MixedHodge.frame`), g is the symmetry algebra of A^T q A, and cell
+    (k, l) shifts by g_k - g_l.  When each closed-form element has one shift,
+    as under a polarization, the elements bucketed by shift are independent,
+    sum to g and lie in their own layers, so each bucket spans its layer.
+    Otherwise the layers are cut out of g by definition (`_cut_out_layers`).
     """
-    local, flats, cell_shifts = _adapted_algebra(algebra, structure)
-    supports = [{d for d, x in zip(cell_shifts, flatten_matrix(b)) if x}
-                for b in local]
-    if any(len(shifts) > 1 for shifts in supports):
-        return LieSplit(algebra, _cut_out_layers(local, flats, cell_shifts))
-    layers = {}
-    for (d,), flat in zip(supports, flats):
-        layers.setdefault(d, []).append(flat)
-    n = algebra.ambient
-    return LieSplit(algebra, {d: Subspace(n * n, layers[d]) for d in sorted(layers)})
-
-
-def _adapted_algebra(algebra: LieAlgebraBasis, structure: MixedHodge):
-    """The closed-form algebra in the structure's splitting frame A.
-
-    Returns the basis X_a of the symmetry algebra of A^T q A, the flattened
-    A X_a A^{-1} (the same elements in the original coordinates), and the
-    bidegree shift of each flattened cell (k, l) of an adapted matrix.
-    """
-    n = algebra.ambient
-    if structure.ambient != n:
+    if structure.ambient != algebra.ambient:
         raise ValueError("mixed structure and pairing have different dimensions")
     if structure.q is not None and structure.q != algebra.q:
         raise ValueError("mixed structure carries a different pairing")
-    a, a_inv, grades = structure.frame
+    a, _, grades = frame = structure.frame
+    shift = {(k, l): (pk - pl, qk - ql)
+             for k, (pk, qk) in enumerate(grades) for l, (pl, ql) in enumerate(grades)}
     local = lie_algebra(a.transpose() * algebra.q * a).basis
-    # every A X_a A^{-1} from two products: the X_a stacked, times A^{-1},
-    # then A times those blocks set side by side (rows of kernel results
-    # need no normalizing)
-    flats = []
-    if local:
-        stacked = (Mat._of_ints(chain.from_iterable(b.int_form() for b in local), n) * a_inv).rows
-        side = Mat._of_rows((tuple(chain.from_iterable(stacked[i::n])) for i in range(n)),
-                            n * len(local))
-        wide = (a * side).rows
-        flats = [tuple(chain.from_iterable(r[k * n:(k + 1) * n] for r in wide))
-                 for k in range(len(local))]
-    cell_shifts = [(pk - pl, qk - ql) for pk, qk in grades for pl, ql in grades]
-    return local, flats, cell_shifts
+    supports = [{shift[k, l] for k, (row, _) in enumerate(x.int_form()) for l, _, _ in row}
+                for x in local]
+    if any(len(shifts) > 1 for shifts in supports):
+        return LieSplit(algebra, frame, _cut_out_layers(local, shift))
+    layers = {}
+    for (d,), x in zip(supports, local):
+        layers.setdefault(d, []).append(x)
+    return LieSplit(algebra, frame, layers)
 
 
-def _cut_out_layers(local, flats, cell_shifts) -> dict:
-    """Each layer as g intersected with the shift-d endomorphisms.
+def _flat(x: Mat, cells):
+    """x's nonzero cells (k, l) as one int-form row over a common scale, each
+    at its index in the dict `cells`, which takes in cells it lacks."""
+    form = x.int_form()
+    scale = lcm(*[d for _, d in form])
+    return [(cells.setdefault((k, l), len(cells)), a * (scale // d), b * (scale // d))
+            for k, (row, d) in enumerate(form) for l, a, b in row], scale
 
-    Its members are the combinations of the adapted basis whose entries off
-    the shift-d cells vanish: one kernel per shift, its coefficients applied
-    to the elements in the original coordinates.
-    """
-    cells = Mat.from_cols([flatten_matrix(b) for b in local]).rows
-    pieces = {}
-    for d in sorted(set(cell_shifts)):
-        coeffs = kernel(Mat([row for row, s in zip(cells, cell_shifts) if s != d]))
-        if coeffs.dim:
-            pieces[d] = Subspace(len(cells), (Mat(coeffs.basis) * Mat(flats)).rows)
-    return pieces
+
+def _cut_out_layers(local, shift) -> dict:
+    """Each layer as g intersected with the shift-d endomorphisms, in the frame:
+    the combinations of the adapted basis whose cells off shift d vanish."""
+    cells = {}
+    flats = [_flat(x, cells) for x in local]
+    coords = Mat._of_ints(flats, len(cells)).transpose().int_form()
+    shifts = [shift[c] for c in cells]
+    zero = Mat.zeros(local[0].nrows)
+    layers = {}
+    for d in sorted(set(shifts)):
+        coeffs = kernel(Mat._of_ints([c for c, s in zip(coords, shifts) if s != d], len(local)))
+        layers[d] = [sum((x * c for c, x in zip(row, local) if c), zero) for row in coeffs.basis]
+    return layers
 
 
 def hermitian_test(split: LieSplit):
@@ -232,15 +223,14 @@ def hermitian_test(split: LieSplit):
     degree <= -2; a failure there indicates an inconsistent splitting and
     raises rather than returning.
     """
-    bad = sorted(pq for pq in split.pieces
+    bad = sorted(pq for pq in split.layers
                  if abs(pq[0]) > 1 or abs(pq[1]) > 1)
     if bad:
         p, q = bad[0]
         return False, f"layer ({p},{q}) lies outside the unit box"
-    perp = [m for (p, q) in split.pieces if p < 0
-            for m in split.slot_matrices(p, q)]
-    deep = [m for (p, q) in split.pieces if p + q <= -2
-            for m in split.slot_matrices(p, q)]
+    # conjugation by the frame keeps [x, y] = 0: the buckets stand in for the layers
+    perp = [x for (p, q), xs in split.layers.items() if p < 0 for x in xs]
+    deep = [y for (p, q), ys in split.layers.items() if p + q <= -2 for y in ys]
     for x in perp:
         for y in deep:
             if not commutator(x, y).is_zero():
@@ -255,7 +245,7 @@ def smoothness_test(split: LieSplit):
     Equivalent to the containment of s_f_perp in the stabilizer of W; the
     layer form of the test is exact because both sides are unions of layers.
     """
-    bad = sorted(pq for pq in split.pieces
+    bad = sorted(pq for pq in split.layers
                  if pq[0] < 0 and pq[0] + pq[1] > 0)
     if bad:
         p, q = bad[0]

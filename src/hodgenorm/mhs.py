@@ -101,7 +101,7 @@ class DeligneSplitting:
     Only nonzero pieces are kept, in ascending (p, q) order.  Every span of
     pieces (`span_where`) is one `Subspace.sum` of their stored rows.  The
     layers of a symmetry algebra are the same object inside End(V)
-    (`lie.LieSplit`).
+    (`lie.LieSplit`), with its own `diamond`, which `total_dim` reads.
     """
 
     __slots__ = ("ambient", "pieces")
@@ -122,10 +122,10 @@ class DeligneSplitting:
                                            if pred(p, q)))
 
     def total_dim(self):
-        return sum(sub.dim for sub in self.pieces.values())
+        return sum(self.diamond().values())
 
     def __repr__(self):
-        body = ", ".join(f"({p},{q}):{s.dim}" for (p, q), s in self.pieces.items())
+        body = ", ".join(f"({p},{q}):{d}" for (p, q), d in self.diamond().items())
         return f"{type(self).__name__}[{body}]"
 
 

@@ -511,7 +511,7 @@ def test_bracket_suite_agrees_with_direct_commutators(capsys):
     """The suite derives graded bracket compatibility instead of computing
     every commutator; on a small fixture the direct computation must agree."""
     from hodgenorm.exactlin import commutator
-    from hodgenorm.lie import flatten_matrix, lie_algebra, lie_deligne_split
+    from hodgenorm.lie import lie_algebra, lie_deligne_split
 
     fx = load_fixture(DATA / "elliptic.json")
     st = fx.data.structure()
@@ -521,7 +521,8 @@ def test_bracket_suite_agrees_with_direct_commutators(capsys):
             target = lsplit.piece(p + r, q + s)
             for x in lsplit.slot_matrices(p, q):
                 for y in lsplit.slot_matrices(r, s):
-                    assert target.contains_vector(flatten_matrix(commutator(x, y)))
+                    bracket = commutator(x, y)
+                    assert target.contains_vector([e for row in bracket.rows for e in row])
 
     code, out, _ = run(capsys, "check", DATA / "elliptic.json", "--suite", "bracket")
     assert code == 0
@@ -1121,8 +1122,9 @@ def test_action_check_names_the_last_leak_under_rotated_layer_labels(name, monke
     def rotated(algebra, structure):
         # each layer under the label of the next one, the last under the first
         layers = layers_of(algebra, structure)
-        labels = list(layers.pieces)
-        return LieSplit(algebra, dict(zip(labels[1:] + labels[:1], layers.pieces.values())))
+        labels = list(layers.layers)
+        return LieSplit(algebra, layers.frame,
+                        dict(zip(labels[1:] + labels[:1], layers.layers.values())))
 
     monkeypatch.setattr(cli, "lie_deligne_split", rotated)
     fx = load_fixture(DATA / f"{name}.json")

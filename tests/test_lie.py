@@ -17,21 +17,29 @@ import pathlib
 
 import pytest
 
-from hodgenorm import cli, fixtures, lie
-from hodgenorm.exactlin import Mat, Subspace, commutator
-from hodgenorm.induced import induce, induced_endomorphism
+import test_cli
+from hodgenorm import cli, exactlin, fixtures, lie
+from hodgenorm.exactlin import Mat, Subspace, commutator, kernel
+from hodgenorm.induced import induce, induced_endomorphism, PureHodgeData
 from hodgenorm.lie import (
     LieSplit,
-    _adapted_algebra,
     _cut_out_layers,
-    flatten_matrix,
     hermitian_test,
     lie_algebra,
     lie_deligne_split,
     smoothness_test,
-    unflatten_matrix,
 )
-from hodgenorm.mhs import DeligneSplitting, is_infinitesimal_isometry
+from hodgenorm.mhs import DeligneSplitting, is_infinitesimal_isometry, NilpotentCone
+
+
+def flatten_matrix(x: Mat):
+    """Row-major coordinates of a matrix, as a vector of length nrows*ncols."""
+    return tuple(entry for row in x.rows for entry in row)
+
+
+def unflatten_matrix(v, n):
+    """The n x n matrix with row-major coordinates v."""
+    return Mat([v[k * n:(k + 1) * n] for k in range(n)])
 
 
 def span_of(g) -> Subspace:
@@ -169,10 +177,15 @@ def test_cut_out_route_agrees_with_the_bucketed_route():
     cases.append(fixtures.orbit_varying().structure)
     for v in cases:
         g = lie_algebra(v.q)
-        bucketed = lie_deligne_split(g, v.structure()).pieces
-        cut = _cut_out_layers(*_adapted_algebra(g, v.structure()))
-        assert list(cut) == list(bucketed)
-        assert cut == bucketed
+        bucketed = lie_deligne_split(g, v.structure())
+        a, _, grades = bucketed.frame
+        shift = {(k, l): (pk - pl, qk - ql)
+                 for k, (pk, qk) in enumerate(grades) for l, (pl, ql) in enumerate(grades)}
+        local = lie_algebra(a.transpose() * g.q * a).basis
+        cut = LieSplit(g, bucketed.frame, _cut_out_layers(local, shift))
+        assert cut.diamond() == bucketed.diamond()
+        assert list(cut.pieces) == list(bucketed.pieces)
+        assert cut.pieces == bucketed.pieces
 
 
 def test_bracket_respects_the_bigrading():
@@ -313,3 +326,177 @@ def test_split_rejects_mismatched_inputs():
     other = lie_algebra(Mat.identity(v.dim))
     with pytest.raises(ValueError):
         lie_deligne_split(other, v.structure())
+
+
+# -- the frame against End(V) -------------------------------------------------
+
+
+def reference_layers(algebra, structure) -> DeligneSplitting:
+    """The layers by the End(V) round trip, kept as the reference.
+
+    Each closed-form element X_a of the symmetry algebra of A^T q A, in the
+    splitting frame A, is mapped to A X_a A^{-1} and flattened, and each
+    bucket of one shift is eliminated at width n^2.  When an element has
+    more than one shift, each layer is cut out instead: one kernel per
+    shift, its coefficients applied to the flattened A X_a A^{-1}.
+    """
+    a, a_inv, grades = structure.frame
+    local = lie_algebra(a.transpose() * algebra.q * a).basis
+    flats = [flatten_matrix(a * b * a_inv) for b in local]
+    cell_shifts = [(pk - pl, qk - ql) for pk, qk in grades for pl, ql in grades]
+    supports = [{d for d, x in zip(cell_shifts, flatten_matrix(b)) if x} for b in local]
+    n2 = algebra.ambient ** 2
+    if any(len(shifts) > 1 for shifts in supports):
+        cells = Mat.from_cols([flatten_matrix(b) for b in local]).rows
+        pieces = {}
+        for d in sorted(set(cell_shifts)):
+            coeffs = kernel(Mat([row for row, s in zip(cells, cell_shifts) if s != d]))
+            if coeffs.dim:
+                pieces[d] = Subspace(n2, (Mat(coeffs.basis) * Mat(flats)).rows)
+        return DeligneSplitting(n2, pieces)
+    layers = {}
+    for (d,), flat in zip(supports, flats):
+        layers.setdefault(d, []).append(flat)
+    return DeligneSplitting(n2, {d: Subspace(n2, layers[d]) for d in sorted(layers)})
+
+
+def hermitian_reference(pieces, n):
+    """hermitian_test on the echelon bases of End(V) layers {(p, q): Subspace}."""
+    bad = sorted(pq for pq in pieces if abs(pq[0]) > 1 or abs(pq[1]) > 1)
+    if bad:
+        p, q = bad[0]
+        return False, f"layer ({p},{q}) lies outside the unit box"
+    perp = [unflatten_matrix(r, n) for (p, q), sub in pieces.items() if p < 0 for r in sub.basis]
+    deep = [unflatten_matrix(r, n) for (p, q), sub in pieces.items() if p + q <= -2
+            for r in sub.basis]
+    for x in perp:
+        for y in deep:
+            if not commutator(x, y).is_zero():
+                raise ArithmeticError("unit-box layers fail the deep commutation identity")
+    return True, "all layers lie in the unit box"
+
+
+def cone_check(fixture):
+    """The bracket suite's own bracket.cone-containment verdict and detail."""
+    (check,) = [c for c in cli.suite_bracket(fixture, None)
+                if c.name == "bracket.cone-containment"]
+    return check.ok, check.detail
+
+
+def cone_check_reference(fixture):
+    """bracket.cone-containment in End(V): every generator, flattened, in
+    the (-1,-1) layer of the round trip."""
+    data = fixture.data
+    if not len(data.cone):
+        return True, "fixture has no cone"
+    deg = reference_layers(lie_algebra(data.q), data.structure()).piece(-1, -1)
+    return (all(deg.contains_vector(flatten_matrix(g)) for g in data.cone.generators),
+            "every generator lies in g^{-1,-1}")
+
+
+def layer_cases():
+    """((group, index), fixture) over the shipped fixtures, the fixture
+    families with their moved copies, and the loadable fuzz mutations of
+    elliptic and pair."""
+    shipped = [test_cli.load_fixture(test_cli.DATA / name) for name in test_cli.SHIPPED]
+    for group, cases in (("shipped", shipped), ("families", test_cli.family_fixtures()),
+                         ("mutations", test_cli.structure_mutations())):
+        for j, fx in enumerate(cases):
+            yield (group, j), fx
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def rotated(labels):
+    """Each label's layer under the next label, the last under the first."""
+    return labels[1:] + labels[:1]
+
+
+def test_frame_layers_read_in_end_v_are_the_round_trip_ones(monkeypatch):
+    cut_outs = []
+    monkeypatch.setattr(lie, "_cut_out_layers", lambda *a: cut_outs.append(a) or _cut_out_layers(*a))
+    routes = {"shipped": 0, "families": 0, "mutations": 0}
+    for (group, j), fx in layer_cases():
+        data = fx.data
+        before = len(cut_outs)
+        split = _outcome(lie_deligne_split, lie_algebra(data.q), data.structure())
+        routes[group] += len(cut_outs) > before
+        ref = _outcome(reference_layers, lie_algebra(data.q), data.structure())
+        if not isinstance(ref, DeligneSplitting):
+            assert split == ref, (group, j)
+            continue
+        assert list(split.pieces) == list(ref.pieces), (group, j)
+        assert split.pieces == ref.pieces, (group, j)
+        assert split.diamond() == ref.diamond(), (group, j)
+        for pq, piece in ref.pieces.items():
+            expected = [unflatten_matrix(r, data.q.nrows) for r in piece.basis]
+            assert split.slot_matrices(*pq) == expected, (group, j, pq)
+    # 26 of the mutations of the full documents take the cut-out route
+    assert routes["mutations"] >= 26
+
+
+def test_hermitian_verdict_and_cone_containment_match_the_end_v_reference():
+    for (group, j), fx in layer_cases():
+        data = fx.data
+        assert _outcome(cone_check, fx) == _outcome(cone_check_reference, fx), (group, j)
+        split = _outcome(lie_deligne_split, lie_algebra(data.q), data.structure())
+        if not isinstance(split, LieSplit):
+            continue
+        ref = reference_layers(lie_algebra(data.q), data.structure())
+        labels = list(split.layers)
+        for moved in (labels, rotated(labels)):
+            relabeled = LieSplit(split.algebra, split.frame, dict(zip(moved, split.layers.values())))
+            pieces = dict(zip(moved, ref.pieces.values()))
+            assert _outcome(hermitian_test, relabeled) == \
+                _outcome(hermitian_reference, dict(sorted(pieces.items())), data.q.nrows), \
+                (group, j, moved)
+
+
+def test_a_cone_generator_outside_the_corner_layer_fails_in_both_coordinates():
+    v = fixtures.weight_one(1)
+    split = g_split(v)
+    (n,) = v.cone.generators
+    for bad in (split.slot_matrices(-1, 0)[0], n + split.slot_matrices(-1, 0)[-1]):
+        seeded = PureHodgeData(v.weight, v.q, v.f, NilpotentCone([bad], v.q), v.w)
+        fx = test_cli._carried(seeded)
+        assert cone_check(fx) == cone_check_reference(fx) == \
+            (False, "every generator lies in g^{-1,-1}")
+    assert cone_check(test_cli._carried(v)) == (True, "every generator lies in g^{-1,-1}")
+
+
+def test_swapped_layer_labels_break_the_deep_commutation_in_both_coordinates():
+    # g^{0,0} filed under (-1,-1) is both F-transverse and deep, and it is
+    # not abelian
+    v = fixtures.weight_one(1)
+    split = g_split(v)
+    ref = reference_layers(split.algebra, v.structure())
+    swap = {(0, 0): (-1, -1), (-1, -1): (0, 0)}
+    layers = {swap.get(pq, pq): xs for pq, xs in split.layers.items()}
+    pieces = {swap.get(pq, pq): sub for pq, sub in ref.pieces.items()}
+    message = "unit-box layers fail the deep commutation identity"
+    with pytest.raises(ArithmeticError, match=message):
+        hermitian_test(LieSplit(split.algebra, split.frame, layers))
+    with pytest.raises(ArithmeticError, match=message):
+        hermitian_reference(dict(sorted(pieces.items())), v.dim)
+
+
+def test_lie_and_check_build_no_end_v_space(monkeypatch, capsys):
+    # a1 is 20-dimensional: End(V) has dimension 400
+    ambients = []
+    set_rows = exactlin.Subspace._set
+
+    def counting(self, *args):
+        ambients.append(self.ambient)
+        return set_rows(self, *args)
+
+    monkeypatch.setattr(exactlin.Subspace, "_set", counting)
+    for command in ("lie", "check"):
+        assert cli.main([command, str(test_cli.DATA / "a1.json")]) == 0
+    capsys.readouterr()
+    assert 20 in ambients
+    assert ambients.count(400) == 0
