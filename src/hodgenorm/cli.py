@@ -420,12 +420,15 @@ def _require_tol(tol):
 # -- float range -------------------------------------------------------------------
 
 
-def _require_float(x: GaussianRational, path):
+def _require_float(parts, path):
+    """Refuse an entry given by its (numerator, denominator) int parts when
+    a part overflows a double or a nonzero part rounds to 0.0; int true
+    division rounds as the conversion of the exact rational does."""
     try:
-        z = x.to_complex()
+        values = [num / den for num, den in parts]
     except OverflowError:
         _fail(path, "entry is too large for a double-precision float")
-    if (x.re and not z.real) or (x.im and not z.imag):
+    if any(num and not x for (num, _), x in zip(parts, values)):
         _fail(path, "entry is too small for a double-precision float")
 
 
@@ -435,8 +438,9 @@ def _require_floats(fixture):
     The float layer reads the pairing, the echelon bases of F, the cone, the
     twist table and, when they can be built, the markers e0, einf and lam.
     A nonzero entry that would become 0.0 is refused like one that would
-    overflow.  This runs before any float work, so every command that does
-    float work refuses such input the same way.
+    overflow.  Matrices and F are read in int form, so no scalar is built.
+    This runs before any float work, so every command that does float work
+    refuses such input the same way.
     """
     data = fixture.data
     matrices = [("q", data.q)]
@@ -445,20 +449,20 @@ def _require_floats(fixture):
         key = ",".join(str(i) for i in sorted(idx))
         matrices += [(f"zeta[{key!r}][{j}].matrix", m) for j, m in enumerate(poly.values())]
     for path, m in matrices:
-        for i, row in enumerate(m.rows):
-            for j, x in enumerate(row):
-                _require_float(x, f"{path}[{i}][{j}]")
+        for i, (row, d) in enumerate(m.int_form()):
+            for j, a, b in row:
+                _require_float(((a, d), (b, d)), f"{path}[{i}][{j}]")
     for p in data.f.jump_levels:
-        for v in data.f.at(p).basis:
-            for x in v:
-                _require_float(x, f"f.{p}")
+        for col, re, im in data.f.at(p).int_rows:
+            for a, b in zip(re, im):
+                _require_float(((a, re[col]), (b, re[col])), f"f.{p}")
     try:
         markers = fixture.markers
     except (ValueError, ArithmeticError):
         return  # the commands that need markers report why they are undefined
     for name, values in (("e0", markers.e0), ("einf", markers.einf), ("lam", (markers.lam,))):
         for x in values:
-            _require_float(x, f"markers.{name}")
+            _require_float((x.re.as_integer_ratio(), x.im.as_integer_ratio()), f"markers.{name}")
 
 
 # -- command helpers ----------------------------------------------------------------
@@ -594,7 +598,7 @@ def cmd_eval(fixture, args):
             raise FixtureError("--branch needs --ell (exact mode)")
         _require_floats(fixture)
         for j, x in enumerate(t):
-            _require_float(x, f"--t[{j}]")
+            _require_float((x.re.as_integer_ratio(), x.im.as_integer_ratio()), f"--t[{j}]")
         from .probe import norm_value
         value = norm_value(spec, tuple(x.to_complex() for x in t))
         lines.append(f"h ~ {value!r}  (principal-branch ell)")
@@ -633,9 +637,8 @@ def suite_symmetries(fixture, args):
     dims = split.diamond()
     out.append(Check("symmetries.conjugate-dimensions", check_symmetries(dims, st.n)[0],
                      "dim I^{p,q} = dim I^{q,p}"))
-    total = split.span_where(lambda p, q: True)
-    out.append(Check("symmetries.direct-sum",
-                     total.dim == st.ambient == sum(dims.values()),
+    # the splitting has a frame exactly when its pieces are a basis
+    out.append(Check("symmetries.direct-sum", split.frame is not None,
                      f"{sum(dims.values())} piece dims fill dimension {st.ambient}"))
     return out
 

@@ -12,10 +12,10 @@ layers stay inside the unit box |p|, |q| <= 1, and whether the part of g
 transverse to the stabilizer of F is confined to nonpositive total degree.
 
 `lie_deligne_split` reads the layers off the closed-form basis taken in the
-splitting frame of the structure.  Under a polarization, Q pairs I^{p,q}
-only with I^{n-p,n-q}, so every element shifts by one bidegree and
-bucketing by shift gives the layers; otherwise each layer is cut out of g
-by one kernel per shift.
+splitting frame of the structure, which its `DeligneSplitting` owns.  Under
+a polarization, Q pairs I^{p,q} only with I^{n-p,n-q}, so every element
+shifts by one bidegree and bucketing by shift gives the layers; otherwise
+each layer is cut out of g by one kernel per shift.
 
 All computations are exact.  The layers stay in the frame, where the
 diamond, the verdicts and the bracket suite read them; their spans in
@@ -24,6 +24,7 @@ built only when read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .exactlin import Mat, Subspace, _triples, commutator, kernel
@@ -32,10 +33,12 @@ from .mhs import DeligneSplitting, MixedHodge
 
 @dataclass(frozen=True)
 class LieAlgebraBasis:
-    """Exact basis of {X : X^T q + q X = 0} for a nondegenerate pairing q."""
+    """The symmetry algebra {X : X^T q + q X = 0} of a nondegenerate pairing
+    q with q^T = eps q.  Its dimension is read off n and eps; its exact basis
+    is built the first time `basis` is read."""
 
     q: Mat
-    basis: tuple
+    eps: int
 
     @property
     def ambient(self):
@@ -43,40 +46,43 @@ class LieAlgebraBasis:
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.ambient * (self.ambient - self.eps) // 2
+
+    @cached_property
+    def basis(self) -> tuple:
+        """The closed-form basis.
+
+        X satisfies X^T q + q X = 0 exactly when S = q X obeys S^T = -eps S.
+        Running S over the standard (anti)symmetric seeds and mapping back
+        through q^{-1} therefore yields a complete basis: dimension n(n-1)/2
+        for symmetric q and n(n+1)/2 for antisymmetric q.
+        """
+        n, eps = self.ambient, self.eps
+        # q^{-1} (E_ij - eps E_ji) has two nonzero columns: column j is column i
+        # of q^{-1}, and column i is -eps times column j of q^{-1}; the columns
+        # are taken in int form, as the rows of the transpose
+        q_inv_cols = self.q.inverse().transpose().int_form()
+        scaled_cols = [([(i, -eps * a, -eps * b) for i, a, b in col], d) for col, d in q_inv_cols]
+        basis = []
+        for i in range(n):
+            if eps == -1:
+                basis.append(_with_columns(n, {i: q_inv_cols[i]}))
+            for j in range(i + 1, n):
+                basis.append(_with_columns(n, {i: scaled_cols[j], j: q_inv_cols[i]}))
+        return tuple(basis)
 
 
 def lie_algebra(q: Mat) -> LieAlgebraBasis:
-    """Closed-form basis of the symmetry algebra of q.
-
-    X satisfies X^T q + q X = 0 exactly when S = q X obeys S^T = -eps S,
-    where q^T = eps q.  Running S over the standard (anti)symmetric seeds
-    and mapping back through q^{-1} therefore yields a complete basis:
-    dimension n(n-1)/2 for symmetric q and n(n+1)/2 for antisymmetric q.
-    """
-    n = q.nrows
-    if q.shape != (n, n):
+    """The symmetry algebra of q, once q is checked square, nondegenerate and
+    symmetric or antisymmetric; its basis is built when first read."""
+    if q.nrows != q.ncols:
         raise ValueError("pairing must be square")
     if not q.det():
         raise ValueError("pairing is degenerate")
-    if q.transpose() == q:
-        eps = 1
-    elif q.transpose() == -q:
-        eps = -1
-    else:
+    eps = 1 if q.transpose() == q else -1
+    if q.transpose() != q * eps:
         raise ValueError("pairing must be symmetric or antisymmetric")
-    # q^{-1} (E_ij - eps E_ji) has two nonzero columns: column j is column i
-    # of q^{-1}, and column i is -eps times column j of q^{-1}; the columns
-    # are taken in int form, as the rows of the transpose
-    q_inv_cols = q.inverse().transpose().int_form()
-    scaled_cols = [([(i, -eps * a, -eps * b) for i, a, b in col], d) for col, d in q_inv_cols]
-    basis = []
-    for i in range(n):
-        if eps == -1:
-            basis.append(_with_columns(n, {i: q_inv_cols[i]}))
-        for j in range(i + 1, n):
-            basis.append(_with_columns(n, {i: scaled_cols[j], j: q_inv_cols[i]}))
-    return LieAlgebraBasis(q, tuple(basis))
+    return LieAlgebraBasis(q, eps)
 
 
 def _with_columns(n, columns):
@@ -98,13 +104,15 @@ def _with_columns(n, columns):
 class LieSplit(DeligneSplitting):
     """The layers g^{p,q}: the Deligne splitting of g inside End(V).
 
-    Each layer is kept as its bucket of elements x in the splitting frame
-    (A, A^{-1}, grades), standing for A x A^{-1}; the diamond counts them.
-    The pieces in flattened End(V) (`ambient` n^2) are built when first read.
+    Each layer is kept as its bucket of elements x in the splitting frame of
+    V, (A, A^{-1}, grades), standing for A x A^{-1}; the diamond counts them.
+    The frame is not built here: it is the one V's `DeligneSplitting` owns,
+    held in the inherited `frame` slot.  The pieces in flattened End(V)
+    (`ambient` n^2) are built when first read.
     """
 
     # `pieces` is filled by `__getattr__` when read unset
-    __slots__ = ("algebra", "frame", "layers")
+    __slots__ = ("algebra", "layers")
 
     def __init__(self, algebra: LieAlgebraBasis, frame, layers):
         self.ambient = algebra.ambient ** 2
@@ -167,7 +175,7 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
 
     The layer g^{p,q} consists of the X in g carrying each splitting piece
     I^{r,s} of V into I^{r+p, s+q}.  In the structure's splitting frame A
-    (`MixedHodge.frame`), g is the symmetry algebra of A^T q A, and cell
+    (`structure.split().frame`), g is the symmetry algebra of A^T q A, and cell
     (k, l) shifts by g_k - g_l.  When each closed-form element has one shift,
     as under a polarization, the elements bucketed by shift are independent,
     sum to g and lie in their own layers, so each bucket spans its layer.
@@ -177,7 +185,7 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
         raise ValueError("mixed structure and pairing have different dimensions")
     if structure.q is not None and structure.q != algebra.q:
         raise ValueError("mixed structure carries a different pairing")
-    a, _, grades = frame = structure.frame
+    a, _, grades = frame = structure.split().frame
     shift = {(k, l): (pk - pl, qk - ql)
              for k, (pk, qk) in enumerate(grades) for l, (pl, ql) in enumerate(grades)}
     local = lie_algebra(a.transpose() * algebra.q * a).basis

@@ -8,6 +8,12 @@ the canonical bigraded splitting
 recovers both filtrations as direct sums and is conjugation-symmetric up to
 strictly smaller bidegrees.  Everything here is exact; a structure is either
 valid or rejected with the first failing identity.
+
+The splitting owns its frame (A, A^{-1}, grades): A has the pieces' echelon
+bases as its columns.  `deligne_split` builds it once, from the pieces' int
+rows, and verifies every identity in it as a support pattern of frame
+coordinates.  The symmetry-algebra layers (`lie`), the bracket suite and the
+twist check of `orbit.orbit_spec` read the same frame off `structure.split()`.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .exactlin import (
     Mat,
     ONE,
     Subspace,
+    _triples,
     commutator,
     hermitian_positive_definite,
     kernel,
@@ -39,7 +46,8 @@ def i_power(k):
 @dataclass(frozen=True)
 class MixedHodge:
     """Weight-n mixed structure (W, F) with an optional pairing Q; its
-    `split`, `f_isotropy` and `frame` are computed once and shared."""
+    `split` (with the splitting frame) and `f_isotropy` are computed once
+    and shared."""
 
     n: int
     w: IncreasingFiltration
@@ -87,28 +95,31 @@ class MixedHodge:
         witness; tested once and shared by every reader."""
         return self.f.isotropy(self.q, self.n)
 
-    @cached_property
-    def frame(self):
-        """(A, A^{-1}, grades): the pieces' bases as A's columns, and their bidegrees."""
-        pieces = self.split().pieces
-        a = Mat.from_cols([v for sub in pieces.values() for v in sub.basis])
-        return a, a.inverse(), tuple(pq for pq, sub in pieces.items() for _ in sub.basis)
-
 
 class DeligneSplitting:
     """The bigraded pieces I^{p,q} of a mixed structure, indexed by (p, q).
 
-    Only nonzero pieces are kept, in ascending (p, q) order.  Every span of
-    pieces (`span_where`) is one `Subspace.sum` of their stored rows.  The
-    layers of a symmetry algebra are the same object inside End(V)
-    (`lie.LieSplit`), with its own `diamond`, which `total_dim` reads.
+    Only nonzero pieces are kept, in ascending (p, q) order.  The splitting
+    owns its frame, the splitting frame of V: (A, A^{-1}, grades), with the
+    pieces' echelon bases as A's columns in that order and each column's
+    bidegree in grades.  It is built once, with the splitting, from the
+    pieces' int rows, and is None when the pieces are not a basis of V.
+    Every span of pieces (`span_where`) is one `Subspace.sum` of their
+    stored rows.  The layers of a symmetry algebra are the same object
+    inside End(V) (`lie.LieSplit`), with its own `diamond`, which
+    `total_dim` reads; its `frame` is the frame of V its layers live in.
     """
 
-    __slots__ = ("ambient", "pieces")
+    __slots__ = ("ambient", "pieces", "frame")
 
     def __init__(self, ambient, pieces):
         self.ambient = int(ambient)
-        self.pieces = {pq: sub for pq, sub in sorted(pieces.items()) if sub.dim}
+        self.pieces = pieces = {pq: sub for pq, sub in sorted(pieces.items()) if sub.dim}
+        a = _rows(pieces.values(), self.ambient).transpose()
+        try:
+            self.frame = a, a.inverse(), tuple(pq for pq, s in pieces.items() for _ in s.int_rows)
+        except ValueError:  # A is not square, or singular
+            self.frame = None
 
     def piece(self, p, q) -> Subspace:
         return self.pieces.get((p, q), Subspace.zero(self.ambient))
@@ -145,7 +156,6 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     if kept is not None:
         return kept
     w, f = structure.w, structure.f
-    dim = structure.ambient
     fbar = f.conj()
     meets = {}
 
@@ -173,7 +183,7 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
                 piece = base.intersect(corr)
                 if piece.dim:
                     pieces[(p, q)] = piece
-    split = DeligneSplitting(dim, pieces)
+    split = DeligneSplitting(structure.ambient, pieces)
     defect = splitting_defect(structure, split)
     if defect is not None:
         raise ValueError(f"f: not a mixed Hodge structure: {defect}")
@@ -181,22 +191,43 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     return split
 
 
+def _rows(spaces, n) -> Mat:
+    """The echelon bases of the spaces, in order, as the rows of one n-column matrix."""
+    return Mat._of_ints([(_triples(re, im), 1) for s in spaces for _, re, im in s.int_rows], n)
+
+
 def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
-    """First identity the splitting fails to satisfy, or None if it is valid."""
-    total = split.span_where(lambda p, q: True)
-    if split.total_dim() != total.dim:
-        return "bigraded pieces are not independent"
-    if total.dim != structure.ambient:
+    """First identity the splitting fails to satisfy, or None if it is valid.
+
+    Each identity is a support pattern in the splitting frame.  The pieces
+    are independent and span V exactly when A is square and invertible;
+    when it is not, they are dependent exactly when A has a kernel.  A step
+    of F or W is the span of the pieces whose bidegree satisfies pred
+    exactly when it has as many dimensions as those columns and the rows of
+    A^{-1} outside them vanish on its vectors.  The conjugate of each piece
+    is read off the one product A^{-1} conj(A).
+    """
+    n = split.ambient
+    if split.frame is None:
+        if kernel(_rows(split.pieces.values(), n).transpose()).dim:
+            return "bigraded pieces are not independent"
         return "bigraded pieces do not span the space"
+    a, a_inv, grades = split.frame
+
+    def spans(step, pred):
+        outside = a_inv.submatrix([k for k, pq in enumerate(grades) if not pred(*pq)], range(n))
+        return step.dim == n - outside.nrows and (outside * _rows((step,), n).transpose()).is_zero()
+
     for k in structure.f.jump_levels:
-        if structure.f.at(k) != split.span_where(lambda p, q: p >= k):
+        if not spans(structure.f.at(k), lambda p, q: p >= k):
             return f"F^{k} is not the span of pieces with p >= {k}"
     for l in structure.w.jump_levels:
-        if structure.w.at(l) != split.span_where(lambda p, q: p + q <= l):
+        if not spans(structure.w.at(l), lambda p, q: p + q <= l):
             return f"W_{l} is not the span of pieces with p+q <= {l}"
-    for (p, q), sub in split.pieces.items():
-        target = split.span_where(lambda r, s: (r, s) == (q, p) or (r < q and s < p))
-        if not target.contains(sub.conj()):
+    # row l of (A^{-1} conj(A))^T: the frame coordinates of column l's conjugate
+    for (p, q), (row, _) in zip(grades, (a_inv * a.conj()).transpose().int_form()):
+        if any(grades[k] != (q, p) and not (grades[k][0] < q and grades[k][1] < p)
+               for k, _, _ in row):
             return f"conjugate of piece ({p},{q}) escapes ({q},{p}) + lower"
     return None
 

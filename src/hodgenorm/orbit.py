@@ -34,7 +34,7 @@ from .exactlin import (
     gauss_sqrt,
     nilpotent_exp,
 )
-from .filtrations import IncreasingFiltration, level, weight_filtration
+from .filtrations import level, weight_filtration
 from .induced import Markers, locate_markers
 from .mhs import (
     MixedHodge,
@@ -198,14 +198,13 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
         if anti not in pieces or pieces[anti].dim != pieces[(p, qq)].dim:
             raise ValueError("f: no compatible basis: splitting layers are not dually paired")
 
+    # Q pairs column k of the splitting frame A only with the columns l of
+    # the dual bidegree: cell (k, l) of A^T q A is their pairing
+    a, _, grades = split.frame
+    if any(grades[k][0] + grades[l][0] != n or grades[k][1] + grades[l][1] != n
+           for k, (row, _) in enumerate((a.transpose() * q * a).int_form()) for l, _, _ in row):
+        raise ValueError("f: no compatible basis: the pairing links non-dual splitting layers")
     vectors = {pq: Mat(pieces[pq].basis) for pq in blocks}
-    for i, bi in enumerate(blocks):
-        for bj in blocks[i:]:
-            if (bi[0] + bj[0], bi[1] + bj[1]) == (n, n):
-                continue
-            if not (vectors[bi] * q * vectors[bj].transpose()).is_zero():
-                raise ValueError(
-                    "f: no compatible basis: the pairing links non-dual splitting layers")
 
     for i, bi in enumerate(blocks):
         anti = (n - bi[0], n - bi[1])
@@ -318,19 +317,17 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSp
 
     coeffs = _canonical_coeffs(zeta_coeffs, k, n_coords, structure.dim)
     if coeffs:
-        # G_p spans the splitting pieces of grade p or less; a twist
-        # coefficient lowers the grade when it maps each G_p into G_{p-1}
-        split = structure.structure().split()
-        grades = IncreasingFiltration(structure.dim, {
-            p: split.span_where(lambda r, s: r <= p) for p in {p for p, _ in split.pieces}})
-        q = structure.q
+        # a twist coefficient lowers the grade p of the splitting pieces when,
+        # in the splitting frame, each cell (k, l) of A^{-1} c A has p_k < p_l
+        a, a_inv, grades = structure.structure().split().frame
         for idx, poly in coeffs.items():
             key = ",".join(map(str, sorted(idx)))
             for expo, coeff in poly.items():
                 where = f"zeta[{key!r}]: f_{sorted(idx)} at exponent {expo}"
-                if not is_infinitesimal_isometry(coeff, q):
+                if not is_infinitesimal_isometry(coeff, structure.q):
                     raise ValueError(f"{where} is not an infinitesimal isometry of the pairing")
-                if grades.first_escape(coeff, -1) is not None:
+                if any(pk >= grades[l][0] for (pk, _), (row, _)
+                       in zip(grades, (a_inv * coeff * a).int_form()) for l, _, _ in row):
                     raise ValueError(f"{where} does not strictly lower the filtration grade")
                 for j in sorted(idx):
                     if not commutator(coeff, cone.generators[j]).is_zero():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hodgenorm import cli, fixtures, lie
-from hodgenorm.exactlin import GaussianRational
+from hodgenorm.exactlin import GaussianRational, Mat
 from hodgenorm.filtrations import _Filtration, DecreasingFiltration
 from hodgenorm.lie import lie_algebra, LieSplit
 from hodgenorm.cli import (
@@ -1130,3 +1130,48 @@ def test_action_check_names_the_last_leak_under_rotated_layer_labels(name, monke
     fx = load_fixture(DATA / f"{name}.json")
     assert action_in_frame(fx) == (False, ROTATED[name])
     assert action_by_images(fx) == (False, ROTATED[name])
+
+
+def bracket_failures(fixture):
+    return {c.name: c.detail for c in cli.suite_bracket(fixture, None)
+            if not c.ok and c.name in ("bracket.layer-sum", "bracket.action-compatibility")}
+
+
+def _swapped_first_grade(a, a_inv, grades):
+    return a, a_inv, (grades[0][::-1],) + grades[1:]
+
+
+def _first_column_moved(a, a_inv, grades):
+    # column 0 plus the first column of another piece
+    k = next(k for k, pq in enumerate(grades) if pq != grades[0])
+    cols = [list(a.col(j)) for j in range(a.ncols)]
+    cols[0] = [x + y for x, y in zip(cols[0], cols[k])]
+    return Mat.from_cols(cols), a_inv, grades
+
+
+# a frame defect in the splitting leaves closed-form elements of no single
+# shift, so the cut-out layers no longer fill g
+SEEDED_FRAMES = {"hermitian": "layer dims 174 fill the algebra dim 210",
+                 "varying": "layer dims 79 fill the algebra dim 105"}
+# the same wrong grade after the layers are bucketed names a leak
+LEAKS = {"hermitian": "g^(3,1) breaks out of I^(4,1)",
+         "varying": "g^(3,0) breaks out of I^(6,0)"}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_FRAMES))
+def test_the_bracket_suite_refuses_a_seeded_frame_defect(name, monkeypatch):
+    assert bracket_failures(load_fixture(DATA / f"{name}.json")) == {}
+    for tamper in (_swapped_first_grade, _first_column_moved):
+        fx = load_fixture(DATA / f"{name}.json")
+        split = fx.data.split()
+        split.frame = tamper(*split.frame)
+        assert bracket_failures(fx) == {"bracket.layer-sum": SEEDED_FRAMES[name]}, tamper
+    layers_of = cli.lie_deligne_split
+
+    def regraded(algebra, structure):
+        layers = layers_of(algebra, structure)
+        return LieSplit(algebra, _swapped_first_grade(*layers.frame), layers.layers)
+
+    monkeypatch.setattr(cli, "lie_deligne_split", regraded)
+    assert bracket_failures(load_fixture(DATA / f"{name}.json")) == {
+        "bracket.action-compatibility": LEAKS[name]}

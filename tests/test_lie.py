@@ -94,7 +94,18 @@ def test_basis_solves_the_defining_equation_and_is_independent():
     for q in (Mat([[0, 1], [-1, 0]]), Mat.identity(4), fixtures.weight_one(2).q):
         g = lie_algebra(q)
         assert all(is_infinitesimal_isometry(b, g.q) for b in g.basis)
-        assert span_of(g).dim == g.dim
+        assert span_of(g).dim == g.dim == len(g.basis)
+
+
+def test_hodge_lie_builds_one_closed_form_basis(monkeypatch, capsys):
+    built = []
+    with_columns = lie._with_columns
+    monkeypatch.setattr(lie, "_with_columns",
+                        lambda n, cols: built.append(n) or with_columns(n, cols))
+    assert cli.main(["lie", str(test_cli.DATA / "a1.json")]) == 0
+    assert "symmetry algebra dimension 210" in capsys.readouterr().out
+    # the basis of A^T q A in the splitting frame; q's own basis is never read
+    assert len(built) == 210
 
 
 def test_bracket_closure():
@@ -340,7 +351,7 @@ def reference_layers(algebra, structure) -> DeligneSplitting:
     more than one shift, each layer is cut out instead: one kernel per
     shift, its coefficients applied to the flattened A X_a A^{-1}.
     """
-    a, a_inv, grades = structure.frame
+    a, a_inv, grades = structure.split().frame
     local = lie_algebra(a.transpose() * algebra.q * a).basis
     flats = [flatten_matrix(a * b * a_inv) for b in local]
     cell_shifts = [(pk - pl, qk - ql) for pk, qk in grades for pl, ql in grades]

@@ -4,13 +4,17 @@ The weight-2 blocks here (a 3-chain and a pair of 2-chains) were split on
 paper; their diamonds, primitive forms, and opposite filtrations are frozen.
 """
 
+import contextlib
+import pathlib
 import random
+import re
 
 import pytest
 
-from hodgenorm import mhs
+import test_cli
+from hodgenorm import cli, mhs
 from hodgenorm.exactlin import Mat, Subspace, qi, vec
-from hodgenorm.filtrations import DecreasingFiltration, IncreasingFiltration
+from hodgenorm.filtrations import _Filtration, DecreasingFiltration, IncreasingFiltration
 from hodgenorm.fixtures import (
     defective_inputs,
     elliptic,
@@ -21,6 +25,7 @@ from hodgenorm.fixtures import (
 )
 from hodgenorm.induced import PureHodgeData, induce, tate_normalize
 from hodgenorm.mhs import (
+    DeligneSplitting,
     MixedHodge,
     NilpotentCone,
     check_symmetries,
@@ -29,6 +34,7 @@ from hodgenorm.mhs import (
     f_infinity,
     polarization_check,
 )
+from hodgenorm.orbit import orbit_spec
 
 
 def span(n, *vs):
@@ -283,3 +289,174 @@ def test_a_defective_splitting_is_rejected_on_every_call(monkeypatch):
     with pytest.raises(ValueError, match=r"^f: not a mixed Hodge structure: "):
         structure.split()
     assert len(checked) == 3
+
+
+# -- the splitting verified in its frame -------------------------------------
+
+DATA = pathlib.Path(cli.__file__).parent / "data"
+SHIPPED = ("a1", "a1_input", "elliptic", "hermitian", "pair", "varying")
+
+
+def reference_splitting_defect(structure, split):
+    """The span-based verification, kept as the reference: one span of
+    pieces for the total, one per F jump, one per W jump and one per piece."""
+    total = split.span_where(lambda p, q: True)
+    if split.total_dim() != total.dim:
+        return "bigraded pieces are not independent"
+    if total.dim != structure.ambient:
+        return "bigraded pieces do not span the space"
+    for k in structure.f.jump_levels:
+        if structure.f.at(k) != split.span_where(lambda p, q: p >= k):
+            return f"F^{k} is not the span of pieces with p >= {k}"
+    for l in structure.w.jump_levels:
+        if structure.w.at(l) != split.span_where(lambda p, q: p + q <= l):
+            return f"W_{l} is not the span of pieces with p+q <= {l}"
+    for (p, q), sub in split.pieces.items():
+        target = split.span_where(lambda r, s: (r, s) == (q, p) or (r < q and s < p))
+        if not target.contains(sub.conj()):
+            return f"conjugate of piece ({p},{q}) escapes ({q},{p}) + lower"
+    return None
+
+
+def _shipped_structure(name):
+    return cli.load_fixture(DATA / f"{name}.json").data.structure()
+
+
+def seeded_defects(split):
+    """(defect, pieces) made from a valid splitting: each piece missing, with
+    its last basis vector dropped, conjugated, with an extra vector of the
+    next piece, tilted by a vector of a piece of no lower p and no higher
+    p+q (which keeps F and W), and under the free label one step up in p
+    and down in q (which keeps W); and each two pieces of one dimension
+    under each other's labels."""
+    n, pieces = split.ambient, split.pieces
+    labels = list(pieces)
+    for i, pq in enumerate(labels):
+        sub = pieces[pq]
+        rest = {rs: other for rs, other in pieces.items() if rs != pq}
+        yield "missing piece", rest
+        yield "dropped basis vector", {**rest, pq: Subspace(n, sub.basis[:-1])}
+        yield "conjugated piece", {**rest, pq: sub.conj()}
+        extra = pieces[labels[(i + 1) % len(labels)]].basis[:1]
+        yield "extra dependent vector", {**rest, pq: Subspace(n, sub.basis + extra)}
+        for rs in labels:
+            if rs != pq and rs[0] >= pq[0] and sum(rs) <= sum(pq):
+                tilted = tuple(x + y for x, y in zip(sub.basis[0], pieces[rs].basis[0]))
+                yield "tilted piece", {**rest, pq: Subspace(n, (tilted,) + sub.basis[1:])}
+                break
+        for rs in labels[i + 1:]:
+            if pieces[rs].dim == sub.dim:
+                yield "swapped piece label", {**pieces, pq: pieces[rs], rs: sub}
+        raised = (pq[0] + 1, pq[1] - 1)
+        if raised not in pieces:
+            yield "raised piece label", {**rest, raised: sub}
+
+
+def _compare_with_the_reference(monkeypatch):
+    """Check every splitting deligne_split verifies against the reference too."""
+    outcomes = []
+    defect = mhs.splitting_defect
+
+    def both(structure, split):
+        got = defect(structure, split)
+        outcomes.append((got, reference_splitting_defect(structure, split)))
+        return got
+
+    monkeypatch.setattr(mhs, "splitting_defect", both)
+    return outcomes
+
+
+def test_the_frame_verification_agrees_with_the_span_reference(monkeypatch):
+    outcomes = _compare_with_the_reference(monkeypatch)
+    structures = [_shipped_structure(name) for name in SHIPPED]
+    structures += [fx.data.structure() for fx in test_cli.structure_mutations()]
+    for st in structures:
+        with contextlib.suppress(ValueError):
+            MixedHodge(st.n, st.w, st.f, st.q).split()  # a new structure splits anew
+    for thunk in defective_inputs().values():
+        with contextlib.suppress(ValueError):
+            thunk()
+    # every structure verifies one splitting, and so do three defective inputs
+    assert len(outcomes) == len(structures) + 3
+    assert all(got == ref for got, ref in outcomes), [o for o in outcomes if o[0] != o[1]]
+    refused = [got for got, _ in outcomes if got is not None]
+    assert len(refused) >= 20
+    assert set(refused) == {"bigraded pieces are not independent",
+                            "bigraded pieces do not span the space"}
+
+
+def test_seeded_splitting_defects_reach_every_message_as_the_reference_does():
+    cases = [(name, _shipped_structure(name)) for name in SHIPPED]
+    cases += [("three_chain", three_chain()[0]), ("two_chain_pair", two_chain_pair()[0])]
+    reached = {}
+    for name, st in cases:
+        split = st.split()
+        for defect, pieces in seeded_defects(split):
+            seeded = DeligneSplitting(split.ambient, pieces)
+            got = mhs.splitting_defect(st, seeded)
+            assert got == reference_splitting_defect(st, seeded), (name, defect)
+            reached.setdefault(re.sub(r"-?\d+", "#", str(got)), set()).add(defect)
+    assert reached == {
+        "bigraded pieces are not independent": {"conjugated piece", "extra dependent vector"},
+        "bigraded pieces do not span the space": {"missing piece", "dropped basis vector"},
+        "F^# is not the span of pieces with p >= #": {"swapped piece label",
+                                                       "raised piece label"},
+        "W_# is not the span of pieces with p+q <= #": {"swapped piece label"},
+        "conjugate of piece (#,#) escapes (#,#) + lower": {"tilted piece",
+                                                            "raised piece label"},
+        # R-split pieces on the diagonal are their own conjugates
+        "None": {"conjugated piece"},
+    }
+
+
+def test_a_splitting_has_a_frame_exactly_when_its_pieces_are_a_basis():
+    split = _shipped_structure("varying").split()
+    a, a_inv, grades = split.frame
+    assert a * a_inv == Mat.identity(split.ambient)
+    assert grades == tuple(pq for pq, sub in split.pieces.items() for _ in sub.basis)
+    for defect, pieces in seeded_defects(split):
+        seeded = DeligneSplitting(split.ambient, pieces)
+        dependent = sum(sub.dim for sub in pieces.values()) != Subspace.sum(
+            split.ambient, pieces.values()).dim
+        spanning = Subspace.sum(split.ambient, pieces.values()).dim == split.ambient
+        assert (seeded.frame is not None) == (spanning and not dependent), defect
+
+
+def _spy_on_sums(monkeypatch):
+    calls = []
+    total = Subspace.sum.__func__
+
+    def spy(cls, ambient, spaces):
+        calls.append(ambient)
+        return total(cls, ambient, spaces)
+
+    monkeypatch.setattr(Subspace, "sum", classmethod(spy))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["a1_input", "varying", "hermitian"])
+def test_the_splitting_is_verified_without_a_span(name, monkeypatch):
+    st = _shipped_structure(name)
+    split = st.split()
+    calls = _spy_on_sums(monkeypatch)
+    assert mhs.splitting_defect(st, split) is None
+    assert calls == []  # 10, 24 and 18 sums when each identity spanned its pieces
+
+
+def test_the_twist_grade_check_builds_no_span_or_filtration(monkeypatch):
+    fx = cli.load_fixture(DATA / "varying.json")
+    assert fx.zeta
+    orbit_spec(fx.data, None, fx.n_coords)  # the shared facts are built once here
+    built = []
+    init = _Filtration.__init__
+
+    def counting(filt, *args):
+        built.append(type(filt).__name__)
+        return init(filt, *args)
+
+    monkeypatch.setattr(_Filtration, "__init__", counting)
+    sums = _spy_on_sums(monkeypatch)
+    orbit_spec(fx.data, None, fx.n_coords)
+    without = (len(sums), len(built))
+    orbit_spec(fx.data, fx.zeta, fx.n_coords)
+    assert (len(sums), len(built)) == (2 * without[0], 2 * without[1])

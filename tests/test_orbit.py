@@ -34,6 +34,7 @@ from hodgenorm.fixtures import (
     weight_three_line,
 )
 from hodgenorm.induced import PureHodgeData, induce, tate_normalize
+from hodgenorm.lie import lie_algebra, lie_deligne_split
 from hodgenorm.mhs import MixedHodge, NilpotentCone, deligne_split
 from hodgenorm.orbit import (
     AdaptedBasis,
@@ -191,6 +192,40 @@ def test_coefficient_validation():
         orbit_spec(h, {}, n_coords=0)
     with pytest.raises(ValueError, match="square matrices"):
         orbit_spec(h, {(): Mat([[0, 1]])}, n_coords=1)
+
+
+def _lowers_the_grade_by_filtration(split, coeff):
+    """The twist grade check as a filtration, kept as the reference: G_p
+    spans the pieces of grade p or less, and coeff must map each G_p into
+    G_{p-1}."""
+    grades = IncreasingFiltration(split.ambient, {
+        p: split.span_where(lambda r, s: r <= p) for p in {p for p, _ in split.pieces}})
+    return grades.first_escape(coeff, -1) is None
+
+
+def test_a_twist_that_keeps_a_grade_is_refused_as_the_filtration_check_refuses_it():
+    # one element of each symmetry-algebra layer of the varying orbit, as a twist
+    spec = orbit_varying()
+    h = spec.structure
+    split = h.structure().split()
+    a, a_inv, _ = split.frame
+    layers = lie_deligne_split(lie_algebra(h.q), h.structure())
+    refused = {}
+    for (p, q), xs in layers.layers.items():
+        coeff = a * xs[0] * a_inv
+        try:
+            orbit_spec(h, {(): coeff}, n_coords=1)
+            refused[p, q] = False
+        except ValueError as err:
+            refused[p, q] = str(err).endswith("does not strictly lower the filtration grade")
+        assert refused[p, q] == (not _lowers_the_grade_by_filtration(split, coeff)), (p, q)
+    assert refused == {pq: pq[0] >= 0 for pq in layers.layers}
+    # a g^{0,-2} element keeps every p grade and leaks into the equal one
+    leak = a * layers.layers[0, -2][0] * a_inv
+    with pytest.raises(ValueError) as err:
+        orbit_spec(h, {(): leak}, n_coords=1)
+    assert str(err.value) == ("zeta['']: f_[] at exponent (0,) does not strictly lower the"
+                              " filtration grade")
 
 
 def test_nonpolarized_cone_is_rejected():
