@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .exactlin import GaussianRational, Mat, Subspace, _scaled_ints
+from .exactlin import GaussianRational, Mat, _scaled_ints
 from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
 from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
 from .lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
@@ -185,16 +185,12 @@ def _parse_levels(node, path, dim, cls):
             level = int(key)
         except ValueError:
             _fail(where, "level keys must be integers")
+        if level in gens:
+            _fail(where, f"a second spelling of level {level}")
         if not isinstance(vectors, list):
             _fail(where, "expected a list of spanning vectors")
         gens[level] = [_parse_row(v, f"{where}[{j}]", dim) for j, v in enumerate(vectors)]
-    # from_generators' steps, spanned in int form: X_l is the row space of
-    # every generator listed at l or before it in growing order
-    rows, steps = [], {}
-    for level in sorted(gens, key=lambda l: cls._sign * l):
-        rows += gens[level]
-        steps[level] = Subspace._span(dim, rows)
-    return cls(dim, steps)
+    return cls.from_int_rows(dim, gens)
 
 
 def _show_levels(filtration):
@@ -214,6 +210,8 @@ def _parse_zeta(node, path, k, n_coords, dim):
             _fail(where, "keys must be comma-joined divisor indices, '' for the empty set")
         if not idx <= set(range(k)):
             _fail(where, "index set reaches outside the divisor coordinates")
+        if idx in table:
+            _fail(where, f"a second spelling of the index set {sorted(idx)}")
         if not isinstance(terms, list):
             _fail(where, "expected a list of {powers, matrix} terms")
         poly = {}
@@ -227,6 +225,8 @@ def _parse_zeta(node, path, k, n_coords, dim):
                 _fail(f"{at}.powers", f"expected {n_coords} nonnegative integers")
             if any(e > MAX_TWIST_EXPONENT for e in powers):
                 _fail(f"{at}.powers", f"an exponent exceeds {MAX_TWIST_EXPONENT}")
+            if tuple(powers) in poly:
+                _fail(f"{at}.powers", f"a second term with powers {powers}")
             poly[tuple(powers)] = _parse_matrix(term["matrix"], f"{at}.matrix", dim)
         table[idx] = poly
     return table

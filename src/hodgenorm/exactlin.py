@@ -313,10 +313,6 @@ class Mat:
     def zeros(cls, n):
         return cls._of_ints([([], 1)] * n, n)
 
-    @classmethod
-    def from_cols(cls, cols):
-        return cls(cols).transpose()
-
     def int_form(self):
         """Each row's nonzero (index, re, im) triples and scale, the stored int form."""
         if self.ints is None:
@@ -1053,6 +1049,12 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
+
+
+def _rows(spaces, n) -> Mat:
+    """The echelon bases of the spaces, in order, as the rows of one n-column
+    matrix: each stored int row as it is, a positive multiple of its basis row."""
+    return Mat._of_ints([(_triples(re, im), 1) for s in spaces for _, re, im in s.int_rows], n)
 
 
 def hermitian_positive_definite(gram: Mat) -> bool:

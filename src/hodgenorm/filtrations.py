@@ -13,7 +13,7 @@ every integer compare equal regardless of which levels the caller recorded.
 
 from __future__ import annotations
 
-from .exactlin import Mat, Subspace, image, kernel
+from .exactlin import Mat, Subspace, _nonzero_ints, _rows, image, kernel
 
 
 class _Filtration:
@@ -89,12 +89,23 @@ class _Filtration:
 
     @classmethod
     def from_generators(cls, ambient, gens):
-        """X_l spanned by every generator listed at l or before it in growing order."""
-        acc = []
-        steps = {}
+        """X_l spanned by every generator vector listed at l or before it in
+        growing order; each vector is read into int form once, here."""
+        if any(len(v) != ambient for vs in gens.values() for v in vs):
+            raise ValueError("vector length differs from ambient dimension")
+        return cls.from_int_rows(ambient, {l: [_nonzero_ints(v) for v in vs]
+                                           for l, vs in gens.items()})
+
+    @classmethod
+    def from_int_rows(cls, ambient, gens):
+        """X_l spanned by every row listed at l or before it in growing order,
+        the rows in `Mat.int_form`'s (triples, scale) form: one elimination
+        of all the rows so far per level."""
+        ambient = int(ambient)
+        rows, steps = [], {}
         for l in sorted(gens, key=lambda l: cls._sign * l):
-            acc.extend(gens[l])
-            steps[l] = Subspace(ambient, acc)
+            rows += gens[l]
+            steps[l] = Subspace._span(ambient, rows)
         return cls(ambient, steps)
 
     def isotropy(self, q: Mat, bound: int):
@@ -105,8 +116,9 @@ class _Filtration:
         (a, b, u, v)) with Q(u, v) != 0: a runs over the jump levels in
         ascending order, and b is a's admissible partner with the largest
         step, which contains the steps of all the others.  The pairing of
-        the two echelon bases is one Gram product, and (u, v) is its first
-        nonzero cell in row-major order.
+        the two echelon bases is one Gram product of their stored int rows,
+        positive multiples of the basis rows, so it has the same zero cells;
+        (u, v) are the basis rows of its first nonzero cell in row-major order.
         """
         s = self._sign
         jumps = self.jump_levels
@@ -115,11 +127,11 @@ class _Filtration:
             if not partners:
                 continue
             b = max(partners, key=lambda m: s * m)
-            left, right = self.at(a).basis, self.at(b).basis
-            gram = Mat(left) * q * Mat(right).transpose()
-            for u, (row, _) in zip(left, gram.int_form()):
+            left, right = self.at(a), self.at(b)
+            gram = _rows((left,), self.ambient) * q * _rows((right,), self.ambient).transpose()
+            for i, (row, _) in enumerate(gram.int_form()):
                 if row:
-                    return False, (a, b, u, right[row[0][0]])
+                    return False, (a, b, left.basis[i], right.basis[row[0][0]])
         return True, None
 
     def first_escape(self, x: Mat, shift: int):

@@ -6,16 +6,23 @@ From weight-w data (Q, F, cone) on V this builds
 
 with d_p = dim F^p, carrying the determinant pairing on each wedge factor,
 the derivation action of every cone generator, and the filtrations spanned
-by monomials of a bigraded basis of V with their total levels.  Downstream:
-a Tate shift that renormalizes the top filtration level to a line, and the
-distinguished vectors (e0, e_infinity, e_d) with the pairing scalar between
-them.
+by monomials of the splitting frame of V with their total levels.
+Downstream: a Tate shift that renormalizes the top filtration level to a
+line, and the distinguished vectors (e0, e_infinity, e_d) with the pairing
+scalar between them.
 
-Wedge coordinates and compound matrices are k×k minors.  They come from one
-Laplace expansion over row prefixes in Gaussian integers, which shares each
-(j-1)-minor among all the j-minors that expand into it, and each result is
-divided by the product of its row scales once.  Kronecker products multiply
-the int triples of the factors' rows.
+H is built in one number type, Gaussian-integer rows over a scale.  Its
+pairing is the Kronecker product of the compound matrices Λ^k Q, and its
+monomial basis the Kronecker product of the Λ^k B, with B the rows of V's
+splitting frame (each piece's stored int rows, in piece order): row S of
+Λ^k B is the wedge of the frame rows in S, with the sum of their bigrades,
+in the same `combinations` order.  F, W and the predicted pieces are spans
+of those rows, and each cone generator acts through its derivations, read
+off the int form of its columns.  Compound matrices are k×k minors from
+one Laplace expansion over row prefixes, which shares each (j-1)-minor
+among all the j-minors that expand into it, and each row is divided by the
+product of its row scales once.  Kronecker products multiply the int
+triples of the factors' rows.
 """
 
 from __future__ import annotations
@@ -26,15 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactlin import (
-    GaussianRational,
-    Mat,
-    ONE,
-    Subspace,
-    ZERO,
-    _from_ints,
-    _nonzero_ints,
-)
+from .exactlin import GaussianRational, Mat, ONE, Subspace
 from .filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
@@ -84,17 +83,6 @@ def _prefix_minors(form, prefix, memo):
     return got
 
 
-def wedge_coords(vectors, v_dim):
-    """Coordinates of v1 ∧ ... ∧ vk in the standard wedge basis: the k×k
-    minors of the vectors taken as rows, by Laplace expansion."""
-    form = [_nonzero_ints(v) for v in vectors]
-    k = len(form)
-    minors = _prefix_minors(form, tuple(range(k)), {})
-    scale = math.prod(d for _, d in form)
-    return tuple(_from_ints(*minors[cols], scale) if cols in minors else ZERO
-                 for cols in wedge_indices(v_dim, k))
-
-
 def wedge_matrix(m: Mat, k: int) -> Mat:
     """The compound matrix: action of m on Λ^k by k×k minors.
 
@@ -115,25 +103,34 @@ def wedge_matrix(m: Mat, k: int) -> Mat:
 
 
 def wedge_derivation(m: Mat, k: int) -> Mat:
-    """The action of m on Λ^k by the Leibniz rule."""
-    v_dim = m.nrows
-    combos = wedge_indices(v_dim, k)
+    """The action of m on Λ^k by the Leibniz rule.
+
+    Column S is the sum, over i in S and the nonzero entries (r, i) of m's
+    column i with r outside S, of that entry at S with i replaced by r,
+    signed by how far r moves to reach its sorted place.  The columns of m
+    are read as int triples over their common denominator.
+    """
+    combos = wedge_indices(m.nrows, k)
     index = {c: i for i, c in enumerate(combos)}
+    form = m.transpose().int_form()
+    den = math.lcm(*[d for _, d in form])
     cols = []
     for s in combos:
-        col = [ZERO] * len(combos)
+        acc = {}
         for pos, i in enumerate(s):
             rest = s[:pos] + s[pos + 1:]
-            for r in range(v_dim):
-                coeff = m[r, i]
-                if not coeff or r in rest:
+            col, d = form[i]
+            f = den // d
+            for r, a, b in col:
+                if r in rest:
                     continue
-                new = tuple(sorted(rest + (r,)))
-                sign = -1 if (pos - new.index(r)) % 2 else 1
-                slot = index[new]
-                col[slot] = col[slot] + coeff * sign
-        cols.append(col)
-    return Mat.from_cols(cols)
+                at = bisect_left(rest, r)
+                sign = f if (pos - at) % 2 == 0 else -f
+                cell = acc.setdefault(index[rest[:at] + (r,) + rest[at:]], [0, 0])
+                cell[0] += sign * a
+                cell[1] += sign * b
+        cols.append(([(j, a, b) for j, (a, b) in sorted(acc.items()) if a or b], den))
+    return Mat._of_ints(cols, len(combos)).transpose()
 
 
 def kron(a: Mat, b: Mat) -> Mat:
@@ -143,10 +140,6 @@ def kron(a: Mat, b: Mat) -> Mat:
                            for j1, x1, y1 in ra for j2, x2, y2 in rb], da * db)
                          for ra, da in a.int_form() for rb, db in b.int_form()],
                         a.ncols * w)
-
-
-def kron_vec(u, v):
-    return tuple(a * b for a in u for b in v)
 
 
 def induced_endomorphism(x: Mat, exponents) -> Mat:
@@ -221,7 +214,7 @@ class InducedStructure:
     cone: NilpotentCone
     factor_exponents: tuple
     v_data: PureHodgeData
-    bigraded: tuple  # ((P, Q), vector) for every monomial of the adapted basis
+    bigraded: tuple  # ((P, Q), int-form row) for every monomial of the frame
 
     @property
     def dim(self):
@@ -242,17 +235,18 @@ class InducedStructure:
         agree piece by piece; the twist shifts a monomial (P, Q) by (-k, -k).
         """
         gathered = {}
-        for (p, q), v in self.bigraded:
-            gathered.setdefault((p - self.twist, q - self.twist), []).append(v)
+        for (p, q), row in self.bigraded:
+            gathered.setdefault((p - self.twist, q - self.twist), []).append(row)
         return DeligneSplitting(
             self.dim,
-            {pq: Subspace(self.dim, vs) for pq, vs in gathered.items()})
+            {pq: Subspace._span(self.dim, rows) for pq, rows in gathered.items()})
 
 
 # Largest induced dimension `induce` builds.  Its cost grows about as the
 # cube of that dimension: the 231-dimensional structure induced from a
-# 22-dimensional weight_two(3) takes about 4 s through `hodge induce`, while
-# a1 would induce 3,695,120 dimensions.  Every shipped fixture and worked
+# 22-dimensional weight_two(3) takes about 1 s through `hodge induce`, 0.14 s
+# of it in `induce` (2 vCPU, CPython 3.11), while a1 would induce 3,695,120
+# dimensions.  Every shipped fixture and worked
 # family stays far below: a1_input induces 20, the tested families at most 45.
 MAX_INDUCED_DIM = 256
 
@@ -283,44 +277,33 @@ def induce(v: PureHodgeData) -> InducedStructure:
         raise ValueError(f"f: the induced structure would have dimension {size}, "
                          f"above the bound {MAX_INDUCED_DIM}")
 
-    v_split = v.split()
-    adapted = []
-    for (p, q), sub in v_split.pieces.items():
-        for vector in sub.basis:
-            adapted.append((p, q, vector))
-
+    a, _, grades = v.split().frame
     gens = list(v.cone.generators)
     n_h = [induced_endomorphism(g, exponents) for g in gens]
-    q_h = Mat.identity(1)
-    monomials = [((0, 0), (ONE,))]
-    for p, k in exponents:
+    q_h = monomials = Mat.identity(1)
+    bigrades = [(0, 0)]
+    for _, k in exponents:
         q_h = kron(q_h, wedge_matrix(v.q, k))
-        fresh = []
-        for subset in itertools.combinations(range(len(adapted)), k):
-            pp = sum(adapted[i][0] for i in subset)
-            qq = sum(adapted[i][1] for i in subset)
-            coords = wedge_coords([adapted[i][2] for i in subset], v.dim)
-            fresh.append(((pp, qq), coords))
-        monomials = [((bp + mp, bq + mq), kron_vec(bv, mv))
-                     for (bp, bq), bv in monomials
-                     for (mp, mq), mv in fresh]
+        monomials = kron(monomials, wedge_matrix(a.transpose(), k))
+        fresh = [tuple(map(sum, zip(*(grades[i] for i in s)))) for s in wedge_indices(v.dim, k)]
+        bigrades = [(bp + mp, bq + mq) for bp, bq in bigrades for mp, mq in fresh]
 
-    weight = w_v * sum(k for _, k in exponents)
-    dim_h = len(monomials)
+    bigraded = tuple(zip(bigrades, monomials.int_form()))
     f_gens, w_gens = {}, {}
-    for (pp, qq), coords in monomials:
-        f_gens.setdefault(pp, []).append(coords)
-        w_gens.setdefault(pp + qq, []).append(coords)
+    for (pp, qq), row in bigraded:
+        f_gens.setdefault(pp, []).append(row)
+        w_gens.setdefault(pp + qq, []).append(row)
+    dim_h = monomials.nrows
     return InducedStructure(
-        weight=weight,
+        weight=w_v * sum(k for _, k in exponents),
         twist=0,
         q=q_h,
-        f=DecreasingFiltration.from_generators(dim_h, f_gens),
-        w=IncreasingFiltration.from_generators(dim_h, w_gens),
+        f=DecreasingFiltration.from_int_rows(dim_h, f_gens),
+        w=IncreasingFiltration.from_int_rows(dim_h, w_gens),
         cone=NilpotentCone(n_h, q_h) if gens else NilpotentCone((), q_h),
         factor_exponents=tuple(exponents),
         v_data=v,
-        bigraded=tuple(monomials),
+        bigraded=bigraded,
     )
 
 

@@ -26,7 +26,7 @@ from .exactlin import (
     Mat,
     ONE,
     Subspace,
-    _triples,
+    _rows,
     commutator,
     hermitian_positive_definite,
     kernel,
@@ -189,11 +189,6 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
         raise ValueError(f"f: not a mixed Hodge structure: {defect}")
     structure.__dict__["_split"] = split
     return split
-
-
-def _rows(spaces, n) -> Mat:
-    """The echelon bases of the spaces, in order, as the rows of one n-column matrix."""
-    return Mat._of_ints([(_triples(re, im), 1) for s in spaces for _, re, im in s.int_rows], n)
 
 
 def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
@@ -361,7 +356,9 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
         prim = sub.intersect(kernels[l])
         if not prim.dim:
             continue
-        basis = Mat(prim.basis)
+        # the stored int rows are the basis rows times positive integers d_i,
+        # which scale the form to D·G·D: its Sylvester verdicts are G's
+        basis = _rows((prim,), structure.ambient)
         gram = i_power(p - q) * (basis * structure.q * powers[l] * basis.conj_t())
         try:
             if not hermitian_positive_definite(gram):

@@ -797,6 +797,42 @@ def test_twist_exponents_are_capped_at_parse_time(tmp_path, capsys):
         assert run(capsys, "check", path, "--suite", "monodromy")[0::2] == (code, err)
 
 
+def _respelled(doc, field, key, value):
+    doc[field][key] = value
+    return doc
+
+
+def _twin_term(doc):
+    terms = doc["zeta"]["0"]
+    terms.append(copy.deepcopy(terms[0]))
+    return doc
+
+
+VARYING_EVAL = ("eval", "--t", "1/3", "1/4", "--ell", "1/7,1/5")
+# a key spelled twice, or two twist terms with equal powers, once let the
+# later entry overwrite the earlier: with "00" beside "0" this eval printed
+# h = 809/810 instead of 1213/1620 and exited 0
+RESPELLINGS = [
+    ("varying", lambda d: _respelled(d, "zeta", "00", []), VARYING_EVAL,
+     "zeta['00']: a second spelling of the index set [0]"),
+    ("varying", _twin_term, VARYING_EVAL, "zeta['0'][2].powers: a second term with powers [0, 0]"),
+    ("elliptic", lambda d: _respelled(d, "f", "01", []), ("check",),
+     "f.01: a second spelling of level 1"),
+    ("varying", lambda d: _respelled(d, "w", "03", []), ("diamond",),
+     "w.03: a second spelling of level 3"),
+]
+
+
+@pytest.mark.parametrize("name, respell, argv, err", RESPELLINGS,
+                         ids=["zeta key", "twist powers", "f level", "w level"])
+def test_a_second_spelling_of_a_key_is_refused(name, respell, argv, err, tmp_path, capsys):
+    doc = json.loads((DATA / f"{name}.json").read_text())
+    assert run(capsys, argv[0], DATA / f"{name}.json", *argv[1:])[0] == 0
+    path = tmp_path / "respelled.json"
+    path.write_text(json.dumps(respell(doc)))
+    assert run(capsys, argv[0], path, *argv[1:])[0::2] == (2, f"error: {err}\n")
+
+
 # -- resource and float-range preconditions -----------------------------------------
 
 
@@ -1137,6 +1173,11 @@ def bracket_failures(fixture):
             if not c.ok and c.name in ("bracket.layer-sum", "bracket.action-compatibility")}
 
 
+def from_cols(cols):
+    """The matrix with the given columns."""
+    return Mat(cols).transpose()
+
+
 def _swapped_first_grade(a, a_inv, grades):
     return a, a_inv, (grades[0][::-1],) + grades[1:]
 
@@ -1146,7 +1187,7 @@ def _first_column_moved(a, a_inv, grades):
     k = next(k for k, pq in enumerate(grades) if pq != grades[0])
     cols = [list(a.col(j)) for j in range(a.ncols)]
     cols[0] = [x + y for x, y in zip(cols[0], cols[k])]
-    return Mat.from_cols(cols), a_inv, grades
+    return from_cols(cols), a_inv, grades
 
 
 # a frame defect in the splitting leaves closed-form elements of no single

@@ -82,6 +82,11 @@ def form_value(q, u, v):
     return dot(u, q.apply(v))
 
 
+def from_cols(cols):
+    """The matrix with the given columns."""
+    return Mat(cols).transpose()
+
+
 def ref_inverse(a):
     """[A | I] reduced by `rref`, A^-1 read off the right half."""
     n = a.nrows
@@ -268,7 +273,7 @@ def ref_adapted_basis(structure):
         for j in range(d + 1):
             if form_value(q, columns[i], columns[j]) != (ONE if i + j == d else ZERO):
                 raise ArithmeticError("adapted pairing normalization failed")
-    mat = Mat.from_cols(columns)
+    mat = from_cols(columns)
     return AdaptedBasis(mat=mat, inv=ref_inverse(mat), bigrades=tuple(bigrades), n=n)
 
 

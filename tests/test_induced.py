@@ -5,6 +5,10 @@ of the fixtures (wedge a bigraded basis, add bigrades, count monomials), so
 the assertions are not replays of the code under test.  On top of that, each
 induced splitting is computed along two unrelated paths — monomial spans
 versus the general intersection formula — which must agree piece by piece.
+The monomials themselves, built in ints from Λ^k of the splitting frame's
+rows, are checked against the scalar construction they replaced (wedges of
+the pieces' pivot-1 basis vectors, tensored entry by entry), which is kept
+below as the reference.
 """
 
 import random
@@ -13,15 +17,23 @@ from fractions import Fraction
 import pytest
 
 from hodgenorm.exactlin import (
+    GaussianRational,
     Mat,
     Subspace,
+    ZERO,
     nilpotent_exp,
     qi,
     vec,
 )
-from hodgenorm.filtrations import level, weight_filtration
+from hodgenorm.filtrations import (
+    DecreasingFiltration,
+    IncreasingFiltration,
+    level,
+    weight_filtration,
+)
 from hodgenorm.fixtures import (
     curve_pair,
+    random_unimodular,
     weight_one,
     weight_three_line,
     weight_two,
@@ -34,11 +46,10 @@ from hodgenorm.induced import (
     induce,
     induced_dimension,
     kron,
-    kron_vec,
     locate_markers,
     tate_normalize,
-    wedge_coords,
     wedge_derivation,
+    wedge_indices,
     wedge_matrix,
 )
 from hodgenorm.mhs import (
@@ -62,18 +73,17 @@ def strictly_upper(rng, n):
 # -- multilinear helpers -------------------------------------------------------
 
 
-def test_wedge_coords_hand_example():
-    # (e0 + e1) ∧ (e1 + 2 e2) = e01 + 2 e02 + 2 e12
-    got = wedge_coords([vec((1, 1, 0)), vec((0, 1, 2))], 3)
+def test_wedge_matrix_row_is_the_wedge_of_its_rows():
+    # row (0, 1) of Λ²: (e0 + e1) ∧ (e1 + 2 e2) = e01 + 2 e02 + 2 e12
+    got = wedge_matrix(Mat([[1, 1, 0], [0, 1, 2], [5, -3, 7]]), 2).rows[0]
     assert got == (qi(1), qi(2), qi(2))
 
 
-def test_wedge_coords_alternates():
-    v = vec((1, 2, 3))
-    u = vec((0, 1, 1))
-    assert all(not c for c in wedge_coords([v, v], 3))
-    swapped = wedge_coords([u, v], 3)
-    straight = wedge_coords([v, u], 3)
+def test_wedge_matrix_rows_alternate():
+    v, u = (1, 2, 3), (0, 1, 1)
+    assert not any(wedge_matrix(Mat([v, v, u]), 2).rows[0])
+    swapped = wedge_matrix(Mat([u, v, u]), 2).rows[0]
+    straight = wedge_matrix(Mat([v, u, u]), 2).rows[0]
     assert tuple(-c for c in swapped) == straight
 
 
@@ -90,14 +100,28 @@ def test_compound_matrix_is_multiplicative():
 
 
 def test_compound_of_wedge_action_matches_coords():
+    # the wedge coordinates of u ∧ v are row (0, 1) of Λ² of [u; v; 0; 0]
     rng = random.Random(19)
     for _ in range(5):
         a = random_matrix(rng, 4)
         u = vec([rng.randint(-3, 3) for _ in range(4)])
         v = vec([rng.randint(-3, 3) for _ in range(4)])
-        left = wedge_matrix(a, 2).apply(wedge_coords([u, v], 4))
-        right = wedge_coords([a.apply(u), a.apply(v)], 4)
+        zero = (0,) * 4
+        left = wedge_matrix(a, 2).apply(wedge_matrix(Mat([u, v, zero, zero]), 2).rows[0])
+        right = wedge_matrix(Mat([a.apply(u), a.apply(v), zero, zero]), 2).rows[0]
         assert left == right
+
+
+@pytest.mark.parametrize("v", [weight_one(1), weight_two(1), weight_three_line(), curve_pair()],
+                         ids=["weight_one(1)", "weight_two(1)", "weight_three_line", "curve_pair"])
+def test_compound_pairs_the_frame_monomials_by_cauchy_binet(v):
+    # Λ^k B · Λ^k Q · (Λ^k B)^T = Λ^k (B Q B^T) for B the frame's rows: the
+    # monomials of H pair through the compound of V's frame Gram matrix
+    b = v.split().frame[0].transpose()
+    for k in range(v.dim + 1):
+        monomials = wedge_matrix(b, k)
+        assert monomials * wedge_matrix(v.q, k) * monomials.transpose() \
+            == wedge_matrix(b * v.q * b.transpose(), k)
 
 
 def test_derivation_exponentiates_to_the_compound():
@@ -124,9 +148,10 @@ def test_kron_mixed_product():
         a, b = random_matrix(rng, 2), random_matrix(rng, 3)
         c, d = random_matrix(rng, 2), random_matrix(rng, 3)
         assert kron(a, b) * kron(c, d) == kron(a * c, b * d)
-        u = vec([rng.randint(-2, 2) for _ in range(2)])
-        v = vec([rng.randint(-2, 2) for _ in range(3)])
-        assert kron(a, b).apply(kron_vec(u, v)) == kron_vec(a.apply(u), b.apply(v))
+        # on one-row matrices: (u ⊗ v)(a ⊗ b)^T = u a^T ⊗ v b^T
+        u = Mat([[rng.randint(-2, 2) for _ in range(2)]])
+        v = Mat([[rng.randint(-2, 2) for _ in range(3)]])
+        assert kron(u, v) * kron(a, b).transpose() == kron(u * a.transpose(), v * b.transpose())
 
 
 def test_tensor_assembly_of_nilpotents_exponentiates_factorwise():
@@ -358,7 +383,6 @@ def test_weight_three_line_needs_one_twist():
 def test_induce_requires_a_top_half():
     # All classes in the middle: F² = 0 leaves nothing to wedge.
     q = Mat.identity(3)
-    from hodgenorm.filtrations import DecreasingFiltration
     f = DecreasingFiltration.from_generators(
         3, {1: [vec((1, 0, 0)), vec((0, 1, 0)), vec((0, 0, 1))]})
     v = PureHodgeData(2, q, f, NilpotentCone((), q))
@@ -391,3 +415,138 @@ def test_markers_reject_a_fat_opposite_line():
         bigraded=ind.bigraded)
     with pytest.raises((ValueError, ArithmeticError)):
         locate_markers(squashed)
+
+
+# -- the scalar monomial construction, kept as a reference -------------------------
+
+
+def reference_wedge_coords(vectors, v_dim):
+    """Coordinates of v1 ∧ ... ∧ vk in the standard wedge basis: the k×k
+    minors of the vectors taken as rows."""
+    rows = Mat(vectors)
+    return tuple(rows.submatrix(range(len(vectors)), cols).det()
+                 for cols in wedge_indices(v_dim, len(vectors)))
+
+
+def reference_kron_vec(u, v):
+    return tuple(a * b for a in u for b in v)
+
+
+def reference_wedge_derivation(m, k):
+    """The Leibniz action of m on Λ^k, entry by entry in scalars."""
+    combos = wedge_indices(m.nrows, k)
+    index = {c: i for i, c in enumerate(combos)}
+    cols = []
+    for s in combos:
+        col = [ZERO] * len(combos)
+        for pos, i in enumerate(s):
+            rest = s[:pos] + s[pos + 1:]
+            for r in range(m.nrows):
+                coeff = m[r, i]
+                if not coeff or r in rest:
+                    continue
+                new = tuple(sorted(rest + (r,)))
+                sign = -1 if (pos - new.index(r)) % 2 else 1
+                col[index[new]] = col[index[new]] + coeff * sign
+        cols.append(col)
+    return Mat(cols).transpose()
+
+
+def reference_induce(v):
+    """H built from scalar vectors: the monomials are tensored wedges of the
+    pivot-1 basis rows of V's pieces, and F, W and the predicted pieces are
+    spanned by them.  Returns the induced structure and its predicted pieces."""
+    top, middle = v.weight, (v.weight + 2) // 2
+    exponents = [(p, v.f.at(p).dim) for p in range(top, middle - 1, -1) if v.f.at(p).dim]
+    adapted = [(p, q, vector) for (p, q), sub in v.split().pieces.items()
+               for vector in sub.basis]
+    q_h = Mat.identity(1)
+    gens = [Mat.zeros(1) for _ in v.cone]
+    monomials = [((0, 0), (qi(1),))]
+    for _, k in exponents:
+        q_h = kron(q_h, wedge_matrix(v.q, k))
+        gens = [kron(g, Mat.identity(len(wedge_indices(v.dim, k))))
+                + kron(Mat.identity(g.nrows), reference_wedge_derivation(x, k))
+                for g, x in zip(gens, v.cone)]
+        fresh = [((sum(adapted[i][0] for i in s), sum(adapted[i][1] for i in s)),
+                  reference_wedge_coords([adapted[i][2] for i in s], v.dim))
+                 for s in wedge_indices(len(adapted), k)]
+        monomials = [((bp + mp, bq + mq), reference_kron_vec(bv, mv))
+                     for (bp, bq), bv in monomials for (mp, mq), mv in fresh]
+    dim_h = len(monomials)
+    f_gens, w_gens, pieces = {}, {}, {}
+    for (p, q), vector in monomials:
+        f_gens.setdefault(p, []).append(vector)
+        w_gens.setdefault(p + q, []).append(vector)
+        pieces.setdefault((p, q), []).append(vector)
+    h = InducedStructure(
+        weight=v.weight * sum(k for _, k in exponents), twist=0, q=q_h,
+        f=DecreasingFiltration.from_generators(dim_h, f_gens),
+        w=IncreasingFiltration.from_generators(dim_h, w_gens),
+        cone=NilpotentCone(gens, q_h), factor_exponents=tuple(exponents),
+        v_data=v, bigraded=())
+    return h, {pq: Subspace(dim_h, vectors) for pq, vectors in sorted(pieces.items())}
+
+
+def moved(v, g):
+    """The same structure written in the basis g: x -> g x, as the
+    benchmark's fresh workload moves its families."""
+    g_inv = g.inverse()
+    q = g_inv.transpose() * v.q * g_inv
+    cone = NilpotentCone([g * n * g_inv for n in v.cone.generators], q)
+    return PureHodgeData(v.weight, q, v.f.apply(g), cone, v.w.apply(g))
+
+
+def signed_permutation(rng, n):
+    order = list(range(n))
+    rng.shuffle(order)
+    return Mat([[rng.choice((-1, 1)) if j == order[i] else 0 for j in range(n)]
+                for i in range(n)])
+
+
+def differential_inputs():
+    named = [(f"weight_one({a})", weight_one(a)) for a in range(4)]
+    named += [(f"weight_one({a}, split_cone)", weight_one(a, split_cone=True)) for a in range(4)]
+    named += [("curve_pair", curve_pair()), ("weight_three_line", weight_three_line())]
+    named += [(f"weight_two({kind})", weight_two(kind)) for kind in range(6)]
+    for name, v in (("weight_one(1)", weight_one(1)), ("weight_two(1)", weight_two(1))):
+        rng = random.Random(f"induced:{name}")
+        g = signed_permutation(rng, v.dim) * random_unimodular(rng, v.dim)
+        named.append((f"moved {name}", moved(v, g)))
+    return named
+
+
+DIFFERENTIAL = differential_inputs()
+
+
+def _markers(h):
+    try:
+        return locate_markers(tate_normalize(h))
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("v", [v for _, v in DIFFERENTIAL], ids=[n for n, _ in DIFFERENTIAL])
+def test_induce_matches_the_scalar_monomial_construction(v):
+    got = induce(v)
+    want, pieces = reference_induce(v)
+    assert got.dim == want.dim and got.weight == want.weight
+    assert got.factor_exponents == want.factor_exponents
+    assert got.q == want.q
+    assert got.cone.generators == want.cone.generators
+    assert got.f == want.f and got.w == want.w
+    assert got.predicted_split().pieces == pieces
+    assert _markers(got) == _markers(want)
+
+
+def test_induce_does_no_scalar_arithmetic(monkeypatch):
+    inputs = [weight_one(1), weight_two(1)]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def spy(*args, _op=getattr(GaussianRational, name), _name=name):
+            calls.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(GaussianRational, name, spy)
+    for v in inputs:
+        induce(v)
+    assert calls == []

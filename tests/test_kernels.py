@@ -11,8 +11,9 @@ entries and plain ints; the large-entry tests also use large parts,
 non-unit Gaussian leads and rank-deficient shapes.  The int form that a
 `Mat` stores is checked against the rows themselves.  `transpose`,
 `kernel`, `image`, `Subspace.apply`, `kron` and the Laplace minors of
-`wedge_matrix` and `wedge_coords` run on that int form too, so each has a
-test against entrywise references (`submatrix(...).det()` for the minors),
+`wedge_matrix` run on that int form too, so each has a test against
+entrywise references (`submatrix(...).det()` for the minors, on square
+inputs and on stacks of vectors with large parts),
 and equality, which reads the int form, is checked to agree with equality
 of the rows for results reached by different routes.  Kernel results build
 their `rows` on first read, which the laziness tests pin.  Meets with the
@@ -46,10 +47,15 @@ from hodgenorm.exactlin import (
     rref,
     vec,
 )
-from hodgenorm.induced import kron, wedge_coords, wedge_indices, wedge_matrix
+from hodgenorm.induced import kron, wedge_indices, wedge_matrix
 from hodgenorm.fixtures import curve_pair, elliptic, orbit_elliptic
 
 # -- dense references ----------------------------------------------------------
+
+
+def from_cols(cols):
+    """The matrix with the given columns."""
+    return Mat(cols).transpose()
 
 
 def dense_mul(a, b):
@@ -314,8 +320,8 @@ def dense_intersect(a_rows, b_rows):
     """A∩B from the kernel of the stacked bases: the A-part of each relation."""
     if not a_rows or not b_rows:
         return ()
-    stacked = Mat.from_cols(list(a_rows) + [[-x for x in r] for r in b_rows])
-    meets = [dense_apply(Mat.from_cols(a_rows), rel[:len(a_rows)])
+    stacked = from_cols(list(a_rows) + [[-x for x in r] for r in b_rows])
+    meets = [dense_apply(from_cols(a_rows), rel[:len(a_rows)])
              for rel in dense_kernel(stacked)]
     return dense_rref(meets)[0] if meets else ()
 
@@ -745,7 +751,7 @@ def test_nilpotent_exp_refuses_a_matrix_that_is_not_nilpotent(n, c):
 def test_every_kernel_result_keeps_a_readable_int_form(pair, n):
     a, b = pair
     square = Mat(dense_mul(a, a.transpose()))
-    results = [a, b, Mat.identity(a.nrows), Mat.zeros(a.ncols), Mat.from_cols(a.rows),
+    results = [a, b, Mat.identity(a.nrows), Mat.zeros(a.ncols), from_cols(a.rows),
                a * b, a + a, a - a, a * qi(2, -1), a.transpose(),
                a.submatrix(range(a.nrows), reversed(range(a.ncols))), nilpotent_exp(n)]
     try:
@@ -808,11 +814,12 @@ def test_wedge_matrix_matches_the_determinants_of_its_minors(m, data):
 @given(st.integers(1, 6).flatmap(
     lambda n: st.tuples(st.just(n), st.lists(st.one_of(st.tuples(*[scalars] * n), large_vectors(n)),
                                              max_size=n))))
-def test_wedge_coords_match_the_determinants_of_the_minors(case):
+def test_wedge_matrix_rows_of_stacked_vectors_match_the_minors(case):
+    # row (0, ..., k-1) of Λ^k of the vectors stacked over zero rows is their wedge
     n, vectors = case
     k = len(vectors)
-    cols = Mat.from_cols(vectors) if vectors else Mat([])
-    got = wedge_coords(vectors, n)
+    cols = from_cols(vectors) if vectors else Mat([])
+    got = wedge_matrix(Mat(list(vectors) + [(0,) * n] * (n - k)), k).rows[0]
     assert got == tuple(cols.submatrix(rows, range(k)).det() for rows in wedge_indices(n, k))
     assert_entries(got)
 

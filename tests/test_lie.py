@@ -32,6 +32,11 @@ from hodgenorm.lie import (
 from hodgenorm.mhs import DeligneSplitting, is_infinitesimal_isometry, NilpotentCone
 
 
+def from_cols(cols):
+    """The matrix with the given columns."""
+    return Mat(cols).transpose()
+
+
 def flatten_matrix(x: Mat):
     """Row-major coordinates of a matrix, as a vector of length nrows*ncols."""
     return tuple(entry for row in x.rows for entry in row)
@@ -358,7 +363,7 @@ def reference_layers(algebra, structure) -> DeligneSplitting:
     supports = [{d for d, x in zip(cell_shifts, flatten_matrix(b)) if x} for b in local]
     n2 = algebra.ambient ** 2
     if any(len(shifts) > 1 for shifts in supports):
-        cells = Mat.from_cols([flatten_matrix(b) for b in local]).rows
+        cells = from_cols([flatten_matrix(b) for b in local]).rows
         pieces = {}
         for d in sorted(set(cell_shifts)):
             coeffs = kernel(Mat([row for row, s in zip(cells, cell_shifts) if s != d]))
