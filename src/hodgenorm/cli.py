@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .exactlin import GaussianRational, Mat, _scaled_ints
 from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
-from .induced import induce, induced_endomorphism, locate_markers, PureHodgeData, tate_normalize
+from .induced import induce, induced_endomorphism, PureHodgeData, tate_normalize
 from .lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
 # deligne_split stays bound here for callers that reach it through this module
 from .mhs import check_symmetries, deligne_split, is_infinitesimal_isometry, NilpotentCone  # noqa: F401
@@ -248,18 +248,15 @@ def _show_zeta(table):
 class Fixture:
     """A parsed fixture: exact structure data plus optional twist table.
 
-    The markers and the orbit spec are built at most once per fixture.  A
-    build that raises is not cached, so every caller gets the same error.
+    The orbit spec is built at most once per fixture, and the markers are
+    the data's own (`data.markers`).  A build that raises is not cached, so
+    every caller gets the same error.
     """
 
     data: PureHodgeData
     zeta: dict
     n_coords: int
     expectations: dict
-
-    @cached_property
-    def markers(self):
-        return locate_markers(self.data)
 
     def orbit(self):
         return self._orbit
@@ -318,7 +315,7 @@ def parse_fixture(doc) -> Fixture:
 
 def _verify_expectations(fixture, expectations):
     try:
-        markers = fixture.markers
+        markers = fixture.data.markers
     except (ValueError, ArithmeticError) as exc:
         raise FixtureError(f"markers: {exc}") from exc
     for key in sorted(set(expectations) - {"n", "m", "lam"}):
@@ -457,7 +454,7 @@ def _require_floats(fixture):
             for a, b in zip(re, im):
                 _require_float(((a, re[col]), (b, re[col])), f"f.{p}")
     try:
-        markers = fixture.markers
+        markers = data.markers
     except (ValueError, ArithmeticError):
         return  # the commands that need markers report why they are undefined
     for name, values in (("e0", markers.e0), ("einf", markers.einf), ("lam", (markers.lam,))):
@@ -487,7 +484,7 @@ def cmd_diamond(fixture, args):
     report = {"diamond": {f"{p},{q}": sub.dim
                           for (p, q), sub in sorted(split.pieces.items())}}
     try:
-        markers = fixture.markers
+        markers = data.markers
         lines.append(f"m = {markers.m}")
         report["m"] = markers.m
     except (ValueError, ArithmeticError):
@@ -516,8 +513,7 @@ def cmd_induce(fixture, args):
     zeta = {idx: {expo: induced_endomorphism(coeff, ind.factor_exponents)
                   for expo, coeff in poly.items()}
             for idx, poly in fixture.zeta.items()}
-    carrier = PureHodgeData(weight=ind.weight, q=ind.q, f=ind.f, cone=ind.cone, w=ind.w)
-    doc = fixture_document(carrier, zeta, fixture.n_coords)
+    doc = fixture_document(ind, zeta, fixture.n_coords)
     text = dump_document(doc)
     lines = [f"induced structure: dim {ind.dim}, weight {ind.weight}, twist {ind.twist}",
              text.rstrip("\n")]
@@ -526,7 +522,7 @@ def cmd_induce(fixture, args):
 
 def cmd_markers(fixture, args):
     data = fixture.data
-    markers = fixture.markers
+    markers = data.markers
     basis = adapted_basis(data.structure())
     indices = tuple(_proportional_column(basis, v)
                     for v in (markers.e0, markers.einf, markers.ed))
@@ -683,10 +679,13 @@ def suite_bracket(fixture, args):
     out = [Check("bracket.isometry-algebra", isometry_ok,
                  "x^T Q + Q x = 0 on the basis; bracket closure follows")]
     layer_total = lsplit.total_dim()
-    out.append(Check("bracket.layer-sum", layer_total == algebra.dim,
-                     f"layer dims {layer_total} fill the algebra dim {algebra.dim}"))
+    a, a_inv, grades = lsplit.frame
+    counted = layer_total == algebra.dim
+    layers_fill = counted and a * a_inv == Mat.identity(a.nrows)
+    out.append(Check("bracket.layer-sum", layers_fill,
+                     f"layer dims {layer_total} fill the algebra dim {algebra.dim}"
+                     if layers_fill or not counted else "A A^{-1} is not I in the splitting frame"))
     # cell (k, l) of a bucket element shifts grades[l] to grades[k]; name the last leak
-    grades = lsplit.frame[2]
     leak = None
     for (p, q), xs in lsplit.layers.items():
         for x in xs:
@@ -701,7 +700,7 @@ def suite_bracket(fixture, args):
     # the I^{p,q} force each commutator into the expected layer: a product
     # of two layer elements shifts every piece by the summed bidegree, and
     # a member of the algebra doing so can only be its (p+r, q+s) part.
-    entailed = isometry_ok and layer_total == algebra.dim and leak is None
+    entailed = isometry_ok and layers_fill and leak is None
     out.append(Check("bracket.bracket-compatibility", entailed,
                      "[g^{p,q}, g^{r,s}] <= g^{p+r,q+s}, entailed by the three"
                      " checks above"))
@@ -723,7 +722,7 @@ def _suite_orbit(fixture, skip_name, failure_name):
     if not len(fixture.data.cone):
         return _skip(skip_name, "fixture has no cone")
     try:
-        fixture.markers  # raises when the markers are undefined
+        fixture.data.markers  # raises when the markers are undefined
     except (ValueError, ArithmeticError) as exc:
         return _skip(skip_name, f"norm machinery undefined: {exc}")
     try:

@@ -7,15 +7,15 @@ and no tolerance ever enters.
 
 Every kernel computes on Gaussian integers.  A row reads as its nonzero
 entries, (index, re, im) int triples, times a scale: the lcm of those
-entries' denominators.  Kernel results keep only that int form; their
-`GaussianRational` rows are built the first time `rows` is read, one
-`Fraction` per nonzero part and `ZERO` for zero entries, so they are the
-same scalars that arithmetic over Q(i) gives, entry for entry.
+entries' denominators.  A `Mat` stores only that int form, however it was
+built: a matrix built from entries reads them into it once, and a kernel
+result is given it.  Its `GaussianRational` rows are built the first time
+`rows` is read, one `Fraction` per nonzero part and `ZERO` for zero
+entries, so they are the same scalars that arithmetic over Q(i) gives,
+entry for entry.
 
-A `Mat` keeps the int form of its rows.  Kernels set it on their results; a
-matrix built from entries reads it on first use.  So each operation costs
-the nonzero entries it meets, and an operand is converted once however
-often it is used.  The int form of a row is canonical (ascending indices,
+So each operation costs the nonzero entries it meets, and no operand is
+converted twice.  The int form of a row is canonical (ascending indices,
 a positive scale sharing no factor with the parts), so equality and
 hashing read it too:
 
@@ -257,35 +257,26 @@ def vec(entries) -> tuple:
 
 
 class Mat:
-    """Immutable matrix over Q(i).
+    """Immutable matrix over Q(i), stored in one form: its int form.
 
-    `ints` holds each row as `_nonzero_ints` reads it, and equality and
-    hashing read it.  Kernels store only that; other constructors store the
-    `GaussianRational` entries in `rows` and leave `ints` None for
-    `int_form` to fill.  A kernel result builds its `rows` the first time
-    they are read.
+    `ints` holds each row's nonzero (index, re, im) int triples over a
+    scale, and equality and hashing read it.  A matrix built from entries
+    reads them into it once, through `_nonzero_ints`; a kernel result is
+    given it.  The `GaussianRational` entries in `rows` are built the first
+    time they are read.
     """
 
-    # `ints` and `width` are always set, `ints` possibly to None, and `rows`
-    # is filled by `__getattr__` when read unset: `perfbench/tracer.py` reads
-    # every slot of a matrix whose slots are not ("rows",).
+    # `ints` and `width` are always set, and `rows` is filled by
+    # `__getattr__` when read unset: `perfbench/tracer.py` reads every slot
+    # of a matrix whose slots are not ("rows",).
     __slots__ = ("rows", "ints", "width")
 
     def __init__(self, rows):
-        self.rows = tuple(vec(r) for r in rows)
-        self.ints = None
-        self.width = len(self.rows[0]) if self.rows else 0
-        if any(len(r) != self.width for r in self.rows):
+        rows = [tuple(r) for r in rows]
+        self.width = len(rows[0]) if rows else 0
+        if any(len(r) != self.width for r in rows):
             raise ValueError("ragged rows")
-
-    @classmethod
-    def _of_rows(cls, rows, width):
-        # results built from entries: rows are already tuples of `width` scalars
-        self = object.__new__(cls)
-        self.rows = tuple(rows)
-        self.ints = None
-        self.width = width
-        return self
+        self.ints = tuple(map(_nonzero_ints, rows))
 
     @classmethod
     def _of_ints(cls, ints, width):
@@ -315,13 +306,11 @@ class Mat:
 
     def int_form(self):
         """Each row's nonzero (index, re, im) triples and scale, the stored int form."""
-        if self.ints is None:
-            self.ints = tuple(map(_nonzero_ints, self.rows))
         return self.ints
 
     @property
     def nrows(self):
-        return len(self.rows if self.ints is None else self.ints)
+        return len(self.ints)
 
     @property
     def ncols(self):
@@ -510,10 +499,6 @@ class Mat:
             row = {j: (a, b) for j, a, b in row}
             ints.append(([(k, *row[j]) for k, j in enumerate(col_idx) if j in row], d))
         return Mat._of_ints(ints, len(col_idx))
-
-    def to_complex_rows(self):
-        """Rows as python complex, for handing off to float code."""
-        return [[x.to_complex() for x in r] for r in self.rows]
 
     def __repr__(self):
         body = "; ".join(" ".join(repr(x) for x in r) for r in self.rows)

@@ -11,6 +11,12 @@ Downstream: a Tate shift that renormalizes the top filtration level to a
 line, and the distinguished vectors (e0, e_infinity, e_d) with the pairing
 scalar between them.
 
+V and H are records of one kind: `InducedStructure` is a `PureHodgeData`
+that also carries its twist, its factors and its predicted bigrading, so
+everything that reads weight-w data (the fixture writer, the orbit spec,
+the markers) reads either.  Every record is verified when built, and finds
+its markers once, when they are first read.
+
 H is built in one number type, Gaussian-integer rows over a scale.  Its
 pairing is the Kronecker product of the compound matrices Λ^k Q, and its
 monomial basis the Kronecker product of the Λ^k B, with B the rows of V's
@@ -163,10 +169,12 @@ def induced_endomorphism(x: Mat, exponents) -> Mat:
 
 @dataclass(frozen=True)
 class PureHodgeData:
-    """Weight-w input data on V: pairing, limit filtration, nilpotent cone.
+    """Weight-w data on V: pairing, limit filtration, nilpotent cone.
 
-    The mixed structure is built once per instance and shared by every
-    caller; split() is that structure's own cached, verified splitting.
+    Every record is verified when built: its mixed structure is built then,
+    once, and shared by every caller, and split() is that structure's own
+    cached, verified splitting.  `markers` are found once, when first read;
+    like the structure, a build that raises is not kept.
     """
 
     weight: int
@@ -201,32 +209,20 @@ class PureHodgeData:
     def _structure(self) -> MixedHodge:
         return MixedHodge(self.weight, self.w, self.f, self.q)
 
+    @cached_property
+    def markers(self) -> Markers:
+        return locate_markers(self)
+
 
 @dataclass(frozen=True)
-class InducedStructure:
-    """H with its pairing, filtrations, cone, and the predicted bigrading."""
+class InducedStructure(PureHodgeData):
+    """H as weight-w data, with its Tate twist, its factors (p, dim F^p) and
+    the predicted bigrading: ((P, Q), int-form row) for every monomial of
+    the frame."""
 
-    weight: int
-    twist: int
-    q: Mat
-    f: DecreasingFiltration
-    w: IncreasingFiltration
-    cone: NilpotentCone
-    factor_exponents: tuple
-    v_data: PureHodgeData
-    bigraded: tuple  # ((P, Q), int-form row) for every monomial of the frame
-
-    @property
-    def dim(self):
-        return self.f.ambient
-
-    def structure(self) -> MixedHodge:
-        """The mixed structure (W, F, Q) of H, built once per instance."""
-        return self._structure
-
-    @cached_property
-    def _structure(self) -> MixedHodge:
-        return MixedHodge(self.weight, self.w, self.f, self.q)
+    twist: int = 0
+    factor_exponents: tuple = ()
+    bigraded: tuple = ()
 
     def predicted_split(self) -> DeligneSplitting:
         """The splitting functoriality predicts: spans of bigraded monomials.
@@ -302,7 +298,6 @@ def induce(v: PureHodgeData) -> InducedStructure:
         w=IncreasingFiltration.from_int_rows(dim_h, w_gens),
         cone=NilpotentCone(n_h, q_h) if gens else NilpotentCone((), q_h),
         factor_exponents=tuple(exponents),
-        v_data=v,
         bigraded=bigraded,
     )
 
@@ -327,7 +322,6 @@ def tate_normalize(ind: InducedStructure) -> InducedStructure:
         w=ind.w.shift(2 * k),
         cone=ind.cone,
         factor_exponents=ind.factor_exponents,
-        v_data=ind.v_data,
         bigraded=ind.bigraded,
     )
     if out.f.at(out.weight).dim != 1:
@@ -347,11 +341,12 @@ class Markers:
     lam: GaussianRational
 
 
-def locate_markers(ind: InducedStructure) -> Markers:
+def locate_markers(ind: PureHodgeData) -> Markers:
     """Find m, e0, e_infinity, e_d and the normalizing scalar λ.
 
     m is the level of the top line inside W; the opposite line is
-    W_{2n-m} ∩ F^{2n-m}, which must be one-dimensional.
+    W_{2n-m} ∩ F^{2n-m}, which must be one-dimensional.  A record reads
+    these once, through its `markers`.
     """
     n = ind.weight
     top = ind.f.at(n)

@@ -24,6 +24,7 @@ ell-values explicitly, so no multivalued log is ever taken silently.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exactlin import (
     Mat,
@@ -35,7 +36,7 @@ from .exactlin import (
     nilpotent_exp,
 )
 from .filtrations import level, weight_filtration
-from .induced import Markers, locate_markers
+from .induced import Markers, PureHodgeData
 from .mhs import (
     MixedHodge,
     NilpotentCone,
@@ -102,8 +103,8 @@ def _symmetric_diagonal_basis(q, vectors: Mat) -> Mat:
         d = (coeffs * select.transpose())[0, 0]
         out.append(v.rows[0])
         rest = work - (coeffs * (ONE / d)).transpose() * v
-        work = Mat._of_rows(Subspace(width, rest.rows).basis, width)
-    return Mat._of_rows(out, width)
+        work = Mat(Subspace(width, rest.rows).basis)
+    return Mat(out)
 
 
 def _middle_block_basis(q, vectors: Mat) -> Mat:
@@ -152,7 +153,7 @@ def _middle_block_basis(q, vectors: Mat) -> Mat:
         # u = v_a + c v_b and w = (v_a - c v_b) / 2d_a
         out[j], out[k - 1 - j] = (Mat([[ONE, c], [h, -c * h]]) * rows(a, b)).rows
         j += 1
-    return Mat._of_rows(out, diag.ncols)
+    return Mat(out)
 
 
 def _anti_identity(k):
@@ -240,7 +241,7 @@ class OrbitSpec:
     pure function of (spec, point, ell-values).
     """
 
-    structure: object
+    structure: PureHodgeData
     markers: Markers
     basis: AdaptedBasis
     cone: NilpotentCone
@@ -287,14 +288,16 @@ def _canonical_coeffs(zeta_coeffs, k, n_coords, dim):
     return canon
 
 
-def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSpec:
+def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None,
+               cone=None) -> OrbitSpec:
     """Validate degeneration data and assemble an OrbitSpec.
 
-    `structure` must carry (weight, q, f, w, cone) with the top filtration
-    level a line — normalize first if needed.  `cone` overrides the
-    structure's own cone (used for rescaling).  The cone must polarize the
-    limit data and the twist data must pass their algebraic validation;
-    there is no way around either, so every OrbitSpec is polarized.
+    `structure` is weight-w data whose top filtration level is a line —
+    normalize first if needed — and the spec takes its `markers`.  `cone`
+    overrides the structure's own cone (used for rescaling).  The cone must
+    polarize the limit data and the twist data must pass their algebraic
+    validation; there is no way around either, so every OrbitSpec is
+    polarized.
     """
     cone = cone if cone is not None else structure.cone
     k = len(cone)
@@ -302,7 +305,7 @@ def orbit_spec(structure, zeta_coeffs=None, n_coords=None, cone=None) -> OrbitSp
     if n_coords < k:
         raise ValueError("need at least one coordinate per divisor generator")
 
-    markers = locate_markers(structure)
+    markers = structure.markers
     basis = adapted_basis(structure.structure())
     if basis.column(0) != markers.e0 or basis.column(basis.top) != markers.ed:
         raise ArithmeticError("adapted basis disagrees with the markers")
@@ -565,9 +568,10 @@ class OrbitFrame:
     """One exact evaluation of the multivalued frame.
 
     Carries the point, the ell-values actually used, the factors theta and
-    zeta with eta = theta * zeta, the conjugated factor zeta_hat, the raw
-    complex pairing q01 = Q(eta.e0, conj(eta.einf)), and the extension value
-    h_tilde = Re Q(eta.e0, conj(lam * eta.einf)).
+    zeta with eta = theta * zeta, the raw complex pairing
+    q01 = Q(eta.e0, conj(eta.einf)), and the extension value
+    h_tilde = Re Q(eta.e0, conj(lam * eta.einf)).  The conjugated factor
+    zeta_hat is computed from (spec, eta, ell) when first read.
     """
 
     spec: OrbitSpec
@@ -575,10 +579,13 @@ class OrbitFrame:
     ell: tuple
     theta: Mat
     zeta: Mat
-    zeta_hat: Mat
     eta: Mat
     q01: GaussianRational
     h_tilde: Fraction
+
+    @cached_property
+    def zeta_hat(self) -> Mat:
+        return conjugated_twist(_Exact(self.spec), self.eta, self.ell)
 
 
 def eval_frame(spec: OrbitSpec, t, ell, branch=None) -> OrbitFrame:
@@ -597,8 +604,7 @@ def eval_frame(spec: OrbitSpec, t, ell, branch=None) -> OrbitFrame:
         ell = tuple(e + GaussianRational(b) for e, b in zip(ell, branch))
     theta, zeta, eta = interior_frame(kit, t, ell)
     q01 = marker_pairing(kit, eta)
-    return OrbitFrame(spec=spec, t=t, ell=ell, theta=theta, zeta=zeta,
-                      zeta_hat=conjugated_twist(kit, eta, ell), eta=eta, q01=q01,
+    return OrbitFrame(spec=spec, t=t, ell=ell, theta=theta, zeta=zeta, eta=eta, q01=q01,
                       h_tilde=extended_norm(kit, q01))
 
 

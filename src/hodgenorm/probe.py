@@ -43,7 +43,13 @@ def _vector(v):
 
 
 def _matrix(m):
-    return np.array(m.to_complex_rows(), dtype=complex)
+    """m as a complex array, filled from its int form: int true division
+    rounds as `float(Fraction)` does."""
+    out = np.zeros(m.shape, dtype=complex)
+    for i, (row, d) in enumerate(m.int_form()):
+        for j, a, b in row:
+            out[i, j] = complex(a / d, b / d)
+    return out
 
 
 def _expm(a):

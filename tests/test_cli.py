@@ -90,7 +90,8 @@ def test_a_computed_value_past_the_bit_cap_is_shown_by_its_digit_count():
     assert cli._abbreviated(huge) == "a value with a 40001-digit part"
     assert cli._abbreviated(-huge + 1) == "a value with a 40000-digit part"
     assert cli._abbreviated(GaussianRational(0, Fraction(1, 10 ** 616))) == f"1/{10 ** 616}i"
-    fixture = type("Computed", (), {"markers": type("Markers", (), {"lam": huge})})()
+    data = type("Data", (), {"markers": type("Markers", (), {"lam": huge})})
+    fixture = type("Computed", (), {"data": data})()
     with pytest.raises(FixtureError) as err:
         cli._verify_expectations(fixture, {"lam": "1"})
     assert str(err.value) == "markers.lam: fixture says 1, computed a value with a 40001-digit part"
@@ -633,6 +634,24 @@ def test_check_builds_the_orbit_spec_once(monkeypatch, capsys):
     code, _, _ = run(capsys, "check", DATA / "elliptic.json")
     assert code == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["a1", "elliptic", "hermitian", "pair", "varying"])
+def test_check_finds_the_markers_once(name, monkeypatch, capsys):
+    from hodgenorm import induced, orbit
+    calls = []
+    find = induced.locate_markers
+
+    def counting(data):
+        calls.append(data)
+        return find(data)
+
+    for module in (cli, induced, orbit):
+        if getattr(module, "locate_markers", None) is find:
+            monkeypatch.setattr(module, "locate_markers", counting)
+    code, _, _ = run(capsys, "check", DATA / f"{name}.json")
+    assert code == 0
+    assert len(calls) == 1  # the loader's and orbit_spec's read share one search
 
 
 def count_mhs_calls(monkeypatch, *names):
@@ -1216,3 +1235,20 @@ def test_the_bracket_suite_refuses_a_seeded_frame_defect(name, monkeypatch):
     monkeypatch.setattr(cli, "lie_deligne_split", regraded)
     assert bracket_failures(load_fixture(DATA / f"{name}.json")) == {
         "bracket.action-compatibility": LEAKS[name]}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_FRAMES))
+def test_layer_sum_reads_the_frame_after_bucketing(name, monkeypatch):
+    # the same moved column as above, but after the layers are bucketed, with
+    # A^{-1} left stale: every bucket still counts, so only A A^{-1} = I tells
+    layers_of = cli.lie_deligne_split
+
+    def moved(algebra, structure):
+        layers = layers_of(algebra, structure)
+        return LieSplit(algebra, _first_column_moved(*layers.frame), layers.layers)
+
+    monkeypatch.setattr(cli, "lie_deligne_split", moved)
+    checks = {c.name: c for c in cli.suite_bracket(load_fixture(DATA / f"{name}.json"), None)}
+    failed = sorted(n for n, c in checks.items() if not c.ok)
+    assert failed == ["bracket.bracket-compatibility", "bracket.layer-sum"]
+    assert checks["bracket.layer-sum"].detail == "A A^{-1} is not I in the splitting frame"

@@ -397,9 +397,21 @@ def test_tate_normalize_demands_a_line():
     ind = induce(v)
     fat_top = InducedStructure(
         weight=2, twist=0, q=v.q, f=v.f, w=v.w, cone=v.cone,
-        factor_exponents=((2, 2),), v_data=v, bigraded=ind.bigraded)
+        factor_exponents=((2, 2),), bigraded=ind.bigraded)
     with pytest.raises(ValueError):
         tate_normalize(fat_top)
+
+
+def test_the_induced_structure_is_weight_w_data_verified_when_built():
+    ind = induce(weight_one(1))
+    assert isinstance(ind, PureHodgeData)
+    # Q with its last row and column cut to zero: still antisymmetric, rank dim - 1
+    keep = Mat.identity(ind.dim).submatrix(range(ind.dim - 1), range(ind.dim))
+    cut = keep.transpose() * keep
+    degenerate = cut * ind.q * cut
+    with pytest.raises(ValueError, match="q: pairing is degenerate"):
+        InducedStructure(weight=ind.weight, q=degenerate, f=ind.f, w=ind.w,
+                         cone=NilpotentCone((), degenerate), twist=0)
 
 
 def test_markers_reject_a_fat_opposite_line():
@@ -411,8 +423,7 @@ def test_markers_reject_a_fat_opposite_line():
         f=ind.f,
         w=ind.w.__class__(ind.dim, {2: Subspace.full(ind.dim)}),
         cone=NilpotentCone((), ind.q),
-        factor_exponents=ind.factor_exponents, v_data=ind.v_data,
-        bigraded=ind.bigraded)
+        factor_exponents=ind.factor_exponents, bigraded=ind.bigraded)
     with pytest.raises((ValueError, ArithmeticError)):
         locate_markers(squashed)
 
@@ -483,8 +494,7 @@ def reference_induce(v):
         weight=v.weight * sum(k for _, k in exponents), twist=0, q=q_h,
         f=DecreasingFiltration.from_generators(dim_h, f_gens),
         w=IncreasingFiltration.from_generators(dim_h, w_gens),
-        cone=NilpotentCone(gens, q_h), factor_exponents=tuple(exponents),
-        v_data=v, bigraded=())
+        cone=NilpotentCone(gens, q_h), factor_exponents=tuple(exponents), bigraded=())
     return h, {pq: Subspace(dim_h, vectors) for pq, vectors in sorted(pieces.items())}
 
 

@@ -614,8 +614,6 @@ def assert_int_form(m):
     them, and rebuilds the rows exactly."""
     for slot in Mat.__slots__:
         getattr(m, slot)
-    if m.ints is None:
-        return
     assert len(m.ints) == m.nrows
     for (row, scale), entries in zip(m.ints, m.rows):
         assert [j for j, _, _ in row] == sorted({j for j, _, _ in row})
@@ -763,6 +761,19 @@ def test_every_kernel_result_keeps_a_readable_int_form(pair, n):
         m.int_form()
         assert m.ints is not None
         assert_int_form(m)
+
+
+def test_every_way_of_building_a_matrix_stores_only_its_int_form():
+    entries = Mat([[1, Fraction(1, 2)], [qi(0, 3), 0]])
+    built = {"entries": entries, "kernel result": entries * entries,
+             "identity": Mat.identity(2), "zeros": Mat.zeros(2)}
+    for how, m in built.items():
+        assert m.ints is not None, how
+        with pytest.raises(AttributeError):
+            Mat.rows.__get__(m, Mat)  # the slot itself, not __getattr__'s fill
+        assert_int_form(m)  # reads rows, which fills the slot
+        assert Mat.rows.__get__(m, Mat) == m.rows, how
+    assert entries.ints == (([(0, 2, 0), (1, 1, 0)], 2), ([(0, 0, 3)], 1))
 
 
 # -- int-form routes: transpose, Kronecker products, Laplace minors, equality -----------

@@ -18,14 +18,14 @@ from hodgenorm.fixtures import (
     orbit_varying,
     weight_one,
 )
-from hodgenorm.induced import induce, locate_markers, tate_normalize
+from hodgenorm.induced import induce, tate_normalize
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "src" / "hodgenorm" / "data"
 
 
 def expectations_for(data):
     try:
-        mk = locate_markers(data)
+        mk = data.markers
     except (ValueError, ArithmeticError):
         return None
     return {"n": mk.n, "m": mk.m, "lam": _show_scalar(mk.lam)}
