@@ -25,7 +25,8 @@ from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filt
 from .induced import induce, induced_endomorphism, PureHodgeData, tate_normalize
 from .lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
 # deligne_split stays bound here for callers that reach it through this module
-from .mhs import check_symmetries, deligne_split, is_infinitesimal_isometry, NilpotentCone  # noqa: F401
+from .mhs import deligne_split  # noqa: F401
+from .mhs import check_symmetries, DirectSumError, is_infinitesimal_isometry, NilpotentCone
 from .orbit import (
     adapted_basis,
     eval_frame,
@@ -620,7 +621,6 @@ def _skip(name, why):
 def suite_symmetries(fixture, args):
     data = fixture.data
     st = data.structure()
-    split = data.split()
     sign = 1 if st.n % 2 == 0 else -1
     out = [Check("symmetries.pairing-symmetry",
                  st.q.transpose() == st.q * sign,
@@ -630,11 +630,14 @@ def suite_symmetries(fixture, args):
     ok, witness = st.f_isotropy
     out.append(Check("symmetries.filtration-orthogonality", ok,
                      "Q(F^a, F^b) = 0 for a+b > n" if ok else f"witness {witness}"))
-    dims = split.diamond()
+    try:
+        dims = data.split().diamond()
+    except DirectSumError as exc:
+        # the pieces are not a basis of V, so there is no diamond to compare
+        return out + [Check("symmetries.direct-sum", False, str(exc))]
     out.append(Check("symmetries.conjugate-dimensions", check_symmetries(dims, st.n)[0],
                      "dim I^{p,q} = dim I^{q,p}"))
-    # the splitting has a frame exactly when its pieces are a basis
-    out.append(Check("symmetries.direct-sum", split.frame is not None,
+    out.append(Check("symmetries.direct-sum", True,
                      f"{sum(dims.values())} piece dims fill dimension {st.ambient}"))
     return out
 
@@ -761,10 +764,10 @@ def suite_monodromy(fixture, args):
 
 
 def suite_limits(fixture, args):
-    from .probe import ProbeConfig, radial_limit, term_vanishing
     spec = _suite_orbit(fixture, "limits.radial", "limits.orbit-data")
     if isinstance(spec, Check):
         return [spec]
+    from .probe import ProbeConfig, radial_limit, term_vanishing
     cfg = ProbeConfig(tol=args.tol)
     deep = tuple(range(spec.k))
     report = radial_limit(spec, deep, cfg)
@@ -796,12 +799,12 @@ def suite_levels(fixture, args):
 
 
 def suite_psh(fixture, args):
-    from .probe import levi_probe, ProbeConfig
     spec = _suite_orbit(fixture, "psh.levi", "psh.levi")
     if isinstance(spec, Check):
         return [spec]
     if spec.n_coords == spec.k:
         return [_skip("psh.levi", "the deepest stratum is a point")]
+    from .probe import levi_probe, ProbeConfig
     try:
         report = levi_probe(spec, tuple(range(spec.k)), cfg=ProbeConfig(tol=args.tol))
     except (ValueError, ArithmeticError) as exc:
@@ -858,12 +861,12 @@ def cmd_check(fixture, args):
 
 
 def cmd_probe(fixture, args):
-    from .probe import f_infinity_probe, levi_probe, ProbeConfig, radial_limit, term_vanishing
     _require_tol(args.tol)
     if not len(fixture.data.cone):
         raise FixtureError("probe needs a fixture with a nonempty cone")
     _require_floats(fixture)
     spec = fixture.orbit()
+    from .probe import f_infinity_probe, levi_probe, ProbeConfig, radial_limit, term_vanishing
     cfg = ProbeConfig(tol=args.tol)
     which = PROBES if args.suite == "all" else (args.suite,)
     deep = tuple(range(spec.k))

@@ -767,6 +767,20 @@ def _eliminate(res, ims):
     return pivots
 
 
+def _zassenhaus(a, b, n):
+    """The meet of the spans of two lists of (re, im) rows of Gaussian
+    integers, each of n int entries: row-reduce [A|A; B|0].  The rows with a
+    pivot in the right half carry A∩B, and their right halves are its
+    reduced echelon basis; returns them as (res, ims, pivots)."""
+    z = [0] * n
+    res = [[*re, *re] for re, _ in a] + [[*re, *z] for re, _ in b]
+    ims = [[*im, *im] for _, im in a] + [[*im, *z] for _, im in b]
+    pivots = _eliminate(res, ims)
+    left = bisect_left(pivots, n)
+    return ([re[n:] for re in res[left:len(pivots)]], [im[n:] for im in ims[left:len(pivots)]],
+            [p - n for p in pivots[left:]])
+
+
 def _dense_rows(form, width):
     """The triples of int-form rows as int lists of their real and of their
     imaginary parts; the scales are dropped, which leaves the row space alone."""
@@ -995,16 +1009,8 @@ class Subspace:
             return self
         if self.dim == n or not other.dim:
             return other
-        z = (0,) * n
-        res = [list(re + re) for _, re, _ in self.int_rows]
-        res += [list(re + z) for _, re, _ in other.int_rows]
-        ims = [list(im + im) for _, _, im in self.int_rows]
-        ims += [list(im + z) for _, _, im in other.int_rows]
-        pivots = _eliminate(res, ims)
-        left = bisect_left(pivots, n)
-        return Subspace._echelon(n, [re[n:] for re in res[left:len(pivots)]],
-                                 [im[n:] for im in ims[left:len(pivots)]],
-                                 [p - n for p in pivots[left:]])
+        return Subspace._echelon(n, *_zassenhaus([row[1:] for row in self.int_rows],
+                                                 [row[1:] for row in other.int_rows], n))
 
     def __and__(self, other):
         return self.intersect(other)

@@ -62,9 +62,6 @@ class _Filtration:
     def apply(self, mat: Mat):
         return type(self)(mat.nrows, {l: s.apply(mat) for l, s in self.steps})
 
-    def conj(self):
-        return type(self)(self.ambient, {l: s.conj() for l, s in self.steps})
-
     def __repr__(self):
         body = ", ".join(f"{l}:{s.dim}" for l, s in self.steps)
         return f"{type(self).__name__}({body})"

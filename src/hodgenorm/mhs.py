@@ -9,15 +9,21 @@ recovers both filtrations as direct sums and is conjugation-symmetric up to
 strictly smaller bidegrees.  Everything here is exact; a structure is either
 valid or rejected with the first failing identity.
 
-The splitting owns its frame (A, A^{-1}, grades): A has the pieces' echelon
-bases as its columns.  `deligne_split` builds it once, from the pieces' int
-rows, and verifies every identity in it as a support pattern of frame
-coordinates.  The symmetry-algebra layers (`lie`), the bracket suite and the
-twist check of `orbit.orbit_spec` read the same frame off `structure.split()`.
+`deligne_split` reads every meet F^p ∩ W_l and conj(F)^q ∩ W_l off one
+echelon form per step of F and of conj(F), written in a basis of V adapted
+to W, and forms each piece with one Zassenhaus intersection in those
+coordinates.  The splitting owns its frame (A, A^{-1}, grades): A has the
+pieces' echelon bases as its columns.  `deligne_split` builds it once, from
+the pieces' int rows, and verifies every identity in it as a support pattern
+of frame coordinates.  `polarization_check` reads the cone in the same
+frame, one A^{-1} N A per generator.  The symmetry-algebra layers (`lie`),
+the bracket suite and the twist check of `orbit.orbit_spec` read the same
+frame off `structure.split()`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -26,16 +32,17 @@ from .exactlin import (
     Mat,
     ONE,
     Subspace,
+    _dense_rows,
+    _eliminate,
+    _int_product,
     _rows,
+    _triples,
+    _zassenhaus,
     commutator,
     hermitian_positive_definite,
     kernel,
 )
-from .filtrations import (
-    DecreasingFiltration,
-    IncreasingFiltration,
-    weight_filtration,
-)
+from .filtrations import DecreasingFiltration, IncreasingFiltration
 
 
 def i_power(k):
@@ -96,6 +103,10 @@ class MixedHodge:
         return self.f.isotropy(self.q, self.n)
 
 
+class DirectSumError(ValueError):
+    """The bigraded pieces of a structure are not a basis of V."""
+
+
 class DeligneSplitting:
     """The bigraded pieces I^{p,q} of a mixed structure, indexed by (p, q).
 
@@ -145,50 +156,95 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
 
     Every defining identity of the splitting is checked exactly and a
     ValueError names the first failure, under the field f as MixedHodge's
-    own errors name theirs.  Within one computation each F^a ∩ W_b and
-    conj(F)^a ∩ W_b is formed once, keyed by the identity of the two steps
-    that at() returns, which the filtrations keep alive.  The verified
-    splitting is kept on the structure, where MixedHodge.split() reads it:
-    later calls return that same object, and it lives exactly as long as
-    the structure.  A failed build is not kept.
+    own errors name theirs.  The meets are read off one basis B of V adapted
+    to W: the rows of each step's echelon basis whose pivot is new, in
+    reverse, so W_l is spanned by the last dim W_l rows.  Each step of F and
+    of conj(F) is written in B-coordinates and eliminated once; its echelon
+    rows with pivot at or after n - dim W_l then span its meet with W_l, for
+    every l at once, and each `corr` sum is a union of such rows.  A piece
+    is one Zassenhaus intersection on the last dim W_l coordinates, mapped
+    back through B and spanned once.  The verified splitting is kept on the
+    structure, where MixedHodge.split() reads it: later calls return that
+    same object, and it lives exactly as long as the structure.  A failed
+    build is not kept; pieces that are not a basis of V raise DirectSumError.
     """
     kept = structure.__dict__.get("_split")
     if kept is not None:
         return kept
-    w, f = structure.w, structure.f
-    fbar = f.conj()
-    meets = {}
+    w, f, n = structure.w, structure.f, structure.ambient
+    basis = _w_adapted_rows(w)
+    b_inv = Mat._of_ints(basis, n).inverse()
+    jumps = f.jump_levels
+    f_rows = [_in_flag_coords(sub, b_inv) for _, sub in f.steps]
+    fbar_rows = [_in_flag_coords(sub.conj(), b_inv) for _, sub in f.steps]
 
-    def meet(x, y):
-        key = (id(x), id(y))
-        if key not in meets:
-            meets[key] = x.intersect(y)
-        return meets[key]
+    def meet(echelons, p, l):
+        """The B-coordinate rows spanning F^p ∩ W_l, or conj(F)^p ∩ W_l:
+        F^p is the step of the first jump at or above p, zero above the last."""
+        i = bisect_left(jumps, p)
+        if i == len(jumps):
+            return []
+        pivots, rows = echelons[i]
+        return rows[bisect_left(pivots, n - w.at(l).dim):]
 
     pieces = {}
-    if w.steps and f.steps:
-        p_lo, p_hi = f.jump_levels[0], f.jump_levels[-1]
-        l_lo, l_hi = w.jump_levels[0], w.jump_levels[-1]
-        for p in range(p_lo, p_hi + 1):
-            for l in range(l_lo, l_hi + 1):
-                q = l - p
-                base = meet(f.at(p), w.at(l))
-                if not base.dim:
-                    continue
-                corr = meet(fbar.at(q), w.at(l))
-                j = 1
-                while w.at(l - j - 1).dim:
-                    corr = corr + meet(fbar.at(q - j), w.at(l - j - 1))
-                    j += 1
-                piece = base.intersect(corr)
-                if piece.dim:
-                    pieces[(p, q)] = piece
-    split = DeligneSplitting(structure.ambient, pieces)
+    l_lo, l_hi = w.jump_levels[0], w.jump_levels[-1]
+    for p in range(jumps[0], jumps[-1] + 1):
+        for l in range(l_lo, l_hi + 1):
+            q = l - p
+            base = meet(f_rows, p, l)
+            if not base:
+                continue
+            corr = meet(fbar_rows, q, l)
+            j = 1
+            while w.at(l - j - 1).dim:
+                corr = corr + meet(fbar_rows, q - j, l - j - 1)
+                j += 1
+            # a meet on the last d coordinates, written back in V through B
+            d = w.at(l).dim
+            res, ims, _ = _zassenhaus([(re[-d:], im[-d:]) for re, im in base],
+                                      [(re[-d:], im[-d:]) for re, im in corr], d)
+            if res:
+                piece = [(_triples(re, im), 1) for re, im in zip(res, ims)]
+                pieces[(p, q)] = Subspace._span(n, _int_product(piece, basis[n - d:], n))
+    split = DeligneSplitting(n, pieces)
     defect = splitting_defect(structure, split)
     if defect is not None:
-        raise ValueError(f"f: not a mixed Hodge structure: {defect}")
+        error = DirectSumError if split.frame is None else ValueError
+        raise error(f"f: not a mixed Hodge structure: {defect}")
     structure.__dict__["_split"] = split
     return split
+
+
+def _w_adapted_rows(w: IncreasingFiltration):
+    """A basis of V adapted to W, as int-form rows, W_l spanned by the last
+    dim W_l of them.
+
+    Nested echelon bases have nested pivot sets, so the rows of each step
+    whose pivot is new, taken step by step upward, are independent, and the
+    first dim W_l of them span W_l; the rows are kept in reverse.
+    """
+    seen, rows = set(), []
+    for _, sub in w.steps:
+        for p, re, im in sub.int_rows:
+            if p not in seen:
+                seen.add(p)
+                rows.append((_triples(re, im), 1))
+    return rows[::-1]
+
+
+def _in_flag_coords(sub: Subspace, b_inv: Mat):
+    """The echelon form of sub written in the coordinates that b_inv reads
+    off: its pivots and its rows as dense (re, im) int lists.  The rows with
+    pivot at or after n - d span sub's meet with the last d basis rows.
+    V itself is the unit rows in any coordinates."""
+    n = b_inv.nrows
+    if sub.dim == n:
+        sub = Subspace.full(n)
+    else:
+        res, ims = _dense_rows((_rows((sub,), n) * b_inv).int_form(), n)
+        sub = Subspace._echelon(n, res, ims, _eliminate(res, ims))
+    return [p for p, _, _ in sub.int_rows], [(re, im) for _, re, im in sub.int_rows]
 
 
 def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
@@ -292,16 +348,61 @@ class NilpotentCone:
         return out
 
 
-def cone_compatibility(structure: MixedHodge, cone: NilpotentCone):
-    """Each generator must shift W by -2 and F by -1; returns (ok, detail)."""
-    for idx, g in enumerate(cone):
-        l = structure.w.first_escape(g, -2)
-        if l is not None:
-            return False, f"generator {idx} does not move W_{l} into W_{l - 2}"
-        p = structure.f.first_escape(g, -1)
-        if p is not None:
-            return False, f"generator {idx} does not move F^{p} into F^{p - 1}"
+def cone_compatibility(structure: MixedHodge, cone: NilpotentCone, in_frame=None):
+    """Each generator must shift W by -2 and F by -1; returns (ok, detail).
+
+    Read in the structure's verified splitting frame, as a support pattern
+    of each M_j = A^{-1} N_j A (`in_frame`, when the caller has them).  The
+    pieces lie in F^p ∩ W_{p+q} and are a basis, so at every level W_l is
+    the span of the columns with p+q <= l and F^k of those with p >= k.  A
+    nonzero cell (r, c) of M_j sends column c onto column r: it moves W_l
+    outside W_{l-2} exactly when wt(c) <= l < wt(r) + 2, and F^k outside
+    F^{k-1} exactly when p(r) + 1 < k <= p(c).  The detail names the first
+    jump, ascending, that `first_escape` finds.  A structure that does not
+    split raises its splitting's ValueError.
+    """
+    split = structure.split()
+    grades = split.frame[2]
+    for idx, m in enumerate(in_frame or _in_frame(split, cone)):
+        cells = {(grades[r], grades[c]) for r, (row, _) in enumerate(m.int_form())
+                 for c, _, _ in row}
+        for l in structure.w.jump_levels:
+            if any(sum(c) <= l < sum(r) + 2 for r, c in cells):
+                return False, f"generator {idx} does not move W_{l} into W_{l - 2}"
+        for k in structure.f.jump_levels:
+            if any(r[0] + 1 < k <= c[0] for r, c in cells):
+                return False, f"generator {idx} does not move F^{k} into F^{k - 1}"
     return True, None
+
+
+def _in_frame(split: DeligneSplitting, cone: NilpotentCone):
+    """The generators in the splitting frame: one A^{-1} N A each."""
+    a, a_inv, _ = split.frame
+    return [a_inv * g * a for g in cone]
+
+
+def _is_weight_filtration(m: Mat, weights, center):
+    """Whether W, the span of the frame columns of weight <= l at each l,
+    is the weight filtration of m (a cone element in the frame) centered
+    at `center`.
+
+    It is exactly when W satisfies the defining axioms, which fix it
+    uniquely (Deligne): every nonzero cell of m lowers the weight by at
+    least 2, and for each k >= 1 the block of m^k from the weight
+    center+k columns to the weight center-k rows, the map that m^k induces
+    from Gr_{center+k} to Gr_{center-k}, is square and nonsingular.
+    """
+    form = m.int_form()
+    if any(weights[r] > weights[c] - 2 for r, (row, _) in enumerate(form) for c, _, _ in row):
+        return False
+    power = Mat.identity(len(weights))
+    for k in range(1, max(abs(wt - center) for wt in weights) + 1):
+        power = power * m
+        rows = [r for r, wt in enumerate(weights) if wt == center - k]
+        cols = [c for c, wt in enumerate(weights) if wt == center + k]
+        if len(rows) != len(cols) or (rows and not power.submatrix(rows, cols).det()):
+            return False
+    return True
 
 
 def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None):
@@ -313,7 +414,10 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
     interior cone elements; W- and F-compatibility of each generator
     (cone_compatibility); and positivity of the exact Hermitian form
     i^{p-q} Q(u, N^l conj v) on every primitive piece I^{p,q} ∩ ker N^{l+1},
-    l = p+q-n ≥ 0.
+    l = p+q-n >= 0.  The cone is read in the verified splitting frame, one
+    A^{-1} N_j A per generator: the weight filtrations are certified by
+    their defining axioms (`_is_weight_filtration`), and the compatibility
+    is a support pattern of each generator.
     """
     if structure.q is None:
         return False, "no pairing to polarize"
@@ -329,11 +433,16 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
 
     if cone is not None and len(cone):
         k = len(cone)
-        # one filtration per distinct element: for k = 1 the two coincide
+        in_frame = _in_frame(split, cone)
+        weights = [p + q for p, q in split.frame[2]]
+        # one test per distinct element: for k = 1 the two coincide
         for coeffs in dict.fromkeys(((1,) * k, tuple(range(1, k + 1)))):
-            if weight_filtration(cone.element(coeffs), center=n) != structure.w:
+            element = in_frame[0] * coeffs[0]
+            for c, m in zip(coeffs[1:], in_frame[1:]):
+                element = element + m * c
+            if not _is_weight_filtration(element, weights, n):
                 return False, f"W differs from the weight filtration at {coeffs}"
-        ok, detail = cone_compatibility(structure, cone)
+        ok, detail = cone_compatibility(structure, cone, in_frame)
         if not ok:
             return False, detail
         n_int = cone.element((1,) * k)

@@ -21,6 +21,7 @@ from hodgenorm import cli, fixtures, lie
 from hodgenorm.exactlin import GaussianRational, Mat
 from hodgenorm.filtrations import _Filtration, DecreasingFiltration
 from hodgenorm.lie import lie_algebra, LieSplit
+from hodgenorm.mhs import DirectSumError
 from hodgenorm.cli import (
     dump_document,
     Fixture,
@@ -352,18 +353,29 @@ def test_eval_float_mode(capsys):
     assert "h ~ 1.0" in out
 
 
-def test_exact_eval_starts_without_numpy():
-    # the float layer, and numpy with it, loads only in the float branch
+def _exit_and_numpy(*argv):
+    """The exit code of `hodge argv` in a new process, and whether numpy was imported."""
     code = ("import sys; from hodgenorm.cli import main; "
-            f"code = main(['eval', {str(DATA / 'elliptic.json')!r}, "
-            "'--t', '1/3', '1/4', '--ell', '0,1']); "
+            f"code = main({[str(a) for a in argv]!r}); "
             "print(code, 'numpy' in sys.modules)")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "0 False"
+    return done.stdout.splitlines()[-1]
+
+
+def test_exact_eval_starts_without_numpy():
+    # the float layer, and numpy with it, loads only in the float branch
+    assert _exit_and_numpy("eval", DATA / "elliptic.json",
+                           "--t", "1/3", "1/4", "--ell", "0,1") == "0 False"
+
+
+@pytest.mark.parametrize("command, printed", [("check", "0 False"), ("probe", "2 False")])
+def test_runs_whose_float_work_is_skipped_or_refused_start_without_numpy(command, printed):
+    # a1_input has no markers: check skips its four orbit suites, probe exits 2
+    assert _exit_and_numpy(command, DATA / "a1_input.json") == printed
 
 
 def test_eval_branch_shift_changes_nothing(capsys):
@@ -495,6 +507,44 @@ def test_check_fails_on_a_tampered_weight_filtration(tmp_path, capsys):
     assert code == 1
     assert "first failing invariant:" in err
     assert "FAIL" in out
+
+
+def test_a_splitting_whose_pieces_are_not_a_basis_fails_direct_sum(tmp_path, capsys):
+    # pure weight 1 with F^1 a rational line: I^{1,0} and I^{0,1} coincide
+    doc = elliptic_doc()
+    doc.update(w={"1": [["1", "0"], ["0", "1"]]}, cone=[], n_coords=0, zeta={})
+    doc.pop("markers")
+    path = tmp_path / "rational_line.json"
+    path.write_text(dump_document(doc))
+    code, out, err = run(capsys, "check", "--suite", "symmetries", path)
+    message = "f: not a mixed Hodge structure: bigraded pieces are not independent"
+    assert code == 1
+    assert out.splitlines() == [
+        "pass  symmetries.pairing-symmetry  Q^T = (-1)Q",
+        "pass  symmetries.pairing-nondegenerate  det Q != 0",
+        "pass  symmetries.filtration-orthogonality  Q(F^a, F^b) = 0 for a+b > n",
+        f"FAIL  symmetries.direct-sum  {message}",
+        "4 checks: 3 passed, 1 failed"]
+    assert err == f"first failing invariant: symmetries.direct-sum — {message}\n"
+
+
+def test_every_direct_sum_defect_is_reported_under_direct_sum():
+    reported = set()
+    for fx in structure_mutations():
+        try:
+            fx.data.split()
+        except DirectSumError as exc:
+            checks = cli.suite_symmetries(fx, None)
+            assert [c.name for c in checks[:-1]] == [
+                "symmetries.pairing-symmetry", "symmetries.pairing-nondegenerate",
+                "symmetries.filtration-orthogonality"]
+            assert checks[-1] == cli.Check("symmetries.direct-sum", False, str(exc))
+            reported.add(str(exc).rpartition(": ")[2])
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli.suite_symmetries(fx, None)
+    assert reported == {"bigraded pieces are not independent",
+                        "bigraded pieces do not span the space"}
 
 
 def test_check_names_the_first_failure_deterministically(tmp_path, capsys):
@@ -1044,13 +1094,13 @@ def _digests(argv, tmp_path, monkeypatch, capsys):
     }
 
 
-def test_a_moved_dense_family_matches_the_benchmark_reference():
+@pytest.mark.parametrize("family", LOADS.FRESH_FAMILIES)
+def test_a_moved_dense_family_matches_the_benchmark_reference(family):
     # the benchmark's fixed dense basis change for this family, without the
     # random signed permutation it adds per pass
-    v = fixtures.weight_one(1)
-    g = fixtures.random_unimodular(random.Random("perfbench:weight_one(1)"), v.dim)
+    v, g = LOADS.fresh_setup()[family]
     facts = LOADS.structure_facts(LOADS.moved(v, g))
-    assert facts == REFERENCE["fresh"]["weight_one(1)"]
+    assert facts == REFERENCE["fresh"][family]
 
 
 # -- shipped files and their builders ----------------------------------------------------

@@ -33,7 +33,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from hodgenorm import mhs, orbit, probe
+from hodgenorm import cli, filtrations, fixtures, induced, mhs, orbit, probe
 from hodgenorm.exactlin import (
     GaussianRational,
     Mat,
@@ -47,8 +47,12 @@ from hodgenorm.exactlin import (
     rref,
     vec,
 )
+from hodgenorm.filtrations import _Filtration
 from hodgenorm.induced import kron, wedge_indices, wedge_matrix
 from hodgenorm.fixtures import curve_pair, elliptic, orbit_elliptic
+
+# the modules that bind `weight_filtration` besides its own
+MODULES_BINDING_WEIGHT_FILTRATION = (cli, fixtures, induced, orbit)
 
 # -- dense references ----------------------------------------------------------
 
@@ -388,23 +392,23 @@ def test_meets_with_the_full_or_zero_space_match_dense_elimination(pair):
                     x & y
 
 
-def test_polarization_check_builds_one_weight_filtration_per_distinct_cone_element(
-        monkeypatch):
-    # the elements (1,...,1) and (1,...,k) coincide on a one-generator cone
-    built = []
-    weight_filtration = mhs.weight_filtration
-
-    def spy(n_op, center=0):
-        built.append(n_op)
-        return weight_filtration(n_op, center=center)
-
-    monkeypatch.setattr(mhs, "weight_filtration", spy)
+def test_polarization_check_builds_no_weight_filtration(monkeypatch):
+    # W = W(N) is certified in the splitting frame by the defining axioms
     structure, cone = elliptic()
-    assert mhs.polarization_check(structure, cone) == (True, None)
-    assert len(built) == 1
     pair = curve_pair()
-    assert mhs.polarization_check(pair.structure(), pair.cone) == (True, None)
-    assert len(built) == 3
+    cases = [(structure, cone), (pair.structure(), pair.cone)]
+    for st, _ in cases:
+        st.split()  # the splitting is verified once, before the check
+    built = []
+    for module in (filtrations, *MODULES_BINDING_WEIGHT_FILTRATION):
+        monkeypatch.setattr(module, "weight_filtration",
+                            lambda n_op, center=0: built.append(n_op))
+    init = _Filtration.__init__
+    monkeypatch.setattr(_Filtration, "__init__",
+                        lambda filt, *args: built.append(filt) or init(filt, *args))
+    for st, c in cases:
+        assert mhs.polarization_check(st, c) == (True, None)
+    assert built == []
 
 
 @settings(max_examples=60, deadline=None)

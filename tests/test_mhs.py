@@ -13,8 +13,22 @@ import pytest
 
 import test_cli
 from hodgenorm import cli, mhs
-from hodgenorm.exactlin import Mat, Subspace, qi, vec
-from hodgenorm.filtrations import _Filtration, DecreasingFiltration, IncreasingFiltration
+from hodgenorm.exactlin import (
+    I,
+    Mat,
+    Subspace,
+    hermitian_positive_definite,
+    kernel,
+    nilpotent_exp,
+    qi,
+    vec,
+)
+from hodgenorm.filtrations import (
+    _Filtration,
+    DecreasingFiltration,
+    IncreasingFiltration,
+    weight_filtration,
+)
 from hodgenorm.fixtures import (
     defective_inputs,
     elliptic,
@@ -24,6 +38,7 @@ from hodgenorm.fixtures import (
     weight_two,
 )
 from hodgenorm.induced import PureHodgeData, induce, tate_normalize
+from hodgenorm.lie import lie_algebra, lie_deligne_split
 from hodgenorm.mhs import (
     DeligneSplitting,
     MixedHodge,
@@ -223,24 +238,34 @@ def test_random_split_structures_pass_all_identities():
 
 
 def test_deligne_split_forms_each_step_intersection_once(monkeypatch):
-    # The spy keeps every argument alive, so no id is reused within a call.
-    calls = []
-    intersect = Subspace.intersect
-
-    def spy(self, other):
-        calls.append((self, other))
-        return intersect(self, other)
-
-    monkeypatch.setattr(Subspace, "intersect", spy)
+    # every meet of a step of F or conj(F) with W is read off that step's one
+    # echelon in the W-adapted basis; no Zassenhaus meet or span of V is formed
     structure = weight_two(3).structure()
+    written = []
+    in_flag_coords = mhs._in_flag_coords
+    monkeypatch.setattr(mhs, "_in_flag_coords",
+                        lambda sub, b_inv: written.append(sub) or in_flag_coords(sub, b_inv))
+    spaces = _spy_on_spaces(monkeypatch)
     first = deligne_split(structure)
-    pairs = [(id(a), id(b)) for a, b in calls]
-    assert len(set(pairs)) == len(pairs)
-    made = len(calls)
+    steps = [sub for _, sub in structure.f.steps]
+    assert written == steps + [sub.conj() for sub in steps]
+    assert spaces == []
+    made = len(written)
     again = deligne_split(structure)  # the verified splitting is kept on the structure
-    assert len(calls) == made
+    assert len(written) == made
     assert again is first
     assert structure.split() is first
+
+
+def _spy_on_spaces(monkeypatch):
+    """Record every Subspace.intersect and Subspace.sum call."""
+    calls = []
+    intersect, total = Subspace.intersect, Subspace.sum.__func__
+    monkeypatch.setattr(Subspace, "intersect",
+                        lambda self, other: calls.append("intersect") or intersect(self, other))
+    monkeypatch.setattr(Subspace, "sum", classmethod(
+        lambda cls, ambient, spaces: calls.append("sum") or total(cls, ambient, spaces)))
+    return calls
 
 
 def _moved(v, g):
@@ -460,3 +485,236 @@ def test_the_twist_grade_check_builds_no_span_or_filtration(monkeypatch):
     without = (len(sums), len(built))
     orbit_spec(fx.data, fx.zeta, fx.n_coords)
     assert (len(sums), len(built)) == (2 * without[0], 2 * without[1])
+
+
+# -- the meets and the polarization against their first constructions ---------
+
+
+def reference_deligne_split(structure):
+    """The meet loop of the first construction, kept as the reference: each
+    F^a ∩ W_b and conj(F)^a ∩ W_b one Zassenhaus intersection, the corr
+    sums spans of those meets, and the verification unchanged."""
+    w, f = structure.w, structure.f
+    fbar = DecreasingFiltration(f.ambient, {l: sub.conj() for l, sub in f.steps})
+    pieces = {}
+    p_lo, p_hi = f.jump_levels[0], f.jump_levels[-1]
+    l_lo, l_hi = w.jump_levels[0], w.jump_levels[-1]
+    for p in range(p_lo, p_hi + 1):
+        for l in range(l_lo, l_hi + 1):
+            q = l - p
+            base = f.at(p).intersect(w.at(l))
+            if not base.dim:
+                continue
+            corr = fbar.at(q).intersect(w.at(l))
+            j = 1
+            while w.at(l - j - 1).dim:
+                corr = corr + fbar.at(q - j).intersect(w.at(l - j - 1))
+                j += 1
+            piece = base.intersect(corr)
+            if piece.dim:
+                pieces[(p, q)] = piece
+    split = DeligneSplitting(structure.ambient, pieces)
+    defect = mhs.splitting_defect(structure, split)
+    if defect is not None:
+        raise ValueError(f"f: not a mixed Hodge structure: {defect}")
+    return split
+
+
+def reference_cone_compatibility(structure, cone):
+    """cone_compatibility as first written: each step moved by each generator."""
+    for idx, g in enumerate(cone):
+        l = structure.w.first_escape(g, -2)
+        if l is not None:
+            return False, f"generator {idx} does not move W_{l} into W_{l - 2}"
+        p = structure.f.first_escape(g, -1)
+        if p is not None:
+            return False, f"generator {idx} does not move F^{p} into F^{p - 1}"
+    return True, None
+
+
+def reference_polarization_check(structure, cone=None):
+    """polarization_check as first written, on the reference splitting: the
+    weight filtration of each distinct interior element built and compared,
+    and the compatibility by moving each step."""
+    if structure.q is None:
+        return False, "no pairing to polarize"
+    try:
+        split = reference_deligne_split(structure)
+    except ValueError as err:
+        return False, str(err)
+    n = structure.n
+    ok, witness = structure.f.isotropy(structure.q, n)
+    if not ok:
+        a, b, _, _ = witness
+        return False, f"pairing does not vanish on F^{a} x F^{b}"
+    if cone is not None and len(cone):
+        k = len(cone)
+        for coeffs in dict.fromkeys(((1,) * k, tuple(range(1, k + 1)))):
+            if weight_filtration(cone.element(coeffs), center=n) != structure.w:
+                return False, f"W differs from the weight filtration at {coeffs}"
+        ok, detail = reference_cone_compatibility(structure, cone)
+        if not ok:
+            return False, detail
+        n_int = cone.element((1,) * k)
+    else:
+        if structure.w.jump_levels != (n,):
+            return False, "a genuinely mixed W needs a cone to polarize it"
+        n_int = Mat.zeros(structure.ambient)
+    for (p, q), sub in split.pieces.items():
+        l = p + q - n
+        if l < 0:
+            continue
+        prim = sub.intersect(kernel(n_int ** (l + 1)))
+        if not prim.dim:
+            continue
+        basis = Mat(prim.basis)
+        gram = mhs.i_power(p - q) * (basis * structure.q * n_int ** l * basis.conj_t())
+        try:
+            if not hermitian_positive_definite(gram):
+                return False, f"primitive form on ({p},{q}) is not positive"
+        except (ValueError, ArithmeticError):
+            return False, f"primitive form on ({p},{q}) is not Hermitian"
+    return True, None
+
+
+def _split_outcome(split_fn, structure):
+    try:
+        return split_fn(structure).pieces
+    except ValueError as err:
+        return str(err)
+
+
+def fresh_cases(passes=3, seed=3):
+    """(structure, cone) for every splitting that passes of the benchmark's
+    fresh workload build, with the cone that polarization_check was handed
+    for it, or None; each structure is unsplit."""
+    cases, cones = [], {}
+    split, check = mhs.deligne_split, mhs.polarization_check
+
+    def splitting(st):
+        cases.append(st)
+        return split(st)
+
+    def checking(st, cone=None):
+        cones[id(st)] = cone
+        return check(st, cone)
+
+    raw = test_cli.LOADS.fresh_setup()
+    rng = random.Random(seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mhs, "deligne_split", splitting)
+        patch.setattr(mhs, "polarization_check", checking)
+        for _ in range(passes):
+            for _, label, _, run in test_cli.LOADS.fresh_ops(rng, raw,
+                                                             test_cli.REFERENCE["fresh"]):
+                assert run() is None, label
+    return [(MixedHodge(st.n, st.w, st.f, st.q), cones.get(id(st))) for st in cases]
+
+
+def differential_cases():
+    """(group, structure, cone): the shipped fixtures, the fixture families,
+    the loadable structure mutations, the families with F tilted off the
+    real splitting and the splittings of three fresh passes."""
+    shipped = [cli.load_fixture(DATA / f"{name}.json") for name in SHIPPED]
+    for group, fixtures in (("shipped", shipped), ("families", test_cli.family_fixtures()),
+                            ("mutations", test_cli.structure_mutations())):
+        for fx in fixtures:
+            st = fx.data.structure()
+            yield group, MixedHodge(st.n, st.w, st.f, st.q), fx.data.cone
+    for fx in test_cli.family_fixtures():
+        # (W, exp(iN) F) is mixed Hodge and, for N != 0, not split over R,
+        # so its pieces need the lower-weight correction terms
+        data = fx.data
+        if len(data.cone):
+            tilt = nilpotent_exp(data.cone.element((1,) * len(data.cone)) * I)
+            yield "tilted", MixedHodge(data.weight, data.w, data.f.apply(tilt), data.q), data.cone
+    for st, cone in fresh_cases():
+        yield "fresh", st, cone
+
+
+def test_the_splitting_and_the_polarization_match_their_first_constructions():
+    counts, verdicts = {}, set()
+    for group, st, cone in differential_cases():
+        counts[group] = counts.get(group, 0) + 1
+        twin = MixedHodge(st.n, st.w, st.f, st.q)  # split by the reference only
+        assert _split_outcome(deligne_split, st) == _split_outcome(
+            reference_deligne_split, twin), group
+        got = polarization_check(st, cone)
+        assert got == reference_polarization_check(twin, cone), group
+        verdicts.add(re.sub(r"-?\d+", "#", str(got[1])))
+    assert counts["shipped"] == 6 and counts["fresh"] == 48
+    assert counts["families"] == 15 and counts["mutations"] >= 60 and counts["tilted"] >= 10
+    assert {"None", "W differs from the weight filtration at (#,)",
+            "W differs from the weight filtration at (#, #)",
+            "a genuinely mixed W needs a cone to polarize it",
+            "f: not a mixed Hodge structure: bigraded pieces are not independent",
+            "f: not a mixed Hodge structure: bigraded pieces do not span the space",
+            "pairing does not vanish on F^# x F^#",
+            "primitive form on (#,#) is not positive"} <= verdicts
+
+
+def seeded_cones(structure, generator):
+    """(defect, one-generator cone): elements of the layers g^{a,b} of the
+    symmetry algebra, each nilpotent and skew, that move W backwards, lower
+    it by one, lower it by two but F by two, or lower W by two and F by one
+    (g^{-1,-1}) without the ranks that W = W(N) needs on Gr; and the cone's
+    generator plus an element that lowers W by one, which keeps those ranks.
+    The first three elements of each such layer."""
+    layers = lie_deligne_split(lie_algebra(structure.q), structure)
+    a, a_inv, _ = layers.frame
+    kinds = {"backwards": lambda r, s: r + s > 0,
+             "lowers W by one": lambda r, s: r + s == -1,
+             "misses F": lambda r, s: r + s == -2 and r < -1,
+             "degenerate on Gr": lambda r, s: (r, s) == (-1, -1),
+             "tilted by one": lambda r, s: r + s == -1}
+    for defect, kind in kinds.items():
+        for (r, s), xs in layers.layers.items():
+            if kind(r, s):
+                for x in xs[:3]:
+                    seeded = a * x * a_inv
+                    if defect == "tilted by one":
+                        seeded = generator + seeded
+                    yield defect, NilpotentCone([seeded], structure.q)
+
+
+def test_seeded_cone_defects_get_the_reference_messages():
+    reached = {}
+    for name in ("elliptic", "pair", "varying", "hermitian"):
+        fx = cli.load_fixture(DATA / f"{name}.json")
+        st = fx.data.structure()
+        for defect, cone in seeded_cones(st, fx.data.cone.generators[0]):
+            compatible = cone_compatibility(st, cone)
+            assert compatible == reference_cone_compatibility(st, cone), (name, defect)
+            got = polarization_check(st, cone)
+            assert got == reference_polarization_check(st, cone), (name, defect)
+            for verdict in (compatible, got):
+                message = re.sub(r"-?\d+", "#", str(verdict[1]))
+                reached.setdefault(defect, set()).add(message)
+    moved = "generator # does not move {0}_# into {0}_#"
+    assert reached == {
+        "backwards": {moved.format("W"), "W differs from the weight filtration at (#,)"},
+        "lowers W by one": {moved.format("W"), "W differs from the weight filtration at (#,)"},
+        "misses F": {moved.format("F").replace("F_", "F^"),
+                     "W differs from the weight filtration at (#,)"},
+        # compatible with W and F, so only the ranks on Gr tell; the cone's
+        # own generator lies in g^{-1,-1} and passes
+        "degenerate on Gr": {"None", "W differs from the weight filtration at (#,)",
+                             "primitive form on (#,#) is not positive"},
+        # the ranks on Gr are the generator's, so only the lowering by one tells
+        "tilted by one": {moved.format("W"), "W differs from the weight filtration at (#,)"},
+    }
+
+
+@pytest.mark.parametrize("name", ["elliptic", "pair", "varying", "hermitian"])
+def test_the_polarization_is_read_in_the_frame(name, monkeypatch):
+    fx = cli.load_fixture(DATA / f"{name}.json")
+    st = fx.data.structure()
+    st.split()
+    calls = _spy_on_spaces(monkeypatch)
+    applied = []
+    apply = Subspace.apply
+    monkeypatch.setattr(Subspace, "apply", lambda self, mat: applied.append(mat) or apply(self, mat))
+    assert cone_compatibility(st, fx.data.cone) == (True, None)
+    assert applied == [] and calls == []
+    assert polarization_check(st, fx.data.cone) == (True, None)
+    assert applied == []
