@@ -596,8 +596,13 @@ def cmd_eval(fixture, args):
         _require_floats(fixture)
         for j, x in enumerate(t):
             _require_float((x.re.as_integer_ratio(), x.im.as_integer_ratio()), f"--t[{j}]")
+        import numpy as np
         from .probe import norm_value
-        value = norm_value(spec, tuple(x.to_complex() for x in t))
+        with np.errstate(all="ignore"):  # a value out of range is refused below
+            value = norm_value(spec, tuple(x.to_complex() for x in t))
+        if not math.isfinite(value):
+            _fail("--t", "the float norm leaves double range at this point; "
+                         "give --ell for the exact value")
         lines.append(f"h ~ {value!r}  (principal-branch ell)")
         report.update({"mode": "float", "h": value})
     return 0, lines, report
@@ -647,14 +652,15 @@ def suite_isotropy(fixture, args):
     if not len(data.cone):
         return [_skip("isotropy.weight-filtrations", "fixture has no cone")]
     n, q = data.weight, data.q
-    out = []
     interior = data.cone.element((1,) * len(data.cone))
-    out.append(Check("isotropy.interior-weight-filtration",
-                     weight_filtration(interior, center=n) == data.w,
-                     "W equals the interior element's weight filtration"))
+    # one filtration per distinct element: on a one-generator cone the
+    # interior element is the generator
+    filtrations = {x: weight_filtration(x, center=n)
+                   for x in dict.fromkeys((interior, *data.cone.generators))}
+    out = [Check("isotropy.interior-weight-filtration", filtrations[interior] == data.w,
+                 "W equals the interior element's weight filtration")]
     for j, g in enumerate(data.cone.generators):
-        wg = weight_filtration(g, center=n)
-        ok, witness = wg.isotropy(q, 2 * n)
+        ok, witness = filtrations[g].isotropy(q, 2 * n)
         out.append(Check(f"isotropy.generator-{j}", ok,
                          "Q(W_a, W_b) = 0 for a+b < 2n" if ok
                          else f"pairing survives at levels {witness[:2]}"))

@@ -288,6 +288,14 @@ def _canonical_coeffs(zeta_coeffs, k, n_coords, dim):
     return canon
 
 
+def lowers_grade(m: Mat, grades) -> bool:
+    """Whether m, a matrix in the splitting frame whose columns have the
+    bigrades `grades`, strictly lowers the grade p: every nonzero cell
+    (k, l) has p_k < p_l."""
+    return all(grades[k][0] < grades[l][0]
+               for k, (row, _) in enumerate(m.int_form()) for l, _, _ in row)
+
+
 def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None,
                cone=None) -> OrbitSpec:
     """Validate degeneration data and assemble an OrbitSpec.
@@ -318,23 +326,25 @@ def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None,
     if not ok:
         raise ValueError(f"cone: does not polarize the limit data: {detail}")
 
+    # the float kit's series are bounded by the p-levels on this premise
+    a, a_inv, grades = structure.structure().split().frame
+    for j, g in enumerate(cone.generators):
+        if not lowers_grade(a_inv * g * a, grades):
+            raise ValueError(
+                f"cone[{j}]: generator {j} does not strictly lower the filtration grade")
+
     coeffs = _canonical_coeffs(zeta_coeffs, k, n_coords, structure.dim)
-    if coeffs:
-        # a twist coefficient lowers the grade p of the splitting pieces when,
-        # in the splitting frame, each cell (k, l) of A^{-1} c A has p_k < p_l
-        a, a_inv, grades = structure.structure().split().frame
-        for idx, poly in coeffs.items():
-            key = ",".join(map(str, sorted(idx)))
-            for expo, coeff in poly.items():
-                where = f"zeta[{key!r}]: f_{sorted(idx)} at exponent {expo}"
-                if not is_infinitesimal_isometry(coeff, structure.q):
-                    raise ValueError(f"{where} is not an infinitesimal isometry of the pairing")
-                if any(pk >= grades[l][0] for (pk, _), (row, _)
-                       in zip(grades, (a_inv * coeff * a).int_form()) for l, _, _ in row):
-                    raise ValueError(f"{where} does not strictly lower the filtration grade")
-                for j in sorted(idx):
-                    if not commutator(coeff, cone.generators[j]).is_zero():
-                        raise ValueError(f"{where} does not commute with generator {j}")
+    for idx, poly in coeffs.items():
+        key = ",".join(map(str, sorted(idx)))
+        for expo, coeff in poly.items():
+            where = f"zeta[{key!r}]: f_{sorted(idx)} at exponent {expo}"
+            if not is_infinitesimal_isometry(coeff, structure.q):
+                raise ValueError(f"{where} is not an infinitesimal isometry of the pairing")
+            if not lowers_grade(a_inv * coeff * a, grades):
+                raise ValueError(f"{where} does not strictly lower the filtration grade")
+            for j in sorted(idx):
+                if not commutator(coeff, cone.generators[j]).is_zero():
+                    raise ValueError(f"{where} does not commute with generator {j}")
 
     return OrbitSpec(structure=structure, markers=markers, basis=basis,
                      cone=cone, n_coords=n_coords, zeta_coeffs=coeffs)
@@ -364,6 +374,11 @@ def rescale_cone(spec: OrbitSpec, factors) -> OrbitSpec:
 # matrix, pair(u, v) = Q(u, conj v), real(), is_zero() and scalar(x, what).
 # Matrices multiply with @ and scale as scalar * matrix.  pair() and exp()
 # keep each kit's own order of operations: float results depend on it.
+# Every matrix exponentiated here strictly lowers the grade p of the splitting
+# frame (sums of the N_j and of the that_I f_I, and theta f theta^-1 with theta
+# unipotent in p; orbit_spec verifies the generators and coefficients), so
+# the float kit's series stops at the number of p-levels less one, where the
+# exact powers vanish and only rounding residue would remain.
 
 
 def check_point(kit, t):
@@ -486,9 +501,11 @@ def stratum_frame(kit, stratum, t, ell):
         if kit.is_zero(val):
             continue
         outside = [j for j in range(kit.k) if j not in idx]
-        th = cone_exp(kit, ((ell[j], kit.gens[j]) for j in outside))
-        th_inv = cone_exp(kit, ((-ell[j], kit.gens[j]) for j in outside))
-        log_hat = log_hat + that * (th @ val @ th_inv)
+        if outside:  # else theta is I
+            th = cone_exp(kit, ((ell[j], kit.gens[j]) for j in outside))
+            th_inv = cone_exp(kit, ((-ell[j], kit.gens[j]) for j in outside))
+            val = th @ val @ th_inv
+        log_hat = log_hat + that * val
     g = kit.exp(log_hat)
     live = [j for j in range(kit.k) if j not in stratum]
     if live:

@@ -9,6 +9,9 @@ opposite limit filtration.  Everything here runs in double precision and is
 deterministic: a probe given the same configuration evaluates the same
 points in the same order and returns an identical report.  The frame and
 norm formulas are the orbit module's; this module holds their float kit.
+Every matrix those formulas exponentiate strictly lowers the grade p of the
+spec's splitting frame, so the kit's series stop at the number of p-levels
+less one: the later powers vanish exactly.
 """
 
 import cmath
@@ -52,30 +55,55 @@ def _matrix(m):
     return out
 
 
-def _expm(a):
-    """exp of a structurally nilpotent matrix by its terminating series."""
-    d = a.shape[0]
-    out = np.eye(d, dtype=complex)
-    term = np.eye(d, dtype=complex)
-    for j in range(1, d):
-        term = term @ a / j
+_IDENTITIES = {}
+
+
+def _identity(d):
+    """The d x d identity, built once per size and shared, so read-only."""
+    eye = _IDENTITIES.get(d)
+    if eye is None:
+        eye = _IDENTITIES[d] = np.eye(d, dtype=complex)
+        eye.setflags(write=False)
+    return eye
+
+
+def _expm(a, terms):
+    """exp of a nilpotent matrix by its series through a**terms / terms!.
+
+    The caller vouches that a**(terms + 1) is exactly zero: the float kit
+    passes its p-levels less one, f_infinity_probe the dimension less one.
+    The sum stops there, where rounding can still leave entries near 1e-19
+    in powers that vanish exactly.  A zero argument returns the shared
+    read-only identity, which is what the series yields.
+    """
+    out = term = _identity(a.shape[0])
+    if not np.count_nonzero(a):
+        return out
+    for j in range(1, terms + 1):
+        term = term @ a
+        term /= j
         out = out + term
-        if not term.any():
+        if not np.count_nonzero(term):
             break
     return out
 
 
 class _Floats:
-    """The float number kit of a spec for the orbit module's formulas."""
+    """The float number kit of a spec for the orbit module's formulas.
+
+    `terms`, the number of distinct p in the spec's verified splitting
+    frame less one, bounds every series: each matrix the formulas
+    exponentiate strictly lowers p, so its later powers are exactly zero.
+    """
 
     one = 1.0 + 0.0j
-    exp = staticmethod(_expm)
     scalar = staticmethod(lambda x, what: _scalar(x))
     real = staticmethod(lambda z: float(z.real))
-    is_zero = staticmethod(lambda a: not a.any())
+    is_zero = staticmethod(lambda a: not np.count_nonzero(a))
 
     def __init__(self, spec):
         self.dim, self.k, self.n_coords = spec.dim, spec.k, spec.n_coords
+        self.terms = len({p for p, _ in spec.structure.split().frame[2]}) - 1
         self.q = _matrix(spec.structure.q)
         self.gens = tuple(_matrix(g) for g in spec.cone.generators)
         self.coeffs = {idx: {expo: _matrix(c) for expo, c in poly.items()}
@@ -83,9 +111,11 @@ class _Floats:
         self.e0, self.einf = _vector(spec.markers.e0), _vector(spec.markers.einf)
         self.lam_bar = np.conj(_scalar(spec.markers.lam))
         self.zeros = np.zeros((self.dim, self.dim), dtype=complex)
-        self.identity = np.eye(self.dim, dtype=complex)
-        for shared in (self.zeros, self.identity):  # shared by every call, so read-only
-            shared.setflags(write=False)
+        self.zeros.setflags(write=False)  # shared by every call
+        self.identity = _identity(self.dim)
+
+    def exp(self, a):
+        return _expm(a, self.terms)
 
     def pair(self, u, v):
         return u @ self.q @ np.conj(v)
@@ -465,7 +495,7 @@ def f_infinity_probe(structure, n_op, y_values=(1e1, 1e2, 1e3, 1e4),
         complements[p] = full[:, target.shape[1]:]
 
     def gap(y):
-        u = _expm(1j * y * nf)
+        u = _expm(1j * y * nf, dim - 1)
         worst = 0.0
         for p, cols in columns.items():
             a = np.linalg.qr(u @ cols)[0]

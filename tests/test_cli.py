@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -351,6 +352,32 @@ def test_eval_float_mode(capsys):
                        "--t", "1/100", "1/4")
     assert code == 0
     assert "h ~ 1.0" in out
+
+
+def test_a_float_eval_that_leaves_double_range_exits_2(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        code, out, err = run(capsys, "eval", DATA / "varying.json",
+                             "--t", "1" + "0" * 200, "1/30", "--report", report)
+    assert (code, out) == (2, "")
+    assert err == ("error: --t: the float norm leaves double range at this point; "
+                   "give --ell for the exact value\n")
+    assert not report.exists()
+
+
+def test_a_cone_that_keeps_a_grade_is_refused_by_eval(tmp_path, capsys):
+    # the varying generator plus an element of g^{0,-3} still polarizes
+    data = load_fixture(DATA / "varying.json").data
+    a, a_inv, _ = data.split().frame
+    x = lie.lie_deligne_split(lie_algebra(data.q), data.structure()).layers[0, -3][0]
+    doc = json.loads((DATA / "varying.json").read_text())
+    doc["cone"][0] = cli._show_matrix(data.cone.generators[0] + a * x * a_inv)
+    path = tmp_path / "keeps-p.json"
+    path.write_text(dump_document(doc))
+    code, out, err = run(capsys, "eval", path, "--t", "1/20", "1/30")
+    assert (code, out) == (2, "")
+    assert err == "error: cone[0]: generator 0 does not strictly lower the filtration grade\n"
 
 
 def _exit_and_numpy(*argv):
@@ -753,6 +780,23 @@ def test_failed_orbit_build_is_reported_by_every_suite(tmp_path, monkeypatch, ca
     assert len(calls) == 4  # a failed build is not cached
 
 
+@pytest.mark.parametrize("name, builds", [
+    ("elliptic", 1), ("varying", 1), ("hermitian", 1), ("a1", 1), ("pair", 3)])
+def test_isotropy_builds_one_weight_filtration_per_distinct_cone_element(name, builds,
+                                                                        monkeypatch):
+    fixture = load_fixture(DATA / f"{name}.json")
+    calls, build = [], cli.weight_filtration
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "weight_filtration", counting)
+    checks = cli.suite_isotropy(fixture, None)
+    assert all(c.ok for c in checks)
+    assert len(calls) == len(set(calls)) == builds
+
+
 def test_isotropy_witness_names_the_largest_partner_level(tmp_path, capsys):
     # Q(e1, e1) = 1, so W_0 = <e1> pairs with both W_0 and W_1 although
     # 0 + 0 and 0 + 1 are below 2n = 4; the witness names the larger level.
@@ -1101,6 +1145,13 @@ def test_a_moved_dense_family_matches_the_benchmark_reference(family):
     v, g = LOADS.fresh_setup()[family]
     facts = LOADS.structure_facts(LOADS.moved(v, g))
     assert facts == REFERENCE["fresh"][family]
+
+
+def test_one_sweep_pass_of_the_benchmark_runs_clean(monkeypatch):
+    monkeypatch.chdir(ROOT)  # the benchmark loads its fixtures by relative path
+    ops = LOADS.sweep_ops(random.Random(22), LOADS.sweep_setup())
+    assert [(label, reason) for _, label, _, run_op in ops
+            if (reason := run_op()) is not None] == []
 
 
 # -- shipped files and their builders ----------------------------------------------------

@@ -35,7 +35,7 @@ from hodgenorm.fixtures import (
 )
 from hodgenorm.induced import PureHodgeData, induce, tate_normalize
 from hodgenorm.lie import lie_algebra, lie_deligne_split
-from hodgenorm.mhs import MixedHodge, NilpotentCone, deligne_split
+from hodgenorm.mhs import MixedHodge, NilpotentCone, deligne_split, polarization_check
 from hodgenorm.orbit import (
     AdaptedBasis,
     adapted_basis,
@@ -44,6 +44,7 @@ from hodgenorm.orbit import (
     fiber_test,
     generator_level_check,
     limit_norm,
+    lowers_grade,
     monodromy_check,
     orbit_spec,
     rescale_cone,
@@ -226,6 +227,36 @@ def test_a_twist_that_keeps_a_grade_is_refused_as_the_filtration_check_refuses_i
         orbit_spec(h, {(): leak}, n_coords=1)
     assert str(err.value) == ("zeta['']: f_[] at exponent (0,) does not strictly lower the"
                               " filtration grade")
+
+
+def test_a_frame_matrix_that_keeps_a_grade_fails_the_grade_check():
+    grades = orbit_varying().structure.split().frame[2]
+    d = len(grades)
+    rng = random.Random(22)
+    cells = [(k, l) for k in range(d) for l in range(d)]
+    lowering = [c for c in cells if grades[c[0]][0] < grades[c[1]][0]]
+    keeping = [c for c in cells if grades[c[0]][0] == grades[c[1]][0]]
+    rows = [[0] * d for _ in range(d)]
+    for k, l in rng.sample(lowering, 12):
+        rows[k][l] = rng.choice([-3, -2, -1, 1, 2, 3])
+    assert lowers_grade(Mat(rows), grades)
+    k, l = rng.choice(keeping)
+    rows[k][l] = 1
+    assert not lowers_grade(Mat(rows), grades)
+
+
+def test_a_polarizing_generator_that_keeps_a_grade_is_refused():
+    # N plus an element of g^{0,-3}: it lowers W by 3 and keeps F, so W(N')
+    # is still W and the cone polarizes, but N' keeps p on a cell
+    spec = orbit_varying()
+    h = spec.structure
+    a, a_inv, _ = h.split().frame
+    x = lie_deligne_split(lie_algebra(h.q), h.structure()).layers[0, -3][0]
+    cone = NilpotentCone((spec.cone.generators[0] + a * x * a_inv,), h.q)
+    assert polarization_check(h.structure(), cone) == (True, None)
+    with pytest.raises(ValueError) as err:
+        orbit_spec(h, {}, n_coords=1, cone=cone)
+    assert str(err.value) == "cone[0]: generator 0 does not strictly lower the filtration grade"
 
 
 def test_nonpolarized_cone_is_rejected():

@@ -14,8 +14,10 @@ import random
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from hodgenorm import orbit, probe
 from hodgenorm.exactlin import GaussianRational, Mat
 from hodgenorm.fixtures import (
     curve,
@@ -400,3 +402,133 @@ def test_reports_support_truth_testing():
     assert isinstance(levi, LeviReport) and bool(levi)
     gap = f_infinity_probe(curve().structure(), curve().cone.generators[0])
     assert isinstance(gap, DistanceReport) and bool(gap)
+
+
+# -- the float series, bounded by the p-levels ---------------------------------
+
+
+def reference_expm(a):
+    """The float exponential as first written, kept as the reference: the
+    series runs until a computed power is zero, at most dim - 1 terms."""
+    d = a.shape[0]
+    out = np.eye(d, dtype=complex)
+    term = np.eye(d, dtype=complex)
+    for j in range(1, d):
+        term = term @ a / j
+        out = out + term
+        if not term.any():
+            break
+    return out
+
+
+class ReferenceFloats(probe._Floats):
+    """The float kit with the reference exponential and zero test."""
+
+    is_zero = staticmethod(lambda a: not a.any())
+
+    def exp(self, a):
+        return reference_expm(a)
+
+
+def _probe_values(spec, rng):
+    """repr of every float entry point on seeded points with |t| up to 1."""
+    deep = tuple(range(spec.k))
+    points = []
+    for _ in range(6):
+        t = tuple(rng.uniform(0.01, 1.0) * complex(math.cos(a), math.sin(a))
+                  for a in (rng.uniform(0, 2 * math.pi) for _ in range(spec.n_coords)))
+        ell = tuple(complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(spec.k))
+        points.append((t, ell, tuple(rng.randint(0, 2) for _ in range(spec.k))))
+
+    def values():
+        out = []
+        for t, ell, powers in points:
+            out += [norm_value(spec, t), norm_value(spec, t, ell), term_value(spec, powers, t)]
+            for mask in range(1 << spec.k):
+                stratum = [j for j in range(spec.k) if mask >> j & 1]
+                out.append(stratum_norm(spec, stratum, tuple(
+                    0.0 if j in stratum else x for j, x in enumerate(t))))
+        out.append(radial_limit(spec, deep))
+        out.append(term_vanishing(spec, (1,) + (0,) * (spec.k - 1)))
+        if spec.n_coords > spec.k:
+            out.append(levi_probe(spec, deep))
+        out.append(f_infinity_probe(spec.structure.structure(),
+                                    spec.cone.element((1,) * spec.k)))
+        return [repr(x) for x in out]
+
+    return values
+
+
+@pytest.mark.parametrize("build", ALL_ORBITS)
+def test_the_bounded_series_give_the_reference_values(build, monkeypatch):
+    spec = build()
+    values = _probe_values(spec, random.Random(f"bounded:{build.__name__}"))
+    taken, expm = [], probe._expm
+    monkeypatch.setattr(probe, "_expm", lambda a, terms: taken.append(a) or expm(a, terms))
+    bounded = values()
+    monkeypatch.setattr(probe, "_KITS", weakref.WeakKeyDictionary({spec: ReferenceFloats(spec)}))
+    monkeypatch.setattr(probe, "_expm", lambda a, terms: reference_expm(a))
+    assert bounded == values()
+    # the probe values need not see every power, so the exponentials are compared too
+    for a in taken:
+        reference = reference_expm(a)
+        assert np.abs(expm(a, probe._kit(spec).terms) - reference).max() <= 1e-13 * max(
+            1.0, np.abs(reference).max())
+
+
+@pytest.mark.parametrize("build, terms", [
+    (orbit_elliptic, 1), (orbit_pair, 2), (orbit_hermitian, 3), (orbit_weight_one, 3),
+    (orbit_varying, 4)])
+def test_the_float_series_stop_at_the_p_levels_less_one(build, terms):
+    assert probe._kit(build()).terms == terms
+
+
+def test_the_float_exponential_builds_each_identity_once(monkeypatch):
+    monkeypatch.setattr(probe, "_IDENTITIES", {})
+    sizes, eye = [], np.eye
+    monkeypatch.setattr(np, "eye", lambda d, *args, **kwargs: sizes.append(d) or eye(
+        d, *args, **kwargs))
+    for build in ALL_ORBITS:
+        spec = build()
+        for _ in range(2):
+            radial_limit(spec, tuple(range(spec.k)))
+            f_infinity_probe(spec.structure.structure(), spec.cone.element((1,) * spec.k))
+    assert sorted(sizes) == [2, 6, 15, 20]
+
+
+def test_a_zero_exponent_returns_the_shared_identity():
+    zero = np.zeros((6, 6), dtype=complex)
+    out = probe._expm(zero, 5)
+    assert out is probe._identity(6) and not out.flags.writeable
+    assert np.array_equal(out, reference_expm(zero))
+    assert probe._expm(-zero, 5) is out  # a signed zero is zero
+
+
+class _CountedProducts(np.ndarray):
+    """An array that counts the matrix products it enters."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedProducts.products += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, _CountedProducts) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_the_varying_twist_series_forms_at_most_four_powers():
+    spec = orbit_varying()
+    kit = probe._kit(spec)
+    rng = random.Random(22)
+    for _ in range(4):
+        log_zeta = orbit.zeta_log(kit, tuple(rng.uniform(0.05, 0.6)
+                                             for _ in range(spec.n_coords)))
+        _CountedProducts.products = 0
+        bounded = probe._expm(log_zeta.view(_CountedProducts), kit.terms)
+        assert _CountedProducts.products <= 4
+        # the unbounded series forms all 14: rounding leaves the vanishing powers nonzero
+        _CountedProducts.products = 0
+        unbounded = reference_expm(log_zeta.view(_CountedProducts))
+        assert _CountedProducts.products == 14
+        assert np.abs(bounded - unbounded).max() <= 1e-15
