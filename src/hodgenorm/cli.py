@@ -678,13 +678,21 @@ def suite_bracket(fixture, args):
     data = fixture.data
     algebra = lie_algebra(data.q)
     lsplit = lie_deligne_split(algebra, data.structure())
-    # Each bucket element X_a stands for A X_a A^{-1}.  The identity behind
-    # each check: isometry-algebra, each X_a an isometry of A^T Q A (the same
-    # closed form, tested on Q, where it makes [x, y]^T Q = -Q [x, y] an
-    # identity, so closure needs no pairwise commutators); layer-sum,
-    # A A^{-1} = I, so the bucket sizes count the layers of g; and
-    # action-compatibility, each X_a on the one shift its bucket is filed under.
-    isometry_ok = all(is_infinitesimal_isometry(x, algebra.q) for x in algebra.basis)
+    local = lsplit.local
+    q_t = local.q.transpose()
+    # Each seed (i, j) stands for A X A^{-1}, with X = Q'^{-1} S its closed
+    # form on Q' = A^T Q A and S = E_ij - eps E_ji.  The identity behind each
+    # check: isometry-algebra, Q'^T = eps Q' and C Q'^T = I for the matrix C
+    # whose rows are the columns of Q'^{-1} the seeds are built from, so that
+    # X^T Q' + Q' X = eps S^T + S = 0 for every seed, as S^T = -eps S; it makes
+    # [x, y]^T Q' = -Q' [x, y] an identity, so closure needs no pairwise
+    # commutators, and the built g^{-1,-1} elements are tested as isometries
+    # of Q' too; layer-sum, A A^{-1} = I, so the layer sizes count the layers
+    # of g; and action-compatibility, each element's columns on the one shift
+    # its layer is filed under.
+    isometry_ok = (q_t == local.q * local.eps
+                   and Mat._of_ints(local.columns, local.ambient) * q_t == Mat.identity(local.ambient)
+                   and all(is_infinitesimal_isometry(x, local.q) for x in lsplit.matrices(-1, -1)))
     out = [Check("bracket.isometry-algebra", isometry_ok,
                  "x^T Q + Q x = 0 on the basis; bracket closure follows")]
     layer_total = lsplit.total_dim()
@@ -694,12 +702,12 @@ def suite_bracket(fixture, args):
     out.append(Check("bracket.layer-sum", layers_fill,
                      f"layer dims {layer_total} fill the algebra dim {algebra.dim}"
                      if layers_fill or not counted else "A A^{-1} is not I in the splitting frame"))
-    # cell (k, l) of a bucket element shifts grades[l] to grades[k]; name the last leak
+    # column l of an element shifts grades[l]; name the last leak
     leak = None
     for (p, q), xs in lsplit.layers.items():
         for x in xs:
-            leaks = [grades[l] for k, (row, _) in enumerate(x.int_form())
-                     for l, _, _ in row if grades[k] != (grades[l][0] + p, grades[l][1] + q)]
+            leaks = [grades[l] for l, shifts in lsplit.column_shifts(x).items()
+                     if shifts - {(p, q)}]
             if leaks:
                 r, s = max(leaks)
                 leak = f"g^({p},{q}) breaks out of I^({r + p},{s + q})"

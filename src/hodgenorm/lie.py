@@ -1,26 +1,33 @@
 """Infinitesimal symmetries of a pairing and their bigraded layers.
 
-For a nondegenerate (anti)symmetric pairing q on V, the matrices X with
-X^T q + q X = 0 form a Lie algebra g, with the closed-form basis of
-`lie_algebra`.  A mixed structure on V makes g bigraded: g^{p,q} collects
-the elements that shift every splitting piece of V by (p, q).  These layers
-are the Deligne splitting of the mixed structure g inherits from End(V)
+For a nondegenerate pairing q on V with q^T = eps q, the matrices X with
+X^T q + q X = 0 form a Lie algebra g.  X solves it exactly when S = q X
+obeys S^T = -eps S, so g has one element for each seed (i, j), i < j, and
+i = j too when eps = -1: X = q^{-1} S with S = E_ij - eps E_ji.  Its column
+j is column i of q^{-1}, its column i is -eps times column j of q^{-1}, and
+its other columns vanish.  `LieAlgebraBasis.element` is that closed form,
+the only place it is written.
+
+A mixed structure on V makes g bigraded: g^{p,q} collects the elements
+that shift every splitting piece of V by (p, q).  These layers are the
+Deligne splitting of the mixed structure g inherits from End(V)
 (Cattani-Kaplan-Schmid), so `LieSplit` is a `DeligneSplitting` whose pieces
-live in End(V).  Two verdicts
-read off this decomposition drive everything downstream — whether the
-layers stay inside the unit box |p|, |q| <= 1, and whether the part of g
-transverse to the stabilizer of F is confined to nonpositive total degree.
+live in End(V).  Two verdicts read off this decomposition drive everything
+downstream — whether the layers stay inside the unit box |p|, |q| <= 1, and
+whether the part of g transverse to the stabilizer of F is confined to
+nonpositive total degree.
 
-`lie_deligne_split` reads the layers off the closed-form basis taken in the
-splitting frame of the structure, which its `DeligneSplitting` owns.  Under
-a polarization, Q pairs I^{p,q} only with I^{n-p,n-q}, so every element
-shifts by one bidegree and bucketing by shift gives the layers; otherwise
-each layer is cut out of g by one kernel per shift.
+`lie_deligne_split` takes g in the splitting frame A of the structure,
+which its `DeligneSplitting` owns, as the symmetry algebra of Q' = A^T q A.
+Each seed's shifts are read off the grades of the supports of its two
+columns of Q'^{-1}, with no matrix built.  Under a polarization, Q' pairs
+I^{p,q} only with I^{n-p,n-q}, so every seed has one shift and bucketing
+the seeds by shift gives the layers; otherwise each layer is cut out of g
+by one kernel per shift.
 
-All computations are exact.  The layers stay in the frame, where the
-diamond, the verdicts and the bracket suite read them; their spans in
-flattened endomorphism coordinates (row-major, ambient dimension n^2) are
-built only when read.
+All computations are exact.  A seed's matrix is built the first time it is
+read, and the layers' spans in flattened endomorphism coordinates
+(row-major, ambient dimension n^2) only when read.
 """
 
 from dataclasses import dataclass
@@ -34,8 +41,9 @@ from .mhs import DeligneSplitting, MixedHodge
 @dataclass(frozen=True)
 class LieAlgebraBasis:
     """The symmetry algebra {X : X^T q + q X = 0} of a nondegenerate pairing
-    q with q^T = eps q.  Its dimension is read off n and eps; its exact basis
-    is built the first time `basis` is read."""
+    q with q^T = eps q, one closed-form element per seed (i, j).  Its
+    dimension is read off n and eps; q^{-1} is formed the first time a
+    seed's columns are read, and an element only when it is asked for."""
 
     q: Mat
     eps: int
@@ -48,33 +56,35 @@ class LieAlgebraBasis:
     def dim(self):
         return self.ambient * (self.ambient - self.eps) // 2
 
-    @cached_property
-    def basis(self) -> tuple:
-        """The closed-form basis.
+    @property
+    def seeds(self) -> list:
+        """The seeds (i, j), i < j, and i = j too when eps = -1, in order."""
+        n = self.ambient
+        return [(i, j) for i in range(n) for j in range(i + (self.eps == 1), n)]
 
-        X satisfies X^T q + q X = 0 exactly when S = q X obeys S^T = -eps S.
-        Running S over the standard (anti)symmetric seeds and mapping back
-        through q^{-1} therefore yields a complete basis: dimension n(n-1)/2
-        for symmetric q and n(n+1)/2 for antisymmetric q.
+    @cached_property
+    def columns(self) -> tuple:
+        """The columns of q^{-1} in int form, as the rows of its transpose."""
+        return self.q.inverse().transpose().int_form()
+
+    def element(self, seed) -> Mat:
+        """The closed-form element q^{-1} (E_ij - eps E_ji) of the seed (i, j).
+
+        Its column j is column i of q^{-1} and its column i is -eps times
+        column j of q^{-1}; when i = j it has column i alone.  The columns
+        are placed as rows of its transpose.
         """
-        n, eps = self.ambient, self.eps
-        # q^{-1} (E_ij - eps E_ji) has two nonzero columns: column j is column i
-        # of q^{-1}, and column i is -eps times column j of q^{-1}; the columns
-        # are taken in int form, as the rows of the transpose
-        q_inv_cols = self.q.inverse().transpose().int_form()
-        scaled_cols = [([(i, -eps * a, -eps * b) for i, a, b in col], d) for col, d in q_inv_cols]
-        basis = []
-        for i in range(n):
-            if eps == -1:
-                basis.append(_with_columns(n, {i: q_inv_cols[i]}))
-            for j in range(i + 1, n):
-                basis.append(_with_columns(n, {i: scaled_cols[j], j: q_inv_cols[i]}))
-        return tuple(basis)
+        i, j = seed
+        col_j, e = self.columns[j]
+        rows = [([], 1)] * self.ambient
+        rows[i] = ([(k, -self.eps * a, -self.eps * b) for k, a, b in col_j], e)
+        rows[j] = self.columns[i]
+        return Mat._of_ints(rows, self.ambient).transpose()
 
 
 def lie_algebra(q: Mat) -> LieAlgebraBasis:
     """The symmetry algebra of q, once q is checked square, nondegenerate and
-    symmetric or antisymmetric; its basis is built when first read."""
+    symmetric or antisymmetric; its elements are built when first read."""
     if q.nrows != q.ncols:
         raise ValueError("pairing must be square")
     if not q.det():
@@ -85,68 +95,86 @@ def lie_algebra(q: Mat) -> LieAlgebraBasis:
     return LieAlgebraBasis(q, eps)
 
 
-def _with_columns(n, columns):
-    """The n x n matrix with the given {index: column} and zeros elsewhere.
-
-    Each column is given in int form, as (index, re, im) triples over a
-    scale; the matrix is built from the triples over one common scale.
-    """
-    scale = lcm(*[d for _, d in columns.values()])
-    rows = [[] for _ in range(n)]
-    for j in sorted(columns):
-        col, d = columns[j]
-        f = scale // d
-        for i, a, b in col:
-            rows[i].append((j, f * a, f * b))
-    return Mat._of_ints([(row, scale) for row in rows], n)
-
-
 class LieSplit(DeligneSplitting):
     """The layers g^{p,q}: the Deligne splitting of g inside End(V).
 
-    Each layer is kept as its bucket of elements x in the splitting frame of
-    V, (A, A^{-1}, grades), standing for A x A^{-1}; the diamond counts them.
-    The frame is not built here: it is the one V's `DeligneSplitting` owns,
-    held in the inherited `frame` slot.  The pieces in flattened End(V)
-    (`ambient` n^2) are built when first read.
+    `local` is g in the splitting frame of V, (A, A^{-1}, grades): the
+    symmetry algebra of Q' = A^T q A, whose element X stands for A X A^{-1}.
+    Each layer is kept as its seeds in `local`; the cut-out route keeps
+    built elements of Q' instead.  The diamond counts them.  The frame is
+    not built here: it is the one V's `DeligneSplitting` owns, held in the
+    inherited `frame` slot.  `targets` holds the grades of the support of
+    each column of Q'^{-1}, which `column_shifts` reads.  A layer's frame
+    matrices are built the first time the layer is read and kept in
+    `built`; its span in flattened End(V) (`ambient` n^2) is built when
+    `pieces` is first read.
     """
 
     # `pieces` is filled by `__getattr__` when read unset
-    __slots__ = ("algebra", "layers")
+    __slots__ = ("local", "layers", "targets", "built")
 
-    def __init__(self, algebra: LieAlgebraBasis, frame, layers):
-        self.ambient = algebra.ambient ** 2
-        self.algebra = algebra
+    def __init__(self, frame, local: LieAlgebraBasis, layers):
+        self.ambient = local.ambient ** 2
         self.frame = frame
+        self.local = local
         self.layers = {pq: tuple(xs) for pq, xs in sorted(layers.items()) if xs}
+        self.targets = tuple(_grades(col, frame[2]) for col, _ in local.columns)
+        self.built = {}
 
     def __getattr__(self, name):
-        # only an unset `pieces` slot gets here: span each bucket in End(V)
+        # only an unset `pieces` slot gets here: span each layer in End(V)
         if name != "pieces":
             raise AttributeError(name)
         a, a_inv, _ = self.frame
-        n = self.algebra.ambient
+        n = self.local.ambient
         row_major = {(k, l): k * n + l for k in range(n) for l in range(n)}
-        self.pieces = {pq: Subspace._span(n * n, [_flat(a * x * a_inv, row_major) for x in xs])
-                       for pq, xs in self.layers.items()}
+        self.pieces = {pq: Subspace._span(n * n, [_flat(a * x * a_inv, row_major)
+                                                  for x in self.matrices(*pq)])
+                       for pq in self.layers}
         return self.pieces
 
     def diamond(self):
         return {pq: len(xs) for pq, xs in self.layers.items()}
 
+    def matrices(self, p, q) -> tuple:
+        """The frame matrices of the elements of g^{p,q}: each seed's closed
+        form, built the first time the layer is read and kept in `built`,
+        or the built elements of the cut-out route as they are."""
+        if (p, q) not in self.built:
+            self.built[p, q] = tuple(x if isinstance(x, Mat) else self.local.element(x)
+                                     for x in self.layers.get((p, q), ()))
+        return self.built[p, q]
+
+    def column_shifts(self, x) -> dict:
+        """{l: the shifts of the cells in column l} of a layer element's frame
+        matrix, where cell (k, l) shifts grades[l] to grades[k].
+
+        A seed (i, j) reads them off the grades of the supports of columns i
+        and j of Q'^{-1}, with no matrix built; a built element off its own
+        columns.
+        """
+        grades = self.frame[2]
+        if isinstance(x, Mat):
+            reach = {l: _grades(col, grades) for l, (col, _) in enumerate(x.transpose().int_form())}
+        else:
+            i, j = x
+            reach = {i: self.targets[j], j: self.targets[i]}
+        return {l: {(r - grades[l][0], s - grades[l][1]) for r, s in ts}
+                for l, ts in reach.items()}
+
     def slot_matrices(self, p, q):
         """The echelon basis of g^{p,q} in End(V), as matrices."""
-        n = self.algebra.ambient
+        n = self.local.ambient
         return [Mat._of_ints([(_triples(re[k * n:k * n + n], im[k * n:k * n + n]), re[j])
                               for k in range(n)], n)
                 for j, re, im in self.piece(p, q).int_rows]
 
     def in_layer(self, p, q, x: Mat) -> bool:
         """Whether the endomorphism x of V lies in g^{p,q}: whether A^{-1} x A
-        adds to the rank of the bucket's independent elements."""
+        adds to the rank of the layer's independent elements."""
         a, a_inv, _ = self.frame
         cells = {}
-        rows = [_flat(y, cells) for y in self.layers.get((p, q), ()) + (a_inv * x * a,)]
+        rows = [_flat(y, cells) for y in self.matrices(p, q) + (a_inv * x * a,)]
         return Subspace._span(len(cells), rows).dim < len(rows)
 
     @property
@@ -175,28 +203,35 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
 
     The layer g^{p,q} consists of the X in g carrying each splitting piece
     I^{r,s} of V into I^{r+p, s+q}.  In the structure's splitting frame A
-    (`structure.split().frame`), g is the symmetry algebra of A^T q A, and cell
-    (k, l) shifts by g_k - g_l.  When each closed-form element has one shift,
-    as under a polarization, the elements bucketed by shift are independent,
-    sum to g and lie in their own layers, so each bucket spans its layer.
-    Otherwise the layers are cut out of g by definition (`_cut_out_layers`).
+    (`structure.split().frame`), g is the symmetry algebra of Q' = A^T q A,
+    and cell (k, l) shifts by g_k - g_l.  Each seed's shifts are read off
+    the grades of its two columns' supports in Q'^{-1}.  When each seed has
+    one shift, as under a polarization, the seeds bucketed by shift give
+    independent elements that sum to g and lie in their own layers, so each
+    bucket spans its layer.  Otherwise the layers are cut out of g by
+    definition (`_cut_out_layers`), from the seeds' built elements.
     """
     if structure.ambient != algebra.ambient:
         raise ValueError("mixed structure and pairing have different dimensions")
     if structure.q is not None and structure.q != algebra.q:
         raise ValueError("mixed structure carries a different pairing")
     a, _, grades = frame = structure.split().frame
-    shift = {(k, l): (pk - pl, qk - ql)
-             for k, (pk, qk) in enumerate(grades) for l, (pl, ql) in enumerate(grades)}
-    local = lie_algebra(a.transpose() * algebra.q * a).basis
-    supports = [{shift[k, l] for k, (row, _) in enumerate(x.int_form()) for l, _, _ in row}
-                for x in local]
-    if any(len(shifts) > 1 for shifts in supports):
-        return LieSplit(algebra, frame, _cut_out_layers(local, shift))
-    layers = {}
-    for (d,), x in zip(supports, local):
-        layers.setdefault(d, []).append(x)
-    return LieSplit(algebra, frame, layers)
+    local = LieAlgebraBasis(a.transpose() * algebra.q * a, algebra.eps)
+    # a split with no layers yet, to read each seed's shifts
+    reader = LieSplit(frame, local, {})
+    buckets = {}
+    for seed in local.seeds:
+        shifts = frozenset().union(*reader.column_shifts(seed).values())
+        buckets.setdefault(shifts, []).append(seed)
+    if any(len(d) > 1 for d in buckets):
+        elements = [local.element(seed) for seed in local.seeds]
+        return LieSplit(frame, local, _cut_out_layers(elements, grades))
+    return LieSplit(frame, local, {d: seeds for (d,), seeds in buckets.items()})
+
+
+def _grades(col, grades) -> frozenset:
+    """The grades of the rows an int-form column reaches: its support."""
+    return frozenset(grades[k] for k, _, _ in col)
 
 
 def _flat(x: Mat, cells):
@@ -208,18 +243,19 @@ def _flat(x: Mat, cells):
             for k, (row, d) in enumerate(form) for l, a, b in row], scale
 
 
-def _cut_out_layers(local, shift) -> dict:
+def _cut_out_layers(elements, grades) -> dict:
     """Each layer as g intersected with the shift-d endomorphisms, in the frame:
-    the combinations of the adapted basis whose cells off shift d vanish."""
+    the combinations of the elements whose cells off shift d vanish, where
+    cell (k, l) shifts grades[l] to grades[k]."""
     cells = {}
-    flats = [_flat(x, cells) for x in local]
+    flats = [_flat(x, cells) for x in elements]
     coords = Mat._of_ints(flats, len(cells)).transpose().int_form()
-    shifts = [shift[c] for c in cells]
-    zero = Mat.zeros(local[0].nrows)
+    shifts = [(grades[k][0] - grades[l][0], grades[k][1] - grades[l][1]) for k, l in cells]
+    zero = Mat.zeros(len(grades))
     layers = {}
     for d in sorted(set(shifts)):
-        coeffs = kernel(Mat._of_ints([c for c, s in zip(coords, shifts) if s != d], len(local)))
-        layers[d] = [sum((x * c for c, x in zip(row, local) if c), zero) for row in coeffs.basis]
+        coeffs = kernel(Mat._of_ints([c for c, s in zip(coords, shifts) if s != d], len(elements)))
+        layers[d] = [sum((x * c for c, x in zip(row, elements) if c), zero) for row in coeffs.basis]
     return layers
 
 
@@ -236,9 +272,10 @@ def hermitian_test(split: LieSplit):
     if bad:
         p, q = bad[0]
         return False, f"layer ({p},{q}) lies outside the unit box"
-    # conjugation by the frame keeps [x, y] = 0: the buckets stand in for the layers
-    perp = [x for (p, q), xs in split.layers.items() if p < 0 for x in xs]
-    deep = [y for (p, q), ys in split.layers.items() if p + q <= -2 for y in ys]
+    # conjugation by the frame keeps [x, y] = 0: the frame matrices stand in
+    # for the layers; only these are built
+    perp = [x for p, q in split.layers if p < 0 for x in split.matrices(p, q)]
+    deep = [y for p, q in split.layers if p + q <= -2 for y in split.matrices(p, q)]
     for x in perp:
         for y in deep:
             if not commutator(x, y).is_zero():

@@ -372,7 +372,7 @@ def test_a_cone_that_keeps_a_grade_is_refused_by_eval(tmp_path, capsys):
     # the grade check refuses it
     data = load_fixture(DATA / "varying.json").data
     a, a_inv, _ = data.split().frame
-    x = lie.lie_deligne_split(lie_algebra(data.q), data.structure()).layers[0, -3][0]
+    x = lie.lie_deligne_split(lie_algebra(data.q), data.structure()).matrices(0, -3)[0]
     doc = json.loads((DATA / "varying.json").read_text())
     doc["cone"][0] = cli._show_matrix(data.cone.generators[0] + a * x * a_inv)
     doc.pop("zeta")
@@ -1282,7 +1282,7 @@ def test_action_check_names_the_last_leak_under_rotated_layer_labels(name, monke
         # each layer under the label of the next one, the last under the first
         layers = layers_of(algebra, structure)
         labels = list(layers.layers)
-        return LieSplit(algebra, layers.frame,
+        return LieSplit(layers.frame, layers.local,
                         dict(zip(labels[1:] + labels[:1], layers.layers.values())))
 
     monkeypatch.setattr(cli, "lie_deligne_split", rotated)
@@ -1334,7 +1334,7 @@ def test_the_bracket_suite_refuses_a_seeded_frame_defect(name, monkeypatch):
 
     def regraded(algebra, structure):
         layers = layers_of(algebra, structure)
-        return LieSplit(algebra, _swapped_first_grade(*layers.frame), layers.layers)
+        return LieSplit(_swapped_first_grade(*layers.frame), layers.local, layers.layers)
 
     monkeypatch.setattr(cli, "lie_deligne_split", regraded)
     assert bracket_failures(load_fixture(DATA / f"{name}.json")) == {
@@ -1349,10 +1349,131 @@ def test_layer_sum_reads_the_frame_after_bucketing(name, monkeypatch):
 
     def moved(algebra, structure):
         layers = layers_of(algebra, structure)
-        return LieSplit(algebra, _first_column_moved(*layers.frame), layers.layers)
+        return LieSplit(_first_column_moved(*layers.frame), layers.local, layers.layers)
 
     monkeypatch.setattr(cli, "lie_deligne_split", moved)
     checks = {c.name: c for c in cli.suite_bracket(load_fixture(DATA / f"{name}.json"), None)}
     failed = sorted(n for n, c in checks.items() if not c.ok)
     assert failed == ["bracket.bracket-compatibility", "bracket.layer-sum"]
     assert checks["bracket.layer-sum"].detail == "A A^{-1} is not I in the splitting frame"
+
+
+# The bracket suite's two self-checks against seeded defects of the layers.
+# Each split is tampered after bucketing: its local pairing Q' = A^T Q A, its
+# inverse, or where a seed is filed.
+
+
+def _cell(n, k, l):
+    """The n x n matrix with a single 1 at (k, l)."""
+    return Mat([[int((r, c) == (k, l)) for c in range(n)] for r in range(n)])
+
+
+def _wrong_inverse_cell(split):
+    local = lie.LieAlgebraBasis(split.local.q, split.local.eps)
+    n = local.ambient
+    wrong = local.q.inverse() + _cell(n, 0, n - 1)
+    local.__dict__["columns"] = wrong.transpose().int_form()
+    return LieSplit(split.frame, local, split.layers)
+
+
+def _unsymmetric_pairing(split):
+    n = split.local.ambient
+    local = lie.LieAlgebraBasis(split.local.q + _cell(n, 0, n - 1), split.local.eps)
+    # its inverse is its own: only the symmetry of Q' is wrong
+    assert local.q * Mat._of_ints(local.columns, n).transpose() == Mat.identity(n)
+    return LieSplit(split.frame, local, split.layers)
+
+
+def _misfiled_seed(split):
+    layers = dict(split.layers)
+    first, second = list(layers)[:2]
+    layers[second] += layers[first][:1]
+    layers[first] = layers[first][1:]
+    return LieSplit(split.frame, split.local, layers)
+
+
+SEEDED_SPLITS = {"wrong inverse cell": (_wrong_inverse_cell, "bracket.isometry-algebra"),
+                 "unsymmetric pairing": (_unsymmetric_pairing, "bracket.isometry-algebra"),
+                 "misfiled seed": (_misfiled_seed, "bracket.action-compatibility")}
+SELF_CHECKS = ("bracket.isometry-algebra", "bracket.action-compatibility")
+
+
+def self_check_failures(fixture):
+    return {c.name for c in cli.suite_bracket(fixture, None) if not c.ok and c.name in SELF_CHECKS}
+
+
+# weight_one(0) has no g^{-1,-1}, so no built element stands in for the
+# certificate on Q' and Q'^{-1} there
+SPLIT_CASES = {name: lambda name=name: load_fixture(DATA / f"{name}.json")
+               for name in ("a1", "hermitian", "pair", "varying")}
+SPLIT_CASES["weight_one(0)"] = lambda: _carried(fixtures.weight_one(0))
+
+
+@pytest.mark.parametrize("defect", sorted(SEEDED_SPLITS))
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_a_seeded_split_defect_fails_a_bracket_self_check(case, defect, monkeypatch):
+    assert self_check_failures(SPLIT_CASES[case]()) == set()
+    tamper, check = SEEDED_SPLITS[defect]
+    layers_of = cli.lie_deligne_split
+    monkeypatch.setattr(cli, "lie_deligne_split",
+                        lambda algebra, structure: tamper(layers_of(algebra, structure)))
+    assert self_check_failures(SPLIT_CASES[case]()) == {check}
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_a_seed_built_with_a_misplaced_column_fails_the_isometry_check(name, monkeypatch):
+    # every column moved one place on: the certificate on Q' and Q'^{-1}
+    # still holds, and only the built g^{-1,-1} elements show the defect
+    element = lie.LieAlgebraBasis.element
+
+    def misplaced(self, seed):
+        n = self.ambient
+        return element(self, seed) * Mat([[int(c == (r + 1) % n) for c in range(n)]
+                                          for r in range(n)])
+
+    monkeypatch.setattr(lie.LieAlgebraBasis, "element", misplaced)
+    assert self_check_failures(load_fixture(DATA / name)) == {"bracket.isometry-algebra"}
+
+
+# a 1-dimensional weight-0 input: its symmetry algebra has no seed, and q = [[1]]
+EMPTY_ALGEBRA_DOC = {"version": cli.FIXTURE_TAG, "dim": 1, "weight": 0, "q": [["1"]],
+                     "f": {"0": [["1"]]}, "w": {"0": [["1"]]}, "cone": [], "n_coords": 0,
+                     "zeta": {}}
+EMPTY_ALGEBRA = {
+    "lie": """\
+symmetry algebra dimension 0
+bigraded layer dimensions
+hermitian: True — all layers lie in the unit box
+smooth: True — the F-transverse part sits in nonpositive total degree
+""",
+    "check": """\
+pass  symmetries.pairing-symmetry  Q^T = (1)Q
+pass  symmetries.pairing-nondegenerate  det Q != 0
+pass  symmetries.filtration-orthogonality  Q(F^a, F^b) = 0 for a+b > n
+pass  symmetries.conjugate-dimensions  dim I^{p,q} = dim I^{q,p}
+pass  symmetries.direct-sum  1 piece dims fill dimension 1
+skip  isotropy.weight-filtrations  fixture has no cone
+pass  bracket.isometry-algebra  x^T Q + Q x = 0 on the basis; bracket closure follows
+pass  bracket.layer-sum  layer dims 0 fill the algebra dim 0
+pass  bracket.action-compatibility  g^{p,q} I^{r,s} <= I^{r+p, s+q}
+pass  bracket.bracket-compatibility  [g^{p,q}, g^{r,s}] <= g^{p+r,q+s}, entailed by the three checks above
+skip  bracket.cone-containment  fixture has no cone
+skip  monodromy.branch-shifts  fixture has no cone
+skip  limits.radial  fixture has no cone
+skip  levels.generators  fixture has no cone
+skip  psh.levi  fixture has no cone
+9 checks: 9 passed, 0 failed, 6 skipped
+""",
+    "diamond": """\
+diamond of a 1-dimensional weight-0 structure
+  (0, 0): 1
+m = 0
+""",
+}
+
+
+@pytest.mark.parametrize("command", sorted(EMPTY_ALGEBRA))
+def test_an_input_with_an_empty_symmetry_algebra_runs_clean(command, tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(dump_document(EMPTY_ALGEBRA_DOC))
+    assert run(capsys, command, path) == (0, EMPTY_ALGEBRA[command], "")

@@ -47,9 +47,27 @@ def unflatten_matrix(v, n):
     return Mat([v[k * n:(k + 1) * n] for k in range(n)])
 
 
-def span_of(g) -> Subspace:
-    """The algebra's basis, flattened, as a subspace of End(V)."""
-    return Subspace(g.ambient ** 2, [flatten_matrix(b) for b in g.basis])
+def closed_form_basis(q: Mat) -> list:
+    """The closed-form basis of the symmetry algebra of q, kept as the
+    reference: q^{-1} S for each seed (i, j) in order, with S = E_ij - eps E_ji
+    for i < j and S = E_ii when eps = -1, each product formed in full."""
+    n = q.nrows
+    eps = 1 if q.transpose() == q else -1
+    q_inv = q.inverse()
+    basis = []
+    for i in range(n):
+        for j in range(i + (eps == 1), n):
+            s = [[0] * n for _ in range(n)]
+            s[i][j] = 1
+            if i != j:
+                s[j][i] = -eps
+            basis.append(q_inv * Mat(s))
+    return basis
+
+
+def span_of(basis) -> Subspace:
+    """A basis of matrices, flattened, as a subspace of End(V)."""
+    return Subspace(basis[0].nrows ** 2, [flatten_matrix(b) for b in basis])
 
 
 def g_split(v) -> LieSplit:
@@ -97,28 +115,60 @@ def test_symplectic_and_orthogonal_dimension_counts():
 
 def test_basis_solves_the_defining_equation_and_is_independent():
     for q in (Mat([[0, 1], [-1, 0]]), Mat.identity(4), fixtures.weight_one(2).q):
+        g, basis = lie_algebra(q), closed_form_basis(q)
+        assert all(is_infinitesimal_isometry(b, g.q) for b in basis)
+        assert span_of(basis).dim == g.dim == len(basis)
+
+
+def test_each_seed_builds_its_reference_element():
+    for q in (Mat([[0, 1], [-1, 0]]), Mat.identity(4), fixtures.weight_one(2).q,
+              fixtures.weight_two(1).q, Mat([[2, 1], [1, 3]]), Mat([[0, 3], [-3, 0]])):
         g = lie_algebra(q)
-        assert all(is_infinitesimal_isometry(b, g.q) for b in g.basis)
-        assert span_of(g).dim == g.dim == len(g.basis)
+        assert len(g.seeds) == g.dim
+        assert [g.element(seed) for seed in g.seeds] == closed_form_basis(q)
 
 
-def test_hodge_lie_builds_one_closed_form_basis(monkeypatch, capsys):
+# g^{-1,-1} of each shipped fixture, which `hodge check` builds for the
+# isometry test and the cone containment
+CORNER = {"a1": 11, "a1_input": 1, "hermitian": 18, "varying": 5, "pair": 4, "elliptic": 1}
+
+
+@pytest.fixture
+def built_seeds(monkeypatch):
+    """Every seed whose element is built, in order."""
     built = []
-    with_columns = lie._with_columns
-    monkeypatch.setattr(lie, "_with_columns",
-                        lambda n, cols: built.append(n) or with_columns(n, cols))
-    assert cli.main(["lie", str(test_cli.DATA / "a1.json")]) == 0
-    assert "symmetry algebra dimension 210" in capsys.readouterr().out
-    # the basis of A^T q A in the splitting frame; q's own basis is never read
-    assert len(built) == 210
+    element = lie.LieAlgebraBasis.element
+    monkeypatch.setattr(lie.LieAlgebraBasis, "element",
+                        lambda self, seed: built.append(seed) or element(self, seed))
+    return built
+
+
+def test_hodge_commands_build_only_the_seeds_they_read(built_seeds, capsys):
+    for name, corner in CORNER.items():
+        path = str(test_cli.DATA / f"{name}.json")
+        data = test_cli.load_fixture(path).data
+        layers = lie_deligne_split(lie_algebra(data.q), data.structure()).layers
+        built_seeds.clear()
+        assert cli.main(["check", path]) == 0
+        # each g^{-1,-1} seed once, and no other
+        assert built_seeds == list(layers.get((-1, -1), ())), name
+        assert len(built_seeds) == corner, name
+        built_seeds.clear()
+        assert cli.main(["lie", path]) == 0
+        # a1, hermitian and varying fail the unit box, so no commutator is formed
+        read = [] if name in ("a1", "hermitian", "varying") else \
+            [seed for (p, q), seeds in layers.items() if p < 0 or p + q <= -2 for seed in seeds]
+        assert sorted(built_seeds) == sorted(read), name
+        assert len(set(built_seeds)) == len(built_seeds), name
+    capsys.readouterr()
 
 
 def test_bracket_closure():
     for q in (Mat([[0, 1], [-1, 0]]), Mat.identity(5), fixtures.weight_one(1).q):
-        g = lie_algebra(q)
-        span = span_of(g)
+        basis = closed_form_basis(q)
+        span = span_of(basis)
         assert all(span.contains_vector(flatten_matrix(commutator(a, b)))
-                   for i, a in enumerate(g.basis) for b in g.basis[i + 1:])
+                   for i, a in enumerate(basis) for b in basis[i + 1:])
 
 
 def test_degenerate_and_lopsided_pairings_are_rejected():
@@ -158,7 +208,7 @@ def test_layers_sum_directly_to_the_whole_algebra(make):
     assert sum(sub.dim for sub in split.pieces.values()) == g.dim
     total = split.span_where(lambda p, q: True)
     assert total.dim == g.dim
-    assert all(total.contains_vector(flatten_matrix(b)) for b in g.basis)
+    assert all(total.contains_vector(flatten_matrix(b)) for b in closed_form_basis(g.q))
 
 
 def test_layer_members_shift_splitting_pieces_as_labelled(monkeypatch):
@@ -195,10 +245,8 @@ def test_cut_out_route_agrees_with_the_bucketed_route():
         g = lie_algebra(v.q)
         bucketed = lie_deligne_split(g, v.structure())
         a, _, grades = bucketed.frame
-        shift = {(k, l): (pk - pl, qk - ql)
-                 for k, (pk, qk) in enumerate(grades) for l, (pl, ql) in enumerate(grades)}
-        local = lie_algebra(a.transpose() * g.q * a).basis
-        cut = LieSplit(g, bucketed.frame, _cut_out_layers(local, shift))
+        local = closed_form_basis(a.transpose() * g.q * a)
+        cut = LieSplit(bucketed.frame, bucketed.local, _cut_out_layers(local, grades))
         assert cut.diamond() == bucketed.diamond()
         assert list(cut.pieces) == list(bucketed.pieces)
         assert cut.pieces == bucketed.pieces
@@ -249,7 +297,7 @@ def test_layers_are_a_deligne_splitting_inside_end_v():
     split = g_split(v)
     assert isinstance(split, DeligneSplitting)
     assert split.ambient == v.dim * v.dim
-    assert split.algebra.ambient == v.dim
+    assert split.local.ambient == v.dim
     assert split.piece(5, 5) == Subspace.zero(v.dim * v.dim)
 
 
@@ -281,7 +329,7 @@ def test_stabilizer_and_transverse_part_decompose_the_algebra():
     assert split.s_f.intersect(split.s_f_perp).dim == 0
     # the stabilizers are subalgebras
     for sub in (split.s_f, split.s_w, split.m_x):
-        mats = [unflatten_matrix(r, split.algebra.ambient) for r in sub.basis]
+        mats = [unflatten_matrix(r, split.local.ambient) for r in sub.basis]
         for i, x in enumerate(mats):
             for y in mats[i + 1:]:
                 assert sub.contains_vector(flatten_matrix(commutator(x, y)))
@@ -357,7 +405,7 @@ def reference_layers(algebra, structure) -> DeligneSplitting:
     shift, its coefficients applied to the flattened A X_a A^{-1}.
     """
     a, a_inv, grades = structure.split().frame
-    local = lie_algebra(a.transpose() * algebra.q * a).basis
+    local = closed_form_basis(a.transpose() * algebra.q * a)
     flats = [flatten_matrix(a * b * a_inv) for b in local]
     cell_shifts = [(pk - pl, qk - ql) for pk, qk in grades for pl, ql in grades]
     supports = [{d for d, x in zip(cell_shifts, flatten_matrix(b)) if x} for b in local]
@@ -410,6 +458,21 @@ def cone_check_reference(fixture):
             "every generator lies in g^{-1,-1}")
 
 
+def isometry_check(fixture):
+    """The bracket suite's own bracket.isometry-algebra verdict and detail."""
+    (check,) = [c for c in cli.suite_bracket(fixture, None)
+                if c.name == "bracket.isometry-algebra"]
+    return check.ok, check.detail
+
+
+def isometry_reference(fixture):
+    """bracket.isometry-algebra as first written: x^T q + q x = 0 for every
+    element of the closed-form basis of q."""
+    q = fixture.data.q
+    return (all(is_infinitesimal_isometry(x, q) for x in closed_form_basis(q)),
+            "x^T Q + Q x = 0 on the basis; bracket closure follows")
+
+
 def layer_cases():
     """((group, index), fixture) over the shipped fixtures, the fixture
     families with their moved copies, and the loadable fuzz mutations of
@@ -456,6 +519,16 @@ def test_frame_layers_read_in_end_v_are_the_round_trip_ones(monkeypatch):
     assert routes["mutations"] >= 26
 
 
+def test_isometry_certificate_agrees_with_the_per_element_reference():
+    checked = 0
+    for (group, j), fx in layer_cases():
+        if group != "mutations":
+            assert isometry_check(fx) == isometry_reference(fx), (group, j)
+            checked += 1
+    # the six shipped fixtures and the fifteen family fixtures
+    assert checked == 21
+
+
 def test_hermitian_verdict_and_cone_containment_match_the_end_v_reference():
     for (group, j), fx in layer_cases():
         data = fx.data
@@ -466,7 +539,8 @@ def test_hermitian_verdict_and_cone_containment_match_the_end_v_reference():
         ref = reference_layers(lie_algebra(data.q), data.structure())
         labels = list(split.layers)
         for moved in (labels, rotated(labels)):
-            relabeled = LieSplit(split.algebra, split.frame, dict(zip(moved, split.layers.values())))
+            relabeled = LieSplit(split.frame, split.local,
+                                 dict(zip(moved, split.layers.values())))
             pieces = dict(zip(moved, ref.pieces.values()))
             assert _outcome(hermitian_test, relabeled) == \
                 _outcome(hermitian_reference, dict(sorted(pieces.items())), data.q.nrows), \
@@ -490,13 +564,13 @@ def test_swapped_layer_labels_break_the_deep_commutation_in_both_coordinates():
     # not abelian
     v = fixtures.weight_one(1)
     split = g_split(v)
-    ref = reference_layers(split.algebra, v.structure())
+    ref = reference_layers(lie_algebra(v.q), v.structure())
     swap = {(0, 0): (-1, -1), (-1, -1): (0, 0)}
     layers = {swap.get(pq, pq): xs for pq, xs in split.layers.items()}
     pieces = {swap.get(pq, pq): sub for pq, sub in ref.pieces.items()}
     message = "unit-box layers fail the deep commutation identity"
     with pytest.raises(ArithmeticError, match=message):
-        hermitian_test(LieSplit(split.algebra, split.frame, layers))
+        hermitian_test(LieSplit(split.frame, split.local, layers))
     with pytest.raises(ArithmeticError, match=message):
         hermitian_reference(dict(sorted(pieces.items())), v.dim)
 

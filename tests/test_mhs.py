@@ -668,9 +668,9 @@ def seeded_cones(structure, generator):
              "degenerate on Gr": lambda r, s: (r, s) == (-1, -1),
              "tilted by one": lambda r, s: r + s == -1}
     for defect, kind in kinds.items():
-        for (r, s), xs in layers.layers.items():
+        for r, s in layers.layers:
             if kind(r, s):
-                for x in xs[:3]:
+                for x in layers.matrices(r, s)[:3]:
                     seeded = a * x * a_inv
                     if defect == "tilted by one":
                         seeded = generator + seeded

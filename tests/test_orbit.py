@@ -212,8 +212,8 @@ def test_a_twist_that_keeps_a_grade_is_refused_as_the_filtration_check_refuses_i
     a, a_inv, _ = split.frame
     layers = lie_deligne_split(lie_algebra(h.q), h.structure())
     refused = {}
-    for (p, q), xs in layers.layers.items():
-        coeff = a * xs[0] * a_inv
+    for p, q in layers.layers:
+        coeff = a * layers.matrices(p, q)[0] * a_inv
         try:
             orbit_spec(h, {(): coeff}, n_coords=1)
             refused[p, q] = False
@@ -222,7 +222,7 @@ def test_a_twist_that_keeps_a_grade_is_refused_as_the_filtration_check_refuses_i
         assert refused[p, q] == (not _lowers_the_grade_by_filtration(split, coeff)), (p, q)
     assert refused == {pq: pq[0] >= 0 for pq in layers.layers}
     # a g^{0,-2} element keeps every p grade and leaks into the equal one
-    leak = a * layers.layers[0, -2][0] * a_inv
+    leak = a * layers.matrices(0, -2)[0] * a_inv
     with pytest.raises(ValueError) as err:
         orbit_spec(h, {(): leak}, n_coords=1)
     assert str(err.value) == ("zeta['']: f_[] at exponent (0,) does not strictly lower the"
@@ -251,7 +251,7 @@ def test_a_polarizing_generator_that_keeps_a_grade_is_refused():
     spec = orbit_varying()
     h = spec.structure
     a, a_inv, _ = h.split().frame
-    x = lie_deligne_split(lie_algebra(h.q), h.structure()).layers[0, -3][0]
+    x = lie_deligne_split(lie_algebra(h.q), h.structure()).matrices(0, -3)[0]
     cone = NilpotentCone((spec.cone.generators[0] + a * x * a_inv,), h.q)
     assert polarization_check(h.structure(), cone) == (True, None)
     with pytest.raises(ValueError) as err:
