@@ -25,9 +25,9 @@ I^{p,q} only with I^{n-p,n-q}, so every seed has one shift and bucketing
 the seeds by shift gives the layers; otherwise each layer is cut out of g
 by one kernel per shift.
 
-All computations are exact.  A seed's matrix is built the first time it is
-read, and the layers' spans in flattened endomorphism coordinates
-(row-major, ambient dimension n^2) only when read.
+All computations are exact.  A layer's matrices are built the first time
+the layer is read, and the layers' spans in flattened endomorphism
+coordinates (row-major, ambient dimension n^2) only when read.
 """
 
 from dataclasses import dataclass
