@@ -692,7 +692,8 @@ def suite_bracket(fixture, args):
     # its layer is filed under.
     isometry_ok = (q_t == local.q * local.eps
                    and Mat._of_ints(local.columns, local.ambient) * q_t == Mat.identity(local.ambient)
-                   and all(is_infinitesimal_isometry(x, local.q) for x in lsplit.matrices(-1, -1)))
+                   and all(is_infinitesimal_isometry(x, local.q)
+                           for x in lsplit.matrices(-1, -1)))
     out = [Check("bracket.isometry-algebra", isometry_ok,
                  "x^T Q + Q x = 0 on the basis; bracket closure follows")]
     layer_total = lsplit.total_dim()
@@ -706,7 +707,7 @@ def suite_bracket(fixture, args):
     leak = None
     for (p, q), xs in lsplit.layers.items():
         for x in xs:
-            leaks = [grades[l] for l, shifts in lsplit.column_shifts(x).items()
+            leaks = [grades[l] for l, shifts in local.column_shifts(x, grades).items()
                      if shifts - {(p, q)}]
             if leaks:
                 r, s = max(leaks)

@@ -81,6 +81,22 @@ class LieAlgebraBasis:
         rows[j] = self.columns[i]
         return Mat._of_ints(rows, self.ambient).transpose()
 
+    def column_shifts(self, x, grades) -> dict:
+        """{l: the shifts of the cells in column l} of the element x, where
+        cell (k, l) shifts grades[l] to grades[k].
+
+        A seed (i, j) reads them off the supports of columns j and i of
+        q^{-1}, which fill its columns i and j, with no matrix built; a
+        built element reads its own columns.
+        """
+        if isinstance(x, Mat):
+            columns = dict(enumerate(col for col, _ in x.transpose().int_form()))
+        else:
+            i, j = x
+            columns = {i: self.columns[j][0], j: self.columns[i][0]}
+        return {l: {(grades[k][0] - grades[l][0], grades[k][1] - grades[l][1])
+                    for k, _, _ in col} for l, col in columns.items()}
+
 
 def lie_algebra(q: Mat) -> LieAlgebraBasis:
     """The symmetry algebra of q, once q is checked square, nondegenerate and
@@ -103,22 +119,19 @@ class LieSplit(DeligneSplitting):
     Each layer is kept as its seeds in `local`; the cut-out route keeps
     built elements of Q' instead.  The diamond counts them.  The frame is
     not built here: it is the one V's `DeligneSplitting` owns, held in the
-    inherited `frame` slot.  `targets` holds the grades of the support of
-    each column of Q'^{-1}, which `column_shifts` reads.  A layer's frame
-    matrices are built the first time the layer is read and kept in
-    `built`; its span in flattened End(V) (`ambient` n^2) is built when
-    `pieces` is first read.
+    inherited `frame` slot.  A layer's frame matrices are built the first
+    time the layer is read and kept in `built`; its span in flattened
+    End(V) (`ambient` n^2) is built when `pieces` is first read.
     """
 
     # `pieces` is filled by `__getattr__` when read unset
-    __slots__ = ("local", "layers", "targets", "built")
+    __slots__ = ("local", "layers", "built")
 
     def __init__(self, frame, local: LieAlgebraBasis, layers):
         self.ambient = local.ambient ** 2
         self.frame = frame
         self.local = local
         self.layers = {pq: tuple(xs) for pq, xs in sorted(layers.items()) if xs}
-        self.targets = tuple(_grades(col, frame[2]) for col, _ in local.columns)
         self.built = {}
 
     def __getattr__(self, name):
@@ -144,23 +157,6 @@ class LieSplit(DeligneSplitting):
             self.built[p, q] = tuple(x if isinstance(x, Mat) else self.local.element(x)
                                      for x in self.layers.get((p, q), ()))
         return self.built[p, q]
-
-    def column_shifts(self, x) -> dict:
-        """{l: the shifts of the cells in column l} of a layer element's frame
-        matrix, where cell (k, l) shifts grades[l] to grades[k].
-
-        A seed (i, j) reads them off the grades of the supports of columns i
-        and j of Q'^{-1}, with no matrix built; a built element off its own
-        columns.
-        """
-        grades = self.frame[2]
-        if isinstance(x, Mat):
-            reach = {l: _grades(col, grades) for l, (col, _) in enumerate(x.transpose().int_form())}
-        else:
-            i, j = x
-            reach = {i: self.targets[j], j: self.targets[i]}
-        return {l: {(r - grades[l][0], s - grades[l][1]) for r, s in ts}
-                for l, ts in reach.items()}
 
     def slot_matrices(self, p, q):
         """The echelon basis of g^{p,q} in End(V), as matrices."""
@@ -217,21 +213,14 @@ def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSpl
         raise ValueError("mixed structure carries a different pairing")
     a, _, grades = frame = structure.split().frame
     local = LieAlgebraBasis(a.transpose() * algebra.q * a, algebra.eps)
-    # a split with no layers yet, to read each seed's shifts
-    reader = LieSplit(frame, local, {})
     buckets = {}
     for seed in local.seeds:
-        shifts = frozenset().union(*reader.column_shifts(seed).values())
+        shifts = frozenset().union(*local.column_shifts(seed, grades).values())
         buckets.setdefault(shifts, []).append(seed)
     if any(len(d) > 1 for d in buckets):
         elements = [local.element(seed) for seed in local.seeds]
         return LieSplit(frame, local, _cut_out_layers(elements, grades))
     return LieSplit(frame, local, {d: seeds for (d,), seeds in buckets.items()})
-
-
-def _grades(col, grades) -> frozenset:
-    """The grades of the rows an int-form column reaches: its support."""
-    return frozenset(grades[k] for k, _, _ in col)
 
 
 def _flat(x: Mat, cells):
