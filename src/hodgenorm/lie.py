@@ -3,9 +3,9 @@
 For a nondegenerate pairing q on V with q^T = eps q, the matrices X with
 X^T q + q X = 0 form a Lie algebra g.  X solves it exactly when S = q X
 obeys S^T = -eps S, so g has one element for each seed (i, j), i < j, and
-i = j too when eps = -1: X = q^{-1} S with S = E_ij - eps E_ji.  Its column
-j is column i of q^{-1}, its column i is -eps times column j of q^{-1}, and
-its other columns vanish.  `LieAlgebraBasis.element` is that closed form,
+i = j too when eps = -1: X = q^{-1} S with S = E_ij - eps E_ji (S = E_ii
+when i = j).  Its column j is column i of q^{-1}, its column i is -eps
+times column j of q^{-1}, and its other columns vanish.  `LieAlgebraBasis.element` is that closed form,
 the only place it is written.
 
 A mixed structure on V makes g bigraded: g^{p,q} collects the elements
@@ -68,7 +68,7 @@ class LieAlgebraBasis:
         return self.q.inverse().transpose().int_form()
 
     def element(self, seed) -> Mat:
-        """The closed-form element q^{-1} (E_ij - eps E_ji) of the seed (i, j).
+        """The closed-form element q^{-1} S of the seed (i, j), S = E_ij - eps E_ji.
 
         Its column j is column i of q^{-1} and its column i is -eps times
         column j of q^{-1}; when i = j it has column i alone.  The columns
