@@ -5,8 +5,9 @@ X^T q + q X = 0 form a Lie algebra g.  X solves it exactly when S = q X
 obeys S^T = -eps S, so g has one element for each seed (i, j), i < j, and
 i = j too when eps = -1: X = q^{-1} S with S = E_ij - eps E_ji (S = E_ii
 when i = j).  Its column j is column i of q^{-1}, its column i is -eps
-times column j of q^{-1}, and its other columns vanish.  `LieAlgebraBasis.element` is that closed form,
-the only place it is written.
+times column j of q^{-1}, and its other columns vanish.
+`LieAlgebraBasis.element` is that closed form, the only place it is
+written.
 
 A mixed structure on V makes g bigraded: g^{p,q} collects the elements
 that shift every splitting piece of V by (p, q).  These layers are the
