@@ -259,7 +259,16 @@ class Fixture:
     n_coords: int
     expectations: dict
 
+    def markers(self):
+        """The data's markers; undefined ones are refused naming f, whose
+        levels they are read from."""
+        try:
+            return self.data.markers
+        except (ValueError, ArithmeticError) as exc:
+            raise FixtureError(f"f: {exc}") from exc
+
     def orbit(self):
+        self.markers()
         return self._orbit
 
     @cached_property
@@ -523,7 +532,7 @@ def cmd_induce(fixture, args):
 
 def cmd_markers(fixture, args):
     data = fixture.data
-    markers = data.markers
+    markers = fixture.markers()
     basis = adapted_basis(data.structure())
     indices = tuple(_proportional_column(basis, v)
                     for v in (markers.e0, markers.einf, markers.ed))
@@ -568,7 +577,7 @@ def cmd_lie(fixture, args):
 
 def cmd_eval(fixture, args):
     if args.t is None:
-        raise FixtureError("eval needs --t with one value per coordinate")
+        _fail("--t", "eval needs --t with one value per coordinate")
     t = _parse_cli_values(args.t, "--t", fixture.n_coords)
     for j in range(len(fixture.data.cone)):
         if not t[j]:
@@ -782,15 +791,14 @@ def suite_limits(fixture, args):
     spec = _suite_orbit(fixture, "limits.radial", "limits.orbit-data")
     if isinstance(spec, Check):
         return [spec]
-    from .probe import ProbeConfig, radial_limit, term_vanishing
-    cfg = ProbeConfig(tol=args.tol)
+    from .probe import radial_limit, term_vanishing
     deep = tuple(range(spec.k))
-    report = radial_limit(spec, deep, cfg)
+    report = radial_limit(spec, deep, tol=args.tol)
     out = [Check("limits.radial", report.passed,
-                 f"final deviation {report.deviations[-1]:.3e} against tol {cfg.tol}")]
+                 f"final deviation {report.deviations[-1]:.3e} against tol {report.tol}")]
     for j in range(spec.k):
         powers = tuple(1 if i == j else 0 for i in range(spec.k))
-        term = term_vanishing(spec, powers, cfg)
+        term = term_vanishing(spec, powers, tol=args.tol)
         out.append(Check(f"limits.term-{j}", term.passed,
                          f"|term| {term.deviations[-1]:.3e} at r={term.radii[-1]:.0e}"))
     return out
@@ -819,9 +827,9 @@ def suite_psh(fixture, args):
         return [spec]
     if spec.n_coords == spec.k:
         return [_skip("psh.levi", "the deepest stratum is a point")]
-    from .probe import levi_probe, ProbeConfig
+    from .probe import levi_probe
     try:
-        report = levi_probe(spec, tuple(range(spec.k)), cfg=ProbeConfig(tol=args.tol))
+        report = levi_probe(spec, tuple(range(spec.k)), tol=args.tol)
     except (ValueError, ArithmeticError) as exc:
         return [Check("psh.levi", False, str(exc))]
     eigs = ", ".join(f"{x:.3e}" for x in report.eigenvalues)
@@ -878,16 +886,15 @@ def cmd_check(fixture, args):
 def cmd_probe(fixture, args):
     _require_tol(args.tol)
     if not len(fixture.data.cone):
-        raise FixtureError("probe needs a fixture with a nonempty cone")
+        _fail("cone", "probe needs a fixture with a nonempty cone")
     _require_floats(fixture)
     spec = fixture.orbit()
-    from .probe import f_infinity_probe, levi_probe, ProbeConfig, radial_limit, term_vanishing
-    cfg = ProbeConfig(tol=args.tol)
+    from .probe import f_infinity_probe, levi_probe, radial_limit, term_vanishing
     which = PROBES if args.suite == "all" else (args.suite,)
     deep = tuple(range(spec.k))
     lines, report, code = [], {}, 0
     if "radial" in which:
-        rep = radial_limit(spec, deep, cfg)
+        rep = radial_limit(spec, deep, tol=args.tol)
         lines.append(f"radial: target {rep.target!r}, final deviation "
                      f"{rep.deviations[-1]:.3e}, passed {rep.passed}")
         report["radial"] = {"target": rep.target, "radii": list(rep.radii),
@@ -898,7 +905,7 @@ def cmd_probe(fixture, args):
         entry = {}
         for j in range(spec.k):
             powers = tuple(1 if i == j else 0 for i in range(spec.k))
-            rep = term_vanishing(spec, powers, cfg)
+            rep = term_vanishing(spec, powers, tol=args.tol)
             lines.append(f"term {powers}: final {rep.deviations[-1]:.3e}, "
                          f"passed {rep.passed}")
             entry[",".join(map(str, powers))] = {
@@ -910,7 +917,7 @@ def cmd_probe(fixture, args):
             lines.append("levi: skipped — the deepest stratum is a point")
             report["levi"] = {"skipped": "the deepest stratum is a point"}
         else:
-            rep = levi_probe(spec, deep, cfg=cfg)
+            rep = levi_probe(spec, deep, tol=args.tol)
             eigs = ", ".join(f"{x:.6e}" for x in rep.eigenvalues)
             lines.append(f"levi: eigenvalues [{eigs}], psh {rep.psh}")
             report["levi"] = {"eigenvalues": list(rep.eigenvalues), "psh": rep.psh}
@@ -918,7 +925,7 @@ def cmd_probe(fixture, args):
     if "finf" in which:
         st = fixture.data.structure()
         interior = fixture.data.cone.element((1,) * spec.k)
-        rep = f_infinity_probe(st, interior, cfg=cfg)
+        rep = f_infinity_probe(st, interior, tol=args.tol)
         gaps = ", ".join(f"{d:.3e}" for d in rep.distances)
         lines.append(f"finf: gaps [{gaps}], extrapolated {rep.extrapolated:.3e}, "
                      f"passed {rep.passed}")

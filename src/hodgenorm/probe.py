@@ -6,12 +6,14 @@ claims are limits: the extended norm converges to its stratum value, the
 weighted cross terms die, minus-log of the stratum value has a positive
 semidefinite Levi form on the good fixtures, and exp(iyN).F approaches the
 opposite limit filtration.  Everything here runs in double precision and is
-deterministic: a probe given the same configuration evaluates the same
-points in the same order and returns an identical report.  The frame and
-norm formulas are the orbit module's; this module holds their float kit.
-Every matrix those formulas exponentiate strictly lowers the grade p of the
-spec's splitting frame, so the kit's series stop at the number of p-levels
-less one: the later powers vanish exactly.
+deterministic: every probe runs one fixed sweep (the module constants
+RADII, ANGLE_COUNT, FD_STEP and Y_VALUES), so a probe given the same
+arguments evaluates the same points in the same order and returns an
+identical report; only the pass tolerance `tol` is set per call.  The
+frame and norm formulas are the orbit module's; this module holds their
+float kit.  Every matrix those formulas exponentiate strictly lowers the
+grade p of the spec's splitting frame, so the kit's series stop at the
+number of p-levels less one: the later powers vanish exactly.
 """
 
 import cmath
@@ -26,8 +28,8 @@ from . import orbit
 
 TWO_PI_I = 2j * math.pi
 
-# Low-discrepancy multipliers for the default angle lattice (fractional
-# parts of the golden ratio and of sqrt(2)); chosen once, never random.
+# Low-discrepancy multipliers for the angle lattice (fractional parts of
+# the golden ratio and of sqrt(2)); chosen once, never random.
 _STRIDE_A = 0.6180339887498949
 _STRIDE_B = 0.41421356237309515
 
@@ -183,61 +185,30 @@ def term_value(spec: orbit.OrbitSpec, powers, t) -> complex:
     return complex(orbit.monomial(kit, powers, ell) * orbit.cross_term(kit, zeta_hat, powers))
 
 
-# -- sweep configuration and reports -------------------------------------------
+# -- the sweep and its reports -------------------------------------------------
+
+# The one sweep every probe runs.  Radial probes step through RADII, which
+# decrease strictly toward zero, at each of ANGLE_COUNT angle vectors; the
+# Levi probe differentiates with step FD_STEP; the f_infinity probe samples
+# exp(iyN).F at Y_VALUES.  Only the pass tolerance is set per call.
+RADII = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
+ANGLE_COUNT = 8
+FD_STEP = 1e-4
+Y_VALUES = (1e1, 1e2, 1e3, 1e4)
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Deterministic sweep parameters shared by all probes.
+def angle_vectors(m):
+    """The angle vectors driving an m-coordinate radial sweep."""
+    tau = 2.0 * math.pi
+    return tuple(
+        tuple(tau * math.modf((i + 1) * _STRIDE_A + (i + 1) * (j + 1) * _STRIDE_B)[0]
+              for j in range(m))
+        for i in range(ANGLE_COUNT))
 
-    `radii` must decrease strictly toward zero; `angles`, when given, lists
-    explicit angle vectors (otherwise a fixed low-discrepancy lattice of
-    `n_angles` vectors is used); `fd_step` is the finite-difference step of
-    the Levi probe and `tol` the pass tolerance recorded in every report.
-    """
 
-    radii: tuple = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)
-    angles: tuple | None = None
-    n_angles: int = 8
-    fd_step: float = 1e-4
-    tol: float = 1e-6
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        object.__setattr__(self, "radii", radii)
-        if not radii:
-            raise ValueError("at least one radius is required")
-        if not all(math.isfinite(r) and r > 0 for r in radii):
-            raise ValueError("radii must be finite and positive")
-        if any(b >= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("radii must be strictly decreasing")
-        if self.angles is not None:
-            object.__setattr__(
-                self, "angles",
-                tuple(tuple(float(a) for a in vec) for vec in self.angles))
-            if not self.angles:
-                raise ValueError("the explicit angle list must not be empty")
-            if not all(math.isfinite(a) for vec in self.angles for a in vec):
-                raise ValueError("angles must be finite")
-        if int(self.n_angles) < 1:
-            raise ValueError("n_angles must be at least 1")
-        if not (math.isfinite(float(self.fd_step)) and float(self.fd_step) > 0):
-            raise ValueError("fd_step must be finite and positive")
-        if not (math.isfinite(float(self.tol)) and float(self.tol) > 0):
-            raise ValueError("tol must be finite and positive")
-
-    def angle_vectors(self, m):
-        """The angle vectors driving an m-coordinate radial sweep."""
-        if self.angles is not None:
-            for vec in self.angles:
-                if len(vec) != m:
-                    raise ValueError(f"angle vectors must have {m} entries")
-            return self.angles
-        tau = 2.0 * math.pi
-        return tuple(
-            tuple(tau * math.modf((i + 1) * _STRIDE_A + (i + 1) * (j + 1) * _STRIDE_B)[0]
-                  for j in range(m))
-            for i in range(self.n_angles))
+def _require_tol(tol):
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -260,8 +231,6 @@ class LimitReport:
 
 def _limit_verdict(deviations, tol):
     """Final deviation within tol, non-increasing over the last three radii."""
-    if not deviations:
-        return False
     ok = deviations[-1] <= tol
     tail = deviations[-3:]
     for a, b in zip(tail, tail[1:]):
@@ -269,7 +238,7 @@ def _limit_verdict(deviations, tol):
     return ok
 
 
-def _base_point(kit, pinned, base):
+def _base_point(kit, pinned, base=None):
     if base is None:
         return tuple(0.0 if j in pinned else (0.5 if j < kit.k else 1.0 / 3.0)
                      for j in range(kit.n_coords))
@@ -280,9 +249,9 @@ def _base_point(kit, pinned, base):
     return base
 
 
-def _sweep(values_at, radii, angles, target, tol):
+def _sweep(values_at, angles, target, tol):
     radii_used, observed, deviations, clipped = [], [], [], []
-    for r in radii:
+    for r in RADII:
         row = tuple(values_at(r, vec) for vec in angles)
         if all(math.isfinite(v) for v in row):
             radii_used.append(r)
@@ -301,23 +270,22 @@ def _sweep(values_at, radii, angles, target, tol):
 # -- the probes ----------------------------------------------------------------
 
 
-def radial_limit(spec: orbit.OrbitSpec, stratum, cfg: ProbeConfig | None = None,
-                 base=None) -> LimitReport:
+def radial_limit(spec: orbit.OrbitSpec, stratum, tol=1e-6) -> LimitReport:
     """Drive the named divisor coordinates to zero along radial rays.
 
-    Evaluates the norm at t_i = r exp(i theta_i) for i in `stratum` (the
-    other coordinates stay at `base`) and compares against the stratum
-    value at `base`.  Passes when the final deviation is within cfg.tol and
-    the deviations are non-increasing over the last three radii.  Radii at
-    which the evaluation leaves double range are dropped and reported in
-    `clipped`.
+    Evaluates the norm at t_i = r exp(i theta_i) for i in `stratum`, at every
+    radius of RADII and every angle vector of the lattice, with the other
+    coordinates at the default base point (0.5 on the divisor, 1/3 off it),
+    and compares against the stratum value there.  Passes when the final
+    deviation is within `tol` and the deviations are non-increasing over the
+    last three radii.  Radii at which the evaluation leaves double range are
+    dropped and reported in `clipped`.
     """
-    cfg = cfg if cfg is not None else ProbeConfig()
+    _require_tol(tol)
     kit = _kit(spec)
     stratum = tuple(sorted(orbit.check_stratum(kit, stratum)))
-    base = _base_point(kit, set(stratum), base)
+    base = _base_point(kit, set(stratum))
     target = stratum_norm(spec, stratum, base)
-    angles = cfg.angle_vectors(len(stratum))
 
     def value(r, vec):
         t = list(base)
@@ -325,28 +293,27 @@ def radial_limit(spec: orbit.OrbitSpec, stratum, cfg: ProbeConfig | None = None,
             t[i] = r * cmath.exp(1j * vec[pos])
         return norm_value(spec, t)
 
-    return _sweep(value, cfg.radii, angles, target, cfg.tol)
+    return _sweep(value, angle_vectors(len(stratum)), target, tol)
 
 
-def term_vanishing(spec: orbit.OrbitSpec, powers, cfg: ProbeConfig | None = None,
-                   base=None) -> LimitReport:
+def term_vanishing(spec: orbit.OrbitSpec, powers, tol=1e-6) -> LimitReport:
     """Radial decay of one ell-weighted cross term of the norm.
 
-    All divisor coordinates go to zero together; the observed values are
+    All divisor coordinates go to zero together over the radial sweep of
+    `radial_limit`, from the same base point; the observed values are
     magnitudes.  For a nonzero exponent vector the target is 0 — the term
     must die despite its divergent ell-weight.  The zero exponent vector is
     the control: its target is the magnitude of the limiting raw pairing,
     which stays away from zero.
     """
-    cfg = cfg if cfg is not None else ProbeConfig()
+    _require_tol(tol)
     kit = _kit(spec)
     if kit.k == 0:
         raise ValueError("an empty cone has no divisor stratum")
     powers = orbit.check_powers(kit, powers)
-    base = _base_point(kit, set(range(kit.k)), base)
+    base = _base_point(kit, set(range(kit.k)))
     target = (0.0 if any(powers)
               else float(abs(orbit.marker_pairing(kit, orbit.deep_twist(kit, base)))))
-    angles = cfg.angle_vectors(kit.k)
 
     def value(r, vec):
         t = list(base)
@@ -354,7 +321,7 @@ def term_vanishing(spec: orbit.OrbitSpec, powers, cfg: ProbeConfig | None = None
             t[j] = r * cmath.exp(1j * vec[j])
         return abs(term_value(spec, powers, t))
 
-    return _sweep(value, cfg.radii, angles, target, cfg.tol)
+    return _sweep(value, angle_vectors(kit.k), target, tol)
 
 
 @dataclass(frozen=True)
@@ -362,8 +329,6 @@ class LeviReport:
     """Finite-difference Levi spectrum of -log of the stratum value."""
 
     base: tuple
-    directions: tuple
-    clipped: tuple
     matrix: tuple
     eigenvalues: tuple
     tol: float
@@ -373,38 +338,21 @@ class LeviReport:
         return self.psh
 
 
-def levi_probe(spec: orbit.OrbitSpec, stratum, base=None, dirs=None,
-               cfg: ProbeConfig | None = None) -> LeviReport:
+def levi_probe(spec: orbit.OrbitSpec, stratum, base=None, tol=1e-6) -> LeviReport:
     """Central-difference complex Hessian of -log(stratum value).
 
-    Differentiates in the surviving coordinates around `base`.  Direction
-    vectors live on the full coordinate tuple; any component along a pinned
-    coordinate is zeroed and the direction's index recorded in `clipped`
-    (the function only exists on the stratum), and directions that point
-    purely off the stratum are dropped.  The psh verdict asks the smallest
-    eigenvalue of the hermitized Levi matrix to clear -cfg.tol.
+    Differentiates with step FD_STEP around `base` (by default the base point
+    of `radial_limit`), along the coordinate directions of every coordinate
+    the stratum leaves free, in increasing order; the function only exists
+    on the stratum.  The psh verdict asks the smallest eigenvalue of the
+    hermitized Levi matrix to clear -tol.
     """
-    cfg = cfg if cfg is not None else ProbeConfig()
+    _require_tol(tol)
     kit = _kit(spec)
     pinned = orbit.check_stratum(kit, stratum)
     base = _base_point(kit, pinned, base)
-
-    if dirs is None:
-        free = [j for j in range(kit.n_coords) if j not in pinned]
-        dirs = [tuple(1.0 + 0.0j if j == f else 0.0j for j in range(kit.n_coords))
-                for f in free]
-    clipped = []
-    directions = []
-    for idx, vec in enumerate(dirs):
-        vec = [_scalar(x) for x in vec]
-        if len(vec) != kit.n_coords:
-            raise ValueError(f"direction vectors must have {kit.n_coords} entries")
-        if any(vec[j] for j in pinned):
-            clipped.append(idx)
-            for j in pinned:
-                vec[j] = 0.0j
-        if any(vec):
-            directions.append(tuple(vec))
+    directions = [tuple(1.0 + 0.0j if j == f else 0.0j for j in range(kit.n_coords))
+                  for f in range(kit.n_coords) if f not in pinned]
     if not directions:
         raise ValueError("no directions tangent to the stratum were given")
 
@@ -416,7 +364,7 @@ def levi_probe(spec: orbit.OrbitSpec, stratum, base=None, dirs=None,
 
     phi(base)  # surface a non-positive base value before differentiating
 
-    h = cfg.fd_step
+    h = FD_STEP
 
     def shifted(coeff_a, va, coeff_b, vb):
         point = tuple(x + h * (coeff_a * a + coeff_b * b)
@@ -443,10 +391,9 @@ def levi_probe(spec: orbit.OrbitSpec, stratum, base=None, dirs=None,
     levi = (levi + levi.conj().T) / 2.0
     eigenvalues = tuple(float(x) for x in np.linalg.eigvalsh(levi))
     return LeviReport(
-        base=base, directions=tuple(directions), clipped=tuple(clipped),
-        matrix=tuple(tuple(complex(x) for x in row) for row in levi),
-        eigenvalues=eigenvalues, tol=cfg.tol,
-        psh=min(eigenvalues) >= -cfg.tol)
+        base=base, matrix=tuple(tuple(complex(x) for x in row) for row in levi),
+        eigenvalues=eigenvalues, tol=tol,
+        psh=min(eigenvalues) >= -tol)
 
 
 @dataclass(frozen=True)
@@ -463,23 +410,16 @@ class DistanceReport:
         return self.passed
 
 
-def f_infinity_probe(structure, n_op, y_values=(1e1, 1e2, 1e3, 1e4),
-                     cfg: ProbeConfig | None = None) -> DistanceReport:
+def f_infinity_probe(structure, n_op, tol=1e-6) -> DistanceReport:
     """Numeric convergence of exp(iyN).F to the opposite limit filtration.
 
-    The distance at each y is the sine of the largest principal angle
-    between exp(iyN).F^p and the exact limit level, maximized over the jump
-    levels p.  The generic gap decays like 1/y, so the verdict extrapolates
-    the last two samples linearly in 1/y and asks the extrapolated limit to
-    sit below cfg.tol with non-increasing raw distances.
+    The distance at each y of Y_VALUES is the sine of the largest principal
+    angle between exp(iyN).F^p and the exact limit level, maximized over the
+    jump levels p.  The generic gap decays like 1/y, so the verdict
+    extrapolates the last two samples linearly in 1/y and asks the
+    extrapolated limit to sit below `tol` with non-increasing raw distances.
     """
-    cfg = cfg if cfg is not None else ProbeConfig()
-    y_values = tuple(float(y) for y in y_values)
-    if not y_values or y_values[0] <= 0:
-        raise ValueError("y-values must be positive")
-    if any(b <= a for a, b in zip(y_values, y_values[1:])):
-        raise ValueError("y-values must be strictly increasing")
-
+    _require_tol(tol)
     limit = f_infinity(structure.split(), structure.n)
     nf = _matrix(n_op)
     dim = structure.ambient
@@ -502,15 +442,12 @@ def f_infinity_probe(structure, n_op, y_values=(1e1, 1e2, 1e3, 1e4),
             worst = max(worst, float(np.linalg.norm(complements[p].conj().T @ a, 2)))
         return worst
 
-    distances = tuple(gap(y) for y in y_values)
-    if len(distances) >= 2:
-        y1, y2 = y_values[-2:]
-        d1, d2 = distances[-2:]
-        extrapolated = (y2 * d2 - y1 * d1) / (y2 - y1)
-    else:
-        extrapolated = distances[0]
-    ok = extrapolated <= cfg.tol
+    distances = tuple(gap(y) for y in Y_VALUES)
+    y1, y2 = Y_VALUES[-2:]
+    d1, d2 = distances[-2:]
+    extrapolated = (y2 * d2 - y1 * d1) / (y2 - y1)
+    ok = extrapolated <= tol
     for a, b in zip(distances, distances[1:]):
         ok = ok and b <= a + 1e-15
-    return DistanceReport(y_values=y_values, distances=distances,
-                          extrapolated=extrapolated, tol=cfg.tol, passed=ok)
+    return DistanceReport(y_values=Y_VALUES, distances=distances,
+                          extrapolated=extrapolated, tol=tol, passed=ok)

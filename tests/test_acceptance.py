@@ -34,7 +34,7 @@ from hodgenorm.induced import induce, locate_markers, tate_normalize
 from hodgenorm.lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
 from hodgenorm.mhs import check_symmetries, deligne_split
 from hodgenorm.orbit import generator_level_check, limit_norm, monodromy_check, stratum_value
-from hodgenorm.probe import levi_probe, norm_value, ProbeConfig, radial_limit, term_vanishing
+from hodgenorm.probe import levi_probe, norm_value, radial_limit, term_vanishing
 
 DATA = pathlib.Path(cli.__file__).parent / "data"
 ALL_ORBITS = (orbit_elliptic, orbit_weight_one, orbit_pair, orbit_varying,

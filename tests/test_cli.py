@@ -455,6 +455,7 @@ OPTION_ERRORS = [
     (("eval", "elliptic", "--t", "1/3", "1." + "0" * 5001 + "x"),
      f"--t[1]: bad coordinate '1.000000000000000000'... (5004 characters): {COORDINATES}"),
     (("eval", "elliptic", "--t", "1/3"), "--t: expected 2 values, got 1"),
+    (("eval", "elliptic"), "--t: eval needs --t with one value per coordinate"),
     (("eval", "elliptic", "--t", "0", "1/2", "--ell", "0,1"), f"--t[0]: {INTERIOR}"),
     (("eval", "elliptic", "--t", "0", "1/2"), f"--t[0]: {INTERIOR}"),
     (("eval", "pair", "--t", "1/3", "0,0", "1/7", "--ell", "0,1", "1,1"), f"--t[1]: {INTERIOR}"),
@@ -646,7 +647,8 @@ def test_probe_needs_a_cone(tmp_path, capsys):
     path.write_text(dump_document(doc))
     code, _, err = run(capsys, "probe", path)
     assert code == 2
-    assert "nonempty cone" in err
+    assert FIELD_PATH.match(err), err
+    assert err == "error: cone: probe needs a fixture with a nonempty cone\n"
 
 
 # -- reports and exit codes ------------------------------------------------------------
@@ -689,9 +691,12 @@ def test_malformed_json_reports_line_and_column(tmp_path, capsys):
 
 
 def test_markers_exit_2_when_undefined(capsys):
-    code, _, err = run(capsys, "markers", DATA / "a1_input.json")
-    assert code == 2
-    assert "not a line" in err
+    # markers, eval and probe all read the markers, which F's top level defines
+    for argv in (["markers"], ["eval", "--t", "1/3"], ["probe"]):
+        code, out, err = run(capsys, argv[0], DATA / "a1_input.json", *argv[1:])
+        assert (code, out) == (2, "")
+        assert FIELD_PATH.match(err), err
+        assert err == "error: f: top filtration level is not a line — normalize first\n"
 
 
 # -- facts computed once --------------------------------------------------------------
@@ -1115,6 +1120,9 @@ A1_REFERENCE = {
     "lie": {"exit": 0,
             "stdout": "ae0d3eddc0409faa197d2f73b2b58cf401c2a97beb3e957b8cc9d2d817e9b027",
             "report": "ae0a08d8d10385625a3fd221c912917b9b4e8cacb2335b202555f9b59581663f"},
+    "probe": {"exit": 0,
+              "stdout": "aed0d63dfedf7efee59c7559cffa902f4af2ef04eff3a13c2ba4e961cc5de19c",
+              "report": "33d66886a07e7d611bedced305b0e8740265dc26a783ba0c8322c5e2bcf3d0fe"},
 }
 
 
@@ -1122,6 +1130,28 @@ A1_REFERENCE = {
 def test_a1_outputs_match_their_pinned_digests(command, tmp_path, monkeypatch, capsys):
     argv = [command, LOADS.fixture_path("a1")]
     assert _digests(argv, tmp_path, monkeypatch, capsys) == A1_REFERENCE[command]
+
+
+# tol is the one sweep value a probe run sets; the benchmark runs only the
+# default, so these pin a non-default tol through the reports, recorded
+# like A1_REFERENCE
+TOL_REFERENCE = {
+    "probe varying --tol 1e-9": {
+        "exit": 0,
+        "stdout": "3b0d23da00568787ac5210a3e6c1244381fdc5170c4c5c5d6be95a7fdaf5d5c1",
+        "report": "16879474e4f07bba99a694654dc4f06f4365f67e691c81cf8b7129bf1cb6e4ce"},
+    "check hermitian --suite limits --tol 1e-3": {
+        "exit": 0,
+        "stdout": "ef52753f359369baabaaa77fee836db8fb803a72d7a4ab2d720de6698995c28c",
+        "report": "54f617b53fea3d4dc6bc0b9c487229aed46e5f5f1893b7933d175d715df70684"},
+}
+
+
+@pytest.mark.parametrize("run_id", sorted(TOL_REFERENCE))
+def test_a_set_tol_matches_its_pinned_digests(run_id, tmp_path, monkeypatch, capsys):
+    command, name, *options = run_id.split()
+    argv = [command, LOADS.fixture_path(name), *options]
+    assert _digests(argv, tmp_path, monkeypatch, capsys) == TOL_REFERENCE[run_id]
 
 
 def _assert_matches_the_reference(op_id, tmp_path, monkeypatch, capsys):

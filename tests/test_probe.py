@@ -35,7 +35,6 @@ from hodgenorm.probe import (
     DistanceReport,
     LeviReport,
     LimitReport,
-    ProbeConfig,
     f_infinity_probe,
     levi_probe,
     norm_value,
@@ -59,58 +58,29 @@ def sample_point(spec, rng):
     return t, ell
 
 
-# -- configuration -----------------------------------------------------------
-
-
-def test_config_rejects_bad_radii():
-    with pytest.raises(ValueError):
-        ProbeConfig(radii=())
-    with pytest.raises(ValueError):
-        ProbeConfig(radii=(1e-2, 1e-2))
-    with pytest.raises(ValueError):
-        ProbeConfig(radii=(1e-3, 1e-2))
-    with pytest.raises(ValueError):
-        ProbeConfig(radii=(1e-2, 0.0))
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            ProbeConfig(radii=(bad, 1e-2))
-        with pytest.raises(ValueError):
-            ProbeConfig(radii=(1e-2, bad))
+# -- the sweep ---------------------------------------------------------------
 
 
 def test_config_rejects_bad_steps_and_tolerances():
-    with pytest.raises(ValueError):
-        ProbeConfig(fd_step=0.0)
-    with pytest.raises(ValueError):
-        ProbeConfig(tol=-1e-6)
-    with pytest.raises(ValueError):
-        ProbeConfig(n_angles=0)
-    with pytest.raises(ValueError):
-        ProbeConfig(angles=())
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError):
-            ProbeConfig(fd_step=bad)
-        with pytest.raises(ValueError):
-            ProbeConfig(tol=bad)
-        with pytest.raises(ValueError):
-            ProbeConfig(angles=((0.5, bad),))
+    # the sweep is fixed and tol is its one setting, which every probe checks alike
+    data = curve()
+    for bad in (0.0, -1e-6, math.inf, math.nan):
+        for call in (lambda: radial_limit(orbit_elliptic(), (0,), tol=bad),
+                     lambda: term_vanishing(orbit_elliptic(), (1,), tol=bad),
+                     lambda: levi_probe(orbit_hermitian(), (0,), tol=bad),
+                     lambda: f_infinity_probe(data.structure(), data.cone.generators[0],
+                                              tol=bad)):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                call()
 
 
 def test_default_angle_lattice_is_deterministic():
-    cfg = ProbeConfig()
-    first = cfg.angle_vectors(2)
-    assert first == cfg.angle_vectors(2) == ProbeConfig().angle_vectors(2)
+    first = probe.angle_vectors(2)
+    assert first == probe.angle_vectors(2)
     assert len(first) == 8
     assert all(len(vec) == 2 for vec in first)
     assert all(0.0 <= a < 2.0 * math.pi for vec in first for a in vec)
     assert len(set(first)) == len(first)
-
-
-def test_explicit_angles_override_the_lattice():
-    cfg = ProbeConfig(angles=((0.0,), (1.5,)))
-    assert cfg.angle_vectors(1) == ((0.0,), (1.5,))
-    with pytest.raises(ValueError, match="entries"):
-        cfg.angle_vectors(2)
 
 
 # -- float against exact -----------------------------------------------------
@@ -222,19 +192,19 @@ def test_radial_limit_matches_the_closed_stratum_formula():
 
 
 def test_radial_limit_accepts_an_explicit_base():
-    report = radial_limit(orbit_varying(), (0,), base=(0.0, 0.25))
+    # radial_limit takes no base: it sweeps from the default base, which the
+    # Levi probe reports, (0, 1/3) on this fixture
+    spec = orbit_varying()
+    assert levi_probe(spec, (0,)).base == (0.0, 1.0 / 3.0)
+    report = radial_limit(spec, (0,))
     assert report.passed
-    exact = float(stratum_value(orbit_varying(), (0,), t=(0, F(1, 4))))
+    exact = float(stratum_value(spec, (0,), t=(0, F(1, 3))))
     assert abs(report.target - exact) <= 1e-14
 
 
 def test_radial_limit_validates_input():
     with pytest.raises(ValueError, match="divisor"):
         radial_limit(orbit_elliptic(), (3,))
-    with pytest.raises(ValueError, match="coordinates"):
-        radial_limit(orbit_elliptic(), (0,), base=(0.0,))
-    with pytest.raises(ValueError, match="base value 0"):
-        radial_limit(orbit_elliptic(), (0,), base=(0.5, 0.5))
 
 
 def test_radial_reports_are_deterministic():
@@ -297,7 +267,6 @@ def test_levi_matrix_matches_the_closed_form_at_the_origin():
     # -log(1 - |x + y|^2/4) has Levi (1/4) [[1,1],[1,1]] at the origin.
     report = levi_probe(orbit_hermitian(), (0,), base=(0, 0, 0))
     assert report.psh
-    assert report.clipped == ()
     for a in range(2):
         for b in range(2):
             assert report.matrix[a][b] == pytest.approx(0.25, abs=5e-7)
@@ -315,33 +284,30 @@ def test_levi_spectrum_away_from_the_origin():
 
 
 def test_levi_fibre_direction_is_flat():
-    report = levi_probe(orbit_hermitian(), (0,), base=(0, 0, 0), dirs=[(0, 1, -1)])
-    assert report.clipped == ()
-    assert abs(report.eigenvalues[0]) <= 1e-4
-
-
-def test_levi_clips_directions_leaving_the_stratum():
-    report = levi_probe(orbit_hermitian(), (0,), base=(0, 0, 0), dirs=[(1, 1, 0)])
-    assert report.clipped == (0,)
-    assert report.directions == ((0j, 1 + 0j, 0j),)
-    assert report.eigenvalues[0] == pytest.approx(0.25, abs=1e-6)
+    # the fibre direction (1, -1) of the two free coordinates is a null
+    # direction of the Levi matrix at the origin
+    matrix = np.array(levi_probe(orbit_hermitian(), (0,), base=(0, 0, 0)).matrix)
+    assert np.abs(matrix @ np.array([1.0, -1.0])).max() <= 1e-4
 
 
 def test_levi_rejects_purely_normal_directions():
+    # one generator and one coordinate: the stratum pins every coordinate
+    spec = orbit.orbit_spec(tate_normalize(induce(curve())), {}, n_coords=1)
     with pytest.raises(ValueError, match="tangent"):
-        levi_probe(orbit_hermitian(), (0,), base=(0, 0, 0), dirs=[(1, 0, 0)])
+        levi_probe(spec, (0,))
+
+
+def test_levi_validates_its_base_point():
+    with pytest.raises(ValueError, match="coordinates"):
+        levi_probe(orbit_elliptic(), (0,), base=(0.0,))
+    with pytest.raises(ValueError, match="base value 0"):
+        levi_probe(orbit_elliptic(), (0,), base=(0.5, 0.5))
 
 
 def test_levi_rejects_non_positive_base_values():
     # |x + y| = 2.4 pushes 1 - |x+y|^2/4 below zero.
     with pytest.raises(ValueError, match="not positive"):
         levi_probe(orbit_hermitian(), (0,), base=(0, 1.2, 1.2))
-
-
-def test_levi_respects_the_step_size():
-    coarse = levi_probe(orbit_hermitian(), (0,), base=(0, 0, 0),
-                        cfg=ProbeConfig(fd_step=1e-3))
-    assert coarse.eigenvalues[1] == pytest.approx(0.5, abs=1e-4)
 
 
 def test_levi_is_psh_on_the_varying_fixture_stratum():
@@ -384,15 +350,6 @@ def test_interior_cone_choices_share_the_limit():
     skewed = f_infinity_probe(st, g0 + g0 + g1)
     assert inner.passed and skewed.passed
     assert inner.extrapolated <= 1e-6 and skewed.extrapolated <= 1e-6
-
-
-def test_f_infinity_probe_validates_y_values():
-    st = curve().structure()
-    n = curve().cone.generators[0]
-    with pytest.raises(ValueError, match="positive"):
-        f_infinity_probe(st, n, y_values=(-1.0, 10.0))
-    with pytest.raises(ValueError, match="increasing"):
-        f_infinity_probe(st, n, y_values=(100.0, 10.0))
 
 
 def test_reports_support_truth_testing():
