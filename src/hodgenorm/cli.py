@@ -601,7 +601,7 @@ def cmd_eval(fixture, args):
         })
     else:
         if branch:
-            raise FixtureError("--branch needs --ell (exact mode)")
+            _fail("--branch", "needs --ell (exact mode)")
         _require_floats(fixture)
         for j, x in enumerate(t):
             _require_float((x.re.as_integer_ratio(), x.im.as_integer_ratio()), f"--t[{j}]")
@@ -668,15 +668,12 @@ def suite_isotropy(fixture, args):
                    for x in dict.fromkeys((interior, *data.cone.generators))}
     out = [Check("isotropy.interior-weight-filtration", filtrations[interior] == data.w,
                  "W equals the interior element's weight filtration")]
-    for j, g in enumerate(data.cone.generators):
-        ok, witness = filtrations[g].isotropy(q, 2 * n)
-        out.append(Check(f"isotropy.generator-{j}", ok,
-                         "Q(W_a, W_b) = 0 for a+b < 2n" if ok
+    named = [(f"isotropy.generator-{j}", filtrations[g])
+             for j, g in enumerate(data.cone.generators)]
+    for name, filtration in named + [("isotropy.common-filtration", data.w)]:
+        ok, witness = filtration.isotropy(q, 2 * n)
+        out.append(Check(name, ok, "Q(W_a, W_b) = 0 for a+b < 2n" if ok
                          else f"pairing survives at levels {witness[:2]}"))
-    ok, witness = data.w.isotropy(q, 2 * n)
-    out.append(Check("isotropy.common-filtration", ok,
-                     "Q(W_a, W_b) = 0 for a+b < 2n" if ok
-                     else f"pairing survives at levels {witness[:2]}"))
     for j, g in enumerate(data.cone.generators):
         out.append(Check(f"isotropy.lowering-{j}", data.w.first_escape(g, -2) is None,
                          "N W_l <= W_{l-2}"))

@@ -653,8 +653,7 @@ def _row_from_triples(row, den, width):
     """The row of the given width with (index, re, im) triples over den, as scalars."""
     out = [ZERO] * width
     for j, a, b in row:
-        out[j] = GaussianRational._raw(Fraction(a, den) if a else _FRACTION_ZERO,
-                                       Fraction(b, den) if b else _FRACTION_ZERO)
+        out[j] = _from_ints(a, b, den)
     return out
 
 
@@ -792,14 +791,12 @@ def _dense_rows(form, width):
     return res, ims
 
 
-def _int_rows(rows):
-    """Rows as the int lists of their real and of their imaginary parts."""
-    res, ims = [], []
-    for r in rows:
-        re, im = _dense(((1, _nonzero_ints(r)[0]),), len(r))
-        res.append(re)
-        ims.append(im)
-    return res, ims
+def _int_rows(rows, width):
+    """Rows of scalars, each checked to have `width` entries, as the int
+    lists of their real and of their imaginary parts."""
+    if any(len(r) != width for r in rows):
+        raise ValueError("vector length differs from ambient dimension")
+    return _dense_rows(map(_nonzero_ints, rows), width)
 
 
 def rref(rows):
@@ -811,7 +808,7 @@ def rref(rows):
     Gaussian integers.  The package itself reads its subspaces and inverses
     off `_eliminate` directly; `perfbench/tracer.py` still targets this.
     """
-    res, ims = _int_rows(rows)
+    res, ims = _int_rows(rows, len(rows[0]) if rows else 0)
     pivots = _eliminate(res, ims)
     return tuple(map(_reduced_row, res, ims, pivots)), tuple(pivots)
 
@@ -871,9 +868,7 @@ class Subspace:
 
     def __init__(self, ambient, vectors=()):
         self.ambient = int(ambient)
-        res, ims = _int_rows(vectors)
-        if any(len(re) != self.ambient for re in res):
-            raise ValueError("vector length differs from ambient dimension")
+        res, ims = _int_rows(vectors, self.ambient)
         self._set(res, ims, _eliminate(res, ims))
 
     def _set(self, res, ims, pivots):
@@ -966,9 +961,7 @@ class Subspace:
         return not (any(re) or any(im))
 
     def contains_vector(self, v):
-        (re,), (im,) = _int_rows([v])
-        if len(re) != self.ambient:
-            raise ValueError("vector length differs from ambient dimension")
+        (re,), (im,) = _int_rows([v], self.ambient)
         return self._holds(re, im)
 
     def contains(self, other: "Subspace"):

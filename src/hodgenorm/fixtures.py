@@ -13,8 +13,10 @@ from fractions import Fraction
 
 from .exactlin import Mat, Subspace, qi, vec
 from .filtrations import DecreasingFiltration, IncreasingFiltration, weight_filtration
-from .induced import PureHodgeData
+from .induced import PureHodgeData, induce, induced_endomorphism, tate_normalize
+from .lie import lie_algebra, lie_deligne_split
 from .mhs import MixedHodge, NilpotentCone
+from .orbit import orbit_spec
 
 
 def elliptic():
@@ -251,6 +253,13 @@ def _embed(local, offset, ambient):
     return vec(out)
 
 
+def _place(rows, block, offset):
+    """Copy a square block into rows, its corner at (offset, offset)."""
+    for i, block_row in enumerate(block):
+        for j, value in enumerate(block_row):
+            rows[offset + i][offset + j] = value
+
+
 def _glue(blocks, weight, split_cone=False):
     """Direct-sum block data into one PureHodgeData of the given weight.
 
@@ -266,20 +275,15 @@ def _glue(blocks, weight, split_cone=False):
     pieces = []
     offset = 0
     for b in blocks:
-        d = b["dim"]
-        for i in range(d):
-            for j in range(d):
-                q_rows[offset + i][offset + j] = b["q"][i][j]
+        _place(q_rows, b["q"], offset)
         for lvl, vectors in b["f"].items():
             f_gens.setdefault(lvl, []).extend(
                 _embed(v, offset, total) for v in vectors)
         if b["n"] is not None:
             n_rows = [[0] * total for _ in range(total)]
-            for i in range(d):
-                for j in range(d):
-                    n_rows[offset + i][offset + j] = b["n"][i][j]
+            _place(n_rows, b["n"], offset)
             pieces.append(Mat(n_rows))
-        offset += d
+        offset += b["dim"]
     q = Mat(q_rows)
     if split_cone:
         gens = pieces
@@ -395,9 +399,6 @@ def curve():
 
 def _induced_slots(v, exponents, wanted, scale=1):
     """dΛ-images of chosen Lie layer elements of the input structure."""
-    from .lie import lie_algebra, lie_deligne_split
-    from .induced import induced_endomorphism
-
     split = lie_deligne_split(lie_algebra(v.q), v.structure())
     return [scale * induced_endomorphism(split.slot_matrices(p, q)[idx], exponents)
             for (p, q, idx) in wanted]
@@ -410,9 +411,6 @@ def orbit_elliptic():
     Hand values: h-tilde, the stratum values, and the limit norm are all
     identically 1, and the frame is exp((ell + t_1) N) on the nose.
     """
-    from .induced import induce, tate_normalize
-    from .orbit import orbit_spec
-
     h = tate_normalize(induce(curve()))
     n_op = h.cone.generators[0]
     return orbit_spec(h, {(0,): {(0, 1): n_op}}, n_coords=2)
@@ -427,9 +425,6 @@ def orbit_weight_one(split_cone=False):
     With `split_cone` two pieces degenerate separately, the cone has two
     generators, and the twist rides the deepest stratum only.
     """
-    from .induced import induce, tate_normalize
-    from .orbit import orbit_spec
-
     v = weight_one(2 if split_cone else 1, split_cone=split_cone)
     h = tate_normalize(induce(v))
     if split_cone:
@@ -443,9 +438,6 @@ def orbit_weight_one(split_cone=False):
 @functools.lru_cache(maxsize=None)
 def orbit_pair():
     """Two-generator orbit on Λ² of the curve pair (dimension 6)."""
-    from .induced import induce, tate_normalize
-    from .orbit import orbit_spec
-
     h = tate_normalize(induce(curve_pair()))
     total = h.cone.element((1, 1))
     return orbit_spec(h, {(0, 1): {(0, 0, 1): total}}, n_coords=3)
@@ -460,9 +452,6 @@ def orbit_varying():
     does not commute with N (making the conjugated and plain twists differ),
     while the divisor part commutes as required.
     """
-    from .induced import induce, tate_normalize
-    from .orbit import orbit_spec
-
     v = weight_two(1)
     h = tate_normalize(induce(v))
     f_move, f_skew, f_deep = _induced_slots(
@@ -483,9 +472,6 @@ def orbit_hermitian():
     non-constant positive function of the two transverse coordinates — it
     depends only on their sum, making (1, -1) a flat direction.
     """
-    from .induced import induce, tate_normalize
-    from .orbit import orbit_spec
-
     v = weight_one(2)
     h = tate_normalize(induce(v))
     (f_t,) = _induced_slots(v, h.factor_exponents, [(-1, 1, 0)],

@@ -33,6 +33,7 @@ triples of the factors' rows.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from bisect import bisect_left
@@ -267,7 +268,7 @@ def induce(v: PureHodgeData) -> InducedStructure:
     w_v = v.weight
     exponents = _factor_exponents(v)
     if not exponents:
-        raise ValueError("every filtration level above the middle is empty")
+        raise ValueError("f: every filtration level above the middle is empty")
     size = induced_dimension(v)
     if size > MAX_INDUCED_DIM:
         raise ValueError(f"f: the induced structure would have dimension {size}, "
@@ -314,16 +315,8 @@ def tate_normalize(ind: InducedStructure) -> InducedStructure:
     k = ind.weight - top
     if k == 0:
         return ind
-    out = InducedStructure(
-        weight=ind.weight - 2 * k,
-        twist=ind.twist + k,
-        q=ind.q,
-        f=ind.f.shift(k),
-        w=ind.w.shift(2 * k),
-        cone=ind.cone,
-        factor_exponents=ind.factor_exponents,
-        bigraded=ind.bigraded,
-    )
+    out = dataclasses.replace(ind, weight=ind.weight - 2 * k, twist=ind.twist + k,
+                              f=ind.f.shift(k), w=ind.w.shift(2 * k))
     if out.f.at(out.weight).dim != 1:
         raise ArithmeticError("normalization did not leave a line on top")
     return out

@@ -31,6 +31,7 @@ from .exactlin import (
     ONE,
     Subspace,
     GaussianRational,
+    _coerce,
     commutator,
     gauss_sqrt,
     nilpotent_exp,
@@ -374,6 +375,8 @@ def rescale_cone(spec: OrbitSpec, factors) -> OrbitSpec:
 # matrix, pair(u, v) = Q(u, conj v), real(), is_zero() and scalar(x, what).
 # Matrices multiply with @ and scale as scalar * matrix.  pair() and exp()
 # keep each kit's own order of operations: float results depend on it.
+# twist_terms() is the one walk over the twist table `coeffs`: zeta_log and
+# stratum_frame both read it.
 # Every matrix exponentiated here strictly lowers the grade p of the splitting
 # frame (sums of the N_j and of the that_I f_I, and theta f theta^-1 with theta
 # unipotent in p; orbit_spec verifies the generators and coefficients), so
@@ -394,10 +397,10 @@ def check_interior(kit, t, remedy=""):
             raise ValueError(f"coordinate {j} is zero where a log is required{remedy}")
 
 
-def check_ell(kit, ell):
+def check_ell(kit, ell, count, which=""):
     ell = tuple(ell)
-    if len(ell) != kit.k:
-        raise ValueError(f"expected {kit.k} ell-values, got {len(ell)}")
+    if len(ell) != count:
+        raise ValueError(f"expected {count} ell-values{which}, got {len(ell)}")
     return tuple(kit.scalar(x, "ell-values") for x in ell)
 
 
@@ -462,16 +465,25 @@ def divisor_product(kit, idx, t):
     return that
 
 
-def zeta_log(kit, t):
-    """log zeta(t) = sum_I that_I * f_I(t)."""
-    out = kit.zeros
+def twist_terms(kit, t, stratum=frozenset()):
+    """(I, that_I, f_I(t)) for every index set I of the twist table that
+    contains `stratum`, skipping the terms where that_I or f_I(t) is zero."""
     for idx, poly in kit.coeffs.items():
+        if not stratum <= idx:
+            continue
         that = divisor_product(kit, idx, t)
         if not that:
             continue
         val = twist_at(kit, poly, t)
         if not kit.is_zero(val):
-            out = out + that * val
+            yield idx, that, val
+
+
+def zeta_log(kit, t):
+    """log zeta(t) = sum_I that_I * f_I(t)."""
+    out = kit.zeros
+    for _, that, val in twist_terms(kit, t):
+        out = out + that * val
     return out
 
 
@@ -491,15 +503,7 @@ def stratum_frame(kit, stratum, t, ell):
     surviving that_I f_I, each conjugated by theta outside I, times theta of
     the live divisor coordinates.  `ell` is indexed by divisor coordinate."""
     log_hat = kit.zeros
-    for idx, poly in kit.coeffs.items():
-        if not stratum <= idx:
-            continue
-        that = divisor_product(kit, idx, t)
-        if not that:
-            continue
-        val = twist_at(kit, poly, t)
-        if kit.is_zero(val):
-            continue
+    for idx, that, val in twist_terms(kit, t, stratum):
         outside = [j for j in range(kit.k) if j not in idx]
         if outside:  # else theta is I
             th = cone_exp(kit, ((ell[j], kit.gens[j]) for j in outside))
@@ -542,10 +546,9 @@ def cross_term(kit, zeta_hat, powers):
 
 
 def _exact_scalar(x, what):
-    if isinstance(x, GaussianRational):
+    x = _coerce(x)
+    if x is not NotImplemented:
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
     raise TypeError(f"{what} must be exact (int, Fraction, or GaussianRational); "
                     "floating-point sweeps live in the probe module")
 
@@ -615,7 +618,7 @@ def eval_frame(spec: OrbitSpec, t, ell, branch=None) -> OrbitFrame:
     kit = _Exact(spec)
     t = check_point(kit, t)
     check_interior(kit, t, "; use stratum_value instead")
-    ell = check_ell(kit, ell)
+    ell = check_ell(kit, ell, kit.k)
     if branch is not None:
         branch = _branch_shifts(branch, spec.k, "divisor coordinate")
         ell = tuple(e + GaussianRational(b) for e, b in zip(ell, branch))
@@ -657,15 +660,11 @@ def stratum_value(spec: OrbitSpec, stratum, t=None, ell=None, branch=None) -> Fr
     if live:
         if ell is None:
             raise ValueError("surviving divisor coordinates need ell-values")
-        supplied = tuple(ell)
-        if len(supplied) != len(live):
-            raise ValueError(
-                f"expected {len(live)} ell-values for the surviving coordinates, "
-                f"got {len(supplied)}")
+        ell = check_ell(kit, ell, len(live), " for the surviving coordinates")
         branch = _branch_shifts((0,) * len(live) if branch is None else branch,
                                 len(live), "surviving coordinate")
-        for pos, j in enumerate(live):
-            full[j] = _exact_scalar(supplied[pos], f"ell[{pos}]") + branch[pos]
+        for j, e, b in zip(live, ell, branch):
+            full[j] = e + b
     return extended_norm(kit, marker_pairing(kit, stratum_frame(kit, stratum, t, full)))
 
 

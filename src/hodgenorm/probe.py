@@ -149,7 +149,7 @@ def norm_value(spec: orbit.OrbitSpec, t, ell=None) -> float:
     t = orbit.check_point(kit, t)
     orbit.check_interior(kit, t, "; use stratum_norm instead")
     ell = (tuple(_principal_ell(t[j]) for j in range(kit.k)) if ell is None
-           else orbit.check_ell(kit, ell))
+           else orbit.check_ell(kit, ell, kit.k))
     eta = orbit.interior_frame(kit, t, ell)[2]
     return orbit.extended_norm(kit, orbit.marker_pairing(kit, eta))
 
@@ -229,13 +229,14 @@ class LimitReport:
         return self.passed
 
 
+def _non_increasing(values):
+    """Whether each value is at most the one before it, within 1e-15."""
+    return all(b <= a + 1e-15 for a, b in zip(values, values[1:]))
+
+
 def _limit_verdict(deviations, tol):
     """Final deviation within tol, non-increasing over the last three radii."""
-    ok = deviations[-1] <= tol
-    tail = deviations[-3:]
-    for a, b in zip(tail, tail[1:]):
-        ok = ok and b <= a + 1e-15
-    return ok
+    return deviations[-1] <= tol and _non_increasing(deviations[-3:])
 
 
 def _base_point(kit, pinned, base=None):
@@ -247,6 +248,15 @@ def _base_point(kit, pinned, base=None):
         if base[j]:
             raise ValueError(f"coordinate {j} belongs to the stratum; give it base value 0")
     return base
+
+
+def _radial_point(base, coords, r, vec):
+    """`base` with t_i = r exp(i theta_i) at each coordinate i of `coords`,
+    theta_i the matching entry of the angle vector `vec`."""
+    t = list(base)
+    for i, theta in zip(coords, vec):
+        t[i] = r * cmath.exp(1j * theta)
+    return t
 
 
 def _sweep(values_at, angles, target, tol):
@@ -288,10 +298,7 @@ def radial_limit(spec: orbit.OrbitSpec, stratum, tol=1e-6) -> LimitReport:
     target = stratum_norm(spec, stratum, base)
 
     def value(r, vec):
-        t = list(base)
-        for pos, i in enumerate(stratum):
-            t[i] = r * cmath.exp(1j * vec[pos])
-        return norm_value(spec, t)
+        return norm_value(spec, _radial_point(base, stratum, r, vec))
 
     return _sweep(value, angle_vectors(len(stratum)), target, tol)
 
@@ -316,10 +323,7 @@ def term_vanishing(spec: orbit.OrbitSpec, powers, tol=1e-6) -> LimitReport:
               else float(abs(orbit.marker_pairing(kit, orbit.deep_twist(kit, base)))))
 
     def value(r, vec):
-        t = list(base)
-        for j in range(kit.k):
-            t[j] = r * cmath.exp(1j * vec[j])
-        return abs(term_value(spec, powers, t))
+        return abs(term_value(spec, powers, _radial_point(base, range(kit.k), r, vec)))
 
     return _sweep(value, angle_vectors(kit.k), target, tol)
 
@@ -446,8 +450,6 @@ def f_infinity_probe(structure, n_op, tol=1e-6) -> DistanceReport:
     y1, y2 = Y_VALUES[-2:]
     d1, d2 = distances[-2:]
     extrapolated = (y2 * d2 - y1 * d1) / (y2 - y1)
-    ok = extrapolated <= tol
-    for a, b in zip(distances, distances[1:]):
-        ok = ok and b <= a + 1e-15
     return DistanceReport(y_values=Y_VALUES, distances=distances,
-                          extrapolated=extrapolated, tol=tol, passed=ok)
+                          extrapolated=extrapolated, tol=tol,
+                          passed=extrapolated <= tol and _non_increasing(distances))

@@ -1,5 +1,6 @@
 """Command-line layer: fixture codec, commands, suites, exit codes."""
 
+import ast
 import contextlib
 import copy
 import hashlib
@@ -18,7 +19,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hodgenorm import cli, fixtures, lie
+from hodgenorm import cli, fixtures, lie, mhs, orbit
 from hodgenorm.exactlin import GaussianRational, Mat
 from hodgenorm.filtrations import _Filtration, DecreasingFiltration
 from hodgenorm.lie import lie_algebra, LieSplit
@@ -426,10 +427,11 @@ def test_eval_requires_coordinates(capsys):
 
 
 def test_eval_branch_requires_exact_mode(capsys):
-    code, _, err = run(capsys, "eval", DATA / "elliptic.json",
-                       "--t", "1/3", "1/4", "--branch", "1")
-    assert code == 2
-    assert "--branch needs --ell" in err
+    code, out, err = run(capsys, "eval", DATA / "elliptic.json",
+                         "--t", "1/3", "1/4", "--branch", "1")
+    # FIELD_PATH matches no option name, so the whole message stands in for it
+    assert (code, out) == (2, "")
+    assert err == "error: --branch: needs --ell (exact mode)\n"
 
 
 def test_eval_bad_coordinate_token(capsys):
@@ -1507,3 +1509,171 @@ def test_an_input_with_an_empty_symmetry_algebra_runs_clean(command, tmp_path, c
     path = tmp_path / "point.json"
     path.write_text(dump_document(EMPTY_ALGEBRA_DOC))
     assert run(capsys, command, path) == (0, EMPTY_ALGEBRA[command], "")
+
+
+def test_induce_refuses_an_input_with_no_level_above_the_middle(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(dump_document(EMPTY_ALGEBRA_DOC))
+    code, out, err = run(capsys, "induce", path)
+    assert (code, out) == (2, "")
+    assert FIELD_PATH.match(err), err
+    assert err == "error: f: every filtration level above the middle is empty\n"
+
+
+# -- the kind of every check ---------------------------------------------------------
+#
+# Every name `check` prints, with its generator or shift index stripped, has
+# one kind: INPUT, a loadable input fails it, in the test named; DEFECT, only
+# a seeded code defect fails it, in the test named; or LOADER, the loader
+# refuses with the message given every input that would fail it.  A name
+# missing here fails test_every_check_name_has_a_kind.
+
+INPUT, DEFECT, LOADER = "input", "defect", "loader"
+CHECK_KINDS = {
+    "symmetries.pairing-symmetry": (LOADER, "q: pairing must be (-1)^n-symmetric"),
+    "symmetries.pairing-nondegenerate": (LOADER, "q: pairing is degenerate"),
+    "symmetries.filtration-orthogonality":
+        (INPUT, "test_cli.py::test_every_direct_sum_defect_is_reported_under_direct_sum"),
+    "symmetries.conjugate-dimensions":
+        (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "symmetries.direct-sum":
+        (INPUT, "test_cli.py::test_a_splitting_whose_pieces_are_not_a_basis_fails_direct_sum"),
+    "isotropy.interior-weight-filtration":
+        (INPUT, "test_cli.py::test_check_fails_on_a_tampered_weight_filtration"),
+    "isotropy.generator": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "isotropy.common-filtration":
+        (INPUT, "test_cli.py::test_isotropy_witness_names_the_largest_partner_level"),
+    "isotropy.lowering": (INPUT, "test_cli.py::test_check_fails_on_a_tampered_weight_filtration"),
+    "bracket.isometry-algebra":
+        (DEFECT, "test_cli.py::test_a_seeded_split_defect_fails_a_bracket_self_check"),
+    # loader-accepted fuzz mutations of pair fail these two there
+    "bracket.layer-sum": (INPUT, "test_cli.py::test_action_check_agrees_with_the_images_reference"),
+    "bracket.bracket-compatibility":
+        (INPUT, "test_cli.py::test_action_check_agrees_with_the_images_reference"),
+    "bracket.action-compatibility":
+        (DEFECT, "test_cli.py::test_a_seeded_split_defect_fails_a_bracket_self_check"),
+    "bracket.cone-containment": (
+        INPUT, "test_lie.py::test_a_cone_generator_outside_the_corner_layer_fails_in_both_coordinates"),
+    "bracket.applicability": (INPUT, "test_cli.py::test_check_fails_on_a_tampered_weight_filtration"),
+    "monodromy.orbit-data": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
+    "monodromy.shift": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "monodromy.unipotent-frame":
+        (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "limits.orbit-data": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
+    "limits.radial": (INPUT, "test_cli.py::test_a_first_order_twist_fails_the_limits_at_a_tight_tol"),
+    "limits.term": (INPUT, "test_cli.py::test_a_first_order_twist_fails_the_limits_at_a_tight_tol"),
+    "levels.orbit-data": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
+    "levels.generator": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "psh.levi": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
+}
+# names printed only on `skip` lines, for a suite that did not run: no input
+# passes or fails them
+SKIP_ONLY = {"isotropy.weight-filtrations", "monodromy.branch-shifts", "levels.generators"}
+# pure weight 1: each pairing fails its check, and the loader refuses it first
+LOADER_PAIRINGS = {"symmetries.pairing-symmetry": [["0", "1"], ["1", "0"]],
+                   "symmetries.pairing-nondegenerate": [["0", "0"], ["0", "0"]]}
+
+
+def _kind_name(name):
+    """A check name without its generator or shift index."""
+    return re.sub(r"-[-\d,]+$", "", name)
+
+
+def printed_checks(capsys, path, *options):
+    """(status, name without index) for every check line `check` prints."""
+    _, out, _ = run(capsys, "check", path, *options)
+    return {(status, _kind_name(name))
+            for status, name, _ in (line.split("  ", 2) for line in out.splitlines()[:-1])}
+
+
+def test_every_check_name_has_a_kind(tmp_path, capsys):
+    paths = [DATA / name for name in SHIPPED]
+    for name, doc in (("weight-one-0.json", fixture_document(fixtures.weight_one(0))),
+                      ("point.json", EMPTY_ALGEBRA_DOC)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(dump_document(doc))
+    printed = set().union(*(printed_checks(capsys, path) for path in paths))
+    ran = {name for status, name in printed if status != "skip"}
+    assert ran - CHECK_KINDS.keys() == set()
+    assert {name for _, name in printed} - ran == SKIP_ONLY
+    tests = {path.name: {node.name for node in ast.parse(path.read_text()).body
+                         if isinstance(node, ast.FunctionDef)}
+             for path in ROOT.joinpath("tests").glob("test_*.py")}
+    for check, (kind, where) in CHECK_KINDS.items():
+        if kind == LOADER:
+            doc = elliptic_doc()
+            doc.pop("markers")
+            doc.update(q=LOADER_PAIRINGS[check], cone=[], n_coords=0, zeta={})
+            path = tmp_path / "pairing.json"
+            path.write_text(dump_document(doc))
+            assert run(capsys, "check", path) == (2, "", f"error: {where}\n"), check
+        else:
+            module, _, test = where.partition("::")
+            assert kind in (INPUT, DEFECT) and test in tests[module], check
+
+
+def test_a_first_order_twist_fails_the_limits_at_a_tight_tol(tmp_path, capsys):
+    # varying's t_0 f_skew term at power 0 moves h at first order in t_0, so
+    # its radial deviation at r = 1e-8 is near 1e-9, and rounding leaves the
+    # cross term near 1e-16
+    doc = json.loads((DATA / "varying.json").read_text())
+    doc["zeta"][""][0]["powers"] = [0, 0]
+    path = tmp_path / "first-order.json"
+    path.write_text(dump_document(doc))
+    assert printed_checks(capsys, path, "--suite", "limits") == {
+        ("pass", "limits.radial"), ("pass", "limits.term")}
+    assert printed_checks(capsys, path, "--suite", "limits", "--tol", "1e-17") == {
+        ("FAIL", "limits.radial"), ("FAIL", "limits.term")}
+
+
+def _lopsided_diamond(monkeypatch):
+    diamond = mhs.DeligneSplitting.diamond
+
+    def lopsided(self):
+        dims = diamond(self)
+        pq = max(key for key in dims if key[0] != key[1])
+        return {**dims, pq: dims[pq] + 1}
+
+    monkeypatch.setattr(mhs.DeligneSplitting, "diamond", lopsided)
+
+
+def _off_centre_filtrations(monkeypatch):
+    build = cli.weight_filtration
+    monkeypatch.setattr(cli, "weight_filtration",
+                        lambda x, center: build(x, center=center - 1))
+
+
+def _doubled_deck_shifts(monkeypatch):
+    deck = orbit.deck_transform
+    monkeypatch.setattr(orbit, "deck_transform",
+                        lambda spec, shifts: deck(spec, [2 * b for b in shifts]))
+
+
+def _doubled_frame(monkeypatch):
+    frame = orbit.interior_frame
+
+    def doubled(kit, t, ell):
+        theta, zeta, eta = frame(kit, t, ell)
+        return theta, zeta, eta + eta
+
+    monkeypatch.setattr(orbit, "interior_frame", doubled)
+
+
+def _raised_marker_levels(monkeypatch):
+    level = orbit.level
+    monkeypatch.setattr(orbit, "level", lambda v, w: level(v, w) + 1)
+
+
+SEEDED_DEFECTS = {"symmetries.conjugate-dimensions": _lopsided_diamond,
+                  "isotropy.generator": _off_centre_filtrations,
+                  "monodromy.shift": _doubled_deck_shifts,
+                  "monodromy.unipotent-frame": _doubled_frame,
+                  "levels.generator": _raised_marker_levels}
+
+
+@pytest.mark.parametrize("check", sorted(SEEDED_DEFECTS))
+def test_a_seeded_defect_fails_an_exact_self_check(check, monkeypatch, capsys):
+    suite = ("--suite", check.partition(".")[0])
+    assert ("FAIL", check) not in printed_checks(capsys, DATA / "varying.json", *suite)
+    SEEDED_DEFECTS[check](monkeypatch)
+    assert ("FAIL", check) in printed_checks(capsys, DATA / "varying.json", *suite)

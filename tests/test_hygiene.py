@@ -1,5 +1,6 @@
 """Source hygiene that a linter would check: every import is used, and
-every function in the package has a caller outside the tests.
+every function in the package has a caller outside the tests.  Also the
+count of code lines that `tools/code_lines.py` reports.
 
 Deleting code tends to leave its imports behind.  Each module under
 src/hodgenorm must use every name it imports; an import kept on purpose
@@ -14,6 +15,8 @@ the tests pin.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -124,3 +127,34 @@ def test_every_function_has_a_caller_outside_the_tests():
         if not used:
             unused.append(f"{module}.{name}")
     assert not unused, f"only tests call {unused}"
+
+
+# two docstrings, a comment-only line, blank lines and a trailing comment;
+# a multi-line string that is not a docstring counts in full
+SNIPPET = '''\
+"""A module docstring
+over two lines."""
+
+import os  # a trailing comment leaves a code line
+
+# a comment-only line
+
+
+class Box:
+    """A class docstring."""
+
+    def size(self):
+        """A function
+        docstring."""
+        text = """a string that
+is not a docstring"""
+        return len(text) + len(os.sep)
+'''
+
+
+def test_code_lines_counts_neither_blanks_nor_comments_nor_docstrings(tmp_path):
+    (tmp_path / "snippet.py").write_text(SNIPPET, encoding="utf-8")
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout == "     6  snippet.py\n     6  total\n"
