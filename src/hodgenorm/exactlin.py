@@ -61,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
-from math import factorial, gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 from operator import or_
 
 
@@ -430,12 +430,9 @@ class Mat:
         n = self.nrows
         if not n:
             return ONE
-        res, ims, scale = [], [], 1
-        for row, d in self.int_form():
-            re, im = _dense(((1, row),), n)
-            res.append(re)
-            ims.append(im)
-            scale *= d
+        form = self.int_form()
+        res, ims = _dense_rows(form, n)
+        scale = prod(d for _, d in form)
         sign = 1
         pr, pi = 1, 0  # the previous pivot
         for k in range(n - 1):
@@ -794,6 +791,7 @@ def _dense_rows(form, width):
 def _int_rows(rows, width):
     """Rows of scalars, each checked to have `width` entries, as the int
     lists of their real and of their imaginary parts."""
+    rows = tuple(rows)
     if any(len(r) != width for r in rows):
         raise ValueError("vector length differs from ambient dimension")
     return _dense_rows(map(_nonzero_ints, rows), width)
@@ -808,6 +806,7 @@ def rref(rows):
     Gaussian integers.  The package itself reads its subspaces and inverses
     off `_eliminate` directly; `perfbench/tracer.py` still targets this.
     """
+    rows = tuple(rows)
     res, ims = _int_rows(rows, len(rows[0]) if rows else 0)
     pivots = _eliminate(res, ims)
     return tuple(map(_reduced_row, res, ims, pivots)), tuple(pivots)

@@ -1525,8 +1525,9 @@ def test_induce_refuses_an_input_with_no_level_above_the_middle(tmp_path, capsys
 # Every name `check` prints, with its generator or shift index stripped, has
 # one kind: INPUT, a loadable input fails it, in the test named; DEFECT, only
 # a seeded code defect fails it, in the test named; or LOADER, the loader
-# refuses with the message given every input that would fail it.  A name
-# missing here fails test_every_check_name_has_a_kind.
+# refuses with the message given every input that would fail it, a message
+# test_structure_errors_start_with_their_field asserts.  A name missing here
+# fails test_every_check_name_has_a_kind.
 
 INPUT, DEFECT, LOADER = "input", "defect", "loader"
 CHECK_KINDS = {
@@ -1535,12 +1536,12 @@ CHECK_KINDS = {
     "symmetries.filtration-orthogonality":
         (INPUT, "test_cli.py::test_every_direct_sum_defect_is_reported_under_direct_sum"),
     "symmetries.conjugate-dimensions":
-        (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+        (DEFECT, "test_cli.py::test_a_seeded_defect_fails_a_self_check"),
     "symmetries.direct-sum":
         (INPUT, "test_cli.py::test_a_splitting_whose_pieces_are_not_a_basis_fails_direct_sum"),
     "isotropy.interior-weight-filtration":
         (INPUT, "test_cli.py::test_check_fails_on_a_tampered_weight_filtration"),
-    "isotropy.generator": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "isotropy.generator": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_a_self_check"),
     "isotropy.common-filtration":
         (INPUT, "test_cli.py::test_isotropy_witness_names_the_largest_partner_level"),
     "isotropy.lowering": (INPUT, "test_cli.py::test_check_fails_on_a_tampered_weight_filtration"),
@@ -1556,22 +1557,20 @@ CHECK_KINDS = {
         INPUT, "test_lie.py::test_a_cone_generator_outside_the_corner_layer_fails_in_both_coordinates"),
     "bracket.applicability": (INPUT, "test_cli.py::test_check_fails_on_a_tampered_weight_filtration"),
     "monodromy.orbit-data": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
-    "monodromy.shift": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "monodromy.shift": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_a_self_check"),
     "monodromy.unipotent-frame":
-        (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+        (DEFECT, "test_cli.py::test_a_seeded_defect_fails_a_self_check"),
     "limits.orbit-data": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
-    "limits.radial": (INPUT, "test_cli.py::test_a_first_order_twist_fails_the_limits_at_a_tight_tol"),
-    "limits.term": (INPUT, "test_cli.py::test_a_first_order_twist_fails_the_limits_at_a_tight_tol"),
+    "limits.radial":
+        (INPUT, "test_cli.py::test_a_first_order_twist_fails_the_radial_limit_at_a_tight_tol"),
+    "limits.term": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_a_self_check"),
     "levels.orbit-data": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
-    "levels.generator": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_an_exact_self_check"),
+    "levels.generator": (DEFECT, "test_cli.py::test_a_seeded_defect_fails_a_self_check"),
     "psh.levi": (INPUT, "test_cli.py::test_failed_orbit_build_is_reported_by_every_suite"),
 }
 # names printed only on `skip` lines, for a suite that did not run: no input
 # passes or fails them
 SKIP_ONLY = {"isotropy.weight-filtrations", "monodromy.branch-shifts", "levels.generators"}
-# pure weight 1: each pairing fails its check, and the loader refuses it first
-LOADER_PAIRINGS = {"symmetries.pairing-symmetry": [["0", "1"], ["1", "0"]],
-                   "symmetries.pairing-nondegenerate": [["0", "0"], ["0", "0"]]}
 
 
 def _kind_name(name):
@@ -1599,31 +1598,29 @@ def test_every_check_name_has_a_kind(tmp_path, capsys):
     tests = {path.name: {node.name for node in ast.parse(path.read_text()).body
                          if isinstance(node, ast.FunctionDef)}
              for path in ROOT.joinpath("tests").glob("test_*.py")}
+    refusals = {message for _, _, message in STRUCTURE_ERRORS}
     for check, (kind, where) in CHECK_KINDS.items():
         if kind == LOADER:
-            doc = elliptic_doc()
-            doc.pop("markers")
-            doc.update(q=LOADER_PAIRINGS[check], cone=[], n_coords=0, zeta={})
-            path = tmp_path / "pairing.json"
-            path.write_text(dump_document(doc))
-            assert run(capsys, "check", path) == (2, "", f"error: {where}\n"), check
+            assert where in refusals, check
         else:
             module, _, test = where.partition("::")
             assert kind in (INPUT, DEFECT) and test in tests[module], check
 
 
-def test_a_first_order_twist_fails_the_limits_at_a_tight_tol(tmp_path, capsys):
+def test_a_first_order_twist_fails_the_radial_limit_at_a_tight_tol(tmp_path, capsys):
     # varying's t_0 f_skew term at power 0 moves h at first order in t_0, so
-    # its radial deviation at r = 1e-8 is near 1e-9, and rounding leaves the
-    # cross term near 1e-16
+    # its radial deviation at r = 1e-8 is near 1e-9, where varying's own is 0
+    limits = ("--suite", "limits", "--tol", "1e-10")
+    assert printed_checks(capsys, DATA / "varying.json", *limits) == {
+        ("pass", "limits.radial"), ("pass", "limits.term")}
     doc = json.loads((DATA / "varying.json").read_text())
     doc["zeta"][""][0]["powers"] = [0, 0]
     path = tmp_path / "first-order.json"
     path.write_text(dump_document(doc))
     assert printed_checks(capsys, path, "--suite", "limits") == {
         ("pass", "limits.radial"), ("pass", "limits.term")}
-    assert printed_checks(capsys, path, "--suite", "limits", "--tol", "1e-17") == {
-        ("FAIL", "limits.radial"), ("FAIL", "limits.term")}
+    assert printed_checks(capsys, path, *limits) == {
+        ("FAIL", "limits.radial"), ("pass", "limits.term")}
 
 
 def _lopsided_diamond(monkeypatch):
@@ -1664,15 +1661,22 @@ def _raised_marker_levels(monkeypatch):
     monkeypatch.setattr(orbit, "level", lambda v, w: level(v, w) + 1)
 
 
+def _unweighted_cross_term(monkeypatch):
+    cross = orbit.cross_term
+    monkeypatch.setattr(orbit, "cross_term",
+                        lambda kit, zeta_hat, powers: cross(kit, zeta_hat, [0] * len(powers)))
+
+
 SEEDED_DEFECTS = {"symmetries.conjugate-dimensions": _lopsided_diamond,
                   "isotropy.generator": _off_centre_filtrations,
                   "monodromy.shift": _doubled_deck_shifts,
                   "monodromy.unipotent-frame": _doubled_frame,
-                  "levels.generator": _raised_marker_levels}
+                  "levels.generator": _raised_marker_levels,
+                  "limits.term": _unweighted_cross_term}
 
 
 @pytest.mark.parametrize("check", sorted(SEEDED_DEFECTS))
-def test_a_seeded_defect_fails_an_exact_self_check(check, monkeypatch, capsys):
+def test_a_seeded_defect_fails_a_self_check(check, monkeypatch, capsys):
     suite = ("--suite", check.partition(".")[0])
     assert ("FAIL", check) not in printed_checks(capsys, DATA / "varying.json", *suite)
     SEEDED_DEFECTS[check](monkeypatch)

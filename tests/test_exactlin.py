@@ -202,6 +202,12 @@ def test_subspace_checks_every_vector_length():
     assert Subspace(3, [(0, 0, 0)]) == Subspace.zero(3)
 
 
+def test_rows_may_come_from_an_iterator():
+    vs = [vec([1, 0, 1]), vec([0, 1, 0])]
+    assert Subspace(3, (v for v in vs)) == Subspace(3, vs)
+    assert rref(v for v in vs) == rref(vs)
+
+
 def test_dimension_formula():
     rng = random.Random(17)
     for _ in range(20):

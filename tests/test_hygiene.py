@@ -15,8 +15,7 @@ the tests pin.
 
 import ast
 import pathlib
-import subprocess
-import sys
+import runpy
 
 import pytest
 
@@ -152,9 +151,6 @@ is not a docstring"""
 '''
 
 
-def test_code_lines_counts_neither_blanks_nor_comments_nor_docstrings(tmp_path):
-    (tmp_path / "snippet.py").write_text(SNIPPET, encoding="utf-8")
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0
-    assert done.stdout == "     6  snippet.py\n     6  total\n"
+def test_code_lines_counts_neither_blanks_nor_comments_nor_docstrings():
+    tool = runpy.run_path(str(ROOT / "tools" / "code_lines.py"))
+    assert tool["code_lines"](SNIPPET) == 6

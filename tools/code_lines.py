@@ -3,13 +3,11 @@
 A code line is a line that is not blank, not only a comment, and outside
 every module, class and function docstring.
 
-    python tools/code_lines.py            # src/hodgenorm
-    python tools/code_lines.py DIR...     # the .py files directly in each DIR
+    python tools/code_lines.py
 """
 
 import ast
 import pathlib
-import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "hodgenorm"
 
@@ -39,16 +37,14 @@ def code_lines(source):
     return count
 
 
-def main(argv):
-    roots = [pathlib.Path(a) for a in argv] or [PACKAGE]
+def main():
     total = 0
-    for root in roots:
-        for path in sorted(root.glob("*.py")):
-            count = code_lines(path.read_text(encoding="utf-8"))
-            total += count
-            print(f"{count:6d}  {path.name}")
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = code_lines(path.read_text(encoding="utf-8"))
+        total += count
+        print(f"{count:6d}  {path.name}")
     print(f"{total:6d}  total")
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
