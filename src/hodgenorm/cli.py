@@ -8,7 +8,10 @@ deterministic human-readable summary (sorted bigrades, sorted indices) and
 can additionally write a machine-readable JSON report; identical inputs
 produce byte-identical reports.  Exit status: 0 when every check passes,
 1 when a check fails (the first failing invariant is named on stderr), 2
-when the input or an option value is refused, naming the field or option.
+when the input or an option value is refused.  A refusal, here or in the
+library, is a `FixtureError` whose `field` names the field or option at
+fault; `main` catches that type alone, so any other exception is a defect
+and surfaces as a traceback.
 """
 
 import argparse
@@ -26,7 +29,8 @@ from .induced import induce, induced_endomorphism, PureHodgeData, tate_normalize
 from .lie import hermitian_test, lie_algebra, lie_deligne_split, smoothness_test
 # deligne_split stays bound here for callers that reach it through this module
 from .mhs import deligne_split  # noqa: F401
-from .mhs import check_symmetries, DirectSumError, is_infinitesimal_isometry, NilpotentCone
+from .mhs import (check_symmetries, DirectSumError, FixtureError,
+                  is_infinitesimal_isometry, NilpotentCone)
 from .orbit import (
     adapted_basis,
     eval_frame,
@@ -45,14 +49,6 @@ REPORT_TAG = "hodge-report/1"
 SUITES = ("symmetries", "isotropy", "bracket", "monodromy", "limits", "levels", "psh")
 FLOAT_SUITES = {"limits", "psh"}  # the suites that run float probes
 PROBES = ("radial", "terms", "levi", "finf")
-
-
-class FixtureError(ValueError):
-    """A field-addressed problem in a fixture document."""
-
-
-def _fail(path, message):
-    raise FixtureError(f"{path}: {message}")
 
 
 # -- scalar / vector / matrix codec -------------------------------------------
@@ -106,10 +102,10 @@ def _parse_fraction(node, path):
     if isinstance(node, str):
         value = _text_fraction(node, path)
         if value is None:
-            _fail(path, f"bad rational {_echoed(node)}")
+            raise FixtureError(path, f"bad rational {_echoed(node)}")
         return value
     if not _is_int(node):
-        _fail(path, f"expected a rational string, got {type(node).__name__}")
+        raise FixtureError(path, f"expected a rational string, got {type(node).__name__}")
     return _capped(Fraction(node), path)
 
 
@@ -117,9 +113,9 @@ def _text_fraction(text, path):
     """The rational text spells, within the bit cap, or None if it spells
     none; an exponent or integer too long to build is refused unbuilt."""
     if _LONG_EXPONENT.search(text):
-        _fail(path, f"exponent out of range in {_echoed(text)}")
+        raise FixtureError(path, f"exponent out of range in {_echoed(text)}")
     if _LONG_INTEGER.fullmatch(text):
-        _fail(path, _OVER_CAP)
+        raise FixtureError(path, _OVER_CAP)
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -129,7 +125,7 @@ def _text_fraction(text, path):
 
 def _capped(value, path):
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_PART_BITS:
-        _fail(path, _OVER_CAP)
+        raise FixtureError(path, _OVER_CAP)
     return value
 
 
@@ -139,7 +135,7 @@ def _parse_parts(node, path):
         return _parse_fraction(node, path), _NO_PART
     if isinstance(node, list) and len(node) == 2:
         return _parse_fraction(node[0], path + "[0]"), _parse_fraction(node[1], path + "[1]")
-    _fail(path, "expected 'num/den' or a [re, im] pair")
+    raise FixtureError(path, "expected 'num/den' or a [re, im] pair")
 
 
 def _parse_scalar(node, path):
@@ -150,7 +146,7 @@ def _parse_row(node, path, dim):
     """A vector in int form: its nonzero entries as (index, re, im) int
     triples over the lcm of their denominators, and that lcm."""
     if not isinstance(node, list) or len(node) != dim:
-        _fail(path, f"expected a vector of {dim} entries")
+        raise FixtureError(path, f"expected a vector of {dim} entries")
     parts = [(j, *_parse_parts(x, f"{path}[{j}]")) for j, x in enumerate(node) if x != "0"]
     return _scaled_ints([(j, re, im) for j, re, im in parts if re or im])
 
@@ -158,7 +154,7 @@ def _parse_row(node, path, dim):
 def _parse_matrix(node, path, dim):
     """A matrix in int form; its `GaussianRational` rows are built only if read."""
     if not isinstance(node, list) or len(node) != dim:
-        _fail(path, f"expected {dim} rows")
+        raise FixtureError(path, f"expected {dim} rows")
     return Mat._of_ints([_parse_row(row, f"{path}[{i}]", dim) for i, row in enumerate(node)], dim)
 
 
@@ -178,18 +174,18 @@ def _show_matrix(m: Mat):
 
 def _parse_levels(node, path, dim, cls):
     if not isinstance(node, dict) or not node:
-        _fail(path, "expected a non-empty object of level -> spanning vectors")
+        raise FixtureError(path, "expected a non-empty object of level -> spanning vectors")
     gens = {}
     for key, vectors in node.items():
         where = f"{path}.{key}" if len(key) <= MAX_ECHO else f"{path}[{_echoed(key)}]"
         try:
             level = int(key)
         except ValueError:
-            _fail(where, "level keys must be integers")
+            raise FixtureError(where, "level keys must be integers")
         if level in gens:
-            _fail(where, f"a second spelling of level {level}")
+            raise FixtureError(where, f"a second spelling of level {level}")
         if not isinstance(vectors, list):
-            _fail(where, "expected a list of spanning vectors")
+            raise FixtureError(where, "expected a list of spanning vectors")
         gens[level] = [_parse_row(v, f"{where}[{j}]", dim) for j, v in enumerate(vectors)]
     return cls.from_int_rows(dim, gens)
 
@@ -201,33 +197,34 @@ def _show_levels(filtration):
 
 def _parse_zeta(node, path, k, n_coords, dim):
     if not isinstance(node, dict):
-        _fail(path, "expected an object keyed by comma-joined index sets")
+        raise FixtureError(path, "expected an object keyed by comma-joined index sets")
     table = {}
     for key, terms in node.items():
         where = f"{path}[{_echoed(key)}]"
         try:
             idx = frozenset(int(s) for s in key.split(",")) if key else frozenset()
         except ValueError:
-            _fail(where, "keys must be comma-joined divisor indices, '' for the empty set")
+            raise FixtureError(
+                where, "keys must be comma-joined divisor indices, '' for the empty set")
         if not idx <= set(range(k)):
-            _fail(where, "index set reaches outside the divisor coordinates")
+            raise FixtureError(where, "index set reaches outside the divisor coordinates")
         if idx in table:
-            _fail(where, f"a second spelling of the index set {sorted(idx)}")
+            raise FixtureError(where, f"a second spelling of the index set {sorted(idx)}")
         if not isinstance(terms, list):
-            _fail(where, "expected a list of {powers, matrix} terms")
+            raise FixtureError(where, "expected a list of {powers, matrix} terms")
         poly = {}
         for j, term in enumerate(terms):
             at = f"{where}[{j}]"
             if not isinstance(term, dict) or set(term) != {"powers", "matrix"}:
-                _fail(at, "each term needs exactly the keys 'powers' and 'matrix'")
+                raise FixtureError(at, "each term needs exactly the keys 'powers' and 'matrix'")
             powers = term["powers"]
             if (not isinstance(powers, list) or len(powers) != n_coords
                     or not all(_is_int(e) and e >= 0 for e in powers)):
-                _fail(f"{at}.powers", f"expected {n_coords} nonnegative integers")
+                raise FixtureError(f"{at}.powers", f"expected {n_coords} nonnegative integers")
             if any(e > MAX_TWIST_EXPONENT for e in powers):
-                _fail(f"{at}.powers", f"an exponent exceeds {MAX_TWIST_EXPONENT}")
+                raise FixtureError(f"{at}.powers", f"an exponent exceeds {MAX_TWIST_EXPONENT}")
             if tuple(powers) in poly:
-                _fail(f"{at}.powers", f"a second term with powers {powers}")
+                raise FixtureError(f"{at}.powers", f"a second term with powers {powers}")
             poly[tuple(powers)] = _parse_matrix(term["matrix"], f"{at}.matrix", dim)
         table[idx] = poly
     return table
@@ -259,16 +256,7 @@ class Fixture:
     n_coords: int
     expectations: dict
 
-    def markers(self):
-        """The data's markers; undefined ones are refused naming f, whose
-        levels they are read from."""
-        try:
-            return self.data.markers
-        except (ValueError, ArithmeticError) as exc:
-            raise FixtureError(f"f: {exc}") from exc
-
     def orbit(self):
-        self.markers()
         return self._orbit
 
     @cached_property
@@ -278,47 +266,44 @@ class Fixture:
 
 def parse_fixture(doc) -> Fixture:
     if not isinstance(doc, dict):
-        _fail("$", "fixture must be a JSON object")
+        raise FixtureError("$", "fixture must be a JSON object")
     if doc.get("version") != FIXTURE_TAG:
-        _fail("version", f"expected {FIXTURE_TAG!r}, got {doc.get('version')!r}")
+        raise FixtureError("version", f"expected {FIXTURE_TAG!r}, got {doc.get('version')!r}")
     known = {"version", "dim", "weight", "q", "f", "w", "cone", "n_coords",
              "zeta", "markers"}
     for key in sorted(set(doc) - known):
-        _fail(key, "unknown fixture field")
+        raise FixtureError(key, "unknown fixture field")
     for key in ("dim", "weight", "q", "f", "cone"):
         if key not in doc:
-            _fail(key, "required field is missing")
+            raise FixtureError(key, "required field is missing")
     dim = doc["dim"]
     if not _is_int(dim) or dim < 1:
-        _fail("dim", "expected a positive integer")
+        raise FixtureError("dim", "expected a positive integer")
     weight = doc["weight"]
     if not _is_int(weight):
-        _fail("weight", "expected an integer")
+        raise FixtureError("weight", "expected an integer")
 
     q = _parse_matrix(doc["q"], "q", dim)
     f = _parse_levels(doc["f"], "f", dim, DecreasingFiltration)
     w = _parse_levels(doc["w"], "w", dim, IncreasingFiltration) if "w" in doc else None
     if not isinstance(doc["cone"], list):
-        _fail("cone", "expected a list of generator matrices")
+        raise FixtureError("cone", "expected a list of generator matrices")
     generators = [_parse_matrix(g, f"cone[{j}]", dim)
                   for j, g in enumerate(doc["cone"])]
-    try:
-        cone = NilpotentCone(generators, q)
-        data = PureHodgeData(weight=weight, q=q, f=f, cone=cone, w=w)
-    except (ValueError, ArithmeticError) as exc:
-        raise FixtureError(str(exc)) from exc
+    cone = NilpotentCone(generators, q)
+    data = PureHodgeData(weight=weight, q=q, f=f, cone=cone, w=w)
 
     k = len(generators)
     n_coords = doc.get("n_coords", k)
     if not _is_int(n_coords) or n_coords < k:
-        _fail("n_coords", f"expected an integer >= {k}")
+        raise FixtureError("n_coords", f"expected an integer >= {k}")
     zeta = _parse_zeta(doc.get("zeta", {}), "zeta", k, n_coords, dim)
 
     expectations = doc.get("markers", {})
     fixture = Fixture(data=data, zeta=zeta, n_coords=n_coords, expectations=expectations)
     if expectations:
         if not isinstance(expectations, dict):
-            _fail("markers", "expected an object")
+            raise FixtureError("markers", "expected an object")
         _verify_expectations(fixture, expectations)
     return fixture
 
@@ -326,21 +311,21 @@ def parse_fixture(doc) -> Fixture:
 def _verify_expectations(fixture, expectations):
     try:
         markers = fixture.data.markers
-    except (ValueError, ArithmeticError) as exc:
-        raise FixtureError(f"markers: {exc}") from exc
+    except FixtureError as exc:
+        raise FixtureError("markers", exc.message) from exc
     for key in sorted(set(expectations) - {"n", "m", "lam"}):
-        _fail(f"markers.{key}", "unknown marker expectation")
+        raise FixtureError(f"markers.{key}", "unknown marker expectation")
     for key in ("n", "m"):
         if key in expectations and not _is_int(expectations[key]):
-            _fail(f"markers.{key}", "expected an integer")
+            raise FixtureError(f"markers.{key}", "expected an integer")
         if key in expectations and expectations[key] != getattr(markers, key):
-            _fail(f"markers.{key}",
-                  f"fixture says {expectations[key]}, computed {getattr(markers, key)}")
+            raise FixtureError(f"markers.{key}", f"fixture says {expectations[key]}, "
+                                                 f"computed {getattr(markers, key)}")
     if "lam" in expectations:
         lam = _parse_scalar(expectations["lam"], "markers.lam")
         if lam != markers.lam:
-            _fail("markers.lam",
-                  f"fixture says {expectations['lam']}, computed {_abbreviated(markers.lam)}")
+            raise FixtureError("markers.lam", f"fixture says {expectations['lam']}, "
+                                              f"computed {_abbreviated(markers.lam)}")
 
 
 def _abbreviated(x: GaussianRational):
@@ -380,12 +365,11 @@ def load_fixture(path) -> Fixture:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle, parse_int=_json_int)
-    except OSError as exc:
-        raise FixtureError(f"cannot read {path}: {exc}") from exc
+    except (OSError, UnicodeError) as exc:
+        raise FixtureError(path, f"cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+            path, f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return parse_fixture(doc)
 
 
@@ -396,22 +380,23 @@ def _parse_cli_values(tokens, option, count):
     """The values of --t or --ell, one 're' or 're,im' token per coordinate,
     each part checked as a fixture rational is and named option[j]."""
     if len(tokens) != count:
-        _fail(option, f"expected {_counted(count, 'value')}, got {len(tokens)}")
+        raise FixtureError(option, f"expected {_counted(count, 'value')}, got {len(tokens)}")
     values = []
     for j, token in enumerate(tokens):
         path = f"{option}[{j}]"
         parts = token.split(",")
         parts = [_text_fraction(part, path) for part in parts] if len(parts) <= 2 else [None]
         if None in parts:
-            _fail(path, f"bad coordinate {_echoed(token)}: use 're' or 're,im' rationals")
+            raise FixtureError(
+                path, f"bad coordinate {_echoed(token)}: use 're' or 're,im' rationals")
         values.append(GaussianRational(*parts))
     return tuple(values)
 
 
 def _require_branch(branch, k):
     if len(branch) != k:
-        _fail("--branch", f"expected {_counted(k, 'integer')}, one per cone generator, "
-                          f"got {len(branch)}")
+        raise FixtureError("--branch", f"expected {_counted(k, 'integer')}, "
+                                       f"one per cone generator, got {len(branch)}")
     return tuple(branch)
 
 
@@ -421,7 +406,7 @@ def _counted(count, noun):
 
 def _require_tol(tol):
     if not (math.isfinite(tol) and tol > 0):
-        _fail("--tol", f"expected a finite positive number, got {tol!r}")
+        raise FixtureError("--tol", f"expected a finite positive number, got {tol!r}")
 
 
 # -- float range -------------------------------------------------------------------
@@ -434,9 +419,9 @@ def _require_float(parts, path):
     try:
         values = [num / den for num, den in parts]
     except OverflowError:
-        _fail(path, "entry is too large for a double-precision float")
+        raise FixtureError(path, "entry is too large for a double-precision float")
     if any(num and not x for (num, _), x in zip(parts, values)):
-        _fail(path, "entry is too small for a double-precision float")
+        raise FixtureError(path, "entry is too small for a double-precision float")
 
 
 def _require_floats(fixture):
@@ -465,7 +450,7 @@ def _require_floats(fixture):
                 _require_float(((a, re[col]), (b, re[col])), f"f.{p}")
     try:
         markers = data.markers
-    except (ValueError, ArithmeticError):
+    except FixtureError:
         return  # the commands that need markers report why they are undefined
     for name, values in (("e0", markers.e0), ("einf", markers.einf), ("lam", (markers.lam,))):
         for x in values:
@@ -497,7 +482,7 @@ def cmd_diamond(fixture, args):
         markers = data.markers
         lines.append(f"m = {markers.m}")
         report["m"] = markers.m
-    except (ValueError, ArithmeticError):
+    except FixtureError:
         lines.append("m is undefined (top filtration level is not a line)")
         report["m"] = None
     return 0, lines, report
@@ -532,7 +517,7 @@ def cmd_induce(fixture, args):
 
 def cmd_markers(fixture, args):
     data = fixture.data
-    markers = fixture.markers()
+    markers = data.markers
     basis = adapted_basis(data.structure())
     indices = tuple(_proportional_column(basis, v)
                     for v in (markers.e0, markers.einf, markers.ed))
@@ -577,12 +562,13 @@ def cmd_lie(fixture, args):
 
 def cmd_eval(fixture, args):
     if args.t is None:
-        _fail("--t", "eval needs --t with one value per coordinate")
+        raise FixtureError("--t", "eval needs --t with one value per coordinate")
     t = _parse_cli_values(args.t, "--t", fixture.n_coords)
     for j in range(len(fixture.data.cone)):
         if not t[j]:
-            _fail(f"--t[{j}]", "divisor coordinate is zero; eval takes interior points only, "
-                               "where every divisor coordinate is nonzero")
+            raise FixtureError(f"--t[{j}]", "divisor coordinate is zero; eval takes interior "
+                                            "points only, where every divisor coordinate "
+                                            "is nonzero")
     spec = fixture.orbit()
     branch = _require_branch(args.branch, spec.k) if args.branch else None
     report = {"t": [_show_scalar(x) for x in t]}
@@ -601,7 +587,7 @@ def cmd_eval(fixture, args):
         })
     else:
         if branch:
-            _fail("--branch", "needs --ell (exact mode)")
+            raise FixtureError("--branch", "needs --ell (exact mode)")
         _require_floats(fixture)
         for j, x in enumerate(t):
             _require_float((x.re.as_integer_ratio(), x.im.as_integer_ratio()), f"--t[{j}]")
@@ -610,8 +596,8 @@ def cmd_eval(fixture, args):
         with np.errstate(all="ignore"):  # a value out of range is refused below
             value = norm_value(spec, tuple(x.to_complex() for x in t))
         if not math.isfinite(value):
-            _fail("--t", "the float norm leaves double range at this point; "
-                         "give --ell for the exact value")
+            raise FixtureError("--t", "the float norm leaves double range at this point; "
+                                      "give --ell for the exact value")
         lines.append(f"h ~ {value!r}  (principal-branch ell)")
         report.update({"mode": "float", "h": value})
     return 0, lines, report
@@ -747,11 +733,11 @@ def _suite_orbit(fixture, skip_name, failure_name):
         return _skip(skip_name, "fixture has no cone")
     try:
         fixture.data.markers  # raises when the markers are undefined
-    except (ValueError, ArithmeticError) as exc:
-        return _skip(skip_name, f"norm machinery undefined: {exc}")
+    except FixtureError as exc:
+        return _skip(skip_name, f"norm machinery undefined: {exc.message}")
     try:
         return fixture.orbit()
-    except (ValueError, ArithmeticError) as exc:
+    except FixtureError as exc:
         return Check(failure_name, False, str(exc))
 
 
@@ -805,10 +791,7 @@ def suite_levels(fixture, args):
     spec = _suite_orbit(fixture, "levels.generators", "levels.orbit-data")
     if isinstance(spec, Check):
         return [spec]
-    try:
-        report = generator_level_check(spec)
-    except (ValueError, ArithmeticError) as exc:
-        return [Check("levels.orbit-data", False, str(exc))]
+    report = generator_level_check(spec)
     out = []
     for rec in report.per_generator:
         out.append(Check(
@@ -827,7 +810,7 @@ def suite_psh(fixture, args):
     from .probe import levi_probe
     try:
         report = levi_probe(spec, tuple(range(spec.k)), tol=args.tol)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:  # the stratum value is not positive
         return [Check("psh.levi", False, str(exc))]
     eigs = ", ".join(f"{x:.3e}" for x in report.eigenvalues)
     return [Check("psh.levi", report.psh, f"eigenvalues [{eigs}]")]
@@ -855,7 +838,7 @@ def cmd_check(fixture, args):
     for name in names:
         try:
             checks.extend(SUITE_RUNNERS[name](fixture, args))
-        except (ValueError, ArithmeticError) as exc:
+        except FixtureError as exc:
             # the loader accepted the data but the mathematics rejects it
             checks.append(Check(f"{name}.applicability", False, str(exc)))
     lines = []
@@ -883,7 +866,7 @@ def cmd_check(fixture, args):
 def cmd_probe(fixture, args):
     _require_tol(args.tol)
     if not len(fixture.data.cone):
-        _fail("cone", "probe needs a fixture with a nonempty cone")
+        raise FixtureError("cone", "probe needs a fixture with a nonempty cone")
     _require_floats(fixture)
     spec = fixture.orbit()
     from .probe import f_infinity_probe, levi_probe, radial_limit, term_vanishing
@@ -992,7 +975,7 @@ def main(argv=None) -> int:
     try:
         fixture = load_fixture(args.fixture)
         code, lines, report = COMMANDS[args.command](fixture, args)
-    except (ValueError, ArithmeticError) as exc:  # FixtureError is a ValueError
+    except FixtureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in lines:

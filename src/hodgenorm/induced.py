@@ -47,7 +47,7 @@ from .filtrations import (
     level,
     weight_filtration,
 )
-from .mhs import DeligneSplitting, MixedHodge, NilpotentCone
+from .mhs import DeligneSplitting, FixtureError, MixedHodge, NilpotentCone
 
 
 # -- multilinear building blocks ---------------------------------------------
@@ -268,11 +268,11 @@ def induce(v: PureHodgeData) -> InducedStructure:
     w_v = v.weight
     exponents = _factor_exponents(v)
     if not exponents:
-        raise ValueError("f: every filtration level above the middle is empty")
+        raise FixtureError("f", "every filtration level above the middle is empty")
     size = induced_dimension(v)
     if size > MAX_INDUCED_DIM:
-        raise ValueError(f"f: the induced structure would have dimension {size}, "
-                         f"above the bound {MAX_INDUCED_DIM}")
+        raise FixtureError("f", f"the induced structure would have dimension {size}, "
+                                f"above the bound {MAX_INDUCED_DIM}")
 
     a, _, grades = v.split().frame
     gens = list(v.cone.generators)
@@ -339,25 +339,26 @@ def locate_markers(ind: PureHodgeData) -> Markers:
 
     m is the level of the top line inside W; the opposite line is
     W_{2n-m} ∩ F^{2n-m}, which must be one-dimensional.  A record reads
-    these once, through its `markers`.
+    these once, through its `markers`.  Undefined markers are refused as a
+    FixtureError on f, whose levels they are read from.
     """
     n = ind.weight
     top = ind.f.at(n)
     if top.dim != 1:
-        raise ValueError("top filtration level is not a line — normalize first")
+        raise FixtureError("f", "top filtration level is not a line — normalize first")
     e0 = top.basis[0]
     m = level(e0, ind.w)
     if not n <= m <= 2 * n:
-        raise ArithmeticError(f"level {m} of the top line is outside [{n}, {2 * n}]")
+        raise FixtureError("f", f"level {m} of the top line is outside [{n}, {2 * n}]")
     opposite = ind.w.at(2 * n - m).intersect(ind.f.at(2 * n - m))
     if opposite.dim != 1:
-        raise ValueError(
-            f"W_{2 * n - m} ∩ F^{2 * n - m} has dimension {opposite.dim}, not 1")
+        raise FixtureError(
+            "f", f"W_{2 * n - m} ∩ F^{2 * n - m} has dimension {opposite.dim}, not 1")
     einf = opposite.basis[0]
     einf_bar = Mat([einf]).conj()
     s = (Mat([e0]) * ind.q * einf_bar.transpose())[0, 0]
     if not s:
-        raise ArithmeticError("the top and opposite lines do not pair")
+        raise FixtureError("f", "the top and opposite lines do not pair")
     scale = ONE / s
     ed = (einf_bar * scale).rows[0]
     lam = scale.conjugate()

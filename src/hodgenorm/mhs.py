@@ -50,6 +50,18 @@ def i_power(k):
     return (ONE, I, -ONE, -I)[k % 4]
 
 
+class FixtureError(ValueError):
+    """A refusal of input data that names the field at fault.
+
+    `field` is the fixture path or option that is wrong and `message` says
+    how; str() is "field: message".
+    """
+
+    def __init__(self, field, message):
+        super().__init__(f"{field}: {message}")
+        self.field, self.message = field, message
+
+
 @dataclass(frozen=True)
 class MixedHodge:
     """Weight-n mixed structure (W, F) with an optional pairing Q; its
@@ -62,21 +74,20 @@ class MixedHodge:
     q: Mat | None = None
 
     def __post_init__(self):
-        # each message starts with the field at fault, as fixture paths do
         if self.w.ambient != self.f.ambient:
-            raise ValueError("f: W and F live on spaces of different dimension")
+            raise FixtureError("f", "W and F live on spaces of different dimension")
         if not self.w.is_exhaustive():
-            raise ValueError("w: W must reach the full space")
+            raise FixtureError("w", "W must reach the full space")
         if not self.f.is_exhaustive():
-            raise ValueError("f: F must start at the full space")
+            raise FixtureError("f", "F must start at the full space")
         if self.q is not None:
             if self.q.shape != (self.ambient, self.ambient):
-                raise ValueError("q: pairing has the wrong shape")
+                raise FixtureError("q", "pairing has the wrong shape")
             sign = 1 if self.n % 2 == 0 else -1
             if self.q.transpose() != self.q * sign:
-                raise ValueError("q: pairing must be (-1)^n-symmetric")
+                raise FixtureError("q", "pairing must be (-1)^n-symmetric")
             if not self.q.det():
-                raise ValueError("q: pairing is degenerate")
+                raise FixtureError("q", "pairing is degenerate")
 
     @property
     def ambient(self):
@@ -88,7 +99,7 @@ class MixedHodge:
         Every reader of the splitting shares this one instance, the same one
         deligne_split(self) returns, whichever runs first.  The first
         computation checks every defining identity; a structure that fails
-        raises ValueError on every call, since a failed build is not kept.
+        raises FixtureError on every call, since a failed build is not kept.
         """
         return self._split
 
@@ -103,7 +114,7 @@ class MixedHodge:
         return self.f.isotropy(self.q, self.n)
 
 
-class DirectSumError(ValueError):
+class DirectSumError(FixtureError):
     """The bigraded pieces of a structure are not a basis of V."""
 
 
@@ -154,19 +165,19 @@ class DeligneSplitting:
 def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     """Compute the canonical splitting; reject inputs that are not mixed Hodge.
 
-    Every defining identity of the splitting is checked exactly and a
-    ValueError names the first failure, under the field f as MixedHodge's
-    own errors name theirs.  The meets are read off one basis B of V adapted
-    to W: the rows of each step's echelon basis whose pivot is new, in
-    reverse, so W_l is spanned by the last dim W_l rows.  Each step of F and
-    of conj(F) is written in B-coordinates and eliminated once; its echelon
-    rows with pivot at or after n - dim W_l then span its meet with W_l, for
-    every l at once, and each `corr` sum is a union of such rows.  A piece
-    is one Zassenhaus intersection on the last dim W_l coordinates, mapped
-    back through B and spanned once.  The verified splitting is kept on the
-    structure, where MixedHodge.split() reads it: later calls return that
-    same object, and it lives exactly as long as the structure.  A failed
-    build is not kept; pieces that are not a basis of V raise DirectSumError.
+    Every defining identity of the splitting is checked exactly, and a
+    FixtureError on the field f names the first failure.  The meets are
+    read off one basis B of V adapted to W: the rows of each step's echelon
+    basis whose pivot is new, in reverse, so W_l is spanned by the last
+    dim W_l rows.  Each step of F and of conj(F) is written in B-coordinates
+    and eliminated once; its echelon rows with pivot at or after n - dim W_l
+    then span its meet with W_l, for every l at once, and each `corr` sum is
+    a union of such rows.  A piece is one Zassenhaus intersection on the
+    last dim W_l coordinates, mapped back through B and spanned once.  The
+    verified splitting is kept on the structure, where MixedHodge.split()
+    reads it: later calls return that same object, and it lives exactly as
+    long as the structure.  A failed build is not kept; pieces that are not
+    a basis of V raise DirectSumError.
     """
     kept = structure.__dict__.get("_split")
     if kept is not None:
@@ -210,8 +221,8 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     split = DeligneSplitting(n, pieces)
     defect = splitting_defect(structure, split)
     if defect is not None:
-        error = DirectSumError if split.frame is None else ValueError
-        raise error(f"f: not a mixed Hodge structure: {defect}")
+        error = DirectSumError if split.frame is None else FixtureError
+        raise error("f", f"not a mixed Hodge structure: {defect}")
     structure.__dict__["_split"] = split
     return split
 
@@ -321,15 +332,15 @@ class NilpotentCone:
         self.q = q
         for idx, g in enumerate(self.generators):
             if g.is_zero():
-                raise ValueError(f"cone[{idx}]: generator {idx} is zero")
+                raise FixtureError(f"cone[{idx}]", f"generator {idx} is zero")
             if not (g ** g.nrows).is_zero():
-                raise ValueError(f"cone[{idx}]: generator {idx} is not nilpotent")
+                raise FixtureError(f"cone[{idx}]", f"generator {idx} is not nilpotent")
             if q is not None and not is_infinitesimal_isometry(g, q):
-                raise ValueError(f"cone[{idx}]: generator {idx} is not infinitesimally skew")
+                raise FixtureError(f"cone[{idx}]", f"generator {idx} is not infinitesimally skew")
         for i, a in enumerate(self.generators):
             for b in self.generators[i + 1:]:
                 if not commutator(a, b).is_zero():
-                    raise ValueError("cone: generators do not commute")
+                    raise FixtureError("cone", "generators do not commute")
 
     def __len__(self):
         return len(self.generators)
@@ -359,7 +370,7 @@ def cone_compatibility(structure: MixedHodge, cone: NilpotentCone, in_frame=None
     outside W_{l-2} exactly when wt(c) <= l < wt(r) + 2, and F^k outside
     F^{k-1} exactly when p(r) + 1 < k <= p(c).  The detail names the first
     jump, ascending, that `first_escape` finds.  A structure that does not
-    split raises its splitting's ValueError.
+    split raises its splitting's FixtureError.
     """
     split = structure.split()
     grades = split.frame[2]
@@ -423,7 +434,7 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
         return False, "no pairing to polarize"
     try:
         split = structure.split()
-    except ValueError as err:
+    except FixtureError as err:
         return False, str(err)
     n = structure.n
     ok, witness = structure.f_isotropy
@@ -472,6 +483,6 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
         try:
             if not hermitian_positive_definite(gram):
                 return False, f"primitive form on ({p},{q}) is not positive"
-        except (ValueError, ArithmeticError):
+        except ValueError:
             return False, f"primitive form on ({p},{q}) is not Hermitian"
     return True, None

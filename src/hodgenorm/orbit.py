@@ -39,6 +39,7 @@ from .exactlin import (
 from .filtrations import level, weight_filtration
 from .induced import Markers, PureHodgeData
 from .mhs import (
+    FixtureError,
     MixedHodge,
     NilpotentCone,
     i_power,
@@ -96,7 +97,7 @@ def _symmetric_diagonal_basis(q, vectors: Mat) -> Mat:
         else:
             partner = next((j for j in range(1, k) if gram[0, j]), None)
             if partner is None:
-                raise ValueError("f: no compatible basis: the middle layer pairing degenerates")
+                raise FixtureError("f", "no compatible basis: the middle layer pairing degenerates")
             units = [(0, 1, 0), (partner, 1, 0)]
         select = Mat._of_ints([(units, 1)], k)
         v = select * work
@@ -132,9 +133,9 @@ def _middle_block_basis(q, vectors: Mat) -> Mat:
                 unmatched.remove(idx)
                 break
         else:
-            raise ValueError(
-                "f: no compatible basis: no middle-layer pivot has a Gaussian-rational "
-                "square root")
+            raise FixtureError(
+                "f", "no compatible basis: no middle-layer pivot has a Gaussian-rational "
+                     "square root")
     j = 0
     while unmatched:
         a = unmatched.pop(0)
@@ -145,9 +146,9 @@ def _middle_block_basis(q, vectors: Mat) -> Mat:
                 fold = (b, c)
                 break
         if fold is None:
-            raise ValueError(
-                "f: no compatible basis: middle-layer pivots do not fold into hyperbolic pairs "
-                "over the Gaussian rationals")
+            raise FixtureError(
+                "f", "no compatible basis: middle-layer pivots do not fold into hyperbolic pairs "
+                     "over the Gaussian rationals")
         b, c = fold
         unmatched.remove(b)
         h = ONE / (pivots[a] + pivots[a])
@@ -166,8 +167,8 @@ def _dual_pair_normalize(q, kept: Mat, replaced: Mat) -> Mat:
     try:
         correction = (kept * q * replaced.transpose()).inverse()
     except ValueError:
-        raise ValueError(
-            "f: no compatible basis: the pairing degenerates between dual layers") from None
+        raise FixtureError(
+            "f", "no compatible basis: the pairing degenerates between dual layers") from None
     return (correction * _anti_identity(kept.nrows)).transpose() * replaced
 
 
@@ -178,34 +179,34 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
     whose W must be symmetric about n; the splitting layers are sorted by
     descending grade so F comes out as initial segments, dual layers are
     normalized against each other, and the middle layer (when present) is
-    reduced to hyperbolic pairs.  Raises ValueError ("f: no compatible
-    basis: ...", or "w: ..." for asymmetric weights, or the splitting's own
-    error) whenever (F, W, Q) are inconsistent.
+    reduced to hyperbolic pairs.  Raises FixtureError on the field f ("no
+    compatible basis: ..."), on w for asymmetric weights, or the splitting's
+    own, whenever (F, W, Q) are inconsistent.
     """
     n, q = structure.n, structure.q
     jumps = structure.w.jump_levels
     if not jumps or jumps[0] + jumps[-1] != 2 * n:
-        raise ValueError(
-            f"w: no compatible basis: weight levels are not symmetric about {n}")
+        raise FixtureError(
+            "w", f"no compatible basis: weight levels are not symmetric about {n}")
     split = structure.split()
     ok, _ = structure.f_isotropy
     if not ok:
-        raise ValueError(
-            "f: no compatible basis: the pairing does not vanish on opposite filtration levels")
+        raise FixtureError(
+            "f", "no compatible basis: the pairing does not vanish on opposite filtration levels")
 
     pieces = dict(split.pieces)
     blocks = sorted(pieces, key=lambda pq: (-pq[0], -pq[1]))
     for p, qq in blocks:
         anti = (n - p, n - qq)
         if anti not in pieces or pieces[anti].dim != pieces[(p, qq)].dim:
-            raise ValueError("f: no compatible basis: splitting layers are not dually paired")
+            raise FixtureError("f", "no compatible basis: splitting layers are not dually paired")
 
     # Q pairs column k of the splitting frame A only with the columns l of
     # the dual bidegree: cell (k, l) of A^T q A is their pairing
     a, _, grades = split.frame
     if any(grades[k][0] + grades[l][0] != n or grades[k][1] + grades[l][1] != n
            for k, (row, _) in enumerate((a.transpose() * q * a).int_form()) for l, _, _ in row):
-        raise ValueError("f: no compatible basis: the pairing links non-dual splitting layers")
+        raise FixtureError("f", "no compatible basis: the pairing links non-dual splitting layers")
     vectors = {pq: Mat(pieces[pq].basis) for pq in blocks}
 
     for i, bi in enumerate(blocks):
@@ -321,31 +322,32 @@ def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None,
 
     for j, g in enumerate(cone.generators):
         if any(g.apply(markers.einf)):
-            raise ValueError(f"cone[{j}]: generator {j} does not annihilate the opposite marker")
+            raise FixtureError(f"cone[{j}]",
+                               f"generator {j} does not annihilate the opposite marker")
 
     ok, detail = polarization_check(structure.structure(), cone)
     if not ok:
-        raise ValueError(f"cone: does not polarize the limit data: {detail}")
+        raise FixtureError("cone", f"does not polarize the limit data: {detail}")
 
     # the float kit's series are bounded by the p-levels on this premise
     a, a_inv, grades = structure.structure().split().frame
     for j, g in enumerate(cone.generators):
         if not lowers_grade(a_inv * g * a, grades):
-            raise ValueError(
-                f"cone[{j}]: generator {j} does not strictly lower the filtration grade")
+            raise FixtureError(
+                f"cone[{j}]", f"generator {j} does not strictly lower the filtration grade")
 
     coeffs = _canonical_coeffs(zeta_coeffs, k, n_coords, structure.dim)
     for idx, poly in coeffs.items():
         key = ",".join(map(str, sorted(idx)))
         for expo, coeff in poly.items():
-            where = f"zeta[{key!r}]: f_{sorted(idx)} at exponent {expo}"
+            field, term = f"zeta[{key!r}]", f"f_{sorted(idx)} at exponent {expo}"
             if not is_infinitesimal_isometry(coeff, structure.q):
-                raise ValueError(f"{where} is not an infinitesimal isometry of the pairing")
+                raise FixtureError(field, f"{term} is not an infinitesimal isometry of the pairing")
             if not lowers_grade(a_inv * coeff * a, grades):
-                raise ValueError(f"{where} does not strictly lower the filtration grade")
+                raise FixtureError(field, f"{term} does not strictly lower the filtration grade")
             for j in sorted(idx):
                 if not commutator(coeff, cone.generators[j]).is_zero():
-                    raise ValueError(f"{where} does not commute with generator {j}")
+                    raise FixtureError(field, f"{term} does not commute with generator {j}")
 
     return OrbitSpec(structure=structure, markers=markers, basis=basis,
                      cone=cone, n_coords=n_coords, zeta_coeffs=coeffs)

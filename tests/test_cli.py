@@ -247,7 +247,8 @@ def _pairing(rows):
     return mutate
 
 
-# One case per message MixedHodge raises on fixture data; each names its field.
+# One case per message MixedHodge raises on fixture data, and one per marker
+# refusal that the loader reports under markers; each names its field.
 STRUCTURE_ERRORS = [
     ("pair.json", _drop_level("w", "4"), "w: W must reach the full space"),
     ("pair.json", _drop_level("f", "0"), "f: F must start at the full space"),
@@ -265,6 +266,12 @@ STRUCTURE_ERRORS = [
         ["0", "0", "0", "1", "0", "0"], ["0"] * 6, ["1", "0", "0", "0", "0", "0"],
         ["0"] * 6, ["0"] * 6, ["0"] * 6]),
      "cone: generators do not commute"),
+    # the marker expectations make the loader build the markers
+    ("pair.json", lambda doc: doc["w"]["0"][0].__setitem__(1, "1e400"),
+     "markers: the top and opposite lines do not pair"),
+    ("elliptic.json", _drop_level("f", "1"),
+     "markers: top filtration level is not a line — normalize first"),
+    ("elliptic.json", _drop_level("w", "0"), "markers: W_0 ∩ F^0 has dimension 0, not 1"),
 ]
 
 
@@ -684,6 +691,14 @@ def test_missing_file_is_a_parse_error(capsys):
     assert "cannot read" in err
 
 
+def test_a_file_that_is_not_utf8_is_refused_naming_its_path(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"version": "hodge-fixture/1", "dim": "\xff"}')
+    code, _, err = run(capsys, "diamond", path)
+    assert code == 2
+    assert err.startswith(f"error: {path}: cannot read: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"version": "hodge-fixture/1", "dim": 2\n')
@@ -790,6 +805,26 @@ def test_failed_orbit_build_is_reported_by_every_suite(tmp_path, monkeypatch, ca
     assert len(calls) == 4  # a failed build is not cached
 
 
+def _divides_by_zero(spec):
+    return 1 / 0
+
+
+def _raises_without_a_field(spec):
+    raise ValueError("no field")
+
+
+@pytest.mark.parametrize("defect, error", [(_divides_by_zero, ZeroDivisionError),
+                                           (_raises_without_a_field, ValueError)],
+                         ids=["zero-division", "value-error"])
+def test_a_seeded_code_defect_in_a_suite_raises_out_of_main(defect, error, monkeypatch, capsys):
+    # only a FixtureError is a refusal: any other exception inside a suite is
+    # a defect, not a failed invariant or an exit 2
+    monkeypatch.setattr(cli, "generator_level_check", defect)
+    with pytest.raises(error):
+        main(["check", str(DATA / "elliptic.json"), "--suite", "levels"])
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("name, builds", [
     ("elliptic", 1), ("varying", 1), ("hermitian", 1), ("a1", 1), ("pair", 3)])
 def test_isotropy_builds_one_weight_filtration_per_distinct_cone_element(name, builds,
@@ -891,10 +926,13 @@ def _mutated(doc, path, kind, value):
 @example(site=("elliptic.json", ("zeta",)), kind="swap", value={LONG_KEY: []}, command="diamond")
 @example(site=("elliptic.json", ("zeta", "0", 0, "powers")), kind="swap", value=[0, 100000],
          command="check")
+# every command that takes no option; eval is left out, since its --t count
+# follows the mutated n_coords and FIELD_PATH matches no option name
 @given(site=st.sampled_from(FUZZ_SITES),
        kind=st.sampled_from(["swap", "drop", "add", "flip"]),
        value=st.sampled_from(FUZZ_VALUES),
-       command=st.sampled_from(["diamond", "check", "markers", "lie"]))
+       command=st.sampled_from(["diamond", "check", "markers", "lie", "split", "probe",
+                                "induce"]))
 def test_mutated_fixtures_exit_cleanly_and_name_the_field(site, kind, value, command,
                                                           tmp_path_factory):
     name, path = site

@@ -43,7 +43,13 @@ from hodgenorm.filtrations import (
     weight_filtration,
 )
 from hodgenorm.induced import Markers, induce, locate_markers, tate_normalize
-from hodgenorm.mhs import MixedHodge, cone_compatibility, i_power, polarization_check
+from hodgenorm.mhs import (
+    FixtureError,
+    MixedHodge,
+    cone_compatibility,
+    i_power,
+    polarization_check,
+)
 from hodgenorm.orbit import (
     AdaptedBasis,
     adapted_basis,
@@ -173,7 +179,7 @@ def ref_symmetric_diagonal_basis(q, vectors):
             u = work[0]
             partner = next((x for x in work[1:] if gram(u, x)), None)
             if partner is None:
-                raise ValueError("f: no compatible basis: the middle layer pairing degenerates")
+                raise FixtureError("f", "no compatible basis: the middle layer pairing degenerates")
             v = vec_add(u, partner)
         d = gram(v, v)
         out.append(v)
@@ -196,18 +202,18 @@ def ref_middle_block_basis(q, vectors):
                 unmatched.remove(idx)
                 break
         if center is None:
-            raise ValueError(
-                "f: no compatible basis: no middle-layer pivot has a Gaussian-rational "
-                "square root")
+            raise FixtureError(
+                "f", "no compatible basis: no middle-layer pivot has a Gaussian-rational "
+                     "square root")
     pairs = []
     while unmatched:
         a = unmatched.pop(0)
         fold = next(((b, c) for b in unmatched
                      for c in [gauss_sqrt(-pivots[a] / pivots[b])] if c is not None), None)
         if fold is None:
-            raise ValueError(
-                "f: no compatible basis: middle-layer pivots do not fold into hyperbolic pairs "
-                "over the Gaussian rationals")
+            raise FixtureError(
+                "f", "no compatible basis: middle-layer pivots do not fold into hyperbolic pairs "
+                     "over the Gaussian rationals")
         b, c = fold
         unmatched.remove(b)
         u = vec_add(diag[a], vec_scale(c, diag[b]))
@@ -228,8 +234,8 @@ def ref_dual_pair_normalize(q, kept, replaced):
     try:
         correction = ref_inverse(gram)
     except ValueError:
-        raise ValueError(
-            "f: no compatible basis: the pairing degenerates between dual layers") from None
+        raise FixtureError(
+            "f", "no compatible basis: the pairing degenerates between dual layers") from None
     anti = Mat([[ONE if i + j == k - 1 else ZERO for j in range(k)] for i in range(k)])
     return ((correction * anti).transpose() * Mat(replaced)).rows
 
@@ -239,25 +245,25 @@ def ref_adapted_basis(structure):
     n, q = structure.n, structure.q
     jumps = structure.w.jump_levels
     if not jumps or jumps[0] + jumps[-1] != 2 * n:
-        raise ValueError(
-            f"w: no compatible basis: weight levels are not symmetric about {n}")
+        raise FixtureError(
+            "w", f"no compatible basis: weight levels are not symmetric about {n}")
     pieces = dict(structure.split().pieces)
     if not ref_isotropy(structure.f, q, n)[0]:
-        raise ValueError(
-            "f: no compatible basis: the pairing does not vanish on opposite filtration levels")
+        raise FixtureError(
+            "f", "no compatible basis: the pairing does not vanish on opposite filtration levels")
     blocks = sorted(pieces, key=lambda pq: (-pq[0], -pq[1]))
     for p, qq in blocks:
         anti = (n - p, n - qq)
         if anti not in pieces or pieces[anti].dim != pieces[(p, qq)].dim:
-            raise ValueError("f: no compatible basis: splitting layers are not dually paired")
+            raise FixtureError("f", "no compatible basis: splitting layers are not dually paired")
     vectors = {pq: list(pieces[pq].basis) for pq in blocks}
     for i, bi in enumerate(blocks):
         for bj in blocks[i:]:
             if (bi[0] + bj[0], bi[1] + bj[1]) == (n, n):
                 continue
             if any(form_value(q, u, v) for u in vectors[bi] for v in vectors[bj]):
-                raise ValueError(
-                    "f: no compatible basis: the pairing links non-dual splitting layers")
+                raise FixtureError(
+                    "f", "no compatible basis: the pairing links non-dual splitting layers")
     for i, bi in enumerate(blocks):
         anti = (n - bi[0], n - bi[1])
         if bi == anti:
@@ -281,19 +287,19 @@ def ref_locate_markers(ind):
     n = ind.weight
     top = ind.f.at(n)
     if top.dim != 1:
-        raise ValueError("top filtration level is not a line — normalize first")
+        raise FixtureError("f", "top filtration level is not a line — normalize first")
     e0 = top.basis[0]
     m = level(e0, ind.w)
     if not n <= m <= 2 * n:
-        raise ArithmeticError(f"level {m} of the top line is outside [{n}, {2 * n}]")
+        raise FixtureError("f", f"level {m} of the top line is outside [{n}, {2 * n}]")
     opposite = ind.w.at(2 * n - m).intersect(ind.f.at(2 * n - m))
     if opposite.dim != 1:
-        raise ValueError(
-            f"W_{2 * n - m} ∩ F^{2 * n - m} has dimension {opposite.dim}, not 1")
+        raise FixtureError(
+            "f", f"W_{2 * n - m} ∩ F^{2 * n - m} has dimension {opposite.dim}, not 1")
     einf = opposite.basis[0]
     s = form_value(ind.q, e0, vec_conj(einf))
     if not s:
-        raise ArithmeticError("the top and opposite lines do not pair")
+        raise FixtureError("f", "the top and opposite lines do not pair")
     ed = vec_scale(ONE / s, vec_conj(einf))
     return Markers(n=n, m=m, e0=e0, einf=einf, ed=ed, lam=(ONE / s).conjugate())
 

@@ -1,6 +1,7 @@
-"""Source hygiene that a linter would check: every import is used, and
-every function in the package has a caller outside the tests.  Also the
-count of code lines that `tools/code_lines.py` reports.
+"""Source hygiene that a linter would check: every import is used, every
+function in the package has a caller outside the tests, and no handler
+catches defects wholesale.  Also the count of code lines that
+`tools/code_lines.py` reports.
 
 Deleting code tends to leave its imports behind.  Each module under
 src/hodgenorm must use every name it imports; an import kept on purpose
@@ -60,6 +61,35 @@ def test_every_imported_name_is_used(path):
 def test_the_only_import_kept_on_purpose_is_the_traced_splitting():
     kept = {(path.stem, name) for path in MODULES for name in unused_imports(path)[1]}
     assert kept == {("cli", "deligne_split")}
+
+
+# A refusal of input is a FixtureError, so a handler that catches one of these
+# (or a bare except) would also swallow a code defect such as a ZeroDivisionError.
+BROAD = {"ArithmeticError", "Exception", "BaseException"}
+
+
+def broad_handlers(path):
+    """The line of every bare except clause, and of every one that names a
+    class in BROAD, in the module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or BROAD & {ast.unparse(c) for c in caught}:
+                yield node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_handler_is_bare_or_catches_a_broad_class(path):
+    lines = sorted(broad_handlers(path))
+    assert not lines, f"{path.name} catches defects wholesale at lines {lines}"
+
+
+def test_a_broad_handler_is_found_and_a_narrow_one_is_not(tmp_path):
+    path = tmp_path / "handlers.py"
+    path.write_text("try:\n    pass\nexcept ZeroDivisionError:\n    pass\n"
+                    "try:\n    pass\nexcept (ValueError, ArithmeticError):\n    pass\n"
+                    "try:\n    pass\nexcept:\n    pass\n")
+    assert sorted(broad_handlers(path)) == [7, 11]
 
 
 # Paper-facing functions with no caller in the package, pinned by the tests:

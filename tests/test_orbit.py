@@ -35,7 +35,13 @@ from hodgenorm.fixtures import (
 )
 from hodgenorm.induced import PureHodgeData, induce, tate_normalize
 from hodgenorm.lie import lie_algebra, lie_deligne_split
-from hodgenorm.mhs import MixedHodge, NilpotentCone, deligne_split, polarization_check
+from hodgenorm.mhs import (
+    FixtureError,
+    MixedHodge,
+    NilpotentCone,
+    deligne_split,
+    polarization_check,
+)
 from hodgenorm.orbit import (
     AdaptedBasis,
     adapted_basis,
@@ -254,9 +260,11 @@ def test_a_polarizing_generator_that_keeps_a_grade_is_refused():
     x = lie_deligne_split(lie_algebra(h.q), h.structure()).matrices(0, -3)[0]
     cone = NilpotentCone((spec.cone.generators[0] + a * x * a_inv,), h.q)
     assert polarization_check(h.structure(), cone) == (True, None)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(FixtureError) as err:
         orbit_spec(h, {}, n_coords=1, cone=cone)
     assert str(err.value) == "cone[0]: generator 0 does not strictly lower the filtration grade"
+    assert err.value.field == "cone[0]"
+    assert err.value.message == "generator 0 does not strictly lower the filtration grade"
 
 
 def test_nonpolarized_cone_is_rejected():
