@@ -629,7 +629,9 @@ def suite_symmetries(fixture, args):
                      "det Q != 0"))
     ok, witness = st.f_isotropy
     out.append(Check("symmetries.filtration-orthogonality", ok,
-                     "Q(F^a, F^b) = 0 for a+b > n" if ok else f"witness {witness}"))
+                     "Q(F^a, F^b) = 0 for a+b > n" if ok else
+                     f"witness levels {witness[:2]}, vectors "
+                     + " and ".join(_echoed(str(v)) for v in witness[2:])))
     try:
         dims = data.split().diamond()
     except DirectSumError as exc:

@@ -374,11 +374,17 @@ def rescale_cone(spec: OrbitSpec, factors) -> OrbitSpec:
 # A kit (`_Exact` below, or the probe module's numpy kit) holds a spec's data
 # as its own numbers: dim, k, n_coords, q, gens, coeffs, e0, einf, lam_bar =
 # conj(lam), zeros, identity and one.  Its primitives are exp() of a nilpotent
-# matrix, pair(u, v) = Q(u, conj v), real(), is_zero() and scalar(x, what).
-# Matrices multiply with @ and scale as scalar * matrix.  pair() and exp()
-# keep each kit's own order of operations: float results depend on it.
+# matrix, exp_pair(a) = (exp(a), exp(-a)), pair(u, v) = Q(u, conj v), real(),
+# is_zero() and scalar(x, what).  Matrices multiply with @ and scale as
+# scalar * matrix.  pair(), exp() and exp_pair() keep each kit's own order of
+# operations: float results depend on it.
 # twist_terms() is the one walk over the twist table `coeffs`: zeta_log and
 # stratum_frame both read it.
+# Sums start at their first term (total(); an empty sum is the kit's own
+# `zeros` object), a factor that is the empty product `one` scales nothing,
+# and no frame is multiplied by `identity`: each of these would be a kernel
+# call that changes no bit, and at the kits' sizes the float sweep's cost is
+# per call, not per entry.
 # Every matrix exponentiated here strictly lowers the grade p of the splitting
 # frame (sums of the N_j and of the that_I f_I, and theta f theta^-1 with theta
 # unipotent in p; orbit_spec verifies the generators and coefficients), so
@@ -431,12 +437,27 @@ def check_powers(kit, powers):
     return powers
 
 
+def total(kit, terms):
+    """The sum of `terms` from the first term on; kit.zeros when there is none."""
+    out = kit.zeros
+    for x in terms:
+        out = x if out is kit.zeros else out + x
+    return out
+
+
+def cone_log(kit, pairs):
+    """sum_j ell_j N_j over the given (ell_j, N_j) pairs."""
+    return total(kit, (l * g for l, g in pairs))
+
+
 def cone_exp(kit, pairs):
     """theta = exp(sum_j ell_j N_j) over the given (ell_j, N_j) pairs."""
-    log = kit.zeros
-    for l, g in pairs:
-        log = log + l * g
-    return kit.exp(log)
+    return kit.exp(cone_log(kit, pairs))
+
+
+def cone_exp_pair(kit, pairs):
+    """(theta, theta^-1) over the given (ell_j, N_j) pairs, from one series."""
+    return kit.exp_pair(cone_log(kit, pairs))
 
 
 def monomial(kit, expo, x):
@@ -450,12 +471,8 @@ def monomial(kit, expo, x):
 
 def twist_at(kit, poly, t):
     """The twist polynomial f_I, stored as {exponents: coefficient}, at t."""
-    out = kit.zeros
-    for expo, coeff in poly.items():
-        c = monomial(kit, expo, t)
-        if c:
-            out = out + c * coeff
-    return out
+    terms = ((monomial(kit, expo, t), coeff) for expo, coeff in poly.items())
+    return total(kit, (coeff if c is kit.one else c * coeff for c, coeff in terms if c))
 
 
 def divisor_product(kit, idx, t):
@@ -483,15 +500,17 @@ def twist_terms(kit, t, stratum=frozenset()):
 
 def zeta_log(kit, t):
     """log zeta(t) = sum_I that_I * f_I(t)."""
-    out = kit.zeros
-    for _, that, val in twist_terms(kit, t):
-        out = out + that * val
-    return out
+    return total(kit, (f if c is kit.one else c * f for _, c, f in twist_terms(kit, t)))
 
 
-def interior_frame(kit, t, ell):
-    """(theta, zeta, eta = theta @ zeta) at an interior point."""
-    theta, zeta = cone_exp(kit, zip(ell, kit.gens)), kit.exp(zeta_log(kit, t))
+def interior_frame(kit, t, theta):
+    """(theta, zeta, eta = theta @ zeta) at an interior point, for theta the
+    cone_exp of its ell-values; with no live twist term, zeta is
+    kit.identity and eta is theta itself."""
+    log = zeta_log(kit, t)
+    if log is kit.zeros:
+        return theta, kit.identity, theta
+    zeta = kit.exp(log)
     return theta, zeta, theta @ zeta
 
 
@@ -504,18 +523,19 @@ def stratum_frame(kit, stratum, t, ell):
     """The frame whose marker pairing is h on the stratum: exp of the
     surviving that_I f_I, each conjugated by theta outside I, times theta of
     the live divisor coordinates.  `ell` is indexed by divisor coordinate."""
-    log_hat = kit.zeros
+    terms = []
     for idx, that, val in twist_terms(kit, t, stratum):
         outside = [j for j in range(kit.k) if j not in idx]
-        if outside:  # else theta is I
-            th = cone_exp(kit, ((ell[j], kit.gens[j]) for j in outside))
-            th_inv = cone_exp(kit, ((-ell[j], kit.gens[j]) for j in outside))
-            val = th @ val @ th_inv
-        log_hat = log_hat + that * val
-    g = kit.exp(log_hat)
+        if outside:  # else theta is I and that_I the empty product
+            th, th_inv = cone_exp_pair(kit, ((ell[j], kit.gens[j]) for j in outside))
+            val = that * (th @ val @ th_inv)
+        terms.append(val)
+    log_hat = total(kit, terms)
+    g = kit.identity if log_hat is kit.zeros else kit.exp(log_hat)
     live = [j for j in range(kit.k) if j not in stratum]
     if live:
-        g = g @ cone_exp(kit, ((ell[j], kit.gens[j]) for j in live))
+        theta = cone_exp(kit, ((ell[j], kit.gens[j]) for j in live))
+        g = theta if g is kit.identity else g @ theta
     return g
 
 
@@ -564,6 +584,7 @@ class _Exact:
     is_zero = staticmethod(Mat.is_zero)
     # a lambda looks the binding up per call, so a wrapper patched onto it sees the call
     exp = staticmethod(lambda a: nilpotent_exp(a))
+    exp_pair = staticmethod(lambda a: (nilpotent_exp(a), nilpotent_exp(-a)))
 
     def __init__(self, spec):
         self.dim, self.k, self.n_coords = spec.dim, spec.k, spec.n_coords
@@ -624,7 +645,7 @@ def eval_frame(spec: OrbitSpec, t, ell, branch=None) -> OrbitFrame:
     if branch is not None:
         branch = _branch_shifts(branch, spec.k, "divisor coordinate")
         ell = tuple(e + GaussianRational(b) for e, b in zip(ell, branch))
-    theta, zeta, eta = interior_frame(kit, t, ell)
+    theta, zeta, eta = interior_frame(kit, t, cone_exp(kit, zip(ell, kit.gens)))
     q01 = marker_pairing(kit, eta)
     return OrbitFrame(spec=spec, t=t, ell=ell, theta=theta, zeta=zeta, eta=eta, q01=q01,
                       h_tilde=extended_norm(kit, q01))

@@ -20,6 +20,7 @@ import cmath
 import math
 import weakref
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -69,25 +70,33 @@ def _identity(d):
     return eye
 
 
-def _expm(a, terms):
-    """exp of a nilpotent matrix by its series through a**terms / terms!.
+def _expm(a, terms, inverse=False):
+    """exp of a nilpotent matrix by its series through a**terms / terms!;
+    with `inverse`, the pair (exp(a), exp(-a)) from the same terms.
 
     The caller vouches that a**(terms + 1) is exactly zero: the float kit
     passes its p-levels less one, f_infinity_probe the dimension less one.
     The sum stops there, where rounding can still leave entries near 1e-19
-    in powers that vanish exactly.  A zero argument returns the shared
-    read-only identity, which is what the series yields.
+    in powers that vanish exactly, or at an exactly zero power before it.
+    It starts at I + a, so with terms = 1 no product is formed.  The terms
+    of -a are exactly (-1)**j times those of a, and x + (-y) is x - y, so
+    the inverse is the series of -a bit for bit.  A zero argument returns
+    the shared read-only identity, which is what the series yields.
     """
-    out = term = _identity(a.shape[0])
+    eye = _identity(a.shape[0])
     if not np.count_nonzero(a):
-        return out
-    for j in range(1, terms + 1):
+        return (eye, eye) if inverse else eye
+    out, term = eye + a, a
+    inv = eye - a if inverse else None
+    for j in range(2, terms + 1):
         term = term @ a
         term /= j
         out = out + term
-        if not np.count_nonzero(term):
+        if inverse:
+            inv = inv - term if j % 2 else inv + term
+        if j < terms and not np.count_nonzero(term):
             break
-    return out
+    return (out, inv) if inverse else out
 
 
 class _Floats:
@@ -118,6 +127,9 @@ class _Floats:
 
     def exp(self, a):
         return _expm(a, self.terms)
+
+    def exp_pair(self, a):
+        return _expm(a, self.terms, inverse=True)
 
     def pair(self, u, v):
         return u @ self.q @ np.conj(v)
@@ -150,7 +162,7 @@ def norm_value(spec: orbit.OrbitSpec, t, ell=None) -> float:
     orbit.check_interior(kit, t, "; use stratum_norm instead")
     ell = (tuple(_principal_ell(t[j]) for j in range(kit.k)) if ell is None
            else orbit.check_ell(kit, ell, kit.k))
-    eta = orbit.interior_frame(kit, t, ell)[2]
+    eta = orbit.interior_frame(kit, t, orbit.cone_exp(kit, zip(ell, kit.gens)))[2]
     return orbit.extended_norm(kit, orbit.marker_pairing(kit, eta))
 
 
@@ -181,7 +193,8 @@ def term_value(spec: orbit.OrbitSpec, powers, t) -> complex:
     t = orbit.check_point(kit, t)
     orbit.check_interior(kit, t)
     ell = [_principal_ell(t[j]) for j in range(kit.k)]
-    zeta_hat = orbit.conjugated_twist(kit, orbit.interior_frame(kit, t, ell)[2], ell)
+    theta, theta_inv = orbit.cone_exp_pair(kit, zip(ell, kit.gens))
+    zeta_hat = orbit.interior_frame(kit, t, theta)[2] @ theta_inv
     return complex(orbit.monomial(kit, powers, ell) * orbit.cross_term(kit, zeta_hat, powers))
 
 
@@ -348,8 +361,11 @@ def levi_probe(spec: orbit.OrbitSpec, stratum, base=None, tol=1e-6) -> LeviRepor
     Differentiates with step FD_STEP around `base` (by default the base point
     of `radial_limit`), along the coordinate directions of every coordinate
     the stratum leaves free, in increasing order; the function only exists
-    on the stratum.  The psh verdict asks the smallest eigenvalue of the
-    hermitized Levi matrix to clear -tol.
+    on the stratum.  Each distinct stencil point is evaluated once per call:
+    on a diagonal entry the base point recurs, and the four points of the
+    (1, i) difference recur in the (i, 1) one, so s free directions cost
+    1 + 8 s^2 stratum values.  The psh verdict asks the smallest eigenvalue
+    of the hermitized Levi matrix to clear -tol.
     """
     _require_tol(tol)
     kit = _kit(spec)
@@ -360,6 +376,7 @@ def levi_probe(spec: orbit.OrbitSpec, stratum, base=None, tol=1e-6) -> LeviRepor
     if not directions:
         raise ValueError("no directions tangent to the stratum were given")
 
+    @cache  # each stencil point is evaluated once per call
     def phi(point):
         value = stratum_norm(spec, pinned, point)
         if not value > 0:

@@ -857,6 +857,24 @@ def test_isotropy_witness_names_the_largest_partner_level(tmp_path, capsys):
             in out.splitlines())
 
 
+def test_an_orthogonality_witness_is_echoed_in_bounded_lines(tmp_path, capsys):
+    # -1e300 puts a 301-digit denominator into a witness vector; the levels
+    # stay, and each vector is echoed as its start and length
+    doc = json.loads((DATA / "pair.json").read_text())
+    doc["f"]["1"][4][4] = "-1e300"
+    path = tmp_path / "huge-witness.json"
+    path.write_text(dump_document(doc))
+    code, out, err = run(capsys, "check", path, "--suite", "symmetries")
+    assert code == 1
+    fail = [line for line in out.splitlines() if line.startswith("FAIL")]
+    first = [line for line in err.splitlines() if line.startswith("first failing invariant")]
+    assert len(fail) == len(first) == 1
+    assert fail[0].startswith(
+        "FAIL  symmetries.filtration-orthogonality  witness levels (1, 2), vectors '(0, 0,")
+    assert "(321 characters)" in fail[0]
+    assert len(fail[0]) <= 200 and len(first[0]) <= 200
+
+
 # -- mutation fuzz at the input boundary -----------------------------------------------
 
 
@@ -1687,8 +1705,8 @@ def _doubled_deck_shifts(monkeypatch):
 def _doubled_frame(monkeypatch):
     frame = orbit.interior_frame
 
-    def doubled(kit, t, ell):
-        theta, zeta, eta = frame(kit, t, ell)
+    def doubled(kit, t, theta):
+        theta, zeta, eta = frame(kit, t, theta)
         return theta, zeta, eta + eta
 
     monkeypatch.setattr(orbit, "interior_frame", doubled)

@@ -9,7 +9,9 @@ rotates toward its limit with gap exactly 1/sqrt(1 + y^2).
 """
 
 import gc
+import itertools
 import math
+import pathlib
 import random
 import weakref
 from fractions import Fraction
@@ -17,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hodgenorm import orbit, probe
+from hodgenorm import cli, orbit, probe
 from hodgenorm.exactlin import GaussianRational, Mat
 from hodgenorm.fixtures import (
     curve,
@@ -105,6 +107,32 @@ def test_float_stratum_matches_exact_on_the_deep_stratum(build):
     exact = float(stratum_value(spec, deep, t=t))
     approx = stratum_norm(spec, deep, t)
     assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("build", ALL_ORBITS)
+def test_float_term_matches_exact_engine(build):
+    # the exact side runs at the float run's own t and principal ell, each
+    # part of an ell-value made exact by Fraction
+    spec = build()
+    kit = probe._kit(spec)
+    rng = random.Random(11)
+    missed = False
+    for _ in range(3):
+        t = sample_point(spec, rng)[0]
+        ell = [probe._principal_ell(complex(x)) for x in t[:spec.k]]
+        exact_ell = [G(F(e.real), F(e.imag)) for e in ell]
+        eta = orbit.interior_frame(kit, orbit.check_point(kit, t),
+                                   orbit.cone_exp(kit, zip(ell, kit.gens)))[2]
+        for powers in itertools.product(range(3), repeat=spec.k):
+            weight = orbit.monomial(orbit._Exact(spec), powers, exact_ell)
+            exact = (term_pairing(spec, powers, t, exact_ell) * weight).to_complex()
+            tol = 1e-10 * max(1.0, abs(exact))
+            assert abs(term_value(spec, powers, t) - exact) <= tol
+            unconjugated = orbit.monomial(kit, powers, ell) * orbit.cross_term(kit, eta, powers)
+            missed |= abs(unconjugated - exact) > tol
+    # only varying's twist fails to commute with its cone, so only there does
+    # a term that skips theta^-1 miss the exact value
+    assert missed == (build is orbit_varying)
 
 
 def test_norm_value_rejects_divisor_zeros_and_bad_shapes():
@@ -316,6 +344,34 @@ def test_levi_is_psh_on_the_varying_fixture_stratum():
     assert len(report.eigenvalues) == 1
 
 
+@pytest.mark.parametrize("build, free", [(orbit_hermitian, 2), (orbit_varying, 1)])
+def test_levi_evaluates_each_stencil_point_once(build, free, monkeypatch):
+    spec, norm, evaluated = build(), probe.stratum_norm, []
+
+    def recorded(spec, stratum, t):
+        evaluated.append((t, norm(spec, stratum, t)))
+        return evaluated[-1][1]
+
+    monkeypatch.setattr(probe, "stratum_norm", recorded)
+    base = levi_probe(spec, (0,)).base
+    assert len(evaluated) == 1 + 8 * free ** 2
+    # the full stencil, repeats included: the base point, then four points for
+    # each of the four (alpha, beta) of every pair a <= b of free directions
+    h, n = probe.FD_STEP, spec.n_coords
+    directions = [tuple(1.0 + 0.0j if j == f else 0.0j for j in range(n))
+                  for f in range(1, n)]
+    stencil = [base]
+    for a, b in itertools.combinations_with_replacement(directions, 2):
+        for alpha, beta in ((1.0, 1.0), (1.0j, 1.0j), (1.0, 1.0j), (1.0j, 1.0)):
+            for ca, cb in ((alpha, beta), (alpha, -beta), (-alpha, beta), (-alpha, -beta)):
+                stencil.append(tuple(x + h * (ca * u + cb * v) for x, u, v in zip(base, a, b)))
+    assert len(stencil) == 1 + 8 * free * (free + 1)
+    values = dict(evaluated)
+    assert len(values) == len(evaluated) and set(values) == set(stencil)
+    for point in stencil:
+        assert repr(norm(spec, (0,), point)) == repr(values[point])
+
+
 # -- filtration convergence -------------------------------------------------------
 
 
@@ -386,6 +442,9 @@ class ReferenceFloats(probe._Floats):
     def exp(self, a):
         return reference_expm(a)
 
+    def exp_pair(self, a):
+        return reference_expm(a), reference_expm(-a)
+
 
 def _probe_values(spec, rng):
     """repr of every float entry point on seeded points with |t| up to 1."""
@@ -421,16 +480,17 @@ def test_the_bounded_series_give_the_reference_values(build, monkeypatch):
     spec = build()
     values = _probe_values(spec, random.Random(f"bounded:{build.__name__}"))
     taken, expm = [], probe._expm
-    monkeypatch.setattr(probe, "_expm", lambda a, terms: taken.append(a) or expm(a, terms))
+    monkeypatch.setattr(probe, "_expm", lambda a, terms, inverse=False: taken.append(a) or expm(
+        a, terms, inverse))
     bounded = values()
     monkeypatch.setattr(probe, "_KITS", weakref.WeakKeyDictionary({spec: ReferenceFloats(spec)}))
     monkeypatch.setattr(probe, "_expm", lambda a, terms: reference_expm(a))
     assert bounded == values()
     # the probe values need not see every power, so the exponentials are compared too
     for a in taken:
-        reference = reference_expm(a)
-        assert np.abs(expm(a, probe._kit(spec).terms) - reference).max() <= 1e-13 * max(
-            1.0, np.abs(reference).max())
+        for got, x in zip(expm(a, probe._kit(spec).terms, inverse=True), (a, -a)):
+            reference = reference_expm(x)
+            assert np.abs(got - reference).max() <= 1e-13 * max(1.0, np.abs(reference).max())
 
 
 @pytest.mark.parametrize("build, terms", [
@@ -462,16 +522,20 @@ def test_a_zero_exponent_returns_the_shared_identity():
 
 
 class _CountedProducts(np.ndarray):
-    """An array that counts the matrix products it enters."""
+    """An array that counts the matrix products it, or an array computed
+    from it, enters."""
 
     products = 0
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
             _CountedProducts.products += 1
-        inputs = tuple(x.view(np.ndarray) if isinstance(x, _CountedProducts) else x
-                       for x in inputs)
-        return getattr(ufunc, method)(*inputs, **kwargs)
+        plain = lambda xs: tuple(x.view(np.ndarray) if isinstance(x, _CountedProducts) else x
+                                 for x in xs)
+        if "out" in kwargs:
+            kwargs["out"] = plain(kwargs["out"])
+        out = getattr(ufunc, method)(*plain(inputs), **kwargs)
+        return out.view(_CountedProducts) if isinstance(out, np.ndarray) else out
 
 
 def test_the_varying_twist_series_forms_at_most_four_powers():
@@ -489,3 +553,46 @@ def test_the_varying_twist_series_forms_at_most_four_powers():
         unbounded = reference_expm(log_zeta.view(_CountedProducts))
         assert _CountedProducts.products == 14
         assert np.abs(bounded - unbounded).max() <= 1e-15
+
+
+def test_the_elliptic_series_form_no_product():
+    # one p-level step, so exp(a) is I + a
+    spec = orbit_elliptic()
+    kit = probe._kit(spec)
+    t = (0.3 + 0.1j, 0.4)
+    for log in (orbit.cone_log(kit, zip([probe._principal_ell(t[0])], kit.gens)),
+                orbit.zeta_log(kit, t)):
+        _CountedProducts.products = 0
+        out = kit.exp(log.view(_CountedProducts))
+        assert _CountedProducts.products == 0
+        assert np.array_equal(out, reference_expm(log))
+
+
+@pytest.mark.parametrize("build", ALL_ORBITS)
+def test_theta_inverse_costs_no_product_of_its_own(build):
+    spec = build()
+    kit = probe._kit(spec)
+    t = tuple(0.3 + 0.1j * j for j in range(spec.n_coords))
+    log = orbit.cone_log(kit, zip([probe._principal_ell(x) for x in t[:spec.k]], kit.gens))
+    _CountedProducts.products = 0
+    theta = kit.exp(log.view(_CountedProducts))
+    alone, _CountedProducts.products = _CountedProducts.products, 0
+    pair = kit.exp_pair(log.view(_CountedProducts))
+    assert _CountedProducts.products == alone
+    # bit for bit the separate series of theta and of theta^-1 = exp(-log)
+    assert [x.tobytes() for x in pair] == [theta.tobytes(), kit.exp(-log).tobytes()]
+
+
+def test_an_untwisted_frame_forms_no_theta_zeta_product():
+    spec = cli.load_fixture(pathlib.Path(cli.__file__).parent / "data" / "a1.json").orbit()
+    assert not spec.zeta_coeffs
+    kit = probe._Floats(spec)
+    kit.exp = lambda a: probe._expm(a, kit.terms).view(_CountedProducts)
+    t = (0.3 + 0.1j,) * spec.n_coords
+    _CountedProducts.products = 0
+    theta, zeta, eta = orbit.interior_frame(kit, t, orbit.cone_exp(
+        kit, zip([probe._principal_ell(t[0])], kit.gens)))
+    assert _CountedProducts.products == 0
+    assert eta is theta and zeta is kit.identity
+    frame = eval_frame(spec, (F(1, 3),) * spec.n_coords, (G(F(1, 7), F(1, 5)),))
+    assert frame.eta is frame.theta and frame.zeta == Mat.identity(spec.dim)
