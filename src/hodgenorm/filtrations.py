@@ -74,9 +74,6 @@ class _Filtration:
             out = sub
         return out
 
-    def gr_dim(self, l):
-        return self.at(l).dim - self.at(l - self._sign).dim
-
     def shift(self, s):
         """The filtration l ↦ X_{l+s}."""
         return type(self)(self.ambient, {l - s: sub for l, sub in self.steps})
@@ -203,31 +200,4 @@ def weight_filtration(n_op: Mat, center: int = 0) -> IncreasingFiltration:
         center + l: Subspace.sum(dim, (kers[l + j + 1].intersect(ims[j])
                                        for j in range(max(0, -l - 1), min(nu, nu - l))))
         for l in range(-nu, nu)})
-
-
-def weight_axioms_hold(wf: IncreasingFiltration, n_op: Mat, center: int):
-    """Independently verify the two defining axioms of the weight filtration.
-
-    Together with uniqueness, passing this check certifies a candidate
-    filtration, so it doubles as a test oracle for the construction above.
-    """
-    if not wf.is_exhaustive():
-        return False, "filtration is not exhaustive"
-    levels = wf.jump_levels
-    lo, hi = min(levels), max(levels)
-    for l in range(lo, hi + 1):
-        moved = wf.at(l).apply(n_op)
-        if not wf.at(l - 2).contains(moved):
-            return False, f"operator does not shift level {l} down by two"
-    spread = max(hi - center, center - lo, 0)
-    for l in range(1, spread + 1):
-        d_hi = wf.gr_dim(center + l)
-        d_lo = wf.gr_dim(center - l)
-        if d_hi != d_lo:
-            return False, f"graded dimensions at center±{l} differ ({d_hi} vs {d_lo})"
-        below = wf.at(center - l - 1)
-        pushed = wf.at(center + l).apply(n_op ** l) + below
-        if pushed.dim - below.dim != d_hi:
-            return False, f"power {l} is not an isomorphism on the graded pieces"
-    return True, None
 

@@ -367,22 +367,6 @@ def weight_two(kind, classes=None, split_cone=False):
     return _glue(blocks, 2, split_cone=split_cone)
 
 
-def weight_three_line():
-    """Weight-3 data with Hodge numbers (1,1,1,1) and an empty cone.
-
-    The induced H = Λ¹V ⊗ Λ²V has dimension 24 and raw weight 9, but its
-    deepest filtration line sits at level 8, so normalization applies one
-    Tate twist: weight 7, with the top line at level m = 7.
-    """
-    q = Mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
-    alpha = vec((1, qi(0, 1), 0, 0))
-    beta = vec((0, 0, 1, qi(0, 1)))
-    f = DecreasingFiltration.from_generators(
-        4, {3: [alpha], 2: [beta],
-            1: [vec((0, 0, 1, qi(0, -1)))], 0: [vec((1, qi(0, -1), 0, 0))]})
-    return PureHodgeData(3, q, f, NilpotentCone((), q))
-
-
 # -- assembled orbit data -----------------------------------------------------
 #
 # Each builder returns a ready-to-evaluate OrbitSpec on the Λ-induced space of

@@ -12,23 +12,25 @@ line, and the distinguished vectors (e0, e_infinity, e_d) with the pairing
 scalar between them.
 
 V and H are records of one kind: `InducedStructure` is a `PureHodgeData`
-that also carries its twist, its factors and its predicted bigrading, so
-everything that reads weight-w data (the fixture writer, the orbit spec,
-the markers) reads either.  Every record is verified when built, and finds
-its markers once, when they are first read.
+that also carries its twist, its factors and its bigraded monomial basis,
+so everything that reads weight-w data (the fixture writer, the orbit spec,
+the markers) reads either.  F and W are built from that basis, and the
+tests build the splitting that functoriality predicts from it.  Every
+record is verified when built, and finds its markers once, when they are
+first read.
 
 H is built in one number type, Gaussian-integer rows over a scale.  Its
 pairing is the Kronecker product of the compound matrices Λ^k Q, and its
 monomial basis the Kronecker product of the Λ^k B, with B the rows of V's
 splitting frame (each piece's stored int rows, in piece order): row S of
 Λ^k B is the wedge of the frame rows in S, with the sum of their bigrades,
-in the same `combinations` order.  F, W and the predicted pieces are spans
-of those rows, and each cone generator acts through its derivations, read
-off the int form of its columns.  Compound matrices are k×k minors from
-one Laplace expansion over row prefixes, which shares each (j-1)-minor
-among all the j-minors that expand into it, and each row is divided by the
-product of its row scales once.  Kronecker products multiply the int
-triples of the factors' rows.
+in the same `combinations` order.  F and W are spans of those rows, and
+each cone generator acts through its derivations, read off the int form of
+its columns.  Compound matrices are k×k minors from one Laplace expansion
+over row prefixes, which shares each (j-1)-minor among all the j-minors
+that expand into it, and each row is divided by the product of its row
+scales once.  Kronecker products multiply the int triples of the factors'
+rows.
 """
 
 from __future__ import annotations
@@ -218,25 +220,13 @@ class PureHodgeData:
 @dataclass(frozen=True)
 class InducedStructure(PureHodgeData):
     """H as weight-w data, with its Tate twist, its factors (p, dim F^p) and
-    the predicted bigrading: ((P, Q), int-form row) for every monomial of
-    the frame."""
+    its bigraded monomial basis: ((P, Q), int-form row) for every monomial
+    of the frame, before the twist.  `induce` builds F and W from it, and
+    the tests' predicted splitting spans its monomials by bigrade."""
 
     twist: int = 0
     factor_exponents: tuple = ()
     bigraded: tuple = ()
-
-    def predicted_split(self) -> DeligneSplitting:
-        """The splitting functoriality predicts: spans of bigraded monomials.
-
-        Independent of the general intersection formula, so the two must
-        agree piece by piece; the twist shifts a monomial (P, Q) by (-k, -k).
-        """
-        gathered = {}
-        for (p, q), row in self.bigraded:
-            gathered.setdefault((p - self.twist, q - self.twist), []).append(row)
-        return DeligneSplitting(
-            self.dim,
-            {pq: Subspace._span(self.dim, rows) for pq, rows in gathered.items()})
 
 
 # Largest induced dimension `induce` builds.  Its cost grows about as the

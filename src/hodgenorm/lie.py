@@ -174,26 +174,6 @@ class LieSplit(DeligneSplitting):
         rows = [_flat(y, cells) for y in self.matrices(p, q) + (a_inv * x * a,)]
         return Subspace._span(len(cells), rows).dim < len(rows)
 
-    @property
-    def s_f(self) -> Subspace:
-        """Layers with p >= 0: the stabilizer of the Hodge filtration."""
-        return self.span_where(lambda p, q: p >= 0)
-
-    @property
-    def s_f_perp(self) -> Subspace:
-        """Layers with p < 0: the complement transverse to s_f."""
-        return self.span_where(lambda p, q: p < 0)
-
-    @property
-    def s_w(self) -> Subspace:
-        """Layers of nonpositive total degree: the stabilizer of W."""
-        return self.span_where(lambda p, q: p + q <= 0)
-
-    @property
-    def m_x(self) -> Subspace:
-        """Layers with both p <= 0 and q <= 0; nilpotent cones land in p,q <= -1."""
-        return self.span_where(lambda p, q: p <= 0 and q <= 0)
-
 
 def lie_deligne_split(algebra: LieAlgebraBasis, structure: MixedHodge) -> LieSplit:
     """Decompose the symmetry algebra along the splitting of a mixed structure.
@@ -277,8 +257,9 @@ def hermitian_test(split: LieSplit):
 def smoothness_test(split: LieSplit):
     """Whether the F-transverse part is confined to nonpositive total degree.
 
-    Equivalent to the containment of s_f_perp in the stabilizer of W; the
-    layer form of the test is exact because both sides are unions of layers.
+    Equivalent to the span of the layers with p < 0 lying inside the span
+    of the layers with p + q <= 0, the stabilizer of W; the layer form of
+    the test is exact because both sides are unions of layers.
     """
     bad = sorted(pq for pq in split.layers
                  if pq[0] < 0 and pq[0] + pq[1] > 0)

@@ -24,7 +24,6 @@ ell-values explicitly, so no multivalued log is ever taken silently.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .exactlin import (
     Mat,
@@ -298,18 +297,16 @@ def lowers_grade(m: Mat, grades) -> bool:
                for k, (row, _) in enumerate(m.int_form()) for l, _, _ in row)
 
 
-def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None,
-               cone=None) -> OrbitSpec:
+def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None) -> OrbitSpec:
     """Validate degeneration data and assemble an OrbitSpec.
 
     `structure` is weight-w data whose top filtration level is a line —
-    normalize first if needed — and the spec takes its `markers`.  `cone`
-    overrides the structure's own cone (used for rescaling).  The cone must
-    polarize the limit data and the twist data must pass their algebraic
-    validation; there is no way around either, so every OrbitSpec is
-    polarized.
+    normalize first if needed — and the spec takes its `markers` and its
+    cone.  The cone must polarize the limit data and the twist data must
+    pass their algebraic validation; there is no way around either, so
+    every OrbitSpec is polarized.
     """
-    cone = cone if cone is not None else structure.cone
+    cone = structure.cone
     k = len(cone)
     n_coords = k if n_coords is None else int(n_coords)
     if n_coords < k:
@@ -351,22 +348,6 @@ def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None,
 
     return OrbitSpec(structure=structure, markers=markers, basis=basis,
                      cone=cone, n_coords=n_coords, zeta_coeffs=coeffs)
-
-
-def rescale_cone(spec: OrbitSpec, factors) -> OrbitSpec:
-    """The same orbit with generators scaled by positive rationals.
-
-    ell-values rescale inversely: evaluating the result at (t, ell/c) must
-    reproduce the original values at (t, ell).
-    """
-    factors = tuple(Fraction(c) for c in factors)
-    if len(factors) != spec.k:
-        raise ValueError("one factor per generator")
-    if any(c <= 0 for c in factors):
-        raise ValueError("rescaling factors must be positive")
-    gens = tuple(g * GaussianRational(c) for g, c in zip(spec.cone.generators, factors))
-    return orbit_spec(spec.structure, spec.zeta_coeffs, spec.n_coords,
-                      cone=NilpotentCone(gens, spec.cone.q))
 
 
 # -- evaluation formulas, for either number kit ------------------------------
@@ -514,11 +495,6 @@ def interior_frame(kit, t, theta):
     return theta, zeta, theta @ zeta
 
 
-def conjugated_twist(kit, eta, ell):
-    """zeta_hat = eta @ theta^-1 = theta zeta theta^-1."""
-    return eta @ cone_exp(kit, zip((-l for l in ell), kit.gens))
-
-
 def stratum_frame(kit, stratum, t, ell):
     """The frame whose marker pairing is h on the stratum: exp of the
     surviving that_I f_I, each conjugated by theta outside I, times theta of
@@ -613,8 +589,7 @@ class OrbitFrame:
     Carries the point, the ell-values actually used, the factors theta and
     zeta with eta = theta * zeta, the raw complex pairing
     q01 = Q(eta.e0, conj(eta.einf)), and the extension value
-    h_tilde = Re Q(eta.e0, conj(lam * eta.einf)).  The conjugated factor
-    zeta_hat is computed from (spec, eta, ell) when first read.
+    h_tilde = Re Q(eta.e0, conj(lam * eta.einf)).
     """
 
     spec: OrbitSpec
@@ -625,10 +600,6 @@ class OrbitFrame:
     eta: Mat
     q01: GaussianRational
     h_tilde: Fraction
-
-    @cached_property
-    def zeta_hat(self) -> Mat:
-        return conjugated_twist(_Exact(self.spec), self.eta, self.ell)
 
 
 def eval_frame(spec: OrbitSpec, t, ell, branch=None) -> OrbitFrame:
@@ -718,18 +689,6 @@ def limit_norm(spec: OrbitSpec, t=None) -> Fraction:
     return val.re
 
 
-def term_pairing(spec: OrbitSpec, powers, t, ell, branch=None) -> GaussianRational:
-    """Q(zeta_hat * N_0^a0 ... N_{k-1}^a{k-1} * e0, conj(zeta_hat * einf)).
-
-    Whenever every f_I with j outside I vanishes, this is exactly zero for
-    any exponent vector with a_j > 0 — the mechanism behind the vanishing of
-    the cross terms of h near the stratum.
-    """
-    kit = _Exact(spec)
-    powers = check_powers(kit, powers)
-    return cross_term(kit, eval_frame(spec, t, ell, branch).zeta_hat, powers)
-
-
 # -- checks and reports ------------------------------------------------------
 
 
@@ -768,47 +727,6 @@ def triangularity_check(frame: OrbitFrame):
                 return False, (f"frame vector {j} leaks into grade {grades[i]}"
                                f" at or above its own grade {grades[j]}")
     return True, "frame is unitriangular across the filtration grading"
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    """Grading of the twist data surviving on a stratum."""
-
-    lowers_weights: bool      # every surviving coefficient strictly lowers W
-    preserves_weights: bool   # every surviving coefficient preserves W
-    detail: str
-
-    def __bool__(self):
-        return self.lowers_weights
-
-
-def fiber_test(spec: OrbitSpec, stratum=None) -> FiberReport:
-    """Whether log zeta restricted to a stratum strictly lowers the weights.
-
-    Restricting to the stratum keeps only the f_I with I containing every
-    pinned index, and within those only the monomials free of the pinned
-    coordinates.  The strong verdict asks each surviving coefficient to move
-    W_l into W_{l-1}; the report also carries the weaker W-preservation.
-    Defaults to the deepest stratum.
-    """
-    stratum = check_stratum(spec, range(spec.k) if stratum is None else stratum)
-    survivors = []
-    for idx, poly in spec.zeta_coeffs.items():
-        if not stratum <= idx:
-            continue
-        for expo, coeff in poly.items():
-            if all(expo[i] == 0 for i in stratum):
-                survivors.append((idx, expo, coeff))
-    w = spec.structure.w
-    for idx, expo, coeff in survivors:
-        if w.first_escape(coeff, 0) is not None:
-            return FiberReport(False, False,
-                               f"f_{sorted(idx)} at exponent {expo} moves weights upward")
-    for idx, expo, coeff in survivors:
-        if w.first_escape(coeff, -1) is not None:
-            return FiberReport(False, True,
-                               f"f_{sorted(idx)} at exponent {expo} preserves but does not lower weights")
-    return FiberReport(True, True, "all surviving twist coefficients strictly lower the weights")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Filtrations, and weight filtrations checked against hand-worked Jordan
-blocks and the axiom checker.
+blocks and the axiom checker kept here.
 
 The two defining axioms determine the weight filtration uniquely, so
-`weight_axioms_hold` is a complete independent oracle for the construction;
-the random nilpotents are drawn with real and with Gaussian-integer entries.
+`weight_axioms_hold` below is a complete independent oracle for the
+construction; the random nilpotents are drawn with real and with
+Gaussian-integer entries.
 """
 
 import random
@@ -15,7 +16,6 @@ from hodgenorm.filtrations import (
     DecreasingFiltration,
     IncreasingFiltration,
     level,
-    weight_axioms_hold,
     weight_filtration,
 )
 
@@ -39,7 +39,7 @@ def test_increasing_at_and_canonical_equality():
         3, {-2: span(3, E1), -1: span(3, E1), 0: span(3, E1, E2), 2: Subspace.full(3)})
     assert w == same
     assert w.jump_levels == (-2, 0, 2)
-    assert w.gr_dim(0) == 1 and w.gr_dim(1) == 0
+    assert w.at(0).dim - w.at(-1).dim == 1 and w.at(1) == w.at(0)
 
 
 def test_decreasing_at_and_shift():
@@ -82,6 +82,33 @@ def test_level_and_colevel():
 
 
 # -- weight filtrations ------------------------------------------------------
+
+
+def weight_axioms_hold(wf: IncreasingFiltration, n_op: Mat, center: int):
+    """Independently verify the two defining axioms of the weight filtration:
+    N·W_l ⊆ W_{l-2}, and N^l an isomorphism Gr_{center+l} → Gr_{center-l}.
+
+    Together with uniqueness, passing this check certifies a candidate
+    filtration.  Returns (True, None) or (False, reason).
+    """
+    if not wf.is_exhaustive():
+        return False, "filtration is not exhaustive"
+    levels = wf.jump_levels
+    lo, hi = min(levels), max(levels)
+    for l in range(lo, hi + 1):
+        moved = wf.at(l).apply(n_op)
+        if not wf.at(l - 2).contains(moved):
+            return False, f"operator does not shift level {l} down by two"
+    for l in range(1, max(hi - center, center - lo, 0) + 1):
+        d_hi = wf.at(center + l).dim - wf.at(center + l - 1).dim
+        d_lo = wf.at(center - l).dim - wf.at(center - l - 1).dim
+        if d_hi != d_lo:
+            return False, f"graded dimensions at center±{l} differ ({d_hi} vs {d_lo})"
+        below = wf.at(center - l - 1)
+        pushed = wf.at(center + l).apply(n_op ** l) + below
+        if pushed.dim - below.dim != d_hi:
+            return False, f"power {l} is not an isomorphism on the graded pieces"
+    return True, None
 
 
 def test_weight_filtration_single_jordan_block():

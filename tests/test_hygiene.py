@@ -9,9 +9,12 @@ carries `# noqa: F401` on its line, and the only one is `cli.deligne_split`,
 which stays bound in `cli` for the benchmark's tracer to patch.
 
 Code that only tests call belongs in the tests or nowhere, so every
-module-level function and every non-dunder method in the package must be
-referenced from src/, tools/ or perfbench/, bar the paper-facing names that
-the tests pin.
+module-level function and class and every non-dunder method in the package
+must be reached from code that runs without a test: the package's
+module-level code, tools/ and perfbench/, and the two paper-facing
+fixtures that the acceptance test reads.  Reaching is followed through
+chains, so a helper that only a test-only definition calls, or a class
+that only it builds, is found too.
 """
 
 import ast
@@ -92,70 +95,131 @@ def test_a_broad_handler_is_found_and_a_narrow_one_is_not(tmp_path):
     assert sorted(broad_handlers(path)) == [7, 11]
 
 
-# Paper-facing functions with no caller in the package, pinned by the tests:
-# the limit norm and its fiber, cone rescaling and term pairings of the orbit
-# theorems, the functorially predicted splitting, the named spans of the
-# symmetry algebra, the worked degenerations the acceptance criteria run,
-# and the weight-filtration oracle.
-PAPER_FACING = {
-    ("orbit", "limit_norm"), ("orbit", "fiber_test"), ("orbit", "rescale_cone"),
-    ("orbit", "term_pairing"), ("induced", "InducedStructure.predicted_split"),
-    ("lie", "LieSplit.s_f"), ("lie", "LieSplit.s_f_perp"), ("lie", "LieSplit.s_w"),
-    ("lie", "LieSplit.m_x"), ("mhs", "check_symmetries"),
-    ("fixtures", "defective_inputs"), ("fixtures", "weight_three_line"),
-    ("fixtures", "orbit_weight_one"), ("filtrations", "weight_axioms_hold"),
-}
+# The paper-facing fixtures that only tests/test_acceptance.py reads: the
+# defective inputs it must refuse and the weight-one orbit it evaluates.
+# They are roots of the liveness below, like the code that runs untested.
+PAPER_FACING = {("fixtures", "defective_inputs"), ("fixtures", "orbit_weight_one")}
 
 
-def definitions():
-    """(module, name, is_property) for every module-level function and every
-    non-dunder method, named `Class.method`, in the package."""
-    for path in MODULES:
+def definitions(paths):
+    """(module, name, kind, code) for every module-level function and class
+    and every non-dunder method, named `Class.method`, in the modules at
+    `paths`.  kind is "function", "class", "method" or "property"; code
+    holds the nodes that run once the definition is in use: a function
+    whole, or a class's bases, decorators, class-level statements and
+    dunder methods (its other methods are definitions of their own)."""
+    for path in paths:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef):
-                yield path.stem, node.name, False
+                yield path.stem, node.name, "function", [node]
             elif isinstance(node, ast.ClassDef):
+                own = [*node.bases, *node.keywords, *node.decorator_list]
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                         read = any(isinstance(d, ast.Name) and d.id.endswith("property")
                                    for d in item.decorator_list)
-                        yield path.stem, f"{node.name}.{item.name}", read
+                        yield (path.stem, f"{node.name}.{item.name}",
+                               "property" if read else "method", [item])
+                    else:
+                        own.append(item)
+                yield path.stem, node.name, "class", own
 
 
-def references():
-    """Names read, attributes read, attributes called and string constants
-    in src/, tools/ and perfbench/.  A method counts as used when it is
-    called (a property: read), so that an unrelated attribute of the same
-    name, such as an option on a parsed command line, is not mistaken for it."""
+def dead_definitions(package, scripts, roots):
+    """`module.name` of every definition in the `package` modules that no
+    root reaches, as a fixpoint.  The roots are the package's module-level
+    code outside its definitions, the whole of each script, and the
+    definitions named in `roots`; each definition that live code uses
+    becomes live, and its own code with it.
+
+    Live code uses a function or class when it reads its name or an
+    attribute of that name, a method when it calls that attribute (a
+    property: reads it) and the method's class is live, so that an
+    unrelated attribute of the same name, such as an option on a parsed
+    command line, is not mistaken for it.  The benchmark's tracer names its
+    targets in strings, so a string equal to a definition's name uses it.
+    """
     names, attrs, calls, strings = set(), set(), set(), set()
-    for top in ("src", "tools", "perfbench"):
-        for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
-                elif isinstance(node, ast.Attribute):
-                    attrs.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    strings.add(node.value)
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                    calls.add(node.func.attr)
-    return names, attrs, calls, strings
+
+    def see(nodes):
+        for node in (n for top in nodes for n in ast.walk(top)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                calls.add(node.func.attr)
+
+    def used(module, name, kind):
+        cls, _, method = name.rpartition(".")
+        if name in strings:
+            return True
+        if not cls:
+            return name in names or name in attrs
+        return (module, cls) in live and method in (attrs if kind == "property" else calls)
+
+    for path in package:
+        see(node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+    see(ast.parse(path.read_text(encoding="utf-8")) for path in scripts)
+    pending, live = list(definitions(package)), set()
+    while True:
+        reached = [d for d in pending if d[:2] in roots or used(*d[:3])]
+        if not reached:
+            return sorted(f"{module}.{name}" for module, name, _, _ in pending)
+        for d in reached:
+            pending.remove(d)
+            live.add(d[:2])
+            see(d[3])
 
 
 def test_every_function_has_a_caller_outside_the_tests():
-    names, attrs, calls, strings = references()
-    unused = []
-    for module, name, read in definitions():
-        if (module, name) in PAPER_FACING or name in strings:
-            continue  # the benchmark's tracer names its targets in strings
-        cls, _, method = name.rpartition(".")
-        used = (method in (attrs if read else calls)) if cls else \
-            (name in names or name in attrs)
-        if not used:
-            unused.append(f"{module}.{name}")
-    assert not unused, f"only tests call {unused}"
+    scripts = [path for top in ("tools", "perfbench") for path in (ROOT / top).rglob("*.py")]
+    dead = dead_definitions(MODULES, scripts, PAPER_FACING)
+    assert not dead, f"only tests reach {dead}"
+
+
+CHAINED = """\
+class Report:
+    def __bool__(self):
+        return helper()
+
+    def verdict(self):
+        return True
+
+
+def helper():
+    return True
+
+
+def only_tested():
+    return Report().verdict()
+
+
+class Box:
+    @property
+    def size(self):
+        return 1
+
+    def grow(self):
+        return 2
+
+
+Box().grow()
+"""
+
+
+def test_a_chain_that_only_a_test_reaches_is_found(tmp_path):
+    # helper is called only by Report, which only only_tested builds, and no
+    # root reaches only_tested; allowlisting only_tested makes the chain live
+    path = tmp_path / "chained.py"
+    path.write_text(CHAINED)
+    assert dead_definitions([path], [], set()) == [
+        "chained.Box.size", "chained.Report", "chained.Report.verdict",
+        "chained.helper", "chained.only_tested"]
+    assert dead_definitions([path], [], {("chained", "only_tested")}) == ["chained.Box.size"]
 
 
 # two docstrings, a comment-only line, blank lines and a trailing comment;

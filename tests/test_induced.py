@@ -4,7 +4,8 @@ Every diamond frozen here was computed by hand from the block decompositions
 of the fixtures (wedge a bigraded basis, add bigrades, count monomials), so
 the assertions are not replays of the code under test.  On top of that, each
 induced splitting is computed along two unrelated paths — monomial spans
-versus the general intersection formula — which must agree piece by piece.
+(`predicted_split`, kept here) versus the general intersection formula —
+which must agree piece by piece.
 The monomials themselves, built in ints from Λ^k of the splitting frame's
 rows, are checked against the scalar construction they replaced (wedges of
 the pieces' pivot-1 basis vectors, tensored entry by entry), which is kept
@@ -35,7 +36,6 @@ from hodgenorm.fixtures import (
     curve_pair,
     random_unimodular,
     weight_one,
-    weight_three_line,
     weight_two,
     weight_two_minimum_classes,
 )
@@ -53,6 +53,7 @@ from hodgenorm.induced import (
     wedge_matrix,
 )
 from hodgenorm.mhs import (
+    DeligneSplitting,
     NilpotentCone,
     check_symmetries,
     cone_compatibility,
@@ -68,6 +69,36 @@ def random_matrix(rng, n, lo=-3, hi=3):
 def strictly_upper(rng, n):
     return Mat([[rng.randint(-2, 2) if j > i else 0 for j in range(n)]
                 for i in range(n)])
+
+
+# -- references read by other test modules too ---------------------------------
+
+
+def predicted_split(h: InducedStructure) -> DeligneSplitting:
+    """The splitting functoriality predicts: spans of bigraded monomials.
+
+    Independent of the general intersection formula, so the two must agree
+    piece by piece; the twist k shifts a monomial (P, Q) by (-k, -k).
+    """
+    gathered = {}
+    for (p, q), row in h.bigraded:
+        gathered.setdefault((p - h.twist, q - h.twist), []).append(row)
+    return DeligneSplitting(
+        h.dim, {pq: Subspace._span(h.dim, rows) for pq, rows in gathered.items()})
+
+
+def weight_three_line():
+    """Weight-3 data with Hodge numbers (1,1,1,1) and an empty cone.
+
+    The induced H = Λ¹V ⊗ Λ²V has dimension 24 and raw weight 9, but its
+    deepest filtration line sits at level 8, so normalization applies one
+    Tate twist: weight 7, with the top line at level m = 7.
+    """
+    q = Mat([[0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    f = DecreasingFiltration.from_generators(
+        4, {3: [vec((1, qi(0, 1), 0, 0))], 2: [vec((0, 0, 1, qi(0, 1)))],
+            1: [vec((0, 0, 1, qi(0, -1)))], 0: [vec((1, qi(0, -1), 0, 0))]})
+    return PureHodgeData(3, q, f, NilpotentCone((), q))
 
 
 # -- multilinear helpers -------------------------------------------------------
@@ -190,7 +221,7 @@ def test_weight_one_induced_diamond_and_markers(a):
     assert h.dim == 20 and h.weight == 3 and h.factor_exponents == ((1, 3),)
     assert tate_normalize(h) is h  # top line already at level 3
 
-    predicted = h.predicted_split()
+    predicted = predicted_split(h)
     assert predicted.diamond() == WEIGHT_ONE_DIAMONDS[a]
     general = deligne_split(h.structure())
     assert general.pieces == predicted.pieces
@@ -233,13 +264,13 @@ def test_split_cone_variant_agrees_on_the_sum():
     split = weight_one(2, split_cone=True)
     assert len(joint.cone) == 1 and len(split.cone) == 2
     assert split.cone.element((1, 1)) == joint.cone.element((1,))
-    assert induce(split).predicted_split().diamond() == WEIGHT_ONE_DIAMONDS[2]
+    assert predicted_split(induce(split)).diamond() == WEIGHT_ONE_DIAMONDS[2]
 
 
 def test_curve_pair_induced():
     h = induce(curve_pair())
     assert h.dim == 6 and h.weight == 2
-    assert h.predicted_split().diamond() == {(2, 2): 1, (1, 1): 4, (0, 0): 1}
+    assert predicted_split(h).diamond() == {(2, 2): 1, (1, 1): 4, (0, 0): 1}
     markers = locate_markers(h)
     assert markers.m == 4
     assert len(h.cone) == 2
@@ -312,7 +343,7 @@ def test_weight_two_fixture_matches_hand_tables(kind):
     assert ind.dim == (h + 4) * (h + 3) // 2
     assert ind.weight == 4 and tate_normalize(ind) is ind
 
-    predicted = ind.predicted_split()
+    predicted = predicted_split(ind)
     assert predicted.diamond() == weight_two_h_diamond(kind, h)
     assert deligne_split(ind.structure()).pieces == predicted.pieces
     check_symmetries(predicted.diamond(), 4, limiting=True)
@@ -328,7 +359,7 @@ def test_weight_two_away_from_the_minimum():
     for kind, h in ((1, 4), (3, 6), (5, 3)):
         v = weight_two(kind, classes=h)
         assert v.split().diamond() == weight_two_v_diamond(kind, h)
-        got = induce(v).predicted_split().diamond()
+        got = predicted_split(induce(v)).diamond()
         assert got == weight_two_h_diamond(kind, h)
 
 
@@ -364,7 +395,7 @@ def test_weight_three_line_needs_one_twist():
 
     norm = tate_normalize(raw)
     assert norm.weight == 7 and norm.twist == 1
-    predicted = norm.predicted_split()
+    predicted = predicted_split(norm)
     assert deligne_split(norm.structure()).pieces == predicted.pieces
     # Pure of weight 7.  By hand: Λ²V sits at (5,1), (4,2), (3,3)·2, (2,4),
     # (1,5); tensoring with the four lines of V and twisting by (-1,-1)
@@ -545,7 +576,7 @@ def test_induce_matches_the_scalar_monomial_construction(v):
     assert got.q == want.q
     assert got.cone.generators == want.cone.generators
     assert got.f == want.f and got.w == want.w
-    assert got.predicted_split().pieces == pieces
+    assert predicted_split(got).pieces == pieces
     assert _markers(got) == _markers(want)
 
 

@@ -18,6 +18,7 @@ import pathlib
 import pytest
 
 import test_cli
+import test_induced
 from hodgenorm import cli, exactlin, fixtures, lie
 from hodgenorm.exactlin import Mat, Subspace, commutator, kernel
 from hodgenorm.induced import induce, induced_endomorphism, PureHodgeData
@@ -269,7 +270,7 @@ def test_induced_action_respects_the_bigrading_on_h():
     v = fixtures.weight_one(1)
     h = induce(v)
     split = g_split(v)
-    pieces = h.predicted_split()
+    pieces = test_induced.predicted_split(h)
     for (r, s), sub in split.pieces.items():
         for x in split.slot_matrices(r, s):
             x_h = induced_endomorphism(x, h.factor_exponents)
@@ -278,6 +279,17 @@ def test_induced_action_respects_the_bigrading_on_h():
                 for b in piece.basis:
                     image = x_h.apply(b)
                     assert target.contains_vector(image) or not any(image)
+
+
+# The named spans of the symmetry algebra, as bidegree tests for `span_where`:
+# the stabilizer of F, the part transverse to it, the stabilizer of W, and the
+# layers with p, q <= 0, where nilpotent cones land (in p, q <= -1).
+SPANS = {
+    "s_f": lambda p, q: p >= 0,
+    "s_f_perp": lambda p, q: p < 0,
+    "s_w": lambda p, q: p + q <= 0,
+    "m_x": lambda p, q: p <= 0 and q <= 0,
+}
 
 
 def test_cone_generators_live_in_the_corner_layer():
@@ -289,7 +301,7 @@ def test_cone_generators_live_in_the_corner_layer():
         corner = split.span_where(lambda p, q: p <= -1 and q <= -1)
         for n in v.cone.generators:
             assert corner.contains_vector(flatten_matrix(n))
-        assert split.m_x.contains(corner)
+        assert split.span_where(SPANS["m_x"]).contains(corner)
 
 
 def test_layers_are_a_deligne_splitting_inside_end_v():
@@ -301,34 +313,13 @@ def test_layers_are_a_deligne_splitting_inside_end_v():
     assert split.piece(5, 5) == Subspace.zero(v.dim * v.dim)
 
 
-SPANS = {
-    "s_f": lambda p, q: p >= 0,
-    "s_f_perp": lambda p, q: p < 0,
-    "s_w": lambda p, q: p + q <= 0,
-    "m_x": lambda p, q: p <= 0 and q <= 0,
-}
-
-
-SPAN_CASES = {f"weight_one({a})": lambda a=a: fixtures.weight_one(a) for a in range(4)}
-SPAN_CASES.update({f"weight_two({k})": lambda k=k: fixtures.weight_two(k) for k in range(6)})
-SPAN_CASES["curve_pair"] = fixtures.curve_pair
-
-
-@pytest.mark.parametrize("make", SPAN_CASES.values(), ids=SPAN_CASES.keys())
-def test_named_spans_are_the_spans_of_their_layers(make):
-    v = make()
-    split = g_split(v)
-    for name, chosen in SPANS.items():
-        rows = [r for (p, q), sub in split.pieces.items() if chosen(p, q) for r in sub.basis]
-        assert getattr(split, name) == Subspace(v.dim * v.dim, rows), name
-
-
 def test_stabilizer_and_transverse_part_decompose_the_algebra():
     split = g_split(fixtures.weight_two(1))
-    assert split.s_f.dim + split.s_f_perp.dim == 15
-    assert split.s_f.intersect(split.s_f_perp).dim == 0
+    spans = {name: split.span_where(chosen) for name, chosen in SPANS.items()}
+    assert spans["s_f"].dim + spans["s_f_perp"].dim == 15
+    assert spans["s_f"].intersect(spans["s_f_perp"]).dim == 0
     # the stabilizers are subalgebras
-    for sub in (split.s_f, split.s_w, split.m_x):
+    for sub in (spans["s_f"], spans["s_w"], spans["m_x"]):
         mats = [unflatten_matrix(r, split.local.ambient) for r in sub.basis]
         for i, x in enumerate(mats):
             for y in mats[i + 1:]:
@@ -379,7 +370,8 @@ def test_layer_verdict_agrees_with_literal_containment():
     for kind in (1, 2):
         split = g_split(fixtures.weight_two(kind))
         smooth, _ = smoothness_test(split)
-        assert smooth == split.s_w.contains(split.s_f_perp)
+        assert smooth == split.span_where(SPANS["s_w"]).contains(
+            split.span_where(SPANS["s_f_perp"]))
 
 
 def test_split_rejects_mismatched_inputs():

@@ -10,11 +10,13 @@ is asserted with exact arithmetic.  No tolerances appear anywhere in this
 file.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import test_induced
 from hodgenorm.exactlin import (
     GaussianRational,
     Mat,
@@ -31,7 +33,6 @@ from hodgenorm.fixtures import (
     orbit_pair,
     orbit_varying,
     orbit_weight_one,
-    weight_three_line,
 )
 from hodgenorm.induced import PureHodgeData, induce, tate_normalize
 from hodgenorm.lie import lie_algebra, lie_deligne_split
@@ -44,18 +45,18 @@ from hodgenorm.mhs import (
 )
 from hodgenorm.orbit import (
     AdaptedBasis,
+    _Exact,
     adapted_basis,
+    check_powers,
+    cross_term,
     deck_transform,
     eval_frame,
-    fiber_test,
     generator_level_check,
     limit_norm,
     lowers_grade,
     monodromy_check,
     orbit_spec,
-    rescale_cone,
     stratum_value,
-    term_pairing,
     triangularity_check,
 )
 
@@ -69,6 +70,15 @@ def sample_point(spec, rng):
     ell = tuple(G(F(rng.randint(-3, 3), 7), F(rng.randint(1, 4), 5))
                 for _ in range(spec.k))
     return t, ell
+
+
+def exact_cross_term(spec, powers, t, ell):
+    """Q(zeta_hat N^powers e0, conj(zeta_hat einf)) in exact arithmetic, with
+    zeta_hat = eta theta^-1 = theta zeta theta^-1 and theta^-1 the exact
+    inverse of the frame's own theta: the reference for the cross terms."""
+    kit = _Exact(spec)
+    fr = eval_frame(spec, t, ell)
+    return cross_term(kit, fr.eta * fr.theta.inverse(), check_powers(kit, powers))
 
 
 def pure_line_structure(entries):
@@ -261,7 +271,7 @@ def test_a_polarizing_generator_that_keeps_a_grade_is_refused():
     cone = NilpotentCone((spec.cone.generators[0] + a * x * a_inv,), h.q)
     assert polarization_check(h.structure(), cone) == (True, None)
     with pytest.raises(FixtureError) as err:
-        orbit_spec(h, {}, n_coords=1, cone=cone)
+        orbit_spec(dataclasses.replace(h, cone=cone), {}, n_coords=1)
     assert str(err.value) == "cone[0]: generator 0 does not strictly lower the filtration grade"
     assert err.value.field == "cone[0]"
     assert err.value.message == "generator 0 does not strictly lower the filtration grade"
@@ -271,14 +281,6 @@ def test_nonpolarized_cone_is_rejected():
     h = tate_normalize(induce(negated_curve()))
     with pytest.raises(ValueError, match="polarize"):
         orbit_spec(h, {}, n_coords=1)
-
-
-def test_rescaling_validation():
-    spec = orbit_elliptic()
-    with pytest.raises(ValueError, match="one factor per generator"):
-        rescale_cone(spec, (1, 2))
-    with pytest.raises(ValueError, match="positive"):
-        rescale_cone(spec, (F(-1, 2),))
 
 
 # -- frames ---------------------------------------------------------------------
@@ -291,7 +293,7 @@ def test_curve_frame_by_hand():
     n_op = spec.cone.generators[0]
     assert fr.theta == nilpotent_exp(ell * n_op)
     assert fr.zeta == nilpotent_exp(x * n_op)
-    assert fr.zeta_hat == fr.zeta
+    assert fr.theta * fr.zeta == fr.zeta * fr.theta
     assert fr.eta.apply(spec.basis.column(0)) == vec((1, ell + x))
     assert fr.q01 == 1 and fr.h_tilde == 1
 
@@ -300,9 +302,7 @@ def test_frame_factorizations():
     spec = orbit_varying()
     fr = eval_frame(spec, (F(1, 2), F(1, 3)), (G(0, F(2, 7)),))
     assert fr.eta == fr.theta * fr.zeta
-    assert fr.eta == fr.zeta_hat * fr.theta
-    assert fr.zeta_hat == fr.theta * fr.zeta * fr.theta.inverse()
-    assert fr.zeta_hat != fr.zeta
+    assert fr.theta * fr.zeta != fr.zeta * fr.theta
 
 
 def test_branch_is_an_ell_shift():
@@ -385,7 +385,10 @@ def test_monodromy_invariance():
 def test_cone_rescaling_is_a_symmetry():
     spec = orbit_varying()
     factors = (F(5, 2),)
-    scaled = rescale_cone(spec, factors)
+    cone = NilpotentCone(tuple(g * G(c) for g, c in zip(spec.cone.generators, factors)),
+                         spec.cone.q)
+    scaled = orbit_spec(dataclasses.replace(spec.structure, cone=cone),
+                        spec.zeta_coeffs, spec.n_coords)
     t = (F(1, 2), F(1, 3))
     ell = (G(F(1, 5), F(1, 2)),)
     base = eval_frame(spec, t, ell)
@@ -395,7 +398,7 @@ def test_cone_rescaling_is_a_symmetry():
 
 
 def test_pure_structure_with_empty_cone():
-    h = tate_normalize(induce(weight_three_line()))
+    h = tate_normalize(induce(test_induced.weight_three_line()))
     spec = orbit_spec(h, {}, n_coords=0)
     assert spec.k == 0 and spec.n == spec.m == 7
     fr = eval_frame(spec, (), ())
@@ -491,36 +494,23 @@ def test_stratum_input_errors():
 def test_terms_vanish_when_the_twist_rides_the_deep_stratum():
     spec = orbit_elliptic()
     t, ell = (F(1, 2), F(1, 3)), (G(F(1, 5), F(1, 2)),)
-    assert term_pairing(spec, (1,), t, ell) == 0
-    assert term_pairing(spec, (2,), t, ell) == 0
+    assert exact_cross_term(spec, (1,), t, ell) == 0
+    assert exact_cross_term(spec, (2,), t, ell) == 0
     pair = orbit_pair()
     t, ell = (F(1, 2), F(1, 3), F(1, 5)), (G(0, F(1, 3)), G(F(1, 7), F(2, 5)))
     for powers in ((1, 0), (0, 1), (1, 1), (2, 0)):
-        assert term_pairing(pair, powers, t, ell) == 0
+        assert exact_cross_term(pair, powers, t, ell) == 0
 
 
 def test_term_survives_a_coordinate_free_twist():
     spec = orbit_varying()
     t, ell = (F(1, 2), F(1, 3)), (G(F(0), F(2, 7)),)
-    assert term_pairing(spec, (1,), t, ell) == G(F(83, 1792))
+    assert exact_cross_term(spec, (1,), t, ell) == G(F(83, 1792))
     with pytest.raises(ValueError, match="one exponent per generator"):
-        term_pairing(spec, (1, 0), t, ell)
+        exact_cross_term(spec, (1, 0), t, ell)
 
 
-# -- twist fibre and marker levels -------------------------------------------------
-
-
-def test_fiber_verdicts():
-    assert fiber_test(orbit_elliptic()).lowers_weights
-    rep = fiber_test(orbit_weight_one())
-    assert rep.lowers_weights and rep.preserves_weights
-    rep = fiber_test(orbit_varying())
-    assert not rep.lowers_weights and rep.preserves_weights
-    rep = fiber_test(orbit_hermitian())
-    assert not rep.lowers_weights and rep.preserves_weights
-    # away from the deepest stratum the raising layer enters the survey
-    rep = fiber_test(orbit_varying(), stratum=())
-    assert not rep.lowers_weights and not rep.preserves_weights
+# -- marker levels -----------------------------------------------------------------
 
 
 def test_generator_levels():
@@ -543,6 +533,6 @@ def test_generator_levels():
 
 
 def test_levels_require_a_polarizing_cone():
-    pure = orbit_spec(tate_normalize(induce(weight_three_line())), {}, n_coords=0)
+    pure = orbit_spec(tate_normalize(induce(test_induced.weight_three_line())), {}, n_coords=0)
     with pytest.raises(ValueError, match="no generators"):
         generator_level_check(pure)

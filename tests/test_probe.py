@@ -19,6 +19,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import test_induced
+import test_orbit
 from hodgenorm import cli, orbit, probe
 from hodgenorm.exactlin import GaussianRational, Mat
 from hodgenorm.fixtures import (
@@ -29,10 +31,9 @@ from hodgenorm.fixtures import (
     orbit_pair,
     orbit_varying,
     orbit_weight_one,
-    weight_three_line,
 )
 from hodgenorm.induced import induce, tate_normalize
-from hodgenorm.orbit import eval_frame, stratum_value, term_pairing
+from hodgenorm.orbit import eval_frame, stratum_value
 from hodgenorm.probe import (
     DistanceReport,
     LeviReport,
@@ -125,7 +126,7 @@ def test_float_term_matches_exact_engine(build):
                                    orbit.cone_exp(kit, zip(ell, kit.gens)))[2]
         for powers in itertools.product(range(3), repeat=spec.k):
             weight = orbit.monomial(orbit._Exact(spec), powers, exact_ell)
-            exact = (term_pairing(spec, powers, t, exact_ell) * weight).to_complex()
+            exact = (test_orbit.exact_cross_term(spec, powers, t, exact_ell) * weight).to_complex()
             tol = 1e-10 * max(1.0, abs(exact))
             assert abs(term_value(spec, powers, t) - exact) <= tol
             unconjugated = orbit.monomial(kit, powers, ell) * orbit.cross_term(kit, eta, powers)
@@ -160,7 +161,7 @@ def test_exact_and_float_terms_refuse_negative_exponents_alike():
     spec = orbit_pair()
     t, ell = (F(1, 2), F(1, 3), F(1, 5)), (G(0, F(1, 3)), G(F(1, 7), F(2, 5)))
     messages = []
-    for call in (lambda: term_pairing(spec, (-1, 0), t, ell),
+    for call in (lambda: test_orbit.exact_cross_term(spec, (-1, 0), t, ell),
                  lambda: term_value(spec, (-1, 0), (0.5, 1 / 3, 0.2))):
         with pytest.raises(ValueError) as refused:
             call()
@@ -273,7 +274,7 @@ def test_term_vanishing_validates_input():
         term_vanishing(orbit_elliptic(), (1, 1))
     with pytest.raises(ValueError, match="nonnegative"):
         term_vanishing(orbit_elliptic(), (-1,))
-    pure = tate_normalize(induce(weight_three_line()))
+    pure = tate_normalize(induce(test_induced.weight_three_line()))
     from hodgenorm.orbit import orbit_spec
     with pytest.raises(ValueError, match="empty cone"):
         term_vanishing(orbit_spec(pure, {}, n_coords=0), ())
@@ -376,7 +377,7 @@ def test_levi_evaluates_each_stencil_point_once(build, free, monkeypatch):
 
 
 def test_rotation_is_stationary_for_a_pure_structure():
-    pure = tate_normalize(induce(weight_three_line())).structure()
+    pure = tate_normalize(induce(test_induced.weight_three_line())).structure()
     report = f_infinity_probe(pure, Mat.zeros(pure.ambient))
     assert report.passed
     assert all(d <= 1e-9 for d in report.distances)
