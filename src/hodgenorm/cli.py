@@ -254,7 +254,6 @@ class Fixture:
     data: PureHodgeData
     zeta: dict
     n_coords: int
-    expectations: dict
 
     def orbit(self):
         return self._orbit
@@ -300,7 +299,7 @@ def parse_fixture(doc) -> Fixture:
     zeta = _parse_zeta(doc.get("zeta", {}), "zeta", k, n_coords, dim)
 
     expectations = doc.get("markers", {})
-    fixture = Fixture(data=data, zeta=zeta, n_coords=n_coords, expectations=expectations)
+    fixture = Fixture(data=data, zeta=zeta, n_coords=n_coords)
     if expectations:
         if not isinstance(expectations, dict):
             raise FixtureError("markers", "expected an object")
@@ -464,10 +463,11 @@ def _diamond_lines(split):
     return [f"  ({p}, {q}): {sub.dim}" for (p, q), sub in sorted(split.pieces.items())]
 
 
-def _proportional_column(basis, vector):
-    """The column j that vector is a nonzero multiple of, or None: the
-    columns are a basis, so j must be vector's only nonzero coordinate."""
-    support = [j for j, c in enumerate(basis.inv.apply(vector)) if c]
+def _proportional_column(inverse, vector):
+    """The column j of a basis that vector is a nonzero multiple of, or
+    None: j must be vector's only nonzero coordinate, read through the
+    basis's inverse."""
+    support = [j for j, c in enumerate(inverse.apply(vector)) if c]
     return support[0] if len(support) == 1 else None
 
 
@@ -518,8 +518,8 @@ def cmd_induce(fixture, args):
 def cmd_markers(fixture, args):
     data = fixture.data
     markers = data.markers
-    basis = adapted_basis(data.structure())
-    indices = tuple(_proportional_column(basis, v)
+    inverse = adapted_basis(data.structure()).inverse()
+    indices = tuple(_proportional_column(inverse, v)
                     for v in (markers.e0, markers.einf, markers.ed))
     lines = [
         f"n = {markers.n}",

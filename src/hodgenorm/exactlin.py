@@ -324,9 +324,6 @@ class Mat:
         i, j = ij
         return self.rows[i][j]
 
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.width == other.width
                 and self.int_form() == other.int_form())

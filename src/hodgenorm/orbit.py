@@ -47,33 +47,7 @@ from .mhs import (
 )
 
 
-# -- adapted bases -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AdaptedBasis:
-    """A basis e_0..e_d adapted to (F, W, Q) all at once.
-
-    Every F^p is spanned by an initial segment of the columns, every W_l by a
-    subset, each column has a pure bigrade, and the pairing is anti-diagonal:
-    Q(e_i, e_j) = 1 exactly when i + j = d (checked for i <= d/2), else 0.
-    """
-
-    mat: Mat
-    inv: Mat
-    bigrades: tuple
-    n: int
-
-    @property
-    def dim(self):
-        return self.mat.ncols
-
-    @property
-    def top(self):
-        return self.mat.ncols - 1
-
-    def column(self, j):
-        return self.mat.col(j)
+# -- dually paired layers and adapted bases ----------------------------------
 
 
 def _symmetric_diagonal_basis(q, vectors: Mat) -> Mat:
@@ -171,16 +145,14 @@ def _dual_pair_normalize(q, kept: Mat, replaced: Mat) -> Mat:
     return (correction * _anti_identity(kept.nrows)).transpose() * replaced
 
 
-def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
-    """Build a basis pairing anti-diagonally and adapted to both filtrations.
+def require_dual_layers(structure: MixedHodge):
+    """Refuse (F, W, Q) whose splitting layers Q does not pair dually.
 
-    Reads the central weight n and the cached splitting off the structure,
-    whose W must be symmetric about n; the splitting layers are sorted by
-    descending grade so F comes out as initial segments, dual layers are
-    normalized against each other, and the middle layer (when present) is
-    reduced to hyperbolic pairs.  Raises FixtureError on the field f ("no
-    compatible basis: ..."), on w for asymmetric weights, or the splitting's
-    own, whenever (F, W, Q) are inconsistent.
+    W must be symmetric about the central weight n, Q must vanish on
+    opposite filtration levels, every layer I^{p,q} must have a dual layer
+    I^{n-p,n-q} of its dimension, and Q must pair no two layers that are
+    not dual.  Raises FixtureError on the field f ("no compatible basis:
+    ..."), on w for asymmetric weights, or the splitting's own.
     """
     n, q = structure.n, structure.q
     jumps = structure.w.jump_levels
@@ -193,11 +165,10 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
         raise FixtureError(
             "f", "no compatible basis: the pairing does not vanish on opposite filtration levels")
 
-    pieces = dict(split.pieces)
-    blocks = sorted(pieces, key=lambda pq: (-pq[0], -pq[1]))
-    for p, qq in blocks:
+    pieces = split.pieces
+    for (p, qq), sub in pieces.items():
         anti = (n - p, n - qq)
-        if anti not in pieces or pieces[anti].dim != pieces[(p, qq)].dim:
+        if anti not in pieces or pieces[anti].dim != sub.dim:
             raise FixtureError("f", "no compatible basis: splitting layers are not dually paired")
 
     # Q pairs column k of the splitting frame A only with the columns l of
@@ -206,6 +177,24 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
     if any(grades[k][0] + grades[l][0] != n or grades[k][1] + grades[l][1] != n
            for k, (row, _) in enumerate((a.transpose() * q * a).int_form()) for l, _, _ in row):
         raise FixtureError("f", "no compatible basis: the pairing links non-dual splitting layers")
+
+
+def adapted_basis(structure: MixedHodge) -> Mat:
+    """A basis pairing anti-diagonally and adapted to both filtrations, as
+    the columns of a matrix.
+
+    Every F^p is spanned by an initial segment of the columns, every W_l by
+    a subset, and each column lies in one splitting layer, the layers in
+    descending (p, q) order; Q(e_i, e_j) = 1 exactly when i + j = d
+    (checked for i <= d/2), else 0.  After require_dual_layers, dual layers
+    are normalized against each other and the middle layer (when present)
+    is reduced to hyperbolic pairs, over Q(i): where that search finds no
+    Gaussian-rational root, FixtureError names the field f.
+    """
+    require_dual_layers(structure)
+    n, q = structure.n, structure.q
+    pieces = structure.split().pieces
+    blocks = sorted(pieces, key=lambda pq: (-pq[0], -pq[1]))
     vectors = {pq: Mat(pieces[pq].basis) for pq in blocks}
 
     for i, bi in enumerate(blocks):
@@ -216,15 +205,13 @@ def adapted_basis(structure: MixedHodge) -> AdaptedBasis:
             vectors[anti] = _dual_pair_normalize(q, vectors[bi], vectors[anti])
 
     columns = Mat([row for b in blocks for row in vectors[b].rows])
-    bigrades = tuple(b for b in blocks for _ in range(vectors[b].nrows))
     # Q(e_i, e_j) is cell (i, j) of C^T q C, checked on its rows i <= d/2
-    size = len(bigrades)
+    size = columns.nrows
     half, full = range((size - 1) // 2 + 1), range(size)
     gram = columns * q * columns.transpose()
     if gram.submatrix(half, full) != _anti_identity(size).submatrix(half, full):
         raise ArithmeticError("adapted pairing normalization failed")
-    mat = columns.transpose()
-    return AdaptedBasis(mat=mat, inv=mat.inverse(), bigrades=bigrades, n=n)
+    return columns.transpose()
 
 
 # -- orbit data --------------------------------------------------------------
@@ -239,12 +226,13 @@ class OrbitSpec:
     coordinates.  zeta_coeffs maps a frozen index set to the polynomial f_I,
     stored as {exponent tuple: coefficient matrix}.  Instances are built by
     orbit_spec() and treated as immutable afterwards; every evaluation is a
-    pure function of (spec, point, ell-values).
+    pure function of (spec, point, ell-values).  The formulas read the
+    pairing, the cone, the twists and the markers, and the checks the
+    splitting frame of `structure`; none needs an adapted basis.
     """
 
     structure: PureHodgeData
     markers: Markers
-    basis: AdaptedBasis
     cone: NilpotentCone
     n_coords: int
     zeta_coeffs: dict
@@ -256,14 +244,6 @@ class OrbitSpec:
     @property
     def k(self):
         return len(self.cone)
-
-    @property
-    def n(self):
-        return self.markers.n
-
-    @property
-    def m(self):
-        return self.markers.m
 
 
 def _canonical_coeffs(zeta_coeffs, k, n_coords, dim):
@@ -302,9 +282,12 @@ def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None) -> Orb
 
     `structure` is weight-w data whose top filtration level is a line —
     normalize first if needed — and the spec takes its `markers` and its
-    cone.  The cone must polarize the limit data and the twist data must
-    pass their algebraic validation; there is no way around either, so
-    every OrbitSpec is polarized.
+    cone.  Its splitting layers must be dually paired (require_dual_layers),
+    the cone must polarize the limit data and the twist data must pass
+    their algebraic validation; there is no way around any of these, so
+    every OrbitSpec is polarized.  No adapted basis is searched for: under
+    a polarization Q pairs each layer only with its dual, so no (F, W, Q)
+    fact is left for that search to decide.
     """
     cone = structure.cone
     k = len(cone)
@@ -313,9 +296,7 @@ def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None) -> Orb
         raise ValueError("need at least one coordinate per divisor generator")
 
     markers = structure.markers
-    basis = adapted_basis(structure.structure())
-    if basis.column(0) != markers.e0 or basis.column(basis.top) != markers.ed:
-        raise ArithmeticError("adapted basis disagrees with the markers")
+    require_dual_layers(structure.structure())
 
     for j, g in enumerate(cone.generators):
         if any(g.apply(markers.einf)):
@@ -346,8 +327,8 @@ def orbit_spec(structure: PureHodgeData, zeta_coeffs=None, n_coords=None) -> Orb
                 if not commutator(coeff, cone.generators[j]).is_zero():
                     raise FixtureError(field, f"{term} does not commute with generator {j}")
 
-    return OrbitSpec(structure=structure, markers=markers, basis=basis,
-                     cone=cone, n_coords=n_coords, zeta_coeffs=coeffs)
+    return OrbitSpec(structure=structure, markers=markers, cone=cone, n_coords=n_coords,
+                     zeta_coeffs=coeffs)
 
 
 # -- evaluation formulas, for either number kit ------------------------------
@@ -713,14 +694,13 @@ def monodromy_check(spec: OrbitSpec, t, ell, shifts):
 def triangularity_check(frame: OrbitFrame):
     """Each frame vector equals its basis column modulo strictly lower grades.
 
-    In the adapted coordinates eta is block-unitriangular for the filtration
+    In the splitting frame eta is block-unitriangular for the filtration
     grading: the coordinates of eta.e_j - e_j vanish on every column whose
     grade is not strictly below e_j's.  Returns (ok, detail).
     """
-    basis = frame.spec.basis
-    grades = basis.bigrades
+    a, a_inv, grades = frame.spec.structure.split().frame
     # column j of A^-1 eta A - I holds the coordinates of eta.e_j - e_j
-    delta = basis.inv * frame.eta * basis.mat - Mat.identity(basis.dim)
+    delta = a_inv * frame.eta * a - Mat.identity(frame.spec.dim)
     for j, (col, _) in enumerate(delta.transpose().int_form()):
         for i, _, _ in col:
             if grades[i][0] >= grades[j][0]:

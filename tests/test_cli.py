@@ -151,9 +151,10 @@ def test_loading_builds_no_scalar_per_zero_entry(monkeypatch):
 def test_write_read_write_is_byte_identical():
     for name in SHIPPED:
         original = (DATA / name).read_text()
-        fx = parse_fixture(json.loads(original))
+        doc = json.loads(original)
+        fx = parse_fixture(doc)
         again = dump_document(fixture_document(
-            fx.data, fx.zeta, fx.n_coords, fx.expectations))
+            fx.data, fx.zeta, fx.n_coords, doc.get("markers")))
         assert again == original, name
 
 
@@ -1245,6 +1246,54 @@ def test_one_sweep_pass_of_the_benchmark_runs_clean(monkeypatch):
             if (reason := run_op()) is not None] == []
 
 
+def moved_fixture(name, s, directory):
+    """The shipped fixture `name` written in another basis, as a file in
+    `directory`.
+
+    The basis change is g = signed_permutation(Random(s)) ×
+    random_unimodular(Random(f"m{s}")): the structure moves through the
+    benchmark's `moved`, each twist coefficient C to g·C·g⁻¹, and the
+    document leaves out the markers expectations, since the moved top line
+    is normalized in the new basis and so carries another lam.
+    """
+    fx = load_fixture(DATA / f"{name}.json")
+    d = fx.data.dim
+    g = LOADS.signed_permutation(random.Random(s), d) * \
+        fixtures.random_unimodular(random.Random(f"m{s}"), d)
+    g_inv = g.inverse()
+    zeta = {idx: {expo: g * c * g_inv for expo, c in poly.items()}
+            for idx, poly in fx.zeta.items()}
+    path = directory / f"{name}-moved-{s}.json"
+    path.write_text(dump_document(fixture_document(LOADS.moved(fx.data, g), zeta, fx.n_coords)))
+    return path
+
+
+EXACT_SUITES = ("symmetries", "isotropy", "bracket", "monodromy", "levels")
+
+
+# after these basis changes the Q(i) search of `adapted_basis` finds no basis:
+# no middle-layer pivot of varying has a Gaussian-rational square root, and
+# the middle-layer pivots of pair do not fold into hyperbolic pairs
+@pytest.mark.parametrize("name,s", [("varying", s) for s in range(4)] + [("pair", 2), ("pair", 3)])
+def test_a_basis_change_keeps_the_exact_verdicts(name, s, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)  # the benchmark's argv names the fixture by relative path
+    moved = moved_fixture(name, s, tmp_path)
+    argv = BENCH_ARGV[f"eval-exact.{name}"]
+    verdicts = []
+    for path in (argv[1], moved):
+        code, out, _ = run(capsys, argv[0], path, *argv[2:])
+        assert code == 0, path
+        verdicts.append([line for line in out.splitlines()
+                         if line.startswith(("h = ", "triangular frame: "))])
+    assert verdicts[1] == verdicts[0] and len(verdicts[0]) == 2
+    for suite in EXACT_SUITES:
+        code, out, _ = run(capsys, "check", moved, "--suite", suite)
+        assert code == 0 and "FAIL" not in out, (suite, out)
+    # the adapted basis that `markers` prints still needs the Q(i) search
+    code, _, err = run(capsys, "markers", moved)
+    assert code == 2 and err.startswith("error: f: no compatible basis: ")
+
+
 # -- shipped files and their builders ----------------------------------------------------
 
 
@@ -1285,7 +1334,7 @@ def action_in_frame(fixture):
 
 
 def _carried(data):
-    return Fixture(data=data, zeta={}, n_coords=len(data.cone), expectations={})
+    return Fixture(data=data, zeta={}, n_coords=len(data.cone))
 
 
 def family_fixtures():
@@ -1396,7 +1445,7 @@ def _swapped_first_grade(a, a_inv, grades):
 def _first_column_moved(a, a_inv, grades):
     # column 0 plus the first column of another piece
     k = next(k for k, pq in enumerate(grades) if pq != grades[0])
-    cols = [list(a.col(j)) for j in range(a.ncols)]
+    cols = [list(col) for col in a.transpose().rows]
     cols[0] = [x + y for x, y in zip(cols[0], cols[k])]
     return from_cols(cols), a_inv, grades
 

@@ -51,7 +51,6 @@ from hodgenorm.mhs import (
     polarization_check,
 )
 from hodgenorm.orbit import (
-    AdaptedBasis,
     adapted_basis,
     eval_frame,
     orbit_spec,
@@ -240,8 +239,8 @@ def ref_dual_pair_normalize(q, kept, replaced):
     return ((correction * anti).transpose() * Mat(replaced)).rows
 
 
-def ref_adapted_basis(structure):
-    """adapted_basis with every pairing a `form_value`."""
+def ref_require_dual_layers(structure):
+    """require_dual_layers with every pairing a `form_value`."""
     n, q = structure.n, structure.q
     jumps = structure.w.jump_levels
     if not jumps or jumps[0] + jumps[-1] != 2 * n:
@@ -264,23 +263,35 @@ def ref_adapted_basis(structure):
             if any(form_value(q, u, v) for u in vectors[bi] for v in vectors[bj]):
                 raise FixtureError(
                     "f", "no compatible basis: the pairing links non-dual splitting layers")
+
+
+def ref_adapted_basis(structure):
+    """adapted_basis with every pairing a `form_value`."""
+    ref_require_dual_layers(structure)
+    n, q = structure.n, structure.q
+    pieces = dict(structure.split().pieces)
+    blocks = sorted(pieces, key=lambda pq: (-pq[0], -pq[1]))
+    vectors = {pq: list(pieces[pq].basis) for pq in blocks}
     for i, bi in enumerate(blocks):
         anti = (n - bi[0], n - bi[1])
         if bi == anti:
             vectors[bi] = ref_middle_block_basis(q, vectors[bi])
         elif blocks.index(anti) > i:
             vectors[anti] = ref_dual_pair_normalize(q, vectors[bi], vectors[anti])
-    columns, bigrades = [], []
-    for b in blocks:
-        columns.extend(vectors[b])
-        bigrades.extend([b] * len(vectors[b]))
+    columns = [v for b in blocks for v in vectors[b]]
     d = len(columns) - 1
     for i in range(d // 2 + 1):
         for j in range(d + 1):
             if form_value(q, columns[i], columns[j]) != (ONE if i + j == d else ZERO):
                 raise ArithmeticError("adapted pairing normalization failed")
-    mat = from_cols(columns)
-    return AdaptedBasis(mat=mat, inv=ref_inverse(mat), bigrades=tuple(bigrades), n=n)
+    return from_cols(columns)
+
+
+def adapted_bigrades(structure):
+    """The bigrades of the adapted basis's columns: each layer's columns
+    together, the layers in descending (p, q) order."""
+    pieces = structure.split().pieces
+    return tuple(pq for pq in sorted(pieces, reverse=True) for _ in range(pieces[pq].dim))
 
 
 def ref_locate_markers(ind):
@@ -304,19 +315,18 @@ def ref_locate_markers(ind):
     return Markers(n=n, m=m, e0=e0, einf=einf, ed=ed, lam=(ONE / s).conjugate())
 
 
-def ref_triangularity_check(frame):
-    """One coordinate vector inv·(η·e_j − e_j) per basis column."""
-    basis = frame.spec.basis
-    for j in range(basis.dim):
-        col = basis.column(j)
+def ref_triangularity_check(frame, mat, inv, grades):
+    """One coordinate vector inv·(η·e_j − e_j) per column e_j of the basis
+    `mat`, whose columns have the bigrades `grades`."""
+    for j, col in enumerate(mat.transpose().rows):
         delta = vec_sub(frame.eta.apply(col), col)
         if not any(delta):
             continue
-        p_j = basis.bigrades[j][0]
-        for i, c in enumerate(basis.inv.apply(delta)):
-            if c and basis.bigrades[i][0] >= p_j:
-                return False, (f"frame vector {j} leaks into grade {basis.bigrades[i]}"
-                               f" at or above its own grade {basis.bigrades[j]}")
+        p_j = grades[j][0]
+        for i, c in enumerate(inv.apply(delta)):
+            if c and grades[i][0] >= p_j:
+                return False, (f"frame vector {j} leaks into grade {grades[i]}"
+                               f" at or above its own grade {grades[j]}")
     return True, "frame is unitriangular across the filtration grading"
 
 
@@ -438,16 +448,26 @@ def test_adapted_basis_matches_the_tuple_gram_schmidt():
             continue
         got = _outcome(adapted_basis, st_)
         want = _outcome(ref_adapted_basis, st_)
-        if isinstance(want, AdaptedBasis):
-            assert isinstance(got, AdaptedBasis), (label, got)
-            assert (got.mat, got.inv, got.bigrades, got.n) == \
-                (want.mat, want.inv, want.bigrades, want.n), label
-            assert got.mat.int_form() == want.mat.int_form(), label
-            assert got.inv.int_form() == want.inv.int_form(), label
+        if isinstance(want, Mat):
+            assert isinstance(got, Mat), (label, got)
+            assert got == want, label
+            assert got.int_form() == want.int_form(), label
             built += 1
         else:
             assert got == want, label
     assert built >= 30
+
+
+def test_dual_layer_refusals_match_the_tuple_pairing():
+    outcomes = set()
+    for label, data, _, _ in structures():
+        st_ = _outcome(data.structure)
+        if isinstance(st_, tuple):
+            continue
+        got = _outcome(orbit.require_dual_layers, st_)
+        assert got == _outcome(ref_require_dual_layers, st_), label
+        outcomes.add(got)
+    assert len(outcomes) >= 3
 
 
 def pure_weight_zero(q):
@@ -481,8 +501,8 @@ def test_middle_layer_normalization_matches_on_symmetric_pairings():
         want = _outcome(ref_symmetric_diagonal_basis, q, basis)
         assert (diag.rows if isinstance(diag, Mat) else diag) == tuple(want), rows
         got, want = _outcome(adapted_basis, st_), _outcome(ref_adapted_basis, st_)
-        if isinstance(want, AdaptedBasis):
-            assert (got.mat, got.inv, got.bigrades) == (want.mat, want.inv, want.bigrades), rows
+        if isinstance(want, Mat):
+            assert got == want and got.int_form() == want.int_form(), rows
             outcomes.add("built")
         else:
             assert got == want, rows
@@ -510,10 +530,28 @@ def _orbit_cases():
         yield build.__name__, build()
 
 
+def test_the_adapted_basis_ends_at_the_markers_of_every_orbit():
+    built = 0
+    for label, spec in _orbit_cases():
+        basis = _outcome(ref_adapted_basis, spec.structure.structure())
+        if isinstance(basis, Mat):
+            columns = basis.transpose().rows
+            assert (columns[0], columns[-1]) == (spec.markers.e0, spec.markers.ed), label
+            built += 1
+    assert built >= 25
+
+
 def test_triangularity_check_matches_the_column_loop():
-    details = set()
+    # the splitting-frame loop gives the same verdict and detail; the loop
+    # over the adapted basis, where one exists, the same verdict, since the
+    # two bases differ by a change within each layer
+    details, adapted = set(), 0
     rng = random.Random("triangularity")
     for label, spec in _orbit_cases():
+        st_ = spec.structure.structure()
+        basis = _outcome(ref_adapted_basis, st_)
+        if isinstance(basis, Mat):
+            basis = (basis, ref_inverse(basis), adapted_bigrades(st_))
         for t, ell in cli._deterministic_points(spec):
             frame = eval_frame(spec, t, ell)
             d = spec.dim
@@ -523,9 +561,13 @@ def test_triangularity_check_matches_the_column_loop():
             for eta in etas:
                 moved = dataclasses.replace(frame, eta=eta)
                 got = triangularity_check(moved)
-                assert got == ref_triangularity_check(moved), label
+                assert got == ref_triangularity_check(moved, *st_.split().frame), label
+                if isinstance(basis[0], Mat):
+                    assert got[0] == ref_triangularity_check(moved, *basis)[0], label
+                    adapted += 1
                 details.add(got[1])
     assert len(details) >= 10
+    assert adapted >= 150
 
 
 # -- Mat.inverse against the rref route --------------------------------------------

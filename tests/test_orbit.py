@@ -10,6 +10,7 @@ is asserted with exact arithmetic.  No tolerances appear anywhere in this
 file.
 """
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -40,11 +41,9 @@ from hodgenorm.mhs import (
     FixtureError,
     MixedHodge,
     NilpotentCone,
-    deligne_split,
     polarization_check,
 )
 from hodgenorm.orbit import (
-    AdaptedBasis,
     _Exact,
     adapted_basis,
     check_powers,
@@ -100,54 +99,78 @@ def negated_curve():
 # -- adapted bases -------------------------------------------------------------
 
 
+ORBITS = (orbit_elliptic, orbit_weight_one, orbit_pair, orbit_varying, orbit_hermitian)
+
+
+def columns(b):
+    return b.transpose().rows
+
+
+def column_bigrades(structure, b):
+    """The bigrade of each column of b, asserting that the column lies in
+    exactly one splitting layer."""
+    pieces = structure.split().pieces
+    grades = []
+    for col in columns(b):
+        (pq,) = [pq for pq, sub in pieces.items() if sub.contains_vector(col)]
+        grades.append(pq)
+    return tuple(grades)
+
+
 def test_curve_basis_is_the_standard_one():
-    h = tate_normalize(induce(curve()))
-    b = adapted_basis(h.structure())
-    assert b.mat == Mat([[1, 0], [0, 1]])
-    assert b.bigrades == ((1, 1), (0, 0))
-    assert b.n == 1 and b.dim == 2 and b.top == 1
-    assert b.column(0) == vec((1, 0))
-    assert b.inv.apply(vec((0, 1))) == vec((0, 1))
+    st = tate_normalize(induce(curve())).structure()
+    b = adapted_basis(st)
+    assert b == Mat([[1, 0], [0, 1]])
+    assert column_bigrades(st, b) == ((1, 1), (0, 0))
+    assert st.n == 1 and b.shape == (2, 2)
+    assert columns(b)[0] == vec((1, 0))
+    assert b.inverse().apply(vec((0, 1))) == vec((0, 1))
 
 
 def test_basis_ends_at_the_markers():
+    # two algorithms, one answer: the adapted basis starts at the top line
+    # e0 and ends at its dual ed on every orbit
+    for build in ORBITS:
+        spec = build()
+        st, mk = spec.structure.structure(), spec.markers
+        b = adapted_basis(st)
+        assert columns(b)[0] == mk.e0 and columns(b)[-1] == mk.ed, build.__name__
+        assert b.inverse().apply(mk.e0) == Mat.identity(spec.dim).rows[0]
     spec = orbit_weight_one()
-    b, mk = spec.basis, spec.markers
-    assert b.bigrades[0] == (3, 1)
-    assert b.bigrades[-1] == (0, 2)
-    assert b.column(0) == mk.e0
-    assert b.column(b.top) == mk.ed
-    assert b.inv.apply(mk.e0) == Mat.identity(b.dim).col(0)
+    grades = column_bigrades(spec.structure.structure(),
+                             adapted_basis(spec.structure.structure()))
+    assert grades[0] == (3, 1)
+    assert grades[-1] == (0, 2)
 
 
 def test_basis_columns_span_both_filtrations():
     for spec in (orbit_elliptic(), orbit_pair(), orbit_varying()):
         st = spec.structure
-        b = spec.basis
-        d = b.dim
+        b = adapted_basis(st.structure())
+        cols, grades = columns(b), column_bigrades(st.structure(), b)
+        d = b.ncols
         for p in st.f.jump_levels:
-            cols = [b.column(j) for j in range(d) if b.bigrades[j][0] >= p]
-            assert Subspace(d, cols) == st.f.at(p)
+            assert Subspace(d, [c for c, g in zip(cols, grades) if g[0] >= p]) == st.f.at(p)
         for l in st.w.jump_levels:
-            cols = [b.column(j) for j in range(d) if sum(b.bigrades[j]) <= l]
-            assert Subspace(d, cols) == st.w.at(l)
+            assert Subspace(d, [c for c, g in zip(cols, grades) if sum(g) <= l]) == st.w.at(l)
 
 
 def test_basis_columns_have_pure_bigrades():
-    spec = orbit_varying()
-    pieces = deligne_split(spec.structure.structure()).pieces
-    b = spec.basis
-    for j in range(b.dim):
-        assert pieces[b.bigrades[j]].contains_vector(b.column(j))
+    for build in ORBITS:
+        st = build().structure.structure()
+        grades = column_bigrades(st, adapted_basis(st))   # one layer per column
+        assert list(grades) == sorted(grades, reverse=True), build.__name__
+        assert collections.Counter(grades) == st.split().diamond(), build.__name__
 
 
 def test_gram_is_the_anti_identity():
     # the pair fixture has a four-dimensional middle layer, the varying one
     # a three-dimensional middle whose pivots only fold in pairs
     for spec in (orbit_pair(), orbit_varying()):
-        st, b = spec.structure, spec.basis
-        d = b.top
-        gram = b.mat.transpose() * st.q * b.mat
+        st = spec.structure
+        b = adapted_basis(st.structure())
+        d = b.ncols - 1
+        gram = b.transpose() * st.q * b
         for i in range(d + 1):
             for j in range(d + 1):
                 want = 1 if i + j == d else 0
@@ -157,7 +180,7 @@ def test_gram_is_the_anti_identity():
 def test_middle_layer_folds_without_square_roots():
     f, w, q = pure_line_structure([2, -2])
     b = adapted_basis(MixedHodge(0, w, f, q))
-    gram = b.mat.transpose() * q * b.mat
+    gram = b.transpose() * q * b
     assert gram[0, 1] == 1
     assert gram[0, 0] == 0
     assert gram[1, 1] == 0
@@ -166,7 +189,7 @@ def test_middle_layer_folds_without_square_roots():
 def test_lone_middle_pivot_needs_a_square_root():
     f, w, q = pure_line_structure([-1])
     b = adapted_basis(MixedHodge(0, w, f, q))   # -1 = i^2 is a square over the Gaussians
-    assert (b.mat.transpose() * q * b.mat)[0, 0] == 1
+    assert (b.transpose() * q * b)[0, 0] == 1
     f, w, q = pure_line_structure([2])
     with pytest.raises(ValueError, match="square root"):
         adapted_basis(MixedHodge(0, w, f, q))
@@ -294,7 +317,7 @@ def test_curve_frame_by_hand():
     assert fr.theta == nilpotent_exp(ell * n_op)
     assert fr.zeta == nilpotent_exp(x * n_op)
     assert fr.theta * fr.zeta == fr.zeta * fr.theta
-    assert fr.eta.apply(spec.basis.column(0)) == vec((1, ell + x))
+    assert fr.eta.apply(spec.markers.e0) == vec((1, ell + x))
     assert fr.q01 == 1 and fr.h_tilde == 1
 
 
@@ -320,7 +343,7 @@ def test_deck_matrix_is_the_cone_exponential():
     assert deck_transform(spec, (2, -1)) == nilpotent_exp(2 * n0 + (-1) * n1)
 
 
-def test_frames_are_triangular_in_the_adapted_basis():
+def test_frames_are_triangular_in_the_splitting_frame():
     rng = random.Random(11)
     for spec in (orbit_elliptic(), orbit_weight_one(), orbit_pair(),
                  orbit_varying(), orbit_hermitian()):
@@ -400,7 +423,7 @@ def test_cone_rescaling_is_a_symmetry():
 def test_pure_structure_with_empty_cone():
     h = tate_normalize(induce(test_induced.weight_three_line()))
     spec = orbit_spec(h, {}, n_coords=0)
-    assert spec.k == 0 and spec.n == spec.m == 7
+    assert spec.k == 0 and spec.markers.n == spec.markers.m == 7
     fr = eval_frame(spec, (), ())
     assert fr.h_tilde == 1
     with pytest.raises(ValueError, match="empty cone"):
