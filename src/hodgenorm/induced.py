@@ -14,10 +14,11 @@ scalar between them.
 V and H are records of one kind: `InducedStructure` is a `PureHodgeData`
 that also carries its twist, its factors and its bigraded monomial basis,
 so everything that reads weight-w data (the fixture writer, the orbit spec,
-the markers) reads either.  F and W are built from that basis, and the
-tests build the splitting that functoriality predicts from it.  Every
-record is verified when built, and finds its markers once, when they are
-first read.
+the markers) reads either.  F and W are built from that basis, and so is
+H's Deligne splitting: functoriality puts each monomial in the piece of its
+bigrade, so `deligne_split` spans the monomials by bigrade and verifies the
+result like any other splitting.  Every record is verified when built, and
+finds its markers once, when they are first read.
 
 H is built in one number type, Gaussian-integer rows over a scale.  Its
 pairing is the Kronecker product of the compound matrices Λ^k Q, and its
@@ -222,11 +223,18 @@ class InducedStructure(PureHodgeData):
     """H as weight-w data, with its Tate twist, its factors (p, dim F^p) and
     its bigraded monomial basis: ((P, Q), int-form row) for every monomial
     of the frame, before the twist.  `induce` builds F and W from it, and
-    the tests' predicted splitting spans its monomials by bigrade."""
+    its structure carries it shifted by the twist, (P - twist, Q - twist),
+    as the basis its Deligne splitting is spanned from."""
 
     twist: int = 0
     factor_exponents: tuple = ()
     bigraded: tuple = ()
+
+    @cached_property
+    def _structure(self) -> MixedHodge:
+        k = self.twist
+        return MixedHodge(self.weight, self.w, self.f, self.q,
+                          tuple(((p - k, q - k), row) for (p, q), row in self.bigraded))
 
 
 # Largest induced dimension `induce` builds.  Its cost grows about as the

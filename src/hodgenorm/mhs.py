@@ -9,22 +9,25 @@ recovers both filtrations as direct sums and is conjugation-symmetric up to
 strictly smaller bidegrees.  Everything here is exact; a structure is either
 valid or rejected with the first failing identity.
 
-`deligne_split` reads every meet F^p ∩ W_l and conj(F)^q ∩ W_l off one
-echelon form per step of F and of conj(F), written in a basis of V adapted
-to W, and forms each piece with one Zassenhaus intersection in those
+A structure built from a bigraded basis (an induced structure: the
+monomials of V's frame) carries that basis, and `deligne_split` spans it by
+bigrade.  Otherwise it reads every meet F^p ∩ W_l and conj(F)^q ∩ W_l off
+one echelon form per step of F and of conj(F), written in a basis of V
+adapted to W, and forms each piece with one Zassenhaus intersection in those
 coordinates.  The splitting owns its frame (A, A^{-1}, grades): A has the
 pieces' echelon bases as its columns.  `deligne_split` builds it once, from
 the pieces' int rows, and verifies every identity in it as a support pattern
-of frame coordinates.  `polarization_check` reads the cone in the same
-frame, one A^{-1} N A per generator.  The symmetry-algebra layers (`lie`),
-the bracket suite and the twist check of `orbit.orbit_spec` read the same
-frame off `structure.split()`.
+of frame coordinates, whichever way the pieces were found.
+`polarization_check` reads the cone in the same frame, one A^{-1} N A per
+generator.  The symmetry-algebra layers (`lie`), the bracket suite and the
+twist check of `orbit.orbit_spec` read the same frame off
+`structure.split()`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .exactlin import (
@@ -66,12 +69,19 @@ class FixtureError(ValueError):
 class MixedHodge:
     """Weight-n mixed structure (W, F) with an optional pairing Q; its
     `split` (with the splitting frame) and `f_isotropy` are computed once
-    and shared."""
+    and shared.
+
+    `basis` is the bigraded basis the structure was built from, if any:
+    ((p, q), int-form row) pairs that `deligne_split` spans by bigrade in
+    place of the intersection formula.  It is not part of the structure's
+    identity: equality, hash and repr read (n, W, F, Q) alone.
+    """
 
     n: int
     w: IncreasingFiltration
     f: DecreasingFiltration
     q: Mat | None = None
+    basis: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if self.w.ambient != self.f.ambient:
@@ -165,23 +175,58 @@ class DeligneSplitting:
 def deligne_split(structure: MixedHodge) -> DeligneSplitting:
     """Compute the canonical splitting; reject inputs that are not mixed Hodge.
 
-    Every defining identity of the splitting is checked exactly, and a
-    FixtureError on the field f names the first failure.  The meets are
-    read off one basis B of V adapted to W: the rows of each step's echelon
-    basis whose pivot is new, in reverse, so W_l is spanned by the last
-    dim W_l rows.  Each step of F and of conj(F) is written in B-coordinates
-    and eliminated once; its echelon rows with pivot at or after n - dim W_l
-    then span its meet with W_l, for every l at once, and each `corr` sum is
-    a union of such rows.  A piece is one Zassenhaus intersection on the
-    last dim W_l coordinates, mapped back through B and spanned once.  The
-    verified splitting is kept on the structure, where MixedHodge.split()
-    reads it: later calls return that same object, and it lives exactly as
-    long as the structure.  A failed build is not kept; pieces that are not
-    a basis of V raise DirectSumError.
+    The pieces are the structure's bigraded basis spanned by bigrade when it
+    carries one (`_basis_pieces`), and the intersection formula otherwise
+    (`_meet_pieces`).  Either way every defining identity of the splitting
+    is checked exactly, and a FixtureError on the field f names the first
+    failure; the splitting is unique (Cattani-Kaplan-Schmid), so pieces that
+    pass are the Deligne splitting.  The verified splitting is kept on the
+    structure, where MixedHodge.split() reads it: later calls return that
+    same object, and it lives exactly as long as the structure.  A failed
+    build is not kept; pieces that are not a basis of V raise
+    DirectSumError.
     """
     kept = structure.__dict__.get("_split")
     if kept is not None:
         return kept
+    n = structure.ambient
+    pieces = _basis_pieces(structure.basis, n) if structure.basis else _meet_pieces(structure)
+    split = DeligneSplitting(n, pieces)
+    defect = splitting_defect(structure, split)
+    if defect is not None:
+        error = DirectSumError if split.frame is None else FixtureError
+        raise error("f", f"not a mixed Hodge structure: {defect}")
+    structure.__dict__["_split"] = split
+    return split
+
+
+def _basis_pieces(basis, n):
+    """The spans of a bigraded basis, one per bigrade.
+
+    A basis that is not n rows with every index below n is refused as a
+    DirectSumError on f before any span is taken.
+    """
+    if len(basis) != n or any(j >= n for _, (row, _) in basis for j, _, _ in row):
+        raise DirectSumError("f", f"not a mixed Hodge structure: the bigraded basis is "
+                                  f"not {n} rows of length {n}")
+    gathered = {}
+    for pq, row in basis:
+        gathered.setdefault(pq, []).append(row)
+    return {pq: Subspace._span(n, rows) for pq, rows in gathered.items()}
+
+
+def _meet_pieces(structure: MixedHodge):
+    """The pieces by the intersection formula.
+
+    The meets are read off one basis B of V adapted to W: the rows of each
+    step's echelon basis whose pivot is new, in reverse, so W_l is spanned
+    by the last dim W_l rows.  Each step of F and of conj(F) is written in
+    B-coordinates and eliminated once; its echelon rows with pivot at or
+    after n - dim W_l then span its meet with W_l, for every l at once, and
+    each `corr` sum is a union of such rows.  A piece is one Zassenhaus
+    intersection on the last dim W_l coordinates, mapped back through B and
+    spanned once.
+    """
     w, f, n = structure.w, structure.f, structure.ambient
     basis = _w_adapted_rows(w)
     b_inv = Mat._of_ints(basis, n).inverse()
@@ -218,13 +263,7 @@ def deligne_split(structure: MixedHodge) -> DeligneSplitting:
             if res:
                 piece = [(_triples(re, im), 1) for re, im in zip(res, ims)]
                 pieces[(p, q)] = Subspace._span(n, _int_product(piece, basis[n - d:], n))
-    split = DeligneSplitting(n, pieces)
-    defect = splitting_defect(structure, split)
-    if defect is not None:
-        error = DirectSumError if split.frame is None else FixtureError
-        raise error("f", f"not a mixed Hodge structure: {defect}")
-    structure.__dict__["_split"] = split
-    return split
+    return pieces
 
 
 def _w_adapted_rows(w: IncreasingFiltration):

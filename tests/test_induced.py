@@ -2,21 +2,25 @@
 
 Every diamond frozen here was computed by hand from the block decompositions
 of the fixtures (wedge a bigraded basis, add bigrades, count monomials), so
-the assertions are not replays of the code under test.  On top of that, each
-induced splitting is computed along two unrelated paths — monomial spans
-(`predicted_split`, kept here) versus the general intersection formula —
-which must agree piece by piece.
+the assertions are not replays of the code under test.  On top of that, the
+library reads each induced splitting off its monomials (spanned by bigrade
+and verified), and the tests split a basis-free copy of the same structure,
+which takes the general intersection formula: the two must agree piece by
+piece, on the worked families and on the benchmark's moved fresh families.
+A basis whose bigrades are wrong must fail that verification.
 The monomials themselves, built in ints from Λ^k of the splitting frame's
 rows, are checked against the scalar construction they replaced (wedges of
 the pieces' pivot-1 basis vectors, tensored entry by entry), which is kept
 below as the reference.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import test_cli
 from hodgenorm.exactlin import (
     GaussianRational,
     Mat,
@@ -53,7 +57,9 @@ from hodgenorm.induced import (
     wedge_matrix,
 )
 from hodgenorm.mhs import (
-    DeligneSplitting,
+    DirectSumError,
+    FixtureError,
+    MixedHodge,
     NilpotentCone,
     check_symmetries,
     cone_compatibility,
@@ -74,17 +80,10 @@ def strictly_upper(rng, n):
 # -- references read by other test modules too ---------------------------------
 
 
-def predicted_split(h: InducedStructure) -> DeligneSplitting:
-    """The splitting functoriality predicts: spans of bigraded monomials.
-
-    Independent of the general intersection formula, so the two must agree
-    piece by piece; the twist k shifts a monomial (P, Q) by (-k, -k).
-    """
-    gathered = {}
-    for (p, q), row in h.bigraded:
-        gathered.setdefault((p - h.twist, q - h.twist), []).append(row)
-    return DeligneSplitting(
-        h.dim, {pq: Subspace._span(h.dim, rows) for pq, rows in gathered.items()})
+def intersection_split(h: InducedStructure):
+    """The splitting of a copy of h's structure without its monomial basis,
+    which the general intersection formula computes."""
+    return deligne_split(MixedHodge(h.weight, h.w, h.f, h.q))
 
 
 def weight_three_line():
@@ -221,10 +220,9 @@ def test_weight_one_induced_diamond_and_markers(a):
     assert h.dim == 20 and h.weight == 3 and h.factor_exponents == ((1, 3),)
     assert tate_normalize(h) is h  # top line already at level 3
 
-    predicted = predicted_split(h)
-    assert predicted.diamond() == WEIGHT_ONE_DIAMONDS[a]
-    general = deligne_split(h.structure())
-    assert general.pieces == predicted.pieces
+    split = h.split()
+    assert split.diamond() == WEIGHT_ONE_DIAMONDS[a]
+    assert split.pieces == intersection_split(h).pieces
 
     markers = locate_markers(h)
     assert markers.n == 3 and markers.m == 3 + a
@@ -264,13 +262,13 @@ def test_split_cone_variant_agrees_on_the_sum():
     split = weight_one(2, split_cone=True)
     assert len(joint.cone) == 1 and len(split.cone) == 2
     assert split.cone.element((1, 1)) == joint.cone.element((1,))
-    assert predicted_split(induce(split)).diamond() == WEIGHT_ONE_DIAMONDS[2]
+    assert induce(split).split().diamond() == WEIGHT_ONE_DIAMONDS[2]
 
 
 def test_curve_pair_induced():
     h = induce(curve_pair())
     assert h.dim == 6 and h.weight == 2
-    assert predicted_split(h).diamond() == {(2, 2): 1, (1, 1): 4, (0, 0): 1}
+    assert h.split().diamond() == {(2, 2): 1, (1, 1): 4, (0, 0): 1}
     markers = locate_markers(h)
     assert markers.m == 4
     assert len(h.cone) == 2
@@ -343,10 +341,10 @@ def test_weight_two_fixture_matches_hand_tables(kind):
     assert ind.dim == (h + 4) * (h + 3) // 2
     assert ind.weight == 4 and tate_normalize(ind) is ind
 
-    predicted = predicted_split(ind)
-    assert predicted.diamond() == weight_two_h_diamond(kind, h)
-    assert deligne_split(ind.structure()).pieces == predicted.pieces
-    check_symmetries(predicted.diamond(), 4, limiting=True)
+    split = ind.split()
+    assert split.diamond() == weight_two_h_diamond(kind, h)
+    assert split.pieces == intersection_split(ind).pieces
+    check_symmetries(split.diamond(), 4, limiting=True)
 
     markers = locate_markers(ind)
     assert markers.m == WEIGHT_TWO_M[kind]
@@ -359,7 +357,7 @@ def test_weight_two_away_from_the_minimum():
     for kind, h in ((1, 4), (3, 6), (5, 3)):
         v = weight_two(kind, classes=h)
         assert v.split().diamond() == weight_two_v_diamond(kind, h)
-        got = predicted_split(induce(v)).diamond()
+        got = induce(v).split().diamond()
         assert got == weight_two_h_diamond(kind, h)
 
 
@@ -395,13 +393,13 @@ def test_weight_three_line_needs_one_twist():
 
     norm = tate_normalize(raw)
     assert norm.weight == 7 and norm.twist == 1
-    predicted = predicted_split(norm)
-    assert deligne_split(norm.structure()).pieces == predicted.pieces
+    split = norm.split()
+    assert split.pieces == intersection_split(norm).pieces
     # Pure of weight 7.  By hand: Λ²V sits at (5,1), (4,2), (3,3)·2, (2,4),
     # (1,5); tensoring with the four lines of V and twisting by (-1,-1)
     # spreads 24 dimensions along p+q = 7 as 1,2,4,5,5,4,2,1.
-    assert predicted.diamond() == {(7, 0): 1, (6, 1): 2, (5, 2): 4, (4, 3): 5,
-                                   (3, 4): 5, (2, 5): 4, (1, 6): 2, (0, 7): 1}
+    assert split.diamond() == {(7, 0): 1, (6, 1): 2, (5, 2): 4, (4, 3): 5,
+                               (3, 4): 5, (2, 5): 4, (1, 6): 2, (0, 7): 1}
 
     markers = locate_markers(norm)
     assert markers.m == 7
@@ -421,16 +419,54 @@ def test_induce_requires_a_top_half():
         induce(v)
 
 
-def test_tate_normalize_demands_a_line():
-    # Hand the normalizer a structure whose deepest filtration level is a
-    # plane (the raw weight-2 input itself, where dim F² = 2).
+def fat_top():
+    """The raw weight-2 input itself, where dim F² = 2, as an induced record
+    that carries the 15 monomials of its induced H on its 6 dimensions."""
     v = weight_two(0)
-    ind = induce(v)
-    fat_top = InducedStructure(
+    return InducedStructure(
         weight=2, twist=0, q=v.q, f=v.f, w=v.w, cone=v.cone,
-        factor_exponents=((2, 2),), bigraded=ind.bigraded)
+        factor_exponents=((2, 2),), bigraded=induce(v).bigraded)
+
+
+def test_tate_normalize_demands_a_line():
+    # Hand the normalizer a structure whose deepest filtration level is a plane.
     with pytest.raises(ValueError):
-        tate_normalize(fat_top)
+        tate_normalize(fat_top())
+
+
+def test_a_basis_that_does_not_fit_the_space_is_refused_on_f():
+    with pytest.raises(DirectSumError) as err:
+        fat_top().split()
+    assert err.value.field == "f"
+    assert err.value.message == ("not a mixed Hodge structure: "
+                                 "the bigraded basis is not 6 rows of length 6")
+
+
+def relabeled(h, bigrade):
+    """h with every monomial's bigrade (P, Q) replaced by bigrade(k, P, Q),
+    k its position in the basis."""
+    return dataclasses.replace(h, bigraded=tuple(
+        (bigrade(k, *pq), row) for k, (pq, row) in enumerate(h.bigraded)))
+
+
+@pytest.mark.parametrize("v, label, defect", [
+    (weight_one(1), "conjugated", "F^1 is not the span of pieces with p >= 1"),
+    (weight_one(1), "last Q raised", "W_4 is not the span of pieces with p+q <= 4"),
+    (weight_two(1), "conjugated", "F^1 is not the span of pieces with p >= 1"),
+    (weight_two(1), "last Q raised", "W_5 is not the span of pieces with p+q <= 5"),
+], ids=["weight_one(1) conjugated", "weight_one(1) last Q raised",
+        "weight_two(1) conjugated", "weight_two(1) last Q raised"])
+def test_a_mislabeled_basis_fails_the_splitting_identities(v, label, defect):
+    # The monomials are verified, not trusted: with bigrades that are wrong
+    # they still span V, so the frame exists and an identity fails.
+    h = induce(v)
+    last = len(h.bigraded) - 1
+    bigrade = {"conjugated": lambda k, p, q: (q, p),
+               "last Q raised": lambda k, p, q: (p, q + (k == last))}[label]
+    with pytest.raises(FixtureError) as err:
+        relabeled(h, bigrade).split()
+    assert type(err.value) is FixtureError and err.value.field == "f"
+    assert err.value.message == f"not a mixed Hodge structure: {defect}"
 
 
 def test_the_induced_structure_is_weight_w_data_verified_when_built():
@@ -529,20 +565,8 @@ def reference_induce(v):
     return h, {pq: Subspace(dim_h, vectors) for pq, vectors in sorted(pieces.items())}
 
 
-def moved(v, g):
-    """The same structure written in the basis g: x -> g x, as the
-    benchmark's fresh workload moves its families."""
-    g_inv = g.inverse()
-    q = g_inv.transpose() * v.q * g_inv
-    cone = NilpotentCone([g * n * g_inv for n in v.cone.generators], q)
-    return PureHodgeData(v.weight, q, v.f.apply(g), cone, v.w.apply(g))
-
-
-def signed_permutation(rng, n):
-    order = list(range(n))
-    rng.shuffle(order)
-    return Mat([[rng.choice((-1, 1)) if j == order[i] else 0 for j in range(n)]
-                for i in range(n)])
+# the benchmark's own basis changes: `moved` and `signed_permutation`
+LOADS = test_cli.LOADS
 
 
 def differential_inputs():
@@ -552,12 +576,31 @@ def differential_inputs():
     named += [(f"weight_two({kind})", weight_two(kind)) for kind in range(6)]
     for name, v in (("weight_one(1)", weight_one(1)), ("weight_two(1)", weight_two(1))):
         rng = random.Random(f"induced:{name}")
-        g = signed_permutation(rng, v.dim) * random_unimodular(rng, v.dim)
-        named.append((f"moved {name}", moved(v, g)))
+        g = LOADS.signed_permutation(rng, v.dim) * random_unimodular(rng, v.dim)
+        named.append((f"moved {name}", LOADS.moved(v, g)))
     return named
 
 
 DIFFERENTIAL = differential_inputs()
+
+
+def fresh_families():
+    """The benchmark's seven fresh families, each moved by the first basis
+    change its fresh workload draws from seed 3."""
+    rng = random.Random(3)
+    return [(f"fresh {name}", LOADS.moved(v, LOADS.signed_permutation(rng, v.dim) * base))
+            for name, (v, base) in LOADS.fresh_setup().items()]
+
+
+SPLIT_INPUTS = DIFFERENTIAL + fresh_families()
+
+
+@pytest.mark.parametrize("v", [v for _, v in SPLIT_INPUTS], ids=[n for n, _ in SPLIT_INPUTS])
+def test_the_monomial_splitting_matches_the_intersection_formula(v):
+    h = tate_normalize(induce(v))
+    split, general = h.split(), intersection_split(h)
+    assert split.pieces == general.pieces
+    assert split.frame == general.frame
 
 
 def _markers(h):
@@ -576,7 +619,7 @@ def test_induce_matches_the_scalar_monomial_construction(v):
     assert got.q == want.q
     assert got.cone.generators == want.cone.generators
     assert got.f == want.f and got.w == want.w
-    assert predicted_split(got).pieces == pieces
+    assert got.split().pieces == pieces
     assert _markers(got) == _markers(want)
 
 

@@ -289,14 +289,26 @@ def _spy_on_splitting_defect(monkeypatch):
 
 
 def test_split_then_polarize_verifies_the_splitting_once(monkeypatch):
-    # deligne_split and then polarization_check on one induced structure
+    # deligne_split and then polarization_check on one induced structure,
+    # which is spanned from its monomials with no Zassenhaus meet; its V,
+    # which carries no basis, is split by meets when H is built
+    meets = []
+    zassenhaus = mhs._zassenhaus
+
+    def spy(*args):
+        meets.append(args)
+        return zassenhaus(*args)
+
+    monkeypatch.setattr(mhs, "_zassenhaus", spy)
     v = weight_one(2)
     ind = tate_normalize(induce(_moved(v, random_unimodular(random.Random(12), v.dim))))
+    assert meets
+    meets.clear()
     structure = ind.structure()
     checked = _spy_on_splitting_defect(monkeypatch)
     split = deligne_split(structure)
     assert polarization_check(structure, ind.cone) == (True, None)
-    assert checked == [structure]
+    assert checked == [structure] and meets == []
     assert structure.split() is split
     assert deligne_split(structure) is split
     assert len(checked) == 1
