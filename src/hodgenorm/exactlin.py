@@ -27,7 +27,8 @@ hashing read it too:
 - `transpose` and `conj` move and negate triples;
 - `submatrix` picks its triples out of the parent's, and `det` is Bareiss's
   fraction-free elimination over Z[i] on them, divided by the product of
-  the row scales at the end;
+  the row scales at the end, run once per matrix and kept;
+- `**` squares from the base itself and stops at the first zero square;
 - `nilpotent_exp` writes N = M/d with M a Gaussian-integer matrix, forms
   the powers of M in ints and sums the series over the one denominator
   d^K * K!, so each entry becomes a `Fraction` once.
@@ -266,10 +267,11 @@ class Mat:
     time they are read.
     """
 
-    # `ints` and `width` are always set, and `rows` is filled by
-    # `__getattr__` when read unset: `perfbench/tracer.py` reads every slot
-    # of a matrix whose slots are not ("rows",).
-    __slots__ = ("rows", "ints", "width")
+    # `ints`, `width` and `_det` (None until `det` computes it) are always
+    # set, and `rows` is filled by `__getattr__` when read unset:
+    # `perfbench/tracer.py` reads every slot of a matrix whose slots are not
+    # ("rows",).
+    __slots__ = ("rows", "ints", "width", "_det")
 
     def __init__(self, rows):
         rows = [tuple(r) for r in rows]
@@ -277,6 +279,7 @@ class Mat:
         if any(len(r) != self.width for r in rows):
             raise ValueError("ragged rows")
         self.ints = tuple(map(_nonzero_ints, rows))
+        self._det = None
 
     @classmethod
     def _of_ints(cls, ints, width):
@@ -285,6 +288,7 @@ class Mat:
         self = object.__new__(cls)
         self.ints = tuple(_reduced(row, d) if row else ([], 1) for row, d in ints)
         self.width = width
+        self._det = None
         return self
 
     def __getattr__(self, name):
@@ -376,16 +380,23 @@ class Mat:
         return self.apply(other) if isinstance(other, tuple) else self * other
 
     def __pow__(self, k):
+        """self^k by repeated squaring, from the first factor it needs, not
+        from the identity.  Once a square of self is zero every power still
+        to be multiplied in is zero too, and that square is returned."""
         if k < 0:
             raise ValueError("negative powers: use inverse() first")
-        out = Mat.identity(self.nrows)
-        base = self
-        while k:
+        if not k:
+            return Mat.identity(self.nrows)
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
+                out = base if out is None else out * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
+            if base.is_zero():
+                return base
 
     def apply(self, v):
         """Matrix times column vector."""
@@ -419,6 +430,13 @@ class Mat:
         return not any(row for row, _ in self.int_form())
 
     def det(self):
+        """The determinant, computed the first time it is asked for and kept
+        in `_det`: a matrix is immutable, so every later reader shares it."""
+        if self._det is None:
+            self._det = self._bareiss()
+        return self._det
+
+    def _bareiss(self):
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         # Bareiss (1968) over Z[i]: after step k every entry of the trailing

@@ -13,7 +13,7 @@ every integer compare equal regardless of which levels the caller recorded.
 
 from __future__ import annotations
 
-from .exactlin import Mat, Subspace, _nonzero_ints, _rows, image, kernel
+from .exactlin import Mat, Subspace, _dense_rows, _eliminate, _nonzero_ints, _rows, image, kernel
 
 
 class _Filtration:
@@ -93,13 +93,17 @@ class _Filtration:
     @classmethod
     def from_int_rows(cls, ambient, gens):
         """X_l spanned by every row listed at l or before it in growing order,
-        the rows in `Mat.int_form`'s (triples, scale) form: one elimination
-        of all the rows so far per level."""
+        the rows in `Mat.int_form`'s (triples, scale) form.  Each level
+        eliminates only its own rows, together with the previous step's
+        stored echelon rows, which already span everything listed before."""
         ambient = int(ambient)
-        rows, steps = [], {}
+        step, steps = Subspace.zero(ambient), {}
         for l in sorted(gens, key=lambda l: cls._sign * l):
-            rows += gens[l]
-            steps[l] = Subspace._span(ambient, rows)
+            res, ims = _dense_rows(gens[l], ambient)
+            for _, re, im in step.int_rows:
+                res.append(list(re))
+                ims.append(list(im))
+            step = steps[l] = Subspace._echelon(ambient, res, ims, _eliminate(res, ims))
         return cls(ambient, steps)
 
     def isotropy(self, q: Mat, bound: int):

@@ -120,7 +120,8 @@ class LieSplit(DeligneSplitting):
     Each layer is kept as its seeds in `local`; the cut-out route keeps
     built elements of Q' instead.  The diamond counts them.  The frame is
     not built here: it is the one V's `DeligneSplitting` owns, held in the
-    inherited `frame` slot.  A layer's frame matrices are built the first
+    inherited `frame` slot; the inherited `conj_frame` is None, since no
+    reader conjugates the layers.  A layer's frame matrices are built the first
     time the layer is read and kept in `built`; its span in flattened
     End(V) (`ambient` n^2) is built when `pieces` is first read.
     """
@@ -131,6 +132,7 @@ class LieSplit(DeligneSplitting):
     def __init__(self, frame, local: LieAlgebraBasis, layers):
         self.ambient = local.ambient ** 2
         self.frame = frame
+        self.conj_frame = None  # no reader conjugates the layers in End(V)
         self.local = local
         self.layers = {pq: tuple(xs) for pq, xs in sorted(layers.items()) if xs}
         self.built = {}

@@ -15,13 +15,16 @@ bigrade.  Otherwise it reads every meet F^p ∩ W_l and conj(F)^q ∩ W_l off
 one echelon form per step of F and of conj(F), written in a basis of V
 adapted to W, and forms each piece with one Zassenhaus intersection in those
 coordinates.  The splitting owns its frame (A, A^{-1}, grades): A has the
-pieces' echelon bases as its columns.  `deligne_split` builds it once, from
-the pieces' int rows, and verifies every identity in it as a support pattern
-of frame coordinates, whichever way the pieces were found.
-`polarization_check` reads the cone in the same frame, one A^{-1} N A per
-generator.  The symmetry-algebra layers (`lie`), the bracket suite and the
-twist check of `orbit.orbit_spec` read the same frame off
-`structure.split()`.
+pieces' echelon bases as its columns.  Beside it the splitting keeps
+C = A^{-1} conj(A), the one product `deligne_split` forms.  It builds both
+once, from the pieces' int rows, and verifies every identity against them,
+whichever way the pieces were found: each step of F and W by its dimension
+and by containing the frame columns that should span it, and the
+conjugation symmetry as a support pattern of C.  `polarization_check` reads
+the cone in the same frame, one A^{-1} N A per generator, and the primitive
+forms there too, through C and Q' = A^T q A.  The symmetry-algebra layers
+(`lie`), the bracket suite and the twist check of `orbit.orbit_spec` read
+the same frame off `structure.split()`.
 """
 
 from __future__ import annotations
@@ -134,24 +137,31 @@ class DeligneSplitting:
     Only nonzero pieces are kept, in ascending (p, q) order.  The splitting
     owns its frame, the splitting frame of V: (A, A^{-1}, grades), with the
     pieces' echelon bases as A's columns in that order and each column's
-    bidegree in grades.  It is built once, with the splitting, from the
-    pieces' int rows, and is None when the pieces are not a basis of V.
+    bidegree in grades.  Beside it, `conj_frame` is C = A^{-1} conj(A),
+    whose column k holds the frame coordinates of the conjugate of A's
+    column k: the conjugation identity of the splitting and the primitive
+    forms of `polarization_check` both read it.  Both are built once, with
+    the splitting, from the pieces' int rows, and are None when the pieces
+    are not a basis of V.
     Every span of pieces (`span_where`) is one `Subspace.sum` of their
     stored rows.  The layers of a symmetry algebra are the same object
     inside End(V) (`lie.LieSplit`), with its own `diamond`, which
     `total_dim` reads; its `frame` is the frame of V its layers live in.
     """
 
-    __slots__ = ("ambient", "pieces", "frame")
+    __slots__ = ("ambient", "pieces", "frame", "conj_frame")
 
     def __init__(self, ambient, pieces):
         self.ambient = int(ambient)
         self.pieces = pieces = {pq: sub for pq, sub in sorted(pieces.items()) if sub.dim}
         a = _rows(pieces.values(), self.ambient).transpose()
         try:
-            self.frame = a, a.inverse(), tuple(pq for pq, s in pieces.items() for _ in s.int_rows)
+            a_inv = a.inverse()
         except ValueError:  # A is not square, or singular
-            self.frame = None
+            self.frame = self.conj_frame = None
+            return
+        self.frame = a, a_inv, tuple(pq for pq, s in pieces.items() for _ in s.int_rows)
+        self.conj_frame = a_inv * a.conj()
 
     def piece(self, p, q) -> Subspace:
         return self.pieces.get((p, q), Subspace.zero(self.ambient))
@@ -300,24 +310,27 @@ def _in_flag_coords(sub: Subspace, b_inv: Mat):
 def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
     """First identity the splitting fails to satisfy, or None if it is valid.
 
-    Each identity is a support pattern in the splitting frame.  The pieces
-    are independent and span V exactly when A is square and invertible;
-    when it is not, they are dependent exactly when A has a kernel.  A step
-    of F or W is the span of the pieces whose bidegree satisfies pred
-    exactly when it has as many dimensions as those columns and the rows of
-    A^{-1} outside them vanish on its vectors.  The conjugate of each piece
-    is read off the one product A^{-1} conj(A).
+    Each identity is read off the splitting frame.  The pieces are
+    independent and span V exactly when A is square and invertible; when it
+    is not, they are dependent exactly when A has a kernel.  A step of F or
+    W is the span of the pieces whose bidegree satisfies pred exactly when
+    it has as many dimensions as those columns of A and contains each of
+    them (`Subspace._holds`), since A's columns are independent.  The
+    conjugate of each piece is read off the splitting's C = A^{-1} conj(A)
+    as a support pattern; no product is formed here.
     """
     n = split.ambient
     if split.frame is None:
         if kernel(_rows(split.pieces.values(), n).transpose()).dim:
             return "bigraded pieces are not independent"
         return "bigraded pieces do not span the space"
-    a, a_inv, grades = split.frame
+    grades = split.frame[2]
+    # A's columns, with their bidegrees: the pieces' stored int rows
+    columns = [(pq, re, im) for pq, sub in split.pieces.items() for _, re, im in sub.int_rows]
 
     def spans(step, pred):
-        outside = a_inv.submatrix([k for k, pq in enumerate(grades) if not pred(*pq)], range(n))
-        return step.dim == n - outside.nrows and (outside * _rows((step,), n).transpose()).is_zero()
+        inside = [(re, im) for (p, q), re, im in columns if pred(p, q)]
+        return step.dim == len(inside) and all(step._holds(re, im) for re, im in inside)
 
     for k in structure.f.jump_levels:
         if not spans(structure.f.at(k), lambda p, q: p >= k):
@@ -325,8 +338,8 @@ def splitting_defect(structure: MixedHodge, split: DeligneSplitting):
     for l in structure.w.jump_levels:
         if not spans(structure.w.at(l), lambda p, q: p + q <= l):
             return f"W_{l} is not the span of pieces with p+q <= {l}"
-    # row l of (A^{-1} conj(A))^T: the frame coordinates of column l's conjugate
-    for (p, q), (row, _) in zip(grades, (a_inv * a.conj()).transpose().int_form()):
+    # row l of C^T: the frame coordinates of column l's conjugate
+    for (p, q), (row, _) in zip(grades, split.conj_frame.transpose().int_form()):
         if any(grades[k] != (q, p) and not (grades[k][0] < q and grades[k][1] < p)
                for k, _, _ in row):
             return f"conjugate of piece ({p},{q}) escapes ({q},{p}) + lower"
@@ -445,9 +458,10 @@ def _is_weight_filtration(m: Mat, weights, center):
     form = m.int_form()
     if any(weights[r] > weights[c] - 2 for r, (row, _) in enumerate(form) for c, _, _ in row):
         return False
-    power = Mat.identity(len(weights))
+    power = m
     for k in range(1, max(abs(wt - center) for wt in weights) + 1):
-        power = power * m
+        if k > 1:
+            power = power * m
         rows = [r for r, wt in enumerate(weights) if wt == center - k]
         cols = [c for c, wt in enumerate(weights) if wt == center + k]
         if len(rows) != len(cols) or (rows and not power.submatrix(rows, cols).det()):
@@ -464,10 +478,15 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
     interior cone elements; W- and F-compatibility of each generator
     (cone_compatibility); and positivity of the exact Hermitian form
     i^{p-q} Q(u, N^l conj v) on every primitive piece I^{p,q} ∩ ker N^{l+1},
-    l = p+q-n >= 0.  The cone is read in the verified splitting frame, one
-    A^{-1} N_j A per generator: the weight filtrations are certified by
-    their defining axioms (`_is_weight_filtration`), and the compatibility
-    is a support pattern of each generator.
+    l = p+q-n >= 0.  Everything is read in the verified splitting frame:
+    the cone as one M_j = A^{-1} N_j A per generator, whose weight
+    filtrations are certified by their defining axioms
+    (`_is_weight_filtration`) and whose compatibility is a support pattern.
+    The primitive forms are read there too, with M = Σ M_j, Q' = A^T q A
+    and the splitting's C = A^{-1} conj(A): the primitive part of I^{p,q}
+    is the kernel of the block of M^{l+1} on the piece's columns J, and
+    its form is the Gram matrix of Q'[J,:] M^l C[:,J] on that kernel, so
+    no meet is taken and no power of N is formed in V.
     """
     if structure.q is None:
         return False, "no pairing to polarize"
@@ -481,44 +500,57 @@ def polarization_check(structure: MixedHodge, cone: NilpotentCone | None = None)
         a, b, _, _ = witness
         return False, f"pairing does not vanish on F^{a} x F^{b}"
 
+    a, _, grades = split.frame
+    dim = structure.ambient
     if cone is not None and len(cone):
         k = len(cone)
         in_frame = _in_frame(split, cone)
-        weights = [p + q for p, q in split.frame[2]]
+        weights = [p + q for p, q in grades]
         # one test per distinct element: for k = 1 the two coincide
+        elements = {}
         for coeffs in dict.fromkeys(((1,) * k, tuple(range(1, k + 1)))):
             element = in_frame[0] * coeffs[0]
-            for c, m in zip(coeffs[1:], in_frame[1:]):
-                element = element + m * c
+            for c, x in zip(coeffs[1:], in_frame[1:]):
+                element = element + x * c
             if not _is_weight_filtration(element, weights, n):
                 return False, f"W differs from the weight filtration at {coeffs}"
+            elements[coeffs] = element
         ok, detail = cone_compatibility(structure, cone, in_frame)
         if not ok:
             return False, detail
-        n_int = cone.element((1,) * k)
+        m = elements[(1,) * k]  # Σ M_j, the M of the primitive forms
     else:
         if structure.w.jump_levels != (n,):
             return False, "a genuinely mixed W needs a cone to polarize it"
-        n_int = Mat.zeros(structure.ambient)
+        m = Mat.zeros(dim)
 
-    powers = {0: Mat.identity(structure.ambient)}
-    kernels = {}  # ker N^{l+1}, one per l
-    for (p, q), sub in split.pieces.items():
+    # the rows of Q' = A^T q A on the pieces with l >= 0, in one product:
+    # those rows of A^T are the pieces' stored int rows
+    paired = [(pq, sub) for pq, sub in split.pieces.items() if sum(pq) >= n]
+    q_frame = _rows([sub for _, sub in paired], dim) * structure.q * a
+    powers = [Mat.identity(dim), m]  # M^j, extended as the pieces ask
+    row = 0
+    for (p, q), sub in paired:
+        rows = range(row, row + sub.dim)
+        row += sub.dim
+        col = grades.index((p, q))
+        cols = range(col, col + sub.dim)
         l = p + q - n
-        if l < 0:
-            continue
-        for j in range(1, l + 2):
-            if j not in powers:
-                powers[j] = powers[j - 1] * n_int
-        if l not in kernels:
-            kernels[l] = kernel(powers[l + 1])
-        prim = sub.intersect(kernels[l])
+        while len(powers) < l + 2:
+            powers.append(powers[-1] * m)
+        prim = kernel(powers[l + 1].submatrix(range(dim), cols))
         if not prim.dim:
             continue
-        # the stored int rows are the basis rows times positive integers d_i,
-        # which scale the form to D·G·D: its Sylvester verdicts are G's
-        basis = _rows((prim,), structure.ambient)
-        gram = i_power(p - q) * (basis * structure.q * powers[l] * basis.conj_t())
+        # Q(u, N^l conj v) for u = A x and v = A y, x and y on the columns J
+        # of the piece, is x^T Q'[J,:] M^l C[:,J] conj(y).  The kernel rows X
+        # give a Gram matrix congruent to the one of any basis of the
+        # primitive part: its Sylvester and Hermitian verdicts are the same
+        inner = q_frame.submatrix(rows, range(dim))
+        if l:
+            inner = inner * powers[l]
+        inner = inner * split.conj_frame.submatrix(range(dim), cols)
+        basis = _rows((prim,), sub.dim)
+        gram = i_power(p - q) * (basis * inner * basis.conj_t())
         try:
             if not hermitian_positive_definite(gram):
                 return False, f"primitive form on ({p},{q}) is not positive"

@@ -757,6 +757,24 @@ def test_check_finds_the_markers_once(name, monkeypatch, capsys):
     assert len(calls) == 1  # the loader's and orbit_spec's read share one search
 
 
+@pytest.mark.parametrize("name", ["a1", "elliptic", "hermitian", "pair", "varying"])
+def test_check_runs_the_determinant_of_q_once(name, monkeypatch, capsys):
+    q = load_fixture(DATA / f"{name}.json").data.q
+    runs = []
+    bareiss = Mat._bareiss
+
+    def counting(m):
+        runs.append(m)
+        return bareiss(m)
+
+    monkeypatch.setattr(Mat, "_bareiss", counting)
+    code, _, _ = run(capsys, "check", DATA / f"{name}.json")
+    assert code == 0
+    # the load's nondegeneracy test, the symmetry algebra's and the
+    # symmetries suite's read one determinant
+    assert sum(m == q for m in runs) == 1
+
+
 def count_mhs_calls(monkeypatch, *names):
     """Count calls of the named mhs functions through every module binding them."""
     from hodgenorm import induced, lie, mhs, orbit, probe

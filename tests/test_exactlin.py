@@ -115,6 +115,55 @@ def test_matrix_power():
     assert n ** 0 == Mat.identity(2)
 
 
+def _spy_on_products(monkeypatch):
+    calls = []
+    product = Mat.__mul__
+
+    def spy(left, right):
+        calls.append((left, right))
+        return product(left, right)
+
+    monkeypatch.setattr(Mat, "__mul__", spy)
+    return calls
+
+
+def test_a_power_starts_at_its_base_and_stops_at_the_first_zero_square(monkeypatch):
+    rng = random.Random(3)
+    g = Mat.identity(4) + Mat([[0, 1, 2, 0], [0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0]])
+    n = g * Mat([[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]) * g.inverse()
+    square, identity = n * n, Mat.identity(4)
+    assert not square.is_zero() and (square * n).is_zero()  # index 3
+    calls = _spy_on_products(monkeypatch)
+    assert (n ** 20).is_zero()
+    assert all(identity not in pair for pair in calls)
+    # n * n, then n^2 * n^2 = 0: every factor still owed is zero too
+    assert calls == [(n, n), (square, square)]
+    monkeypatch.undo()
+    for a in (n, _random_mat(rng, 4, 4), Mat.zeros(3), Mat.identity(2)):
+        product = Mat.identity(a.nrows)
+        for k in range(10):
+            assert a ** k == product, k
+            product = product * a
+
+
+def test_a_matrix_computes_its_determinant_once(monkeypatch):
+    runs = []
+    bareiss = Mat._bareiss
+
+    def spy(m):
+        runs.append(m)
+        return bareiss(m)
+
+    monkeypatch.setattr(Mat, "_bareiss", spy)
+    a = Mat([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
+    assert a._det is None
+    assert a.det() == -3 and a.det() == -3 and a._det == -3
+    assert runs == [a]
+    singular = Mat([[1, 2], [2, 4]])
+    assert not singular.det() and not singular.det()
+    assert runs == [a, singular]
+
+
 def test_nilpotent_exp_hand_worked():
     n = Mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     e = nilpotent_exp(n)

@@ -7,17 +7,24 @@ construction; the random nilpotents are drawn with real and with
 Gaussian-integer entries.
 """
 
+import json
 import random
 
 import pytest
 
-from hodgenorm.exactlin import Mat, Subspace, qi, vec
+from hodgenorm.cli import load_fixture
+from hodgenorm.exactlin import Mat, Subspace, _nonzero_ints, qi, vec
 from hodgenorm.filtrations import (
+    _Filtration,
     DecreasingFiltration,
     IncreasingFiltration,
     level,
     weight_filtration,
 )
+from hodgenorm.fixtures import weight_two
+from hodgenorm.induced import induce
+
+from test_cli import DATA, SHIPPED
 
 
 def span(n, *vectors):
@@ -67,6 +74,71 @@ def test_from_generators():
     assert f.at(2) == span(3, E1)
     assert f.at(1) == span(3, E1)
     assert f.at(0) == Subspace.full(3)
+
+
+def cumulative_filtration(cls, ambient, gens):
+    """The reference: each step spans, from scratch, every row listed at its
+    level or before it in growing order, the rows read back as scalars."""
+    vectors, steps = [], {}
+    for l in sorted(gens, key=lambda l: cls._sign * l):
+        vectors += Mat._of_ints(gens[l], ambient).rows
+        steps[l] = Subspace(ambient, vectors)
+    return cls(ambient, steps)
+
+
+def _generator_sets(rng):
+    """Int-form generator sets whose levels are random rows, combinations of
+    rows listed before (dependent), a row listed before (repeated) or none
+    (empty), with the kind of each level."""
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        listed, gens, kinds = [], {}, []
+        for l in rng.sample(range(-4, 5), rng.randint(1, 5)):
+            kind = rng.choice(("random", "dependent", "repeated", "empty"))
+            if kind == "empty":
+                rows = []
+            elif kind == "repeated" and listed:
+                rows = [rng.choice(listed)]
+            elif kind == "dependent" and listed:
+                rows = [tuple(sum((rng.randint(-2, 2) * v[j] for v in listed), qi(0))
+                              for j in range(n)) for _ in range(rng.randint(1, 2))]
+            else:
+                kind = "random"
+                rows = [vec(qi(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n))
+                        for _ in range(rng.randint(1, 3))]
+            listed += rows
+            gens[l] = [_nonzero_ints(v) for v in rows]
+            kinds.append(kind)
+        yield n, gens, kinds
+
+
+def test_from_int_rows_matches_the_cumulative_spans():
+    kinds = set()
+    for n, gens, drawn in _generator_sets(random.Random("from_int_rows")):
+        kinds.update(drawn)
+        for cls in (IncreasingFiltration, DecreasingFiltration):
+            got, want = cls.from_int_rows(n, gens), cumulative_filtration(cls, n, gens)
+            assert got == want and got.steps == want.steps, (cls, gens)
+    assert kinds == {"random", "dependent", "repeated", "empty"}
+
+
+def test_loaded_and_induced_filtrations_match_the_cumulative_spans(monkeypatch):
+    v, built = weight_two(1), []
+    build = _Filtration.from_int_rows.__func__
+
+    def spy(cls, ambient, gens):
+        got = build(cls, ambient, gens)
+        built.append((got, cumulative_filtration(cls, ambient, gens)))
+        return got
+
+    monkeypatch.setattr(_Filtration, "from_int_rows", classmethod(spy))
+    for name in SHIPPED:
+        load_fixture(DATA / name)
+    induce(v)
+    # F of every fixture, W of those that list one, and F and W of H
+    listed_w = sum("w" in json.loads((DATA / name).read_text()) for name in SHIPPED)
+    assert len(built) == len(SHIPPED) + listed_w + 2
+    assert all(got == want and got.steps == want.steps for got, want in built)
 
 
 def test_level_and_colevel():

@@ -58,6 +58,7 @@ from hodgenorm.orbit import (
 )
 
 from test_cli import DATA, FUZZ_DOCS, FUZZ_SITES, FUZZ_VALUES, LOADS, SHIPPED, _mutated
+from test_induced import fresh_families
 
 # -- the tuple vector algebra, kept as the reference ------------------------------
 
@@ -428,9 +429,18 @@ def test_isotropy_matches_the_dot_loop_witness_for_witness():
     assert failures >= 100
 
 
+def fresh_cases():
+    """The benchmark's fresh families, moved as its first pass from seed 3
+    moves them, and their Tate-normalized induced structures."""
+    out = []
+    for label, v in fresh_families():
+        out += [(label, v, None, None), (f"{label} induced", tate_normalize(induce(v)), None, None)]
+    return out
+
+
 def test_polarization_check_matches_the_entrywise_gram():
     verdicts = set()
-    for label, data, _, _ in structures():
+    for label, data, _, _ in structures() + fresh_cases():
         st_ = _outcome(data.structure)
         if isinstance(st_, tuple):
             continue

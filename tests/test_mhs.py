@@ -12,6 +12,7 @@ import re
 import pytest
 
 import test_cli
+from test_induced import fresh_families
 from hodgenorm import cli, mhs
 from hodgenorm.exactlin import (
     I,
@@ -478,6 +479,71 @@ def test_the_splitting_is_verified_without_a_span(name, monkeypatch):
     calls = _spy_on_sums(monkeypatch)
     assert mhs.splitting_defect(st, split) is None
     assert calls == []  # 10, 24 and 18 sums when each identity spanned its pieces
+
+
+def _spy(monkeypatch, owner, name):
+    """Record the arguments of every call of owner.name."""
+    calls = []
+    call = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return call(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def _fresh_induced():
+    """The Tate-normalized induced structure of each fresh family of the
+    benchmark, built and not yet split."""
+    return [(name, tate_normalize(induce(v))) for name, v in fresh_families()]
+
+
+def test_the_splitting_defect_forms_no_product_and_picks_no_block(monkeypatch):
+    cases = [_shipped_structure(name) for name in SHIPPED]
+    cases += [h.structure() for _, h in _fresh_induced()]
+    splits = [st.split() for st in cases]
+    products = _spy(monkeypatch, Mat, "__mul__")
+    blocks = _spy(monkeypatch, Mat, "submatrix")
+    for st, split in zip(cases, splits):
+        assert mhs.splitting_defect(st, split) is None
+    assert products == [] and blocks == []
+
+
+def test_an_induced_splitting_forms_one_product_its_c(monkeypatch):
+    for name, h in _fresh_induced():
+        products = _spy(monkeypatch, Mat, "__mul__")
+        split = deligne_split(h.structure())
+        monkeypatch.undo()
+        a, a_inv, _ = split.frame
+        assert products == [(a_inv, a.conj())], name
+        assert split.conj_frame == a_inv * a.conj()
+
+
+def test_the_primitive_forms_take_no_meet_and_no_kernel_wider_than_a_piece(monkeypatch):
+    for name, h in _fresh_induced():
+        st = h.structure()
+        widest = max(sub.dim for sub in st.split().pieces.values())
+        meets = _spy(monkeypatch, Subspace, "intersect")
+        kernels = _spy(monkeypatch, mhs, "kernel")
+        assert polarization_check(st, h.cone) == (True, None), name
+        monkeypatch.undo()
+        assert meets == [], name
+        assert kernels and all(m.ncols <= widest < st.ambient for (m,) in kernels), name
+
+
+def test_the_splitting_keeps_c_exactly_beside_a_frame():
+    for name in ("varying", "hermitian"):
+        st = _shipped_structure(name)
+        split = st.split()
+        a, a_inv, _ = split.frame
+        assert split.conj_frame == a_inv * a.conj()
+        for defect, pieces in seeded_defects(split):
+            seeded = DeligneSplitting(split.ambient, pieces)
+            assert (seeded.conj_frame is None) == (seeded.frame is None), defect
+        # the layers of g live in End(V): the slot is set, and holds nothing
+        assert lie_deligne_split(lie_algebra(st.q), st).conj_frame is None
 
 
 def test_the_twist_grade_check_builds_no_span_or_filtration(monkeypatch):
